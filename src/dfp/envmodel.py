@@ -6,6 +6,13 @@ at least one tag of a record for it to qualify (exact match, or edit
 distance <= 1 for tokens of length >= 4). Results order by newest first,
 then ascending record id, so result lists are stable for golden tests.
 
+Queries never scan the records. The store keeps a posting index, tag ->
+set of record ids, that ``_put`` and ``_drop`` keep in step with every
+write and ``open`` builds after its replay. A query makes one
+``fuzzy_match`` pass over the tag vocabulary per token, unions the
+postings of the matching tags, intersects those unions across tokens, and
+only then applies the class and time filters to the surviving records.
+
 The persistent form is a JSON-lines log, one record object per line;
 ``delete`` appends a tombstone line ``{"record_id": ..., "deleted": true}``
 and opening a log replays it in order.
@@ -17,6 +24,7 @@ import enum
 import json
 import re
 import threading
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 from dfp import DfpError
@@ -163,21 +171,6 @@ class OddQuery:
             raise EmptyQuery(f"no searchable tokens in {list(self.tokens)!r}")
         return out
 
-    def to_json_obj(self) -> dict:
-        return {
-            "tokens": list(self.tokens),
-            "class_filter": self.class_filter.value if self.class_filter else None,
-            "time_range": list(self.time_range) if self.time_range else None,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "OddQuery":
-        return cls(
-            tokens=tuple(obj["tokens"]),
-            class_filter=RecordClass(obj["class_filter"]) if obj.get("class_filter") else None,
-            time_range=tuple(obj["time_range"]) if obj.get("time_range") else None,
-        )
-
 
 # frame kind -> (class, base tags, source) for ingestion
 INGEST_TABLE = {
@@ -196,6 +189,7 @@ class EnvStore:
 
     def __init__(self, log_path=None):
         self._records: dict[int, EnvRecord] = {}
+        self._postings: defaultdict[str, set[int]] = defaultdict(set)  # no empty sets
         self._odds: dict[str, OddQuery] = {}
         self._next_id = 0
         self._log_path = log_path
@@ -205,8 +199,16 @@ class EnvStore:
 
     @classmethod
     def open(cls, path) -> "EnvStore":
-        """Rebuild a store by replaying a JSONL record log."""
+        """Rebuild a store by replaying a JSONL record log.
+
+        The next id is one past the highest id the log names, tombstones
+        included, so a reopened store never re-issues a deleted id. The
+        postings are built in one pass after the replay, which costs less
+        than keeping them current line by line.
+        """
         store = cls()
+        records = store._records
+        dead_high = -1
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
@@ -214,12 +216,18 @@ class EnvStore:
                     continue
                 obj = json.loads(line)
                 if obj.get("deleted"):
-                    store._records.pop(int(obj["record_id"]), None)
+                    rid = int(obj["record_id"])
+                    records.pop(rid, None)
+                    dead_high = max(dead_high, rid)
                     continue
                 rec = EnvRecord.from_json_obj(obj)
-                store._records[rec.record_id] = rec
-        if store._records:
-            store._next_id = max(store._records) + 1
+                records[rec.record_id] = rec
+        postings = store._postings
+        for rid, rec in records.items():
+            for tag in rec.tags:
+                postings[tag].add(rid)
+        # every id a log creates is either live at the end or has a tombstone
+        store._next_id = max(dead_high, max(records, default=-1)) + 1
         store._log_path = path
         return store
 
@@ -238,12 +246,29 @@ class EnvStore:
 
     # -- CRUD -------------------------------------------------------------------
 
+    def _put(self, rec: EnvRecord) -> None:
+        """Store or replace a record and post its tags."""
+        rid = rec.record_id
+        if rid in self._records:
+            self._drop(rid)
+        self._records[rid] = rec
+        for tag in rec.tags:
+            self._postings[tag].add(rid)
+
+    def _drop(self, rid: int) -> None:
+        """Remove a record and its postings; a tag left with none goes too."""
+        for tag in self._records.pop(rid).tags:
+            ids = self._postings[tag]
+            ids.discard(rid)
+            if not ids:
+                del self._postings[tag]
+
     def create(self, rec: EnvRecord) -> int:
         with self._lock:
             rec.validate()
             if rec.record_id in self._records:
                 raise DuplicateId(f"record {rec.record_id} exists")
-            self._records[rec.record_id] = rec
+            self._put(rec)
             self._next_id = max(self._next_id, rec.record_id + 1)
             self._log(rec.to_json_obj())
             return rec.record_id
@@ -282,7 +307,7 @@ class EnvStore:
                     raise InvalidRecord(f"unknown record field {key!r}")
             updated = replace(current, **fields)
             updated.validate()
-            self._records[record_id] = updated
+            self._put(updated)
             self._log(updated.to_json_obj())
             return updated
 
@@ -290,12 +315,8 @@ class EnvStore:
         with self._lock:
             if record_id not in self._records:
                 raise NotFound(f"no record {record_id}")
-            del self._records[record_id]
+            self._drop(record_id)
             self._log({"record_id": record_id, "deleted": True})
-
-    def count(self) -> int:
-        with self._lock:
-            return len(self._records)
 
     def all_records(self) -> list[EnvRecord]:
         with self._lock:
@@ -306,17 +327,19 @@ class EnvStore:
     def query(self, q: OddQuery) -> list[EnvRecord]:
         tokens = q.effective_tokens()
         with self._lock:
-            snapshot = list(self._records.values())
-        out = []
-        for rec in snapshot:
-            if q.class_filter is not None and rec.record_class != q.class_filter:
-                continue
-            if q.time_range is not None:
-                t0, t1 = q.time_range
-                if not (t0 <= rec.timestamp_ns <= t1):
-                    continue
-            if all(any(fuzzy_match(tok, tag) for tag in rec.tags) for tok in tokens):
-                out.append(rec)
+            ids = None
+            for tok in tokens:
+                hits = set().union(*(posting for tag, posting in self._postings.items()
+                                     if fuzzy_match(tok, tag)))
+                ids = hits if ids is None else ids & hits
+                if not ids:
+                    return []
+            out = [self._records[rid] for rid in ids]
+        if q.class_filter is not None:
+            out = [rec for rec in out if rec.record_class == q.class_filter]
+        if q.time_range is not None:
+            t0, t1 = q.time_range
+            out = [rec for rec in out if t0 <= rec.timestamp_ns <= t1]
         out.sort(key=lambda r: (-r.timestamp_ns, r.record_id))
         return out
 
@@ -353,7 +376,7 @@ class EnvStore:
             else:
                 raise InvalidRecord(f"cannot ingest {type(frame).__name__}")
             rec.validate()
-            self._records[rec.record_id] = rec
+            self._put(rec)
             self._next_id = rec.record_id + 1
             self._log(rec.to_json_obj())
             return rec.record_id

@@ -1,6 +1,9 @@
 """CRUD semantics, fuzzy queries, saved ODDs, ingestion, persistence."""
 
+import os
 import random
+import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from dfp.envmodel import (
     OddNotFound,
     OddQuery,
     RecordClass,
+    Source,
     fuzzy_match,
     levenshtein,
 )
@@ -222,6 +226,94 @@ def test_query_equals_brute_force_scan_on_random_corpus():
         assert got == want, f"trial {trial}: {words}"
 
 
+# A vocabulary with near neighbours ("rain"/"rail", "tunnel"/"tunnels"), so one
+# token can match several tags and the index has to union their postings.
+INDEX_TAGS = ["rain", "rail", "tunnel", "tunnels", "fog", "fig", "snow", "ice"]
+QUERY_WORDS = INDEX_TAGS + ["rian", "tunel", "snwo", "rains", "fo", "ic", "the", "on"]
+
+tag_sets = st.frozensets(st.sampled_from(INDEX_TAGS), min_size=1, max_size=3)
+record_ids = st.integers(min_value=0, max_value=4)
+timestamps = st.integers(min_value=0, max_value=5)
+classes = st.sampled_from([RecordClass.OBJECT, RecordClass.WEATHER])
+store_ops = st.one_of(
+    st.tuples(st.just("create"), record_ids, tag_sets, timestamps, classes),
+    st.tuples(st.just("ingest"), tag_sets, timestamps, classes),
+    st.tuples(st.just("update"), record_ids, tag_sets),
+    st.tuples(st.just("delete"), record_ids),
+    st.tuples(st.just("reopen")),
+    st.tuples(st.just("query"), st.lists(st.sampled_from(QUERY_WORDS), min_size=1, max_size=3),
+              st.none() | classes,
+              st.none() | st.tuples(timestamps, timestamps).map(sorted).map(tuple)),
+)
+
+
+def check_query(store, shadow, words, class_filter=None, time_range=None):
+    q = OddQuery(tuple(words), class_filter, time_range)
+    if all(w in STOPWORDS for w in words):
+        with pytest.raises(EmptyQuery):
+            store.query(q)
+        return
+    want = brute_force_query(shadow.values(), words, class_filter, time_range)
+    assert store.query(q) == want, f"{words} {class_filter} {time_range}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(store_ops, max_size=25))
+def test_posting_index_queries_equal_scan_under_random_crud_and_reopen(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "env.jsonl")
+        open(path, "w").close()  # reopening before the first write finds an empty log
+        store = EnvStore(log_path=path)
+        shadow, next_id = {}, 0
+        for op in ops:
+            kind = op[0]
+            if kind == "create":
+                _, rid, tags, ts, cls = op
+                r = rec(rid, tags, ts=ts, cls=cls)
+                if rid in shadow:
+                    with pytest.raises(DuplicateId):
+                        store.create(r)
+                else:
+                    store.create(r)
+                    shadow[rid] = r
+                    next_id = max(next_id, rid + 1)
+            elif kind == "ingest":
+                _, tags, ts, cls = op
+                rid = store.ingest({"class": cls.value, "tags": sorted(tags),
+                                    "timestamp_ns": ts})
+                assert rid == next_id
+                shadow[rid] = rec(rid, tags, ts=ts, cls=cls, source=Source.FUSION)
+                next_id += 1
+            elif kind == "update":
+                _, rid, tags = op
+                if rid in shadow:
+                    store.update(rid, {"tags": tags})
+                    shadow[rid] = replace(shadow[rid], tags=tags)
+                else:
+                    with pytest.raises(NotFound):
+                        store.update(rid, {"tags": tags})
+            elif kind == "delete":
+                _, rid = op
+                if rid in shadow:
+                    store.delete(rid)
+                    del shadow[rid]
+                else:
+                    with pytest.raises(NotFound):
+                        store.delete(rid)
+            elif kind == "reopen":
+                store = EnvStore.open(path)
+            else:
+                check_query(store, shadow, *op[1:])
+        assert store.all_records() == sorted(shadow.values(), key=lambda r: r.record_id)
+        for word in QUERY_WORDS:
+            check_query(store, shadow, [word])
+        postings = {}
+        for r in shadow.values():
+            for tag in r.tags:
+                postings.setdefault(tag, set()).add(r.record_id)
+        assert store._postings == postings  # no stale ids, no tags left unused
+
+
 # -- saved ODDs ---------------------------------------------------------------------
 
 def test_saved_odd_equals_direct_query_and_sees_new_records():
@@ -300,3 +392,14 @@ def test_dump_jsonl_snapshot(tmp_path):
     store.dump_jsonl(str(path))
     again = EnvStore.open(str(path))
     assert again.all_records() == store.all_records()
+
+
+def test_reopen_does_not_reissue_the_highest_deleted_id(tmp_path):
+    path = str(tmp_path / "env.jsonl")
+    live = EnvStore(log_path=path)
+    for _ in range(3):
+        live.ingest({"class": "weather", "tags": ["rain"]})
+    live.delete(2)
+    reopened = EnvStore.open(path)
+    assert live.ingest({"class": "weather", "tags": ["fog"]}) == 3
+    assert reopened.ingest({"class": "weather", "tags": ["fog"]}) == 3

@@ -10,6 +10,7 @@ from dfp.funcsw import (
     CycleDetected,
     DuplicateAlgorithm,
     DuplicateNodeId,
+    GraphError,
     GroupPolicy,
     PortSchemaMismatch,
     Stage,
@@ -116,6 +117,29 @@ def test_registry_roundtrip_and_misses():
         reg.resolve("gap_planner", "2.0.0")
     with pytest.raises(DuplicateAlgorithm):
         reg.register(AlgorithmDescriptor("gap_planner", "1.0.0", "x:y"))
+
+
+def test_registry_loads_module_attribute_entry_on_resolve():
+    reg = AlgorithmRegistry()
+    reg.register(AlgorithmDescriptor("builder", "1.0.0", "dfp.funcsw:build_graph"))
+    assert reg.resolve("builder", "1.0.0")[1] is build_graph
+
+
+@pytest.mark.parametrize("entry", ["dfp.funcsw", "dfp.funcsw:", ":build_graph"])
+def test_registry_rejects_malformed_entry(entry):
+    reg = AlgorithmRegistry()
+    reg.register(AlgorithmDescriptor("bad", "1.0.0", entry))
+    with pytest.raises(GraphError) as excinfo:
+        reg.resolve("bad", "1.0.0")
+    assert excinfo.type is GraphError  # malformed, not merely missing
+
+
+@pytest.mark.parametrize("entry", ["dfp.no_such_module:body", "dfp.funcsw:no_such_body"])
+def test_registry_missing_entry_target_is_not_found(entry):
+    reg = AlgorithmRegistry()
+    reg.register(AlgorithmDescriptor("gone", "1.0.0", entry))
+    with pytest.raises(AlgorithmNotFound):
+        reg.resolve("gone", "1.0.0")
 
 
 def test_port_schema_mismatch_caught_at_build():
