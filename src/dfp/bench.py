@@ -2,10 +2,11 @@
 
 Per payload size, one writer publishes ``samples`` payloads to one matched
 subscriber and the publish-to-take wall time is recorded per sample. The
-baseline run flips the domain into copying delivery, which models what a
-serializing transport does: one copy into the transport on write, one copy
-out on read. The zero-copy path moves only a buffer reference, so its
-latency must not scale with the payload size.
+baseline laps do what a serializing transport does on top of the same
+in-process path: one full copy of the payload before ``publish`` and one
+full copy of the received data after ``take``, both inside the timed lap.
+The zero-copy path moves only a buffer reference, so its latency must not
+scale with the payload size.
 """
 
 from __future__ import annotations
@@ -39,7 +40,12 @@ class BenchRow:
                 "p99_us": self.p99_us, "samples": self.samples}
 
 
-def _measure(domain: Domain, size: int, samples: int) -> tuple[float, float]:
+def _copy(data: bytes) -> bytes:
+    return memoryview(data).tobytes()
+
+
+def _measure(domain: Domain, size: int, samples: int,
+             copying: bool) -> tuple[float, float]:
     writer = domain.create_participant(f"bench_writer_{size}")
     reader = domain.create_participant(f"bench_reader_{size}")
     topic = TopicDescriptor(f"bench/s{size}", type_hash_of("bench_blob"),
@@ -48,18 +54,20 @@ def _measure(domain: Domain, size: int, samples: int) -> tuple[float, float]:
     sub = reader.create_subscriber(topic)
     payload = b"\xa5" * size
     perf = time.perf_counter
-    for _ in range(WARMUP):
-        pub.publish(payload)
-        for s in sub.take():
-            s.release()
     laps = []
-    for _ in range(samples):
+    for k in range(WARMUP + samples):
         t0 = perf()
-        pub.publish(payload)
-        got = sub.take(1)
+        if copying:
+            pub.publish(_copy(payload))
+            got = sub.take(1)
+            _copy(got[0].data)
+        else:
+            pub.publish(payload)
+            got = sub.take(1)
         t1 = perf()
         got[0].release()
-        laps.append(t1 - t0)
+        if k >= WARMUP:
+            laps.append(t1 - t0)
     writer.close()
     reader.close()
     laps.sort()
@@ -74,9 +82,8 @@ def run_bench(sizes=DEFAULT_SIZES, samples: int = 10_000) -> list[BenchRow]:
     rows = []
     for copying in (False, True):
         domain = Domain()
-        domain.copying_delivery = copying
         for size in sizes:
-            median, p99 = _measure(domain, size, samples)
+            median, p99 = _measure(domain, size, samples, copying)
             rows.append(BenchRow("copying" if copying else "zero_copy",
                                  size, round(median, 3), round(p99, 3), samples))
     return rows

@@ -39,9 +39,6 @@ class AlgorithmRegistry:
             self._algorithms[key] = (descriptor, factory)
         return descriptor, factory
 
-    def descriptors(self) -> list[AlgorithmDescriptor]:
-        return [d for d, _ in self._algorithms.values()]
-
     @staticmethod
     def _load_entry(entry: str):
         module_name, sep, attr = entry.partition(":")

@@ -360,6 +360,3 @@ class DeviceRegistry:
 
     def tick(self, device_id: str, n: int = 1) -> list[SensorFrame]:
         return self.handle(device_id).tick(n)
-
-    def device_ids(self) -> list[str]:
-        return sorted(self._devices)

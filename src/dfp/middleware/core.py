@@ -21,7 +21,6 @@ import json
 import random
 import re
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -48,6 +47,7 @@ from dfp.util import MS, ManualClock, stable_u64
 
 HEARTBEAT_PERIOD_NS = 100 * MS
 LIVELINESS_PERIODS = 3
+LIVELINESS_NS = LIVELINESS_PERIODS * HEARTBEAT_PERIOD_NS
 NACK_INTERVAL_NS = 5 * MS
 CALL_QUANTUM_NS = 1 * MS
 
@@ -215,18 +215,18 @@ class _DiscoveryDb:
         self.peer_last_hb.pop(pid, None)
         return gone
 
-    def prune(self, now: int, liveliness_ns: int) -> list[tuple]:
+    def prune(self, now: int) -> list[tuple]:
         dead = [pid for pid, last in self.peer_last_hb.items()
-                if pid != self.self_id and now - last >= liveliness_ns]
+                if pid != self.self_id and now - last >= LIVELINESS_NS]
         gone: list[tuple] = []
         for pid in dead:
             gone.extend(self.remove_participant(pid))
         return gone
 
-    def deadline_for(self, pid: int, now: int, liveliness_ns: int) -> int:
+    def deadline_for(self, pid: int, now: int) -> int:
         if pid == self.self_id:
-            return now + liveliness_ns
-        return self.peer_last_hb.get(pid, now) + liveliness_ns
+            return now + LIVELINESS_NS
+        return self.peer_last_hb.get(pid, now) + LIVELINESS_NS
 
 
 # --------------------------------------------------------------------------
@@ -401,13 +401,6 @@ class Subscriber:
         with self._qlock:
             while self._queue and (max_n is None or len(out) < max_n):
                 out.append(self._queue.popleft())
-        if self.participant.domain.copying_delivery:
-            # measurement baseline: model a read-side deserialization copy
-            out = [
-                Sample(s.topic, s.seq, s.publisher_id, s.timestamp_ns,
-                       BufferHandle(memoryview(s.data).tobytes()))
-                for s in out
-            ]
         return out
 
     def queued(self) -> int:
@@ -581,7 +574,6 @@ class Participant:
         with self._lock:
             self._prune_db()
             now = self.domain.now_ns()
-            live_ns = self.domain.liveliness_ns
             out: list[DiscoveryRecord] = []
             for key, info in sorted(self._db.records.items(), key=lambda kv: repr(kv[0])):
                 kind = key[0]
@@ -590,7 +582,7 @@ class Participant:
                 if filter == "services" and kind != "service":
                     continue
                 pid = key[1]
-                deadline = self._db.deadline_for(pid, now, live_ns)
+                deadline = self._db.deadline_for(pid, now)
                 if kind in ("publisher", "subscriber"):
                     desc = TopicDescriptor(info["topic"], info["type_hash"],
                                            QoSProfile.from_json(info["qos"]))
@@ -603,7 +595,7 @@ class Participant:
             return out
 
     def _prune_db(self) -> None:
-        gone = self._db.prune(self.domain.now_ns(), self.domain.liveliness_ns)
+        gone = self._db.prune(self.domain.now_ns())
         self._unmatch(gone)
 
     def _unmatch(self, gone_keys: list[tuple]) -> None:
@@ -684,17 +676,9 @@ class Participant:
                             self.domain.now_ns(), handle)
             if pub._retains:
                 pub._retain(seq, handle)
-            copy_mode = self.domain.copying_delivery
             for sub in pub._matched_subs:
-                if copy_mode:
-                    # measurement baseline: behave like a serializing transport
-                    data = memoryview(payload).tobytes()
-                    out = Sample(pub.topic.name, seq, pub.publisher_id,
-                                 sample.timestamp_ns, BufferHandle(data))
-                    sub._enqueue(out)
-                else:
-                    pub._arena.retain(handle.slot)
-                    sub._enqueue(sample)
+                pub._arena.retain(handle.slot)
+                sub._enqueue(sample)
             handle.release()
         else:
             if len(payload) > MAX_WIRE_PAYLOAD:
@@ -765,7 +749,7 @@ class Participant:
                 now = self.domain.now_ns()
                 if now >= deadline:
                     raise Timeout(f"no response from {service_name!r} within {timeout_ms} ms")
-                self.domain._wait_quantum(deadline - now)
+                self.domain.clock.advance(min(CALL_QUANTUM_NS, deadline - now))
         finally:
             with self._lock:
                 self._pending_calls.pop(request_id, None)
@@ -814,8 +798,7 @@ class Participant:
         # cheap gate: skip the full spin when nothing can have progressed
         if not self.alive:
             return
-        if (self._inbox or not self.domain.clock.is_manual
-                or self.domain.now_ns() >= self._next_hb_ns):
+        if self._inbox or self.domain.now_ns() >= self._next_hb_ns:
             self.spin()
 
     def spin(self) -> None:
@@ -833,7 +816,7 @@ class Participant:
             now = self.domain.now_ns()
             if now >= self._next_hb_ns:
                 self._heartbeat(now)
-                self._next_hb_ns = now + self.domain.heartbeat_period_ns
+                self._next_hb_ns = now + HEARTBEAT_PERIOD_NS
             self._prune_db()
             for ep in self.services.values():
                 ep.flush(now)
@@ -1056,17 +1039,11 @@ def _qos_flags(qos: QoSProfile) -> int:
 class Domain:
     """A communication universe: clock, in-process plane, loopback buses."""
 
-    def __init__(self, clock=None, arena_slot_size: int = DEFAULT_SLOT_SIZE,
-                 arena_slot_count: int = DEFAULT_SLOT_COUNT,
-                 heartbeat_period_ns: int = HEARTBEAT_PERIOD_NS,
-                 auto_advance: bool = True):
-        self.clock = clock if clock is not None else ManualClock()
+    def __init__(self, arena_slot_size: int = DEFAULT_SLOT_SIZE,
+                 arena_slot_count: int = DEFAULT_SLOT_COUNT):
+        self.clock = ManualClock()
         self.arena_slot_size = arena_slot_size
         self.arena_slot_count = arena_slot_count
-        self.heartbeat_period_ns = heartbeat_period_ns
-        self.liveliness_ns = LIVELINESS_PERIODS * heartbeat_period_ns
-        self.auto_advance = auto_advance
-        self.copying_delivery = False  # bench baseline only; copies payloads
         self._inproc = _InProcPlane(self)
         self._buses: dict[int, _LoopbackBus] = {}
         self._loss_config: dict[int, LossModel] = {}
@@ -1129,23 +1106,13 @@ class Domain:
 
     def advance(self, ns: int, quantum_ns: int | None = None) -> None:
         """Step the manual clock by ``ns``, spinning at each quantum."""
-        if not self.clock.is_manual:
-            raise MiddlewareError("advance() requires a manual clock")
-        quantum = quantum_ns or self.heartbeat_period_ns
+        quantum = quantum_ns or HEARTBEAT_PERIOD_NS
         remaining = ns
         while remaining > 0:
             step = min(quantum, remaining)
             self.clock.advance(step)
             remaining -= step
             self.spin()
-
-    def _wait_quantum(self, remaining_ns: int) -> None:
-        if self.clock.is_manual:
-            if not self.auto_advance:
-                raise Timeout("manual clock is not advancing and auto_advance is off")
-            self.clock.advance(min(CALL_QUANTUM_NS, remaining_ns))
-        else:
-            time.sleep(0.0005)
 
     def _rematch_inproc(self, state: _InProcTopic, replay_to: Subscriber | None = None) -> None:
         for pub in state.publishers:

@@ -36,10 +36,6 @@ class History:
     def keep_all(cls) -> "History":
         return cls(depth=None)
 
-    @property
-    def unbounded(self) -> bool:
-        return self.depth is None
-
     def __post_init__(self):
         if self.depth is not None and self.depth < 1:
             raise QoSError(f"keep_last depth must be >= 1, got {self.depth}")

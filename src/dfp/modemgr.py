@@ -236,10 +236,6 @@ class Coordinator:
         with self._lock:
             return dict(self._state)
 
-    def loaded_fsm_ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self._defs)
-
     def trace_jsonl(self) -> str:
         """Dispatch trace as JSON lines, one object per processed event."""
         import json

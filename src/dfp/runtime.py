@@ -7,6 +7,11 @@ environment store, the planner reads it back and the controller's output
 is published on the command topic, where the runner picks it up and
 integrates the plant. Application nodes only ever touch SDK surfaces.
 
+The task graph is the data plane. Only the command leaves it, so only the
+declared ``control/*`` topic crosses the middleware. The report counts every
+other declared topic from the graph's firing reports; graph ports are
+lossless, so such a topic delivers what it publishes and drops nothing.
+
 Node bodies resolve through the algorithm registry. Entries of the form
 ``builtin:<name>`` bind to the builders below; anything else is imported
 as ``module:attribute`` and called with the node to produce a body.
@@ -24,7 +29,7 @@ from dfp.config import SystemConfig
 from dfp.envmodel import EnvStore
 from dfp.funcsw import AlgorithmRegistry, TaskGraph, build_graph
 from dfp.hal import DeviceRegistry, normalize
-from dfp.middleware import Domain, History, QoSProfile, Reliability, TopicDescriptor
+from dfp.middleware import Domain
 from dfp.modemgr import Coordinator, StartGroup, StopGroup
 from dfp.util import canonical_json, clamp
 
@@ -147,8 +152,6 @@ class Stack:
             self.registry.register(descriptor, factory)
         self.graph: TaskGraph | None = None
         self.coordinator: Coordinator | None = None
-        self._publishers = {}
-        self._monitors = {}
         if config.nodes:
             self.graph = build_graph(config.nodes, config.groups,
                                      registry=self.registry,
@@ -156,11 +159,14 @@ class Stack:
             for gid, policy in config.groups.items():
                 if policy.binding_label:
                     self.graph.bind(gid, policy.binding_label)
-        monitor_qos = QoSProfile(Reliability.BEST_EFFORT, History.keep_last(64))
-        for topic in config.topics:
-            self._publishers[topic.name] = self.platform.create_publisher(topic)
-            self._monitors[topic.name] = self.platform.create_subscriber(
-                TopicDescriptor(topic.name, topic.type_hash, monitor_qos))
+        # the command topic is the declared control/* topic (README, "System configuration")
+        command = next((t for t in config.topics if t.name.startswith("control/")), None)
+        self._command_topic = command.name if command else None
+        self._command_pub = self._command_sub = None
+        if command is not None:
+            self._command_pub = self.platform.create_publisher(command)
+            self._command_sub = self.platform.create_subscriber(command)
+        self._produced = {t.name: 0 for t in config.topics}
         if self.graph is not None:
             managed = self._fsm_managed_groups()
             self.graph.start(groups=[g for g in config.groups if g not in managed])
@@ -188,37 +194,30 @@ class Stack:
         return self.coordinator.dispatch(fsm_id, event)
 
     def _bridge_round(self, report) -> None:
-        """Publish declared topics a round produced, then collect monitors."""
+        """Count the declared topics a round produced; publish the command."""
         for topic, value in report.produced.items():
-            pub = self._publishers.get(topic)
-            if pub is not None:
+            if topic not in self._produced:
+                continue
+            self._produced[topic] += 1
+            if topic == self._command_topic:
                 payload = json.dumps(
                     value.as_dict() if hasattr(value, "as_dict") else value,
                     sort_keys=True).encode()
-                pub.publish(payload)
+                self._command_pub.publish(payload)
         for nid in report.fired:
             self._fired_counts[nid] = self._fired_counts.get(nid, 0) + 1
             elapsed = report.elapsed_ms.get(nid, 0.0)
             if elapsed > self._max_elapsed.get(nid, 0.0):
                 self._max_elapsed[nid] = elapsed
 
-    def _take_command(self, topic: str):
-        monitor = self._monitors.get(topic)
-        if monitor is None:
+    def _take_command(self):
+        if self._command_sub is None:
             return None
-        samples = monitor.take()
         accel = None
-        for sample in samples:
+        for sample in self._command_sub.take():
             accel = json.loads(sample.data.decode())["accel_mps2"]
             sample.release()
         return accel
-
-    def _drain_monitors(self, exclude=()) -> None:
-        for name, monitor in self._monitors.items():
-            if name in exclude:
-                continue
-            for sample in monitor.take():
-                sample.release()
 
     def run_scenario(self, duration: float | None = None,
                      event_schedule: dict | None = None) -> RunResult:
@@ -235,12 +234,9 @@ class Stack:
         schedule = {k: list(v) for k, v in (event_schedule or {}).items()}
         schedule[0] = list(setup.engage_events) + schedule.get(0, [])
 
-        # the world feeds the first external input of the acquisition stage;
-        # the command topic is the declared control/* topic (see config docs)
+        # the world feeds the first external input of the acquisition stage
         world_topic = next((n.inputs[0] for n in self.config.nodes
                             if n.stage.name == "ACQUISITION" and n.inputs), "world/radar")
-        command_topic = next((t.name for t in self.config.topics
-                              if t.name.startswith("control/")), None)
 
         dt = scenario.dt
         steps = round(scenario.duration / dt) if duration is None else round(duration / dt)
@@ -265,8 +261,7 @@ class Stack:
                 self._bridge_round(report)
                 self.domain.clock.advance(int(round(dt * 1e9)))
                 self.domain.spin()
-                accel = self._take_command(command_topic)
-                self._drain_monitors(exclude={command_topic})
+                accel = self._take_command()
                 if accel is None:
                     accel = 0.0  # control group silent: coast
                 trajectory.append({
@@ -289,13 +284,14 @@ class Stack:
     # -- metrics ------------------------------------------------------------------
 
     def _metrics(self, trajectory=None, fault: str | None = None) -> dict:
-        topics = {}
-        for name in sorted(self._publishers):
-            monitor = self._monitors[name]
-            topics[name] = {
-                "published": self._publishers[name].published_count,
-                "delivered": monitor.delivered_count,
-                "dropped": monitor.drops_overflow + monitor.drops_gap,
+        topics = {name: {"published": n, "delivered": n, "dropped": 0}
+                  for name, n in self._produced.items()}
+        if self._command_sub is not None:
+            sub = self._command_sub
+            topics[self._command_topic] = {
+                "published": self._command_pub.published_count,
+                "delivered": sub.delivered_count,
+                "dropped": sub.drops_overflow + sub.drops_gap,
             }
         nodes = {}
         for nid in sorted(self._fired_counts):

@@ -1,10 +1,9 @@
-"""Small shared helpers: stable hashing, clocks, canonical JSON."""
+"""Small shared helpers: stable hashing, the manual clock, canonical JSON."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 
 U64_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -54,21 +53,6 @@ class ManualClock:
             raise ValueError("clock cannot go backwards")
         self._now += int(ns)
         return self._now
-
-    @property
-    def is_manual(self) -> bool:
-        return True
-
-
-class WallClock:
-    """Monotonic wall clock, for interactive use; tests use ManualClock."""
-
-    def now_ns(self) -> int:
-        return time.monotonic_ns()
-
-    @property
-    def is_manual(self) -> bool:
-        return False
 
 
 MS = 1_000_000

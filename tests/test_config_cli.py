@@ -1,5 +1,6 @@
 """Config validation diagnostics, CLI exit codes, runner coupling."""
 
+import hashlib
 import json
 import os
 
@@ -13,6 +14,9 @@ from dfp.runtime import Stack
 REPO = os.path.join(os.path.dirname(__file__), "..")
 DEMO_CONFIG = os.path.join(REPO, "configs", "demo.json")
 DEMO_ENV = os.path.join(REPO, "configs", "demo_env.jsonl")
+# the regression anchor in ROADMAP.md: a change that alters the demo report
+# on purpose documents the changed fields and updates both places
+DEMO_REPORT_SHA256 = "0750d6ac76bc368c619d53467a70f792424ddf5c5471b72e2497d6149593948f"
 
 
 @pytest.fixture
@@ -139,6 +143,12 @@ def test_cli_run_short_and_deterministic(tmp_path):
     assert report["fsm"]["mode"]["ads"] == "active"
 
 
+def test_cli_run_demo_report_matches_regression_anchor(tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["run", "--config", DEMO_CONFIG, "--seed", "42", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEMO_REPORT_SHA256
+
+
 def test_cli_run_reports_collision_with_partial_report(tmp_path, demo_doc, capsys):
     demo_doc["acc"]["scenario"]["lead"]["position"] = 3.0
     demo_doc["acc"]["scenario"]["lead_profile"] = [[0.0, 0.0]]
@@ -224,8 +234,12 @@ def test_fallback_stops_control_samples_within_one_round():
         duration=10.0, event_schedule={fallback_step: [("ads", "fallback_trigger")]})
     assert result.ok
     assert stack.coordinator.snapshot()["ads"] == "fallback"
-    published = result.metrics["topics"]["control/acc_cmd"]["published"]
-    assert published == fallback_step  # steps 0..99 published, none after
+    topics = result.metrics["topics"]
+    assert topics["control/acc_cmd"]["published"] == fallback_step  # steps 0..99, none after
+    # graph topics are counted from the firing reports
+    assert topics["plan/acc_target"]["published"] == fallback_step
+    assert topics["sensors/radar0"]["published"] == result.metrics["acc"]["steps"]
+    assert topics["world/radar0"]["published"] == 0  # external input, never produced
     coasting = [p for p in result.trajectory if p["t"] > fallback_step * 0.05]
     assert all(p["command"] == 0.0 for p in coasting)
 

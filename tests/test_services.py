@@ -23,7 +23,8 @@ def domain():
 def test_echo_roundtrip(domain):
     server = domain.create_participant("server")
     client = domain.create_participant("client")
-    server.register_service(ServiceDescriptor("diag/echo"), lambda req: req)
+    handle = server.register_service(ServiceDescriptor("diag/echo"), lambda req: req)
+    assert handle.service_name == "diag/echo"
     assert client.call("diag/echo", b"x", timeout_ms=100) == b"x"
 
 
