@@ -20,8 +20,7 @@ switch times on the grid integrates the lead identically.
 
 This module touches only plain state and numbers: the full-stack wiring
 (devices, transport, pipeline, record store) lives in the runtime layer,
-which drives the same plant through ``simulate`` with a custom command
-source.
+whose scenario loop drives the same plant through ``plant_step``.
 """
 
 from __future__ import annotations
@@ -157,15 +156,9 @@ class TrajectoryPoint:
         }
 
 
-def simulate(scenario: Scenario, cfg: AccConfig, dt: float | None = None,
-             command_source=None) -> list[TrajectoryPoint]:
-    """Closed-loop run over the scenario horizon; fails on contact.
-
-    ``command_source(t, gap, v_ego, v_lead) -> accel`` replaces the direct
-    control law when given; the runtime layer uses this hook to route the
-    measurement through the full sensing/planning stack while sharing this
-    exact plant.
-    """
+def simulate(scenario: Scenario, cfg: AccConfig,
+             dt: float | None = None) -> list[TrajectoryPoint]:
+    """Closed-loop run of the direct control law; fails on contact."""
     dt = scenario.dt if dt is None else dt
     steps = round(scenario.duration / dt)
     ego_x, ego_v = scenario.ego.position, scenario.ego.speed
@@ -175,10 +168,7 @@ def simulate(scenario: Scenario, cfg: AccConfig, dt: float | None = None,
         t = k * dt
         v_lead = lead_speed_at(scenario.lead_profile, t)
         gap = lead_x - ego_x
-        if command_source is None:
-            accel = acc_command(cfg, gap, ego_v, v_lead)
-        else:
-            accel = command_source(t, gap, ego_v, v_lead)
+        accel = acc_command(cfg, gap, ego_v, v_lead)
         trajectory.append(TrajectoryPoint(t, ego_x, ego_v, lead_x, v_lead, gap, accel))
         if gap <= 0:
             raise Collision(t, gap)

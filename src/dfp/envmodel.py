@@ -360,10 +360,6 @@ class EnvStore:
                 raise OddNotFound(f"no odd {name!r}") from None
         return self.query(q)
 
-    def odd_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._odds)
-
     # -- ingestion -----------------------------------------------------------------
 
     def ingest(self, frame) -> int:

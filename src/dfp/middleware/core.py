@@ -11,6 +11,12 @@ with one transport:
   seeded probability, and reliable topics recover losses via NACK-driven
   retransmission
 
+Services (``register_service`` / ``call``) reply as soon as the handler
+returns. A reply that arrives after the caller's timeout is discarded; a
+``ServiceFault`` raised by the handler reaches the caller as ``RemoteError``
+with its code. Loopback REQUEST and RESPONSE frames are not retransmitted, so
+a lost frame ends the call in ``Timeout``.
+
 Progress on timers and queued frames is made by ``spin``; tests step the
 manual clock explicitly, so every protocol outcome is reproducible.
 """
@@ -164,19 +170,6 @@ class Sample:
 
 def _publisher_id(participant_id: int, entity_id: int) -> int:
     return ((participant_id << 24) | entity_id) & 0xFFFFFFFFFFFFFFFF
-
-
-class _DelayedResponse:
-    """Service handler return value that postpones the reply (test harness)."""
-
-    __slots__ = ("data", "delay_ms")
-
-    def __init__(self, data: bytes, delay_ms: int):
-        self.data = data
-        self.delay_ms = delay_ms
-
-
-DelayedResponse = _DelayedResponse
 
 
 class ServiceFault(MiddlewareError):
@@ -422,36 +415,20 @@ class _ServiceEndpoint:
         self.descriptor = descriptor
         self.entity_id = entity_id
         self.handler = handler
-        # replies scheduled for later delivery: (due_ns, caller_pid, request_id,
-        # status, body, code)
-        self.pending_replies: deque = deque()
 
-    def handle(self, caller_pid: int, request_id: int, request: bytes, now: int) -> None:
+    def handle(self, caller_pid: int, request_id: int, request: bytes) -> None:
+        reply = self.participant._send_response
         try:
             result = self.handler(request)
         except ServiceFault as exc:
-            self.pending_replies.append((now, caller_pid, request_id, 1, exc.message.encode(), exc.code))
+            reply(caller_pid, request_id, 1, exc.message.encode(), exc.code)
             return
         except Exception as exc:  # handler fault propagates as a coded error
-            self.pending_replies.append((now, caller_pid, request_id, 1, str(exc).encode(), 1))
+            reply(caller_pid, request_id, 1, str(exc).encode(), 1)
             return
-        if isinstance(result, _DelayedResponse):
-            due = now + result.delay_ms * MS
-            self.pending_replies.append((due, caller_pid, request_id, 0, result.data, 0))
-        else:
-            if not isinstance(result, (bytes, bytearray)):
-                raise MiddlewareError("service handler must return bytes")
-            self.pending_replies.append((now, caller_pid, request_id, 0, bytes(result), 0))
-
-    def flush(self, now: int) -> None:
-        keep: deque = deque()
-        while self.pending_replies:
-            item = self.pending_replies.popleft()
-            if item[0] <= now:
-                self.participant._send_response(*item[1:])
-            else:
-                keep.append(item)
-        self.pending_replies = keep
+        if not isinstance(result, (bytes, bytearray)):
+            raise MiddlewareError("service handler must return bytes")
+        reply(caller_pid, request_id, 0, bytes(result), 0)
 
 
 class ServiceHandle:
@@ -693,13 +670,14 @@ class Participant:
         return seq
 
     def _resend(self, pub: Publisher, seqs: list[int]) -> None:
-        retained = dict(pub._retained)
+        # the ring holds contiguous seqs from retained_first_seq() to next_seq
+        first = pub.retained_first_seq()
         missing_evicted = False
         for seq in seqs:
-            payload = retained.get(seq)
-            if payload is None:
+            if not first <= seq < pub.next_seq:
                 missing_evicted = True
                 continue
+            payload = pub._retained[seq - first][1]
             frame = Frame(MsgType.DATA, _qos_flags(pub.topic.qos),
                           self.participant_id, pub.entity_id, seq, payload)
             self._bus.send(self, encode_frame(frame))
@@ -768,7 +746,7 @@ class Participant:
             ep = peer.services.get(target[1])
             if ep is None:
                 raise ServiceNotFound(f"provider of {service_name!r} is gone")
-            ep.handle(self.participant_id, request_id, request, self.domain.now_ns())
+            ep.handle(self.participant_id, request_id, request)
 
     def _send_response(self, caller_pid: int, request_id: int, status: int,
                        body: bytes, code: int) -> None:
@@ -818,8 +796,6 @@ class Participant:
                 self._heartbeat(now)
                 self._next_hb_ns = now + HEARTBEAT_PERIOD_NS
             self._prune_db()
-            for ep in self.services.values():
-                ep.flush(now)
             for sub in self.subscribers.values():
                 self._send_nacks(sub, now)
                 sub._check_deadline(now)
@@ -881,8 +857,7 @@ class Participant:
             request = frame.payload[2 + name_len:]
             for ep in self.services.values():
                 if ep.descriptor.service_name == name:
-                    ep.handle(frame.participant_id, frame.seq, request,
-                              self.domain.now_ns())
+                    ep.handle(frame.participant_id, frame.seq, request)
                     break
         elif mt == MsgType.RESPONSE:
             if len(frame.payload) < 9:

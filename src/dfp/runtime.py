@@ -142,6 +142,8 @@ class Stack:
         for descriptor in config.devices:
             self.hal.register_device(descriptor)
         self.env = EnvStore()
+        for name, query in config.odds:
+            self.env.save_odd(name, query)
         self.registry = AlgorithmRegistry()
         for descriptor in config.algorithms:
             builder = BUILTIN_BODIES.get(descriptor.entry)
@@ -260,7 +262,6 @@ class Stack:
                 })
                 self._bridge_round(report)
                 self.domain.clock.advance(int(round(dt * 1e9)))
-                self.domain.spin()
                 accel = self._take_command()
                 if accel is None:
                     accel = 0.0  # control group silent: coast
@@ -300,11 +301,7 @@ class Stack:
                 "restarts": self.graph.restart_count_of(nid) if self.graph else 0,
                 "max_elapsed_ms": self._max_elapsed[nid],
             }
-        odds = {}
-        for name, query in self.config.odds:
-            if name not in self.env.odd_names():
-                self.env.save_odd(name, query)
-            odds[name] = len(self.env.run_odd(name))
+        odds = {name: len(self.env.run_odd(name)) for name, _ in self.config.odds}
         acc_summary = None
         if trajectory:
             cfg = self.config.acc.config

@@ -139,14 +139,6 @@ def test_collision_reported_and_run_halted():
     assert err.value.gap <= 0
 
 
-def test_command_source_hook_drives_the_same_plant():
-    scenario = equilibrium_scenario(duration=5.0)
-    direct = simulate(scenario, CFG)
-    routed = simulate(scenario, CFG,
-                      command_source=lambda t, gap, ve, vl: acc_command(CFG, gap, ve, vl))
-    assert trajectory_json(direct) == trajectory_json(routed)
-
-
 # -- safety property ------------------------------------------------------------------
 
 def feasible_profile(rng, v0, steps=4, horizon=120.0):

@@ -5,19 +5,24 @@ import pytest
 from dfp.middleware import (
     Domain,
     DuplicateService,
+    InProcess,
     Loopback,
     RemoteError,
     ServiceDescriptor,
     ServiceNotFound,
     Timeout,
 )
-from dfp.middleware.core import DelayedResponse, ServiceFault
+from dfp.middleware.core import ServiceFault
 from dfp.middleware.core import HEARTBEAT_PERIOD_NS, LIVELINESS_PERIODS
 
 
 @pytest.fixture
 def domain():
     return Domain()
+
+
+TRANSPORTS = pytest.mark.parametrize("transport", [InProcess(), Loopback(7101)],
+                                     ids=["inprocess", "loopback"])
 
 
 def test_echo_roundtrip(domain):
@@ -53,43 +58,59 @@ def test_duplicate_registration_rejected(domain):
 
 
 def test_slow_handler_times_out_and_late_response_is_discarded(domain):
-    server = domain.create_participant("server")
-    client = domain.create_participant("client")
+    client = domain.create_participant("client", Loopback(7101))
+    server = domain.create_participant("server", Loopback(7101))
     calls = []
+    held = []  # frames delayed until the provider handles its next request
 
-    def slow(req):
+    def echo(req):
         calls.append(req)
-        return DelayedResponse(b"late:" + req, delay_ms=50)
+        client._inbox.extend(held)
+        held.clear()
+        return b"re:" + req
 
-    server.register_service(ServiceDescriptor("diag/slow"), slow)
+    server.register_service(ServiceDescriptor("diag/echo"), echo)
+    domain.spin()
+    # the server answers in the same spin the call times out in, so the
+    # reply is still queued for the client when Timeout is raised
     with pytest.raises(Timeout):
-        client.call("diag/slow", b"first", timeout_ms=10)
-    # the late response must not leak into an unrelated later call
-    server2 = domain.create_participant("server2")
-    server2.register_service(ServiceDescriptor("diag/fast"), lambda req: b"fast")
-    assert client.call("diag/fast", b"second", timeout_ms=200) == b"fast"
-    assert calls == [b"first"]
+        client.call("diag/echo", b"first", timeout_ms=0)
+    assert len(client._inbox) == 1
+    # deliver the late reply while the next call is waiting: it must not
+    # answer that call
+    held.append(client._inbox.popleft())
+    assert client.call("diag/echo", b"second", timeout_ms=100) == b"re:second"
+    assert calls == [b"first", b"second"] and not held and not client._inbox
+    # a silent provider whose record is still live leaves the call unanswered
+    server.close(graceful=False)
+    with pytest.raises(Timeout):
+        client.call("diag/echo", b"third", timeout_ms=10)
+    assert calls == [b"first", b"second"]
 
 
-def test_handler_fault_propagates_with_code(domain):
-    server = domain.create_participant("server")
-    client = domain.create_participant("client")
+@TRANSPORTS
+def test_handler_fault_propagates_with_code(domain, transport):
+    server = domain.create_participant("server", transport)
+    client = domain.create_participant("client", transport)
 
     def failing(req):
         raise ServiceFault(42, "bad input")
 
     server.register_service(ServiceDescriptor("diag/fail"), failing)
+    domain.spin()
     with pytest.raises(RemoteError) as err:
         client.call("diag/fail", b"", timeout_ms=100)
     assert err.value.code == 42
     assert "bad input" in err.value.message
 
 
-def test_unexpected_handler_exception_becomes_remote_error(domain):
-    server = domain.create_participant("server")
-    client = domain.create_participant("client")
+@TRANSPORTS
+def test_unexpected_handler_exception_becomes_remote_error(domain, transport):
+    server = domain.create_participant("server", transport)
+    client = domain.create_participant("client", transport)
     server.register_service(ServiceDescriptor("diag/crash"),
                             lambda req: 1 / 0)
+    domain.spin()
     with pytest.raises(RemoteError) as err:
         client.call("diag/crash", b"", timeout_ms=100)
     assert err.value.code == 1
