@@ -23,9 +23,9 @@ from __future__ import annotations
 import enum
 import json
 import re
-import threading
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from dfp import DfpError
 from dfp.hal import AbstractFrame, DeviceKind
@@ -193,7 +193,6 @@ class EnvStore:
         self._odds: dict[str, OddQuery] = {}
         self._next_id = 0
         self._log_path = log_path
-        self._lock = threading.RLock()
 
     # -- persistence ------------------------------------------------------------
 
@@ -237,9 +236,11 @@ class EnvStore:
                 fh.write(json.dumps(self._records[rid].to_json_obj(), sort_keys=True))
                 fh.write("\n")
 
-    def _log(self, obj: dict) -> None:
+    def _log(self, entry) -> None:
+        """Append a record, or a tombstone dict, to the log if there is one."""
         if self._log_path is None:
             return
+        obj = entry if isinstance(entry, dict) else entry.to_json_obj()
         with open(self._log_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(obj, sort_keys=True))
             fh.write("\n")
@@ -264,118 +265,111 @@ class EnvStore:
                 del self._postings[tag]
 
     def create(self, rec: EnvRecord) -> int:
-        with self._lock:
-            rec.validate()
-            if rec.record_id in self._records:
-                raise DuplicateId(f"record {rec.record_id} exists")
-            self._put(rec)
-            self._next_id = max(self._next_id, rec.record_id + 1)
-            self._log(rec.to_json_obj())
-            return rec.record_id
+        rec.validate()
+        if rec.record_id in self._records:
+            raise DuplicateId(f"record {rec.record_id} exists")
+        self._put(rec)
+        self._next_id = max(self._next_id, rec.record_id + 1)
+        self._log(rec)
+        return rec.record_id
 
     def read(self, record_id: int) -> EnvRecord:
-        with self._lock:
-            try:
-                return self._records[record_id]
-            except KeyError:
-                raise NotFound(f"no record {record_id}") from None
+        try:
+            return self._records[record_id]
+        except KeyError:
+            raise NotFound(f"no record {record_id}") from None
 
     def update(self, record_id: int, patch: dict) -> EnvRecord:
         """Apply a field patch; the class is identity-bearing and immutable."""
-        with self._lock:
-            current = self.read(record_id)
-            fields = {}
-            for key, value in patch.items():
-                if key in ("class", "record_class"):
-                    new_class = value if isinstance(value, RecordClass) else RecordClass(value)
-                    if new_class != current.record_class:
-                        raise InvalidRecord("record class cannot change")
-                    continue
-                if key == "tags":
-                    fields["tags"] = frozenset(value)
-                elif key == "attributes":
-                    fields["attributes"] = dict(value)
-                elif key == "position":
-                    fields["position"] = tuple(value) if value is not None else None
-                elif key == "timestamp_ns":
-                    fields["timestamp_ns"] = int(value)
-                elif key == "source":
-                    fields["source"] = value if isinstance(value, Source) else Source(value)
-                elif key == "record_id":
-                    raise InvalidRecord("record_id cannot change")
-                else:
-                    raise InvalidRecord(f"unknown record field {key!r}")
-            updated = replace(current, **fields)
-            updated.validate()
-            self._put(updated)
-            self._log(updated.to_json_obj())
-            return updated
+        current = self.read(record_id)
+        fields = {}
+        for key, value in patch.items():
+            if key in ("class", "record_class"):
+                new_class = value if isinstance(value, RecordClass) else RecordClass(value)
+                if new_class != current.record_class:
+                    raise InvalidRecord("record class cannot change")
+                continue
+            if key == "tags":
+                fields["tags"] = frozenset(value)
+            elif key == "attributes":
+                fields["attributes"] = dict(value)
+            elif key == "position":
+                fields["position"] = tuple(value) if value is not None else None
+            elif key == "timestamp_ns":
+                fields["timestamp_ns"] = int(value)
+            elif key == "source":
+                fields["source"] = value if isinstance(value, Source) else Source(value)
+            elif key == "record_id":
+                raise InvalidRecord("record_id cannot change")
+            else:
+                raise InvalidRecord(f"unknown record field {key!r}")
+        updated = replace(current, **fields)
+        updated.validate()
+        self._put(updated)
+        self._log(updated)
+        return updated
 
     def delete(self, record_id: int) -> None:
-        with self._lock:
-            if record_id not in self._records:
-                raise NotFound(f"no record {record_id}")
-            self._drop(record_id)
-            self._log({"record_id": record_id, "deleted": True})
+        if record_id not in self._records:
+            raise NotFound(f"no record {record_id}")
+        self._drop(record_id)
+        self._log({"record_id": record_id, "deleted": True})
 
     def all_records(self) -> list[EnvRecord]:
-        with self._lock:
-            return [self._records[rid] for rid in sorted(self._records)]
+        return [self._records[rid] for rid in sorted(self._records)]
 
     # -- queries -----------------------------------------------------------------
 
     def query(self, q: OddQuery) -> list[EnvRecord]:
         tokens = q.effective_tokens()
-        with self._lock:
-            ids = None
-            for tok in tokens:
-                hits = set().union(*(posting for tag, posting in self._postings.items()
-                                     if fuzzy_match(tok, tag)))
-                ids = hits if ids is None else ids & hits
-                if not ids:
-                    return []
-            out = [self._records[rid] for rid in ids]
+        ids = None
+        for tok in tokens:
+            hits = set().union(*(posting for tag, posting in self._postings.items()
+                                 if fuzzy_match(tok, tag)))
+            ids = hits if ids is None else ids & hits
+            if not ids:
+                return []
+        out = [self._records[rid] for rid in ids]
         if q.class_filter is not None:
             out = [rec for rec in out if rec.record_class == q.class_filter]
         if q.time_range is not None:
             t0, t1 = q.time_range
             out = [rec for rec in out if t0 <= rec.timestamp_ns <= t1]
-        out.sort(key=lambda r: (-r.timestamp_ns, r.record_id))
+        # two stable sorts: newest first, ties by ascending id
+        out.sort(key=attrgetter("record_id"))
+        out.sort(key=attrgetter("timestamp_ns"), reverse=True)
         return out
 
     # -- saved ODDs ----------------------------------------------------------------
 
     def save_odd(self, name: str, q: OddQuery) -> None:
-        with self._lock:
-            q.effective_tokens()  # reject stopword-only definitions up front
-            if name in self._odds:
-                raise DuplicateOddName(f"odd {name!r} exists")
-            self._odds[name] = q
+        q.effective_tokens()  # reject stopword-only definitions up front
+        if name in self._odds:
+            raise DuplicateOddName(f"odd {name!r} exists")
+        self._odds[name] = q
 
     def run_odd(self, name: str) -> list[EnvRecord]:
-        with self._lock:
-            try:
-                q = self._odds[name]
-            except KeyError:
-                raise OddNotFound(f"no odd {name!r}") from None
+        try:
+            q = self._odds[name]
+        except KeyError:
+            raise OddNotFound(f"no odd {name!r}") from None
         return self.query(q)
 
     # -- ingestion -----------------------------------------------------------------
 
     def ingest(self, frame) -> int:
         """Map an abstract frame or a service-output mapping to a record."""
-        with self._lock:
-            if isinstance(frame, AbstractFrame):
-                rec = self._record_from_frame(frame)
-            elif isinstance(frame, dict):
-                rec = self._record_from_mapping(frame)
-            else:
-                raise InvalidRecord(f"cannot ingest {type(frame).__name__}")
-            rec.validate()
-            self._put(rec)
-            self._next_id = rec.record_id + 1
-            self._log(rec.to_json_obj())
-            return rec.record_id
+        if isinstance(frame, AbstractFrame):
+            rec = self._record_from_frame(frame)
+        elif isinstance(frame, dict):
+            rec = self._record_from_mapping(frame)
+        else:
+            raise InvalidRecord(f"cannot ingest {type(frame).__name__}")
+        rec.validate()
+        self._put(rec)
+        self._next_id = rec.record_id + 1
+        self._log(rec)
+        return rec.record_id
 
     def _record_from_frame(self, frame: AbstractFrame) -> EnvRecord:
         entry = INGEST_TABLE.get(frame.kind)

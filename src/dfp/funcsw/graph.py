@@ -1,9 +1,13 @@
-"""Graph construction, validation and the deterministic firing engine."""
+"""Graph construction, validation and the deterministic firing engine.
+
+A round runs a plan compiled at wiring time: per node, in topological
+order, its input cells, its declared outputs and its consumers' cells.
+``add_node`` and ``remove_node`` rebuild it; a round only walks it.
+"""
 
 from __future__ import annotations
 
 import heapq
-import threading
 
 from dfp.funcsw.registry import AlgorithmRegistry
 from dfp.funcsw.types import (
@@ -101,13 +105,12 @@ class TaskGraph:
                 raise UnknownGroup(
                     f"node {node.node_id!r} names unknown group {node.group_id!r}")
             self._resolve_body(node)
+        self._state: dict[str, _NodeState] = {}
         self._validate_wiring()
-        self._state = {nid: _NodeState(n) for nid, n in self.nodes.items()}
         self.started = False
         self._round = 0
         self._in_round = False
         self.trace: list[dict] = []  # lifecycle transition log
-        self._lock = threading.RLock()
 
     # -- construction helpers -------------------------------------------------
 
@@ -165,6 +168,32 @@ class TaskGraph:
         self.consumers = consumers
         self.edges = edges
         self.topo_order = _toposort(list(self.nodes), edges)
+        self._compile()
+
+    def _compile(self) -> None:
+        """Give every node a state and compile the firing plan.
+
+        Ports have rate 1 and the topological order is fixed, so the
+        round's schedule is computed once here, as in static scheduling of
+        synchronous data flow, and rebuilt only when the wiring changes.
+        A plan entry is ``(node id, node, state, (topic, cell) input pairs,
+        declared outputs, {output: consumers' cells})``; a cell is a port's
+        ``[value, fresh]`` list. Bodies are read when a node fires, so
+        ``swap_algorithm`` needs no rebuild.
+        """
+        # a node keeps its state, and so its port cells, across rebuilds
+        self._state = {nid: self._state.get(nid) or _NodeState(node)
+                       for nid, node in self.nodes.items()}
+        # every consumed topic, so a caller may feed a produced topic too
+        self._cells = {topic: tuple(self._state[nid].ports[topic] for nid in nids)
+                       for topic, nids in self.consumers.items()}
+        plan = []
+        for nid in self.topo_order:
+            node, state = self.nodes[nid], self._state[nid]
+            routes = {topic: self._cells.get(topic, ()) for topic in node.outputs}
+            plan.append((nid, node, state, tuple(state.ports.items()),
+                         frozenset(node.outputs), routes))
+        self._plan = tuple(plan)
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -187,72 +216,66 @@ class TaskGraph:
         return self._state[node_id].restart_count
 
     def configure_all(self) -> None:
-        with self._lock:
-            for nid, st in self._state.items():
-                if st.lifecycle == Lifecycle.CREATED:
-                    self._transition(nid, Lifecycle.CONFIGURED, "configure")
+        for nid, st in self._state.items():
+            if st.lifecycle == Lifecycle.CREATED:
+                self._transition(nid, Lifecycle.CONFIGURED, "configure")
 
     def start(self, groups=None) -> None:
         """Mark the graph started and run the named groups (default: all)."""
-        with self._lock:
-            self.configure_all()
-            self.started = True
-            for gid in (self.groups if groups is None else groups):
-                self.start_group(gid)
+        self.configure_all()
+        self.started = True
+        for gid in (self.groups if groups is None else groups):
+            self.start_group(gid)
 
     def start_group(self, group_id: str) -> None:
-        with self._lock:
-            if group_id not in self.groups:
-                raise UnknownGroup(f"no group {group_id!r}")
-            for nid, node in self.nodes.items():
-                if node.group_id == group_id:
-                    if self._state[nid].lifecycle == Lifecycle.CONFIGURED:
-                        self._transition(nid, Lifecycle.RUNNING, "start_group")
+        if group_id not in self.groups:
+            raise UnknownGroup(f"no group {group_id!r}")
+        for nid, node in self.nodes.items():
+            if node.group_id == group_id:
+                if self._state[nid].lifecycle == Lifecycle.CONFIGURED:
+                    self._transition(nid, Lifecycle.RUNNING, "start_group")
 
     def stop_group(self, group_id: str) -> None:
-        with self._lock:
-            if group_id not in self.groups:
-                raise UnknownGroup(f"no group {group_id!r}")
-            for nid, node in self.nodes.items():
-                if node.group_id == group_id:
-                    if self._state[nid].lifecycle in (Lifecycle.RUNNING, Lifecycle.FAILED):
-                        self._transition(nid, Lifecycle.STOPPED, "stop_group")
+        if group_id not in self.groups:
+            raise UnknownGroup(f"no group {group_id!r}")
+        for nid, node in self.nodes.items():
+            if node.group_id == group_id:
+                if self._state[nid].lifecycle in (Lifecycle.RUNNING, Lifecycle.FAILED):
+                    self._transition(nid, Lifecycle.STOPPED, "stop_group")
 
     def on_node_failure(self, node_id: str, reason: str = "fault") -> Lifecycle:
         """Apply the failure path: FAIL, then restart if the policy allows."""
-        with self._lock:
-            if node_id not in self.nodes:
-                raise UnknownNode(f"no node {node_id!r}")
-            state = self._state[node_id]
-            self._transition(node_id, Lifecycle.FAILED, reason)
-            policy = self.groups[self.nodes[node_id].group_id].restart_policy
-            if state.restart_count < policy.limit:
-                state.restart_count += 1
-                for port in state.ports.values():
-                    port[1] = False  # a restarted node never replays a half round
-                self._transition(node_id, Lifecycle.RUNNING,
-                                 f"restart {state.restart_count}/{policy.limit}")
-            return state.lifecycle
+        if node_id not in self.nodes:
+            raise UnknownNode(f"no node {node_id!r}")
+        state = self._state[node_id]
+        self._transition(node_id, Lifecycle.FAILED, reason)
+        policy = self.groups[self.nodes[node_id].group_id].restart_policy
+        if state.restart_count < policy.limit:
+            state.restart_count += 1
+            for port in state.ports.values():
+                port[1] = False  # a restarted node never replays a half round
+            self._transition(node_id, Lifecycle.RUNNING,
+                             f"restart {state.restart_count}/{policy.limit}")
+        return state.lifecycle
 
     # -- binding and configuration ------------------------------------------------
 
     def bind(self, group_id: str, compute_label: str) -> None:
         """Pin a group to a compute unit label; static once started."""
-        with self._lock:
-            if group_id not in self.groups:
-                raise UnknownGroup(f"no group {group_id!r}")
-            if self.started:
-                raise BindingConflict("binding is static: the graph has started")
-            for nid, node in self.nodes.items():
-                if node.group_id != group_id:
-                    continue
-                descriptor = self._descriptors.get(nid)
-                need = descriptor.binding_requirement if descriptor else None
-                if need is not None and need != compute_label:
-                    raise BindingConflict(
-                        f"node {nid!r} requires label {need!r}, group bound to "
-                        f"{compute_label!r}")
-            self.groups[group_id].binding_label = compute_label
+        if group_id not in self.groups:
+            raise UnknownGroup(f"no group {group_id!r}")
+        if self.started:
+            raise BindingConflict("binding is static: the graph has started")
+        for nid, node in self.nodes.items():
+            if node.group_id != group_id:
+                continue
+            descriptor = self._descriptors.get(nid)
+            need = descriptor.binding_requirement if descriptor else None
+            if need is not None and need != compute_label:
+                raise BindingConflict(
+                    f"node {nid!r} requires label {need!r}, group bound to "
+                    f"{compute_label!r}")
+        self.groups[group_id].binding_label = compute_label
 
     def binding_of(self, node_id: str) -> str | None:
         node = self.nodes.get(node_id)
@@ -262,72 +285,66 @@ class TaskGraph:
 
     def configure(self, node_id: str, patch: dict) -> None:
         """Patch node config; static keys are sealed once the graph starts."""
-        with self._lock:
-            node = self.nodes.get(node_id)
-            if node is None:
-                raise UnknownNode(f"no node {node_id!r}")
-            for key in patch:
-                if key not in node.config:
-                    raise UnknownConfigKey(
-                        f"node {node_id!r} has no config key {key!r}")
-                if self.started and node.mode_of(key) == "static":
-                    raise StaticKeyWhileRunning(key)
-            node.config.update(patch)
+        node = self.nodes.get(node_id)
+        if node is None:
+            raise UnknownNode(f"no node {node_id!r}")
+        for key in patch:
+            if key not in node.config:
+                raise UnknownConfigKey(
+                    f"node {node_id!r} has no config key {key!r}")
+            if self.started and node.mode_of(key) == "static":
+                raise StaticKeyWhileRunning(key)
+        node.config.update(patch)
 
     def swap_algorithm(self, node_id: str, version: str) -> None:
         """Swap a node to another registered version with compatible ports."""
-        with self._lock:
-            node = self.nodes.get(node_id)
-            if node is None:
-                raise UnknownNode(f"no node {node_id!r}")
-            if node.algorithm is None:
-                raise GraphError(f"node {node_id!r} has a direct body, nothing to swap")
-            name = node.algorithm[0]
-            descriptor, factory = self.registry.resolve(name, version)
-            self._check_ports(node, descriptor)
-            node.algorithm = (name, version)
-            self._descriptors[node_id] = descriptor
-            node.body = factory(node)
+        node = self.nodes.get(node_id)
+        if node is None:
+            raise UnknownNode(f"no node {node_id!r}")
+        if node.algorithm is None:
+            raise GraphError(f"node {node_id!r} has a direct body, nothing to swap")
+        name = node.algorithm[0]
+        descriptor, factory = self.registry.resolve(name, version)
+        self._check_ports(node, descriptor)
+        node.algorithm = (name, version)
+        self._descriptors[node_id] = descriptor
+        node.body = factory(node)
 
     # -- dynamic service nodes -------------------------------------------------
 
     def add_node(self, node: TaskNode) -> None:
         """Add a SERVICE-stage node between rounds and revalidate the graph."""
-        with self._lock:
-            if self._in_round:
-                raise GraphError("cannot mutate the graph during a round")
-            if node.stage != Stage.SERVICE:
-                raise GraphError("only service-stage nodes may be added dynamically")
-            if node.node_id in self.nodes:
-                raise DuplicateNodeId(f"duplicate node id {node.node_id!r}")
-            if node.group_id not in self.groups:
-                raise UnknownGroup(f"node {node.node_id!r} names unknown group "
-                                   f"{node.group_id!r}")
-            self._resolve_body(node)
-            self.nodes[node.node_id] = node
-            try:
-                self._validate_wiring()
-            except GraphError:
-                del self.nodes[node.node_id]
-                self._validate_wiring()
-                raise
-            self._state[node.node_id] = _NodeState(node)
-            if self.started:
-                self._transition(node.node_id, Lifecycle.CONFIGURED, "configure")
-                self._transition(node.node_id, Lifecycle.RUNNING, "start_group")
+        if self._in_round:
+            raise GraphError("cannot mutate the graph during a round")
+        if node.stage != Stage.SERVICE:
+            raise GraphError("only service-stage nodes may be added dynamically")
+        if node.node_id in self.nodes:
+            raise DuplicateNodeId(f"duplicate node id {node.node_id!r}")
+        if node.group_id not in self.groups:
+            raise UnknownGroup(f"node {node.node_id!r} names unknown group "
+                               f"{node.group_id!r}")
+        self._resolve_body(node)
+        self.nodes[node.node_id] = node
+        try:
+            self._validate_wiring()
+        except GraphError:
+            del self.nodes[node.node_id]
+            self._validate_wiring()
+            raise
+        if self.started:
+            self._transition(node.node_id, Lifecycle.CONFIGURED, "configure")
+            self._transition(node.node_id, Lifecycle.RUNNING, "start_group")
 
     def remove_node(self, node_id: str) -> None:
-        with self._lock:
-            if self._in_round:
-                raise GraphError("cannot mutate the graph during a round")
-            node = self.nodes.get(node_id)
-            if node is None:
-                raise UnknownNode(f"no node {node_id!r}")
-            if node.stage != Stage.SERVICE:
-                raise GraphError("only service-stage nodes may be removed dynamically")
-            del self.nodes[node_id]
-            del self._state[node_id]
-            self._validate_wiring()
+        if self._in_round:
+            raise GraphError("cannot mutate the graph during a round")
+        node = self.nodes.get(node_id)
+        if node is None:
+            raise UnknownNode(f"no node {node_id!r}")
+        if node.stage != Stage.SERVICE:
+            raise GraphError("only service-stage nodes may be removed dynamically")
+        del self.nodes[node_id]
+        self._validate_wiring()
 
     # -- the firing engine --------------------------------------------------------
 
@@ -338,32 +355,30 @@ class TaskGraph:
         data. Fired nodes execute in topological order and their outputs
         propagate within the round. Non-firing is not an error.
         """
-        with self._lock:
-            if not self.started:
-                raise GraphError("step() before start()")
-            self._in_round = True
-            try:
-                return self._run_round(external_inputs or {})
-            finally:
-                self._in_round = False
+        if not self.started:
+            raise GraphError("step() before start()")
+        self._in_round = True
+        try:
+            return self._run_round(external_inputs or {})
+        finally:
+            self._in_round = False
 
     def _run_round(self, external_inputs: dict) -> FiringReport:
+        cells = self._cells
         for topic, value in external_inputs.items():
-            for nid in self.consumers.get(topic, ()):
-                port = self._state[nid].ports[topic]
-                port[0] = value
-                port[1] = True
+            for cell in cells.get(topic, ()):
+                cell[0] = value
+                cell[1] = True
         fired, elapsed, produced, failures = [], {}, {}, []
-        for nid in self.topo_order:
-            node = self.nodes[nid]
-            state = self._state[nid]
-            if state.lifecycle != Lifecycle.RUNNING:
+        running = Lifecycle.RUNNING
+        for nid, node, state, ports, declared, routes in self._plan:
+            if state.lifecycle is not running:
                 continue
-            if not all(fresh for _, fresh in state.ports.values()):
+            inputs = {topic: cell[0] for topic, cell in ports if cell[1]}
+            if len(inputs) != len(ports):
                 continue
-            inputs = {topic: port[0] for topic, port in state.ports.items()}
-            for port in state.ports.values():
-                port[1] = False  # consume-on-fire
+            for _, cell in ports:
+                cell[1] = False  # consume-on-fire
             try:
                 result = node.body(inputs, node.config)
             except Exception as exc:
@@ -378,8 +393,8 @@ class TaskGraph:
                 failures.append({"node": nid, "reason": "watchdog"})
                 self.on_node_failure(nid, "watchdog")
                 continue
-            undeclared = set(outputs) - set(node.outputs)
-            if undeclared:
+            if not declared.issuperset(outputs):
+                undeclared = set(outputs) - declared
                 failures.append({"node": nid,
                                  "reason": f"undeclared outputs {sorted(undeclared)}"})
                 self.on_node_failure(nid, "undeclared output")
@@ -388,10 +403,9 @@ class TaskGraph:
             elapsed[nid] = cost_ms
             for topic, value in outputs.items():
                 produced[topic] = value
-                for consumer in self.consumers.get(topic, ()):
-                    port = self._state[consumer].ports[topic]
-                    port[0] = value
-                    port[1] = True
+                for cell in routes[topic]:
+                    cell[0] = value
+                    cell[1] = True
         report = FiringReport(self._round, fired, elapsed, produced, failures)
         self._round += 1
         return report

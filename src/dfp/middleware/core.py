@@ -717,17 +717,19 @@ class Participant:
         try:
             self._send_request(target, service_name, request_id, request)
             deadline = self.domain.now_ns() + timeout_ms * MS
-            while True:
+            # an in-process reply is already in the slot: no spin needed
+            while not slot:
                 self.domain.spin()
                 if slot:
-                    status, body, code = slot[0]
-                    if status == 0:
-                        return body
-                    raise RemoteError(code, body.decode(errors="replace"))
+                    break
                 now = self.domain.now_ns()
                 if now >= deadline:
                     raise Timeout(f"no response from {service_name!r} within {timeout_ms} ms")
                 self.domain.clock.advance(min(CALL_QUANTUM_NS, deadline - now))
+            status, body, code = slot[0]
+            if status == 0:
+                return body
+            raise RemoteError(code, body.decode(errors="replace"))
         finally:
             with self._lock:
                 self._pending_calls.pop(request_id, None)

@@ -8,9 +8,11 @@ is published on the command topic, where the runner picks it up and
 integrates the plant. Application nodes only ever touch SDK surfaces.
 
 The task graph is the data plane. Only the command leaves it, so only the
-declared ``control/*`` topic crosses the middleware. The report counts every
-other declared topic from the graph's firing reports; graph ports are
-lossless, so such a topic delivers what it publishes and drops nothing.
+declared ``control/*`` topic crosses the middleware. Its payload is the
+commanded acceleration as one little-endian IEEE-754 float64 (8 bytes),
+not JSON. The report counts every other declared topic from the graph's
+firing reports; graph ports are lossless, so such a topic delivers what it
+publishes and drops nothing.
 
 Node bodies resolve through the algorithm registry. Entries of the form
 ``builtin:<name>`` bind to the builders below; anything else is imported
@@ -19,8 +21,8 @@ as ``module:attribute`` and called with the node to produce a body.
 
 from __future__ import annotations
 
-import json
 import logging
+import struct
 from dataclasses import dataclass, field
 
 from dfp import ConfigurationError, RuntimeFault
@@ -34,6 +36,9 @@ from dfp.modemgr import Coordinator, StartGroup, StopGroup
 from dfp.util import canonical_json, clamp
 
 log = logging.getLogger("dfp.runtime")
+
+# the command topic's payload: accel_mps2 as a little-endian float64
+COMMAND = struct.Struct("<d")
 
 
 # -- builtin node bodies --------------------------------------------------------
@@ -202,22 +207,19 @@ class Stack:
                 continue
             self._produced[topic] += 1
             if topic == self._command_topic:
-                payload = json.dumps(
-                    value.as_dict() if hasattr(value, "as_dict") else value,
-                    sort_keys=True).encode()
-                self._command_pub.publish(payload)
+                self._command_pub.publish(COMMAND.pack(value["accel_mps2"]))
+        elapsed_ms = report.elapsed_ms
         for nid in report.fired:
-            self._fired_counts[nid] = self._fired_counts.get(nid, 0) + 1
-            elapsed = report.elapsed_ms.get(nid, 0.0)
-            if elapsed > self._max_elapsed.get(nid, 0.0):
-                self._max_elapsed[nid] = elapsed
+            self._fired_counts[nid] += 1
+            if elapsed_ms[nid] > self._max_elapsed[nid]:
+                self._max_elapsed[nid] = elapsed_ms[nid]
 
     def _take_command(self):
         if self._command_sub is None:
             return None
         accel = None
         for sample in self._command_sub.take():
-            accel = json.loads(sample.data.decode())["accel_mps2"]
+            (accel,) = COMMAND.unpack(sample.data)
             sample.release()
         return accel
 
@@ -241,6 +243,7 @@ class Stack:
                             if n.stage.name == "ACQUISITION" and n.inputs), "world/radar")
 
         dt = scenario.dt
+        dt_ns = int(round(dt * 1e9))
         steps = round(scenario.duration / dt) if duration is None else round(duration / dt)
         ego_x, ego_v = scenario.ego.position, scenario.ego.speed
         lead_x = scenario.lead.position
@@ -261,7 +264,7 @@ class Stack:
                     "vehicle/odometry": {"speed_mps": ego_v},
                 })
                 self._bridge_round(report)
-                self.domain.clock.advance(int(round(dt * 1e9)))
+                self.domain.clock.advance(dt_ns)
                 accel = self._take_command()
                 if accel is None:
                     accel = 0.0  # control group silent: coast

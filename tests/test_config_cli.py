@@ -259,3 +259,38 @@ def test_sdk_purity_of_the_acc_module():
             imported.add(node.module)
     assert not any(name.startswith("dfp.hal") for name in imported)
     assert not any(name.startswith("dfp.middleware") for name in imported)
+
+
+def test_drive_goes_through_the_seams_the_benchmark_times(monkeypatch):
+    # perfbench wraps these calls to time a drive: a faster path must not skip them
+    from dfp.envmodel import EnvStore
+    from dfp.middleware import Publisher
+
+    calls = {"step": 0, "command": 0, "odd": 0}
+    publish, run_odd = Publisher.publish, EnvStore.run_odd
+
+    def counted_publish(self, payload):
+        if self.topic.name == "control/acc_cmd":
+            calls["command"] += 1
+        return publish(self, payload)
+
+    def counted_run_odd(self, name):
+        calls["odd"] += 1
+        return run_odd(self, name)
+
+    monkeypatch.setattr(Publisher, "publish", counted_publish)
+    monkeypatch.setattr(EnvStore, "run_odd", counted_run_odd)
+    cfg = load_config(DEMO_CONFIG)
+    stack = Stack(cfg)
+    step = stack.graph.step
+
+    def counted_step(inputs=None):
+        calls["step"] += 1
+        return step(inputs)
+
+    stack.graph.step = counted_step
+    result = stack.run_scenario(duration=2.0)
+    result.metrics_json()
+    steps = len(result.trajectory)
+    assert result.ok and steps == 41 and cfg.odds
+    assert calls == {"step": steps, "command": steps, "odd": len(cfg.odds)}

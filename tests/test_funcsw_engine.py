@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfp.funcsw import (
     GraphError,
@@ -283,10 +284,133 @@ def test_stage_monotonicity_within_every_report():
         task_nodes, external = random_stage_consistent_dag(rng)
         g = build_graph(task_nodes, groups())
         g.start()
-        report = g.step({t: 1 for t in external})
-        stages = [g.nodes[nid].stage for nid in report.fired]
-        for fired_nid in report.fired:
+        # a second round lets a node fire on data left fresh by the first
+        for report in (g.step({t: 1 for t in external}), g.step({t: 1 for t in external})):
             for src, dst in g.edges:
-                if dst == fired_nid and src in report.fired:
+                if src in report.fired and dst in report.fired:
                     assert g.nodes[src].stage <= g.nodes[dst].stage
-        assert stages == sorted(stages) or True  # order is topological, stages follow edges
+                    assert report.fired.index(src) < report.fired.index(dst)
+
+
+LIFECYCLE_OPS = ("feed", "stop", "start", "crash", "add", "add_bad", "remove")
+
+
+class _Model:
+    """Lifecycle and freshness bookkeeping the oracle needs between rounds."""
+
+    def __init__(self, graph, policies):
+        self.spec = {nid: (n.inputs, n.outputs) for nid, n in graph.nodes.items()}
+        self.group = {nid: n.group_id for nid, n in graph.nodes.items()}
+        self.policies = policies
+        self.state = {nid: "configured" for nid in self.spec}
+        self.restarts = dict.fromkeys(self.spec, 0)
+        self.fresh = {(nid, t): False for nid, (ins, _) in self.spec.items() for t in ins}
+
+    def edges(self):
+        producer = {t: nid for nid, (_, outs) in self.spec.items() for t in outs}
+        return {(producer[t], nid) for nid, (ins, _) in self.spec.items()
+                for t in ins if t in producer}
+
+    def start_group(self, gid):
+        for nid in self.spec:
+            if self.group[nid] == gid and self.state[nid] == "configured":
+                self.state[nid] = "running"
+
+    def stop_group(self, gid):
+        for nid in self.spec:
+            if self.group[nid] == gid and self.state[nid] in ("running", "failed"):
+                self.state[nid] = "stopped"
+
+    def add(self, nid, inputs, outputs, gid):
+        self.spec[nid] = (inputs, outputs)
+        self.group[nid] = gid
+        self.state[nid] = "running"  # the graph has started
+        self.restarts[nid] = 0
+        self.fresh.update({(nid, t): False for t in inputs})
+
+    def remove(self, nid):
+        for t in self.spec.pop(nid)[0]:
+            del self.fresh[(nid, t)]
+        del self.group[nid], self.state[nid], self.restarts[nid]
+
+    def round(self, fed, crashing):
+        """Fired nodes and failed nodes of one round; a crash consumes, emits nothing."""
+        spec = {nid: (ins, () if nid in crashing else outs)
+                for nid, (ins, outs) in self.spec.items()}
+        running = {nid for nid, st_ in self.state.items() if st_ == "running"}
+        order, self.fresh = firing_round_oracle(spec, self.edges(), running, self.fresh, fed)
+        failed = [nid for nid in order if nid in crashing]
+        for nid in failed:
+            if self.restarts[nid] < self.policies[self.group[nid]].restart_policy.limit:
+                self.restarts[nid] += 1
+                for t in self.spec[nid][0]:
+                    self.fresh[(nid, t)] = False
+            else:
+                self.state[nid] = "failed"
+        return [nid for nid in order if nid not in crashing], failed
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.lists(st.sampled_from(LIFECYCLE_OPS), min_size=1, max_size=14))
+def test_compiled_round_matches_oracle_under_lifecycle_operations(seed, ops):
+    rng = random.Random(seed)
+    task_nodes, _ = random_stage_consistent_dag(rng, max_nodes=8)
+    crashing = set()
+
+    def body_for(nid, outputs):
+        def body(inputs, config):
+            if nid in crashing:
+                raise RuntimeError("injected crash")
+            return {t: nid for t in outputs}
+        return body
+
+    policies = {"never": GroupPolicy(restart_policy=RestartPolicy.never()),
+                "once": GroupPolicy(restart_policy=RestartPolicy.up_to(1)),
+                "late": GroupPolicy(restart_policy=RestartPolicy.up_to(1))}
+    for node in task_nodes:
+        node.group_id = rng.choice(sorted(policies))
+        node.body = body_for(node.node_id, node.outputs)
+    g = build_graph(task_nodes, policies)
+    model = _Model(g, policies)
+    g.start(groups=["never", "once"])
+    model.start_group("never")
+    model.start_group("once")
+    added = 0
+    for op in ops:
+        crashing.clear()
+        topics = sorted({t for ins, outs in model.spec.values() for t in ins + outs})
+        if op in ("stop", "start"):
+            gid = rng.choice(sorted(policies))
+            getattr(g, f"{op}_group")(gid)
+            getattr(model, f"{op}_group")(gid)
+        elif op == "crash":
+            crashing.update(rng.sample(sorted(model.spec), k=min(2, len(model.spec))))
+        elif op == "add":
+            nid, out = f"s{added:02d}", (f"t_s{added:02d}",)
+            added += 1
+            inputs = tuple(rng.sample(topics, k=rng.randint(0, min(3, len(topics)))))
+            gid = rng.choice(sorted(policies))
+            g.add_node(TaskNode(nid, Stage.SERVICE, inputs, out, group_id=gid,
+                                body=body_for(nid, out)))
+            model.add(nid, inputs, out, gid)
+        elif op == "add_bad":
+            taken = sorted(t for _, outs in model.spec.values() for t in outs)
+            if taken:  # a second producer of a topic fails validation
+                with pytest.raises(GraphError):
+                    g.add_node(TaskNode("dup", Stage.SERVICE, (), (rng.choice(taken),),
+                                        group_id="once", body=body_for("dup", ())))
+        elif op == "remove":
+            services = sorted(nid for nid in model.spec
+                              if g.nodes[nid].stage == Stage.SERVICE)
+            if services:
+                nid = rng.choice(services)
+                g.remove_node(nid)
+                model.remove(nid)
+        fed = {t: 1 for t in topics if t.startswith("ext_") and rng.random() < 0.7}
+        report = g.step(fed)
+        expect_fired, expect_failed = model.round(fed, crashing)
+        assert report.fired == expect_fired, op
+        assert [f["node"] for f in report.failures] == expect_failed, op
+        for nid, state in model.state.items():
+            assert g.lifecycle_of(nid).value == state, nid

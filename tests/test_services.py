@@ -33,6 +33,24 @@ def test_echo_roundtrip(domain):
     assert client.call("diag/echo", b"x", timeout_ms=100) == b"x"
 
 
+def test_inprocess_call_answered_at_once_spins_the_domain_once(domain, monkeypatch):
+    server = domain.create_participant("server")
+    client = domain.create_participant("client")
+    server.register_service(ServiceDescriptor("diag/echo"), lambda req: req)
+    domain.spin()
+    spins = []
+    original = Domain.spin
+
+    def counted(self):
+        spins.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Domain, "spin", counted)
+    assert client.call("diag/echo", b"x", timeout_ms=100) == b"x"
+    # the spin before the lookup keeps liveliness pruning; the reply needs none
+    assert spins == [domain]
+
+
 def test_registered_service_is_discoverable(domain):
     server = domain.create_participant("server")
     client = domain.create_participant("client")
