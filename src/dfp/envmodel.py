@@ -360,12 +360,13 @@ class EnvStore:
     def ingest(self, frame) -> int:
         """Map an abstract frame or a service-output mapping to a record."""
         if isinstance(frame, AbstractFrame):
+            # valid by construction: INGEST_TABLE tags, a store-issued id, (x, y)
             rec = self._record_from_frame(frame)
         elif isinstance(frame, dict):
             rec = self._record_from_mapping(frame)
+            rec.validate()
         else:
             raise InvalidRecord(f"cannot ingest {type(frame).__name__}")
-        rec.validate()
         self._put(rec)
         self._next_id = rec.record_id + 1
         self._log(rec)

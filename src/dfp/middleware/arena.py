@@ -1,9 +1,12 @@
 """Fixed-slot buffer arena backing the zero-copy in-process path.
 
 A published payload occupies one slot. Deliveries hand out references to
-the slot, never copies of the bytes; the slot returns to the free list
-only when every outstanding reference has been released. Slot bookkeeping
-is explicit so the recycling contract is observable in tests.
+the slot, never copies of the bytes. A slot is taken with one reference per
+holder known at publish time: each matched subscriber, plus the retained
+ring on a transient-local topic; the publisher keeps no reference of its
+own. The slot returns to the free list only when every reference has been
+released. Slot bookkeeping is explicit so the recycling contract is
+observable in tests.
 """
 
 from __future__ import annotations
@@ -63,8 +66,9 @@ class SlotArena:
         self._free = list(range(slot_count - 1, -1, -1))
         self._lock = threading.Lock()
 
-    def acquire(self, payload: bytes) -> BufferHandle:
-        """Place a payload in a free slot; the caller holds one reference."""
+    def acquire(self, payload: bytes, holders: int = 1) -> BufferHandle:
+        """Place a payload in a free slot with one reference per holder;
+        with no holder the checks still apply but the slot stays free."""
         if len(payload) > self.slot_size:
             raise PayloadTooLarge(
                 f"payload of {len(payload)} bytes exceeds slot size {self.slot_size}"
@@ -72,8 +76,10 @@ class SlotArena:
         with self._lock:
             if not self._free:
                 raise ArenaExhausted(f"all {self.slot_count} slots are held by readers")
+            if holders < 1:
+                return BufferHandle(payload)
             slot = self._free.pop()
-            self._refs[slot] = 1
+            self._refs[slot] = holders
         return BufferHandle(payload, self, slot)
 
     def retain(self, slot: int) -> None:

@@ -241,8 +241,7 @@ class LossModel:
 
 
 class _LoopbackBus:
-    def __init__(self, port: int, loss: LossModel | None):
-        self.port = port
+    def __init__(self, loss: LossModel | None):
         self.loss = loss
         self.endpoints: list[Participant] = []
         self.frame_log: list[tuple[int, bytes]] = []  # (sender pid, raw frame)
@@ -260,8 +259,7 @@ class _LoopbackBus:
 
 
 class _InProcTopic:
-    def __init__(self, name: str, type_hash: int, arena: SlotArena):
-        self.name = name
+    def __init__(self, type_hash: int, arena: SlotArena):
         self.type_hash = type_hash
         self.arena = arena
         self.publishers: list[Publisher] = []
@@ -278,7 +276,6 @@ class _InProcPlane:
         state = self.topics.get(desc.name)
         if state is None:
             state = _InProcTopic(
-                desc.name,
                 desc.type_hash,
                 SlotArena(self.domain.arena_slot_size, self.domain.arena_slot_count),
             )
@@ -309,17 +306,13 @@ class Publisher:
         # and reliable retransmission
         self._retained: deque = deque()
         self._retain_depth = topic.qos.history.depth  # None = unbounded
+        self._retains = (topic.qos.durability == Durability.TRANSIENT_LOCAL
+                         or (arena is None and topic.qos.reliability == Reliability.RELIABLE))
         self._matched_subs: tuple = ()
         self.published_count = 0
 
-    @property
-    def _retains(self) -> bool:
-        return (self.topic.qos.durability == Durability.TRANSIENT_LOCAL
-                or (self._arena is None and self.topic.qos.reliability == Reliability.RELIABLE))
-
     def _retain(self, seq: int, item) -> None:
-        if self._arena is not None:
-            self._arena.retain(item.slot)
+        # an in-process handle already counts the ring as a holder
         self._retained.append((seq, item))
         if self._retain_depth is not None and len(self._retained) > self._retain_depth:
             _, old = self._retained.popleft()
@@ -381,7 +374,7 @@ class Subscriber:
                 self.drops_overflow += 1
             self._queue.append(sample)
             self.delivered_count += 1
-            self._last_activity_ns = self.participant.domain.now_ns()
+            self._last_activity_ns = sample.timestamp_ns
 
     def take(self, max_n: int | None = None) -> list[Sample]:
         """Remove and return up to ``max_n`` samples, oldest first.
@@ -446,11 +439,10 @@ class ServiceHandle:
 
 
 class Participant:
-    def __init__(self, domain: "Domain", participant_id: int, name: str, transport):
+    def __init__(self, domain: "Domain", participant_id: int, name: str):
         self.domain = domain
         self.participant_id = participant_id
         self.name = name
-        self.transport = transport
         self.alive = True
         self._next_entity = 1
         self.publishers: dict[int, Publisher] = {}
@@ -648,15 +640,15 @@ class Participant:
             payload = bytes(payload)
         seq = pub.next_seq
         if pub._arena is not None:
-            handle = pub._arena.acquire(payload)  # raises PayloadTooLarge
-            sample = Sample(pub.topic.name, seq, pub.publisher_id,
-                            self.domain.now_ns(), handle)
+            # one reference per holder: each matched subscriber, plus the ring
+            subs = pub._matched_subs
+            handle = pub._arena.acquire(payload, len(subs) + pub._retains)
             if pub._retains:
                 pub._retain(seq, handle)
-            for sub in pub._matched_subs:
-                pub._arena.retain(handle.slot)
+            sample = Sample(pub.topic.name, seq, pub.publisher_id,
+                            self.domain.now_ns(), handle)
+            for sub in subs:
                 sub._enqueue(sample)
-            handle.release()
         else:
             if len(payload) > MAX_WIRE_PAYLOAD:
                 raise PayloadTooLarge("payload exceeds the u32 wire length field")
@@ -1024,7 +1016,6 @@ class Domain:
         self._inproc = _InProcPlane(self)
         self._buses: dict[int, _LoopbackBus] = {}
         self._loss_config: dict[int, LossModel] = {}
-        self._participants: list[Participant] = []
         self._participants_by_id: dict[int, Participant] = {}
         self._next_pid = 1
         self._lock = threading.RLock()
@@ -1045,7 +1036,7 @@ class Domain:
         with self._lock:
             pid = self._next_pid
             self._next_pid += 1
-            p = Participant(self, pid, name, transport)
+            p = Participant(self, pid, name)
             if isinstance(transport, InProcess):
                 self._inproc.participants.append(p)
                 # synchronous plane: existing records are visible immediately
@@ -1061,13 +1052,12 @@ class Domain:
                     raise TransportUnavailable(f"cannot bind loopback port {transport.port}")
                 bus = self._buses.get(transport.port)
                 if bus is None:
-                    bus = _LoopbackBus(transport.port, self._loss_config.get(transport.port))
+                    bus = _LoopbackBus(self._loss_config.get(transport.port))
                     self._buses[transport.port] = bus
                 bus.endpoints.append(p)
                 p._bus = bus
             else:
                 raise TransportUnavailable(f"unknown transport {transport!r}")
-            self._participants.append(p)
             self._participants_by_id[pid] = p
             p._announce_self()
             return p
@@ -1078,7 +1068,7 @@ class Domain:
     def spin(self) -> None:
         """One deterministic progress round across all participants."""
         with self._lock:
-            for p in list(self._participants):
+            for p in list(self._participants_by_id.values()):
                 p.spin()
 
     def advance(self, ns: int, quantum_ns: int | None = None) -> None:

@@ -47,24 +47,31 @@ MS = 1_000_000
 
 @contextlib.contextmanager
 def criterion(cid, description):
+    """Print the criterion's pass/fail line; strings the body appends to the
+    yielded list are measured values, printed after the description."""
+    measured = []
+    outcome = "FAIL"
     try:
-        yield
-    except BaseException:
-        print(f"[{cid}] FAIL {description}")
-        raise
-    print(f"[{cid}] PASS {description}")
+        yield measured
+        outcome = "PASS"
+    finally:
+        detail = "; " + ", ".join(measured) if measured else ""
+        print(f"[{cid}] {outcome} {description}{detail}")
 
 
 # -- A1 constant latency -----------------------------------------------------------
 
 
 def test_a1_constant_latency_zero_copy_vs_copying_baseline():
-    with criterion("A1", "zero-copy median ratio <= 3, copying baseline >= 100, < 30 s"):
+    with criterion("A1", "zero-copy median ratio <= 3, copying baseline >= 100, "
+                         "< 30 s") as measured:
         t0 = time.perf_counter()
         rows = run_bench(sizes=(1024, 64 * 1024, 1024 * 1024, 4 * 1024 * 1024),
                          samples=10_000)
         elapsed = time.perf_counter() - t0
         ratios = latency_ratios(rows)
+        measured += [f"zero-copy {ratios['zero_copy']:.2f}",
+                     f"copying {ratios['copying']:.1f}", f"{elapsed:.1f} s"]
         assert ratios["zero_copy"] <= 3.0, f"zero-copy ratio {ratios['zero_copy']:.2f}"
         assert ratios["copying"] >= 100.0, f"copying ratio {ratios['copying']:.2f}"
         assert elapsed < 30.0, f"bench took {elapsed:.1f} s"

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfp.envmodel import (
+    INGEST_TABLE,
     STOPWORDS,
+    _TAG_RE,
     DuplicateId,
     DuplicateOddName,
     EmptyQuery,
@@ -356,6 +358,24 @@ def test_weather_mapping_ingest_tags_true_booleans():
     got = store.read(rid)
     assert got.record_class == RecordClass.WEATHER
     assert got.tags == frozenset({"rain"})
+
+
+def test_every_ingest_table_tag_is_valid():
+    # frame ingest skips validate(): its tags can only come from this table
+    for _, tags, _ in INGEST_TABLE.values():
+        assert tags and all(_TAG_RE.match(tag) for tag in tags)
+
+
+def test_invalid_mapping_ingest_is_rejected_and_changes_nothing():
+    store = EnvStore()
+    store.ingest({"class": "weather", "tags": ["rain"]})
+    records = store.all_records()
+    postings = {tag: set(ids) for tag, ids in store._postings.items()}
+    with pytest.raises(InvalidRecord):
+        store.ingest({"class": "weather", "tags": ["Bad Tag"]})
+    assert store.all_records() == records
+    assert store._postings == postings
+    assert store.ingest({"class": "weather", "tags": ["fog"]}) == 1  # next id unchanged
 
 
 def test_reingesting_same_frame_gives_distinct_ids_equal_content():

@@ -185,6 +185,35 @@ def test_slot_recycled_only_after_all_readers_release(domain):
     assert pub.publish(b"b") == 1
 
 
+def test_slot_is_counted_once_for_each_reader_and_the_retained_ring():
+    domain = Domain(arena_slot_size=64, arena_slot_count=2)
+    w = domain.create_participant("w")
+    r = domain.create_participant("r")
+    tl = topic(dur=Durability.TRANSIENT_LOCAL, hist=History.keep_last(1))
+    pub = w.create_publisher(tl)
+    readers = (r.create_subscriber(tl), r.create_subscriber(tl))
+    arena = pub._arena
+    pub.publish(b"a")
+    first = [sub.take()[0] for sub in readers]
+    slot = first[0].payload.slot
+    assert arena.refcount(slot) == 3  # two readers and the ring, no publisher
+    for sample in first:
+        sample.release()
+    assert arena.refcount(slot) == 1 and arena.free_count == 1  # the ring holds it
+    late = r.create_subscriber(tl)  # replay retains the ring's slot
+    (replayed,) = late.take()
+    assert (replayed.seq, replayed.data) == (0, b"a")
+    assert arena.refcount(slot) == 2
+    replayed.release()
+    pub.publish(b"b")  # the ring evicts "a" and its slot recycles
+    assert arena.refcount(slot) == 0
+    assert arena.free_count == 1  # "b" holds the other slot
+    volatile = w.create_publisher(topic(hist=History.keep_last(1)))
+    assert volatile.matched_subscriptions() == 0  # volatile cannot serve TL readers
+    volatile.publish(b"c")
+    assert arena.free_count == 1
+
+
 def test_publish_too_large_for_arena_slot():
     domain = Domain(arena_slot_size=16)
     w = domain.create_participant("w")
