@@ -6,12 +6,19 @@ at least one tag of a record for it to qualify (exact match, or edit
 distance <= 1 for tokens of length >= 4). Results order by newest first,
 then ascending record id, so result lists are stable for golden tests.
 
-Queries never scan the records. The store keeps a posting index, tag ->
-set of record ids, that ``_put`` and ``_drop`` keep in step with every
-write and ``open`` builds after its replay. A query makes one
-``fuzzy_match`` pass over the tag vocabulary per token, unions the
-postings of the matching tags, intersects those unions across tokens, and
-only then applies the class and time filters to the surviving records.
+The store keeps two indexes that ``_put`` and ``_drop`` keep in step with
+every write and ``open`` builds after its replay: postings, tag -> set of
+record ids, and the order index, every ``(timestamp_ns, -record_id)`` in
+ascending order, which read backwards is the result order. A query makes
+one ``fuzzy_match`` pass over the tag vocabulary per token (tags whose
+length differs from the token's by more than one are skipped without an
+edit-distance call), then takes the cheaper of two plans. When the time
+window holds no more order entries than the smallest token's postings, it
+walks the window newest first and keeps the records every token's postings
+contain, already in result order. Otherwise it unions each token's
+postings, intersects across tokens, filters and sorts the survivors. So a
+query costs the vocabulary plus the smaller of its window and its rarest
+token's postings, not the store size.
 
 The persistent form is a JSON-lines log, one record object per line;
 ``delete`` appends a tombstone line ``{"record_id": ..., "deleted": true}``
@@ -23,6 +30,7 @@ from __future__ import annotations
 import enum
 import json
 import re
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -153,7 +161,8 @@ def normalize_token(word: str) -> str:
 def fuzzy_match(token: str, tag: str) -> bool:
     if token == tag:
         return True
-    if len(token) < FUZZY_MIN_LEN:
+    # the edit distance is at least the length difference
+    if len(token) < FUZZY_MIN_LEN or abs(len(token) - len(tag)) > 1:
         return False
     return levenshtein(token, tag) <= 1
 
@@ -172,15 +181,16 @@ class OddQuery:
         return out
 
 
-# frame kind -> (class, base tags, source) for ingestion
+# frame kind -> (class, base tags, source) for ingestion; the tags are one
+# shared frozenset per kind, so an ingest builds no tag set of its own
 INGEST_TABLE = {
-    DeviceKind.RADAR: (RecordClass.OBJECT, ("vehicle", "lead"), Source.PERCEPTION),
-    DeviceKind.CAMERA: (RecordClass.OBJECT, ("camera", "detection"), Source.PERCEPTION),
-    DeviceKind.LIDAR: (RecordClass.OBJECT, ("lidar", "obstacle"), Source.PERCEPTION),
-    DeviceKind.GPS: (RecordClass.LOCALIZATION, ("gps", "fix"), Source.LOCALIZATION),
-    DeviceKind.IMU: (RecordClass.LOCALIZATION, ("imu", "motion"), Source.LOCALIZATION),
-    DeviceKind.HDMAP: (RecordClass.ROAD_FEATURE, ("map", "lane"), Source.FUSION),
-    DeviceKind.V2X: (RecordClass.V2X_EVENT, ("v2x",), Source.V2X),
+    DeviceKind.RADAR: (RecordClass.OBJECT, frozenset({"vehicle", "lead"}), Source.PERCEPTION),
+    DeviceKind.CAMERA: (RecordClass.OBJECT, frozenset({"camera", "detection"}), Source.PERCEPTION),
+    DeviceKind.LIDAR: (RecordClass.OBJECT, frozenset({"lidar", "obstacle"}), Source.PERCEPTION),
+    DeviceKind.GPS: (RecordClass.LOCALIZATION, frozenset({"gps", "fix"}), Source.LOCALIZATION),
+    DeviceKind.IMU: (RecordClass.LOCALIZATION, frozenset({"imu", "motion"}), Source.LOCALIZATION),
+    DeviceKind.HDMAP: (RecordClass.ROAD_FEATURE, frozenset({"map", "lane"}), Source.FUSION),
+    DeviceKind.V2X: (RecordClass.V2X_EVENT, frozenset({"v2x"}), Source.V2X),
 }
 
 
@@ -190,6 +200,7 @@ class EnvStore:
     def __init__(self, log_path=None):
         self._records: dict[int, EnvRecord] = {}
         self._postings: defaultdict[str, set[int]] = defaultdict(set)  # no empty sets
+        self._order: list[tuple[int, int]] = []  # (timestamp_ns, -record_id), ascending
         self._odds: dict[str, OddQuery] = {}
         self._next_id = 0
         self._log_path = log_path
@@ -202,8 +213,9 @@ class EnvStore:
 
         The next id is one past the highest id the log names, tombstones
         included, so a reopened store never re-issues a deleted id. The
-        postings are built in one pass after the replay, which costs less
-        than keeping them current line by line.
+        postings and the order index are built in one pass and one sort
+        after the replay, which costs less than keeping them current line
+        by line.
         """
         store = cls()
         records = store._records
@@ -225,6 +237,7 @@ class EnvStore:
         for rid, rec in records.items():
             for tag in rec.tags:
                 postings[tag].add(rid)
+        store._order = sorted((rec.timestamp_ns, -rid) for rid, rec in records.items())
         # every id a log creates is either live at the end or has a tombstone
         store._next_id = max(dead_high, max(records, default=-1)) + 1
         store._log_path = path
@@ -248,21 +261,31 @@ class EnvStore:
     # -- CRUD -------------------------------------------------------------------
 
     def _put(self, rec: EnvRecord) -> None:
-        """Store or replace a record and post its tags."""
+        """Store or replace a record, post its tags and enter it in the order."""
         rid = rec.record_id
         if rid in self._records:
             self._drop(rid)
         self._records[rid] = rec
         for tag in rec.tags:
             self._postings[tag].add(rid)
+        key = (rec.timestamp_ns, -rid)
+        order = self._order
+        if not order or order[-1] < key:  # a drive's ingests arrive in order
+            order.append(key)
+        else:
+            insort(order, key)
 
     def _drop(self, rid: int) -> None:
-        """Remove a record and its postings; a tag left with none goes too."""
-        for tag in self._records.pop(rid).tags:
+        """Remove a record, its postings and its order entry; a tag left with
+        no postings goes too."""
+        rec = self._records.pop(rid)
+        for tag in rec.tags:
             ids = self._postings[tag]
             ids.discard(rid)
             if not ids:
                 del self._postings[tag]
+        order = self._order
+        del order[bisect_left(order, (rec.timestamp_ns, -rid))]
 
     def create(self, rec: EnvRecord) -> int:
         rec.validate()
@@ -321,11 +344,53 @@ class EnvStore:
     # -- queries -----------------------------------------------------------------
 
     def query(self, q: OddQuery) -> list[EnvRecord]:
-        tokens = q.effective_tokens()
+        """Records matching every token, newest first, ties by ascending id.
+
+        Each token's matching postings come from one ``fuzzy_match`` pass
+        over the tag vocabulary. Then the cheaper plan runs: the time window
+        of the order index (all of it when there is no ``time_range``) if it
+        holds no more entries than the smallest token's postings, else the
+        postings join. Either way the work follows the smaller of the two,
+        not the store size.
+        """
+        matched = []  # per token, the postings of the tags it matches
+        for tok in q.effective_tokens():
+            sets = [ids for tag, ids in self._postings.items() if fuzzy_match(tok, tag)]
+            if not sets:
+                return []
+            matched.append(sets)
+        order = self._order
+        if q.time_range is None:
+            lo, hi = 0, len(order)
+        else:
+            t0, t1 = q.time_range
+            # -record_id lies in (-2**64, 0], so these keys bracket every id
+            lo = bisect_left(order, (t0, -2**64))
+            hi = bisect_right(order, (t1, 1))
+        if hi - lo <= min(sum(map(len, sets)) for sets in matched):
+            return self._walk_window(order[lo:hi], matched, q.class_filter)
+        return self._join_postings(matched, q)
+
+    def _walk_window(self, window, matched, class_filter) -> list[EnvRecord]:
+        """Keep the window's ids that every token's postings hold; the window
+        read backwards is newest first, ties by ascending id, so no sort."""
+        rids = [-neg_rid for _, neg_rid in reversed(window)]
+        keep = rids
+        for sets in matched:  # ``intersection`` walks the list, or the smaller set
+            hits = [ids.intersection(keep) for ids in sets]
+            keep = hits[0] if len(hits) == 1 else set().union(*hits)
+        records = self._records
+        out = [records[rid] for rid in rids if rid in keep]
+        if class_filter is not None:
+            out = [rec for rec in out if rec.record_class == class_filter]
+        return out
+
+    def _join_postings(self, matched, q: OddQuery) -> list[EnvRecord]:
+        """Union each token's postings, intersect across tokens, then filter
+        and sort the survivors."""
         ids = None
-        for tok in tokens:
-            hits = set().union(*(posting for tag, posting in self._postings.items()
-                                 if fuzzy_match(tok, tag)))
+        for sets in matched:
+            hits = set().union(*sets)
             ids = hits if ids is None else ids & hits
             if not ids:
                 return []
@@ -383,7 +448,7 @@ class EnvStore:
         return EnvRecord(
             record_id=self._next_id,
             record_class=record_class,
-            tags=frozenset(tags),
+            tags=tags,
             timestamp_ns=frame.timestamp_ns,
             attributes=dict(frame.normalized),
             position=position,

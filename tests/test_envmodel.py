@@ -123,6 +123,25 @@ def test_single_edit_matches_only_from_length_four():
     assert not fuzzy_match("tunnel", "bridge")
 
 
+# a shorter and a longer string from a three-letter alphabet, their lengths
+# 0-3 apart; the flag says which of the two is the token
+near_length_pairs = st.text(alphabet="abc", max_size=6).flatmap(
+    lambda a: st.tuples(
+        st.just(a),
+        st.integers(0, 3).flatmap(
+            lambda d: st.text(alphabet="abc", min_size=len(a) + d, max_size=len(a) + d)),
+        st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_length_pairs)
+def test_fuzzy_match_length_bound_equals_one_edit_oracle(pair):
+    short, long_, token_is_long = pair
+    tok, tag = (long_, short) if token_is_long else (short, long_)
+    want = tok == tag or (len(tok) >= 4 and levenshtein_recursive(tok, tag) <= 1)
+    assert fuzzy_match(tok, tag) == want
+
+
 def test_paper_style_query_with_connector_words():
     store = seeded_store()
     q = OddQuery(("tunnel", "on", "highway", "in", "rain"))
@@ -235,17 +254,20 @@ QUERY_WORDS = INDEX_TAGS + ["rian", "tunel", "snwo", "rains", "fo", "ic", "the",
 
 tag_sets = st.frozensets(st.sampled_from(INDEX_TAGS), min_size=1, max_size=3)
 record_ids = st.integers(min_value=0, max_value=4)
-timestamps = st.integers(min_value=0, max_value=5)
+timestamps = st.integers(min_value=0, max_value=3)  # few values, so ids tie often
 classes = st.sampled_from([RecordClass.OBJECT, RecordClass.WEATHER])
+# narrow windows favour the window walk, whole-store windows and no window
+# the postings join (the walk still wins when a token is on every record)
+windows = st.one_of(st.none(), st.tuples(timestamps, timestamps).map(sorted).map(tuple),
+                    st.just((-1, 4)))
 store_ops = st.one_of(
     st.tuples(st.just("create"), record_ids, tag_sets, timestamps, classes),
     st.tuples(st.just("ingest"), tag_sets, timestamps, classes),
-    st.tuples(st.just("update"), record_ids, tag_sets),
+    st.tuples(st.just("update"), record_ids, st.none() | tag_sets, st.none() | timestamps),
     st.tuples(st.just("delete"), record_ids),
     st.tuples(st.just("reopen")),
     st.tuples(st.just("query"), st.lists(st.sampled_from(QUERY_WORDS), min_size=1, max_size=3),
-              st.none() | classes,
-              st.none() | st.tuples(timestamps, timestamps).map(sorted).map(tuple)),
+              st.none() | classes, windows),
 )
 
 
@@ -287,13 +309,18 @@ def test_posting_index_queries_equal_scan_under_random_crud_and_reopen(ops):
                 shadow[rid] = rec(rid, tags, ts=ts, cls=cls, source=Source.FUSION)
                 next_id += 1
             elif kind == "update":
-                _, rid, tags = op
+                _, rid, tags, ts = op
+                patch = {}
+                if tags is not None:
+                    patch["tags"] = tags
+                if ts is not None:
+                    patch["timestamp_ns"] = ts
                 if rid in shadow:
-                    store.update(rid, {"tags": tags})
-                    shadow[rid] = replace(shadow[rid], tags=tags)
+                    store.update(rid, patch)
+                    shadow[rid] = replace(shadow[rid], **patch)
                 else:
                     with pytest.raises(NotFound):
-                        store.update(rid, {"tags": tags})
+                        store.update(rid, patch)
             elif kind == "delete":
                 _, rid = op
                 if rid in shadow:
@@ -308,12 +335,41 @@ def test_posting_index_queries_equal_scan_under_random_crud_and_reopen(ops):
                 check_query(store, shadow, *op[1:])
         assert store.all_records() == sorted(shadow.values(), key=lambda r: r.record_id)
         for word in QUERY_WORDS:
-            check_query(store, shadow, [word])
+            for window in (None, (1, 2), (-1, 4)):
+                check_query(store, shadow, [word], None, window)
         postings = {}
         for r in shadow.values():
             for tag in r.tags:
                 postings.setdefault(tag, set()).add(r.record_id)
         assert store._postings == postings  # no stale ids, no tags left unused
+        assert store._order == sorted((r.timestamp_ns, -r.record_id) for r in shadow.values())
+
+
+def test_query_plan_follows_the_window_and_the_rarest_token():
+    """A window no larger than the rarest token's postings is walked; a
+    larger one goes through the postings join. Both give the scan's answer."""
+    store = EnvStore()
+    for rid in range(40):  # "lead" on every record, "rain" on every tenth
+        tags = {"lead", "rain"} if rid % 10 == 0 else {"lead"}
+        store.create(rec(rid, tags, ts=rid // 3))
+    plans = []
+    for name in ("_walk_window", "_join_postings"):
+        def spy(*args, _name=name, _plan=getattr(store, name)):
+            plans.append(_name)
+            return _plan(*args)
+        setattr(store, name, spy)
+    shadow = {r.record_id: r for r in store.all_records()}
+    cases = [
+        (["lead"], None, "_walk_window"),            # the whole order is the postings
+        (["lead", "rain"], None, "_join_postings"),  # 4 postings against 40 entries
+        (["rain"], (3, 3), "_walk_window"),          # 3 entries against 4 postings
+        (["rain"], (0, 12), "_join_postings"),       # 39 entries against 4 postings
+        (["lead"], (5, 5), "_walk_window"),          # three ids tie at one timestamp
+    ]
+    for words, window, plan in cases:
+        plans.clear()
+        check_query(store, shadow, words, None, window)
+        assert plans == [plan], (words, window)
 
 
 # -- saved ODDs ---------------------------------------------------------------------
