@@ -164,7 +164,6 @@ class TaskGraph:
                         f"edge {src!r} ({src_node.stage.name}) -> {node.node_id!r} "
                         f"({node.stage.name}) runs against the stage order")
                 edges.add((src, node.node_id))
-        self.producers = producers
         self.consumers = consumers
         self.edges = edges
         self.topo_order = _toposort(list(self.nodes), edges)

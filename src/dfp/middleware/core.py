@@ -17,8 +17,10 @@ returns. A reply that arrives after the caller's timeout is discarded; a
 with its code. Loopback REQUEST and RESPONSE frames are not retransmitted, so
 a lost frame ends the call in ``Timeout``.
 
-Progress on timers and queued frames is made by ``spin``; tests step the
-manual clock explicitly, so every protocol outcome is reproducible.
+Only ``spin`` (``Domain.spin``/``advance``, a waiting ``call``) handles
+frames, heartbeats, NACKs and deadlines; ``take`` returns what it delivered.
+Heartbeats restate every endpoint, any ``close`` leaves the data plane at
+once, and tests step the manual clock, so every outcome is reproducible.
 """
 
 from __future__ import annotations
@@ -333,16 +335,14 @@ class _RecvState:
     """Per matched remote publisher, on the subscriber side (loopback)."""
 
     __slots__ = ("topic", "expected", "pending", "last_nack_ns", "reliable_path",
-                 "pub_flags", "high_water")
+                 "high_water")
 
-    def __init__(self, topic: str, expected: int, reliable_path: bool, pub_flags: int,
-                 high_water: int):
+    def __init__(self, topic: str, expected: int, reliable_path: bool, high_water: int):
         self.topic = topic
         self.expected = expected
         self.pending: dict[int, bytes] = {}
         self.last_nack_ns = -(10**18)
         self.reliable_path = reliable_path
-        self.pub_flags = pub_flags
         # highest next_seq the publisher has announced; lets the reader
         # notice trailing losses that no later data frame would reveal
         self.high_water = high_water
@@ -382,7 +382,6 @@ class Subscriber:
         Ownership of each returned sample's buffer reference moves to the
         caller; call ``sample.release()`` when done with the payload.
         """
-        self.participant._spin_if_needed()
         out: list[Sample] = []
         with self._qlock:
             while self._queue and (max_n is None or len(out) < max_n):
@@ -459,15 +458,16 @@ class Participant:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self, graceful: bool = True) -> None:
-        """Leave the domain. A graceful close withdraws records immediately;
-        otherwise peers expire them after the liveliness window."""
+        """Leave the domain. Endpoints leave the data plane at once; a graceful
+        close also withdraws records immediately, otherwise peers expire them
+        after the liveliness window."""
         with self._lock:
             if not self.alive:
                 return
             if graceful:
                 self._broadcast_control(MsgType.ANNOUNCE, {"kind": "leave"})
-                if self._bus is None:
-                    self.domain._detach_inproc_endpoints(self)
+            if self._bus is None:
+                self.domain._detach_inproc_endpoints(self)
             self.alive = False
 
     def _require_alive(self) -> None:
@@ -539,7 +539,6 @@ class Participant:
         """Snapshot of live records: 'topics', 'services' or 'all'."""
         if filter not in ("topics", "services", "all"):
             raise MiddlewareError(f"bad discover filter {filter!r}")
-        self._spin_if_needed()
         with self._lock:
             self._prune_db()
             now = self.domain.now_ns()
@@ -615,6 +614,8 @@ class Participant:
             "topic": sub.topic.name,
             "type_hash": sub.topic.type_hash,
             "qos": sub.topic.qos.to_json(),
+            # publishers already matched need not re-announce or replay
+            "matched": sorted(sub._recv),
         }
         self._db.add(("subscriber", self.participant_id, sub.entity_id), info, now)
         self._broadcast_control(MsgType.SUBSCRIBE, info, entity_id=sub.entity_id)
@@ -634,6 +635,7 @@ class Participant:
     # -- publishing -------------------------------------------------------------
 
     def _publish(self, pub: Publisher, payload: bytes) -> int:
+        self._require_alive()
         if not isinstance(payload, (bytes, bytearray, memoryview)):
             raise MiddlewareError("payload must be bytes-like")
         if not isinstance(payload, bytes):
@@ -766,13 +768,6 @@ class Participant:
 
     # -- spin: frames, heartbeats, liveliness, nacks ----------------------------
 
-    def _spin_if_needed(self) -> None:
-        # cheap gate: skip the full spin when nothing can have progressed
-        if not self.alive:
-            return
-        if self._inbox or self.domain.now_ns() >= self._next_hb_ns:
-            self.spin()
-
     def spin(self) -> None:
         """Process queued frames and run periodic protocol duties."""
         with self._lock:
@@ -798,16 +793,14 @@ class Participant:
         self._db.heartbeat(self.participant_id, now)
         self._broadcast_control(MsgType.HEARTBEAT,
                                 {"kind": "heartbeat", "name": self.name})
-        if self._bus is not None:
-            # frames may have been lost: periodically restate what we offer,
-            # and re-court publishers for topics still without a source
-            for pub in self.publishers.values():
-                self._announce_publisher(pub)
-            for ep in self.services.values():
-                self._announce_service(ep)
-            for sub in self.subscribers.values():
-                if not sub._recv:
-                    self._announce_subscriber(sub)
+        # frames may have been lost, or a peer may have expired our records
+        # while we were not spinning: periodically restate every endpoint
+        for pub in self.publishers.values():
+            self._announce_publisher(pub)
+        for ep in self.services.values():
+            self._announce_service(ep)
+        for sub in self.subscribers.values():
+            self._announce_subscriber(sub)
 
     def _send_nacks(self, sub: Subscriber, now: int) -> None:
         if self._bus is None:
@@ -922,13 +915,14 @@ class Participant:
             reliable_path = (pub_qos.reliability == Reliability.RELIABLE
                              and sub.topic.qos.reliability == Reliability.RELIABLE)
             sub._recv[key] = _RecvState(info["topic"], expected, reliable_path,
-                                        _qos_flags(pub_qos), info["next_seq"])
+                                        info["next_seq"])
 
     def _court_remote_subscriber(self, info: dict) -> None:
         if self._bus is None:
             return  # in-process matching is owned by the plane
+        matched = info.get("matched", ())
         for pub in self.publishers.values():
-            if pub.topic.name != info["topic"]:
+            if pub.topic.name != info["topic"] or [self.participant_id, pub.entity_id] in matched:
                 continue
             if pub.topic.type_hash != info["type_hash"]:
                 continue
@@ -1087,7 +1081,6 @@ class Domain:
                 sub for sub in state.subscribers
                 if sub.topic.type_hash == pub.topic.type_hash
                 and qos_compatible(pub.topic.qos, sub.topic.qos)
-                and sub.participant.alive
             )
             newly = replay_to is not None and replay_to in matched and replay_to not in pub._matched_subs
             pub._matched_subs = matched
@@ -1103,3 +1096,9 @@ class Domain:
             state.publishers = [pub for pub in state.publishers if pub.participant is not p]
             state.subscribers = [sub for sub in state.subscribers if sub.participant is not p]
             self._rematch_inproc(state)
+        for sub in p.subscribers.values():
+            for sample in sub.take():
+                sample.release()
+        for pub in p.publishers.values():
+            while pub._retained:
+                pub._retained.popleft()[1].release()

@@ -294,3 +294,20 @@ def test_drive_goes_through_the_seams_the_benchmark_times(monkeypatch):
     steps = len(result.trajectory)
     assert result.ok and steps == 41 and cfg.odds
     assert calls == {"step": steps, "command": steps, "odd": len(cfg.odds)}
+
+
+def test_demo_drive_never_spins_a_participant(monkeypatch):
+    # the runner only takes the command; taking runs no protocol round
+    from dfp.middleware import Participant
+
+    spins = []
+    spin = Participant.spin
+
+    def counted_spin(self):
+        spins.append(self.name)
+        return spin(self)
+
+    monkeypatch.setattr(Participant, "spin", counted_spin)
+    result = Stack(load_config(DEMO_CONFIG)).run_scenario(duration=2.0)
+    assert result.ok and len(result.trajectory) == 41
+    assert spins == []

@@ -139,3 +139,52 @@ def test_liveliness_deadline_reflects_last_heartbeat():
     rec = [r for r in p2.discover("all") if r.participant_id == p1.participant_id][0]
     window = LIVELINESS_PERIODS * HEARTBEAT_PERIOD_NS
     assert rec.liveliness_deadline_ns == d.now_ns() + window
+
+
+def test_inprocess_late_joiner_lists_records_at_once_and_can_call():
+    d = Domain()
+    early = d.create_participant("early")
+    pub = early.create_publisher(topic("sensors/x"))
+    pub.publish(b"x")
+    early.register_service(ServiceDescriptor("diag/echo"), lambda req: b"re:" + req)
+    late = d.create_participant("late")
+    seen = {(r.entity, r.participant_id) for r in late.discover("all")}
+    assert seen == {("participant", early.participant_id),
+                    ("participant", late.participant_id),
+                    ("publisher", early.participant_id),
+                    ("service", early.participant_id)}
+    assert late.call("diag/echo", b"hi", timeout_ms=10) == b"re:hi"
+
+
+def test_reader_whose_subscribe_is_lost_is_listed_within_ten_periods():
+    # a reader can match through the writer's ANNOUNCE while its own
+    # SUBSCRIBE is lost; the heartbeat's restatement must still reach the writer
+    misses = []
+    for seed in range(104700, 104800):
+        d = Domain()
+        d.set_loss(7200, 0.1, seed=seed)
+        writer = d.create_participant("writer", Loopback(7200))
+        reader = d.create_participant("reader", Loopback(7200))
+        reader.create_subscriber(topic("stream"))
+        writer.create_publisher(topic("stream"))
+        d.advance(10 * HEARTBEAT_PERIOD_NS, HEARTBEAT_PERIOD_NS)
+        if not any(r.entity == "subscriber" and r.participant_id == reader.participant_id
+                   for r in writer.discover("topics")):
+            misses.append(seed)
+    assert misses == []
+
+
+def test_expired_inprocess_records_return_with_the_next_heartbeat():
+    d = Domain()
+    server = d.create_participant("server")
+    client = d.create_participant("client")
+    server.create_publisher(topic("sensors/x"))
+    server.register_service(ServiceDescriptor("diag/echo"), lambda req: req)
+    d.spin()
+    d.clock.advance(LIVELINESS_PERIODS * HEARTBEAT_PERIOD_NS)
+    client.spin()  # the server did not spin: its records expire
+    assert all(r.participant_id != server.participant_id for r in client.discover("all"))
+    d.spin()  # the server's heartbeat restates every endpoint
+    kinds = {r.entity for r in client.discover("all") if r.participant_id == server.participant_id}
+    assert kinds == {"participant", "publisher", "service"}
+    assert client.call("diag/echo", b"x", timeout_ms=10) == b"x"

@@ -169,6 +169,17 @@ def test_watchdog_overrun_is_a_failure():
     assert g.lifecycle_of("a") == Lifecycle.FAILED
 
 
+def test_undeclared_output_is_a_failure():
+    nodes = [TaskNode("a", Stage.SERVICE, inputs=("w",), outputs=("x",),
+                      body=emit(x=1, y=2), group_id="g")]
+    g = build_graph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.never())})
+    g.start()
+    report = g.step({"w": 1})
+    assert report.fired == [] and report.produced == {}
+    assert report.failures == [{"node": "a", "reason": "undeclared outputs ['y']"}]
+    assert g.lifecycle_of("a") == Lifecycle.FAILED
+
+
 def test_restart_clears_input_freshness():
     # node with two ports; one fresh datum must not survive the restart
     nodes = [

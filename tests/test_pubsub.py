@@ -17,6 +17,7 @@ from dfp.middleware import (
     qos_compatible,
     type_hash_of,
 )
+from dfp.middleware.core import ParticipantClosed
 
 
 def topic(name="sensors/test", schema="t", rel=Reliability.RELIABLE,
@@ -319,3 +320,29 @@ def test_concurrent_publishers_and_taker(domain):
     for pid in (pub1.publisher_id, pub2.publisher_id):
         seqs = [seq for got_pid, seq in taken if got_pid == pid]
         assert seqs == list(range(n))  # per-publisher order survives threading
+
+
+def test_silently_closed_participant_leaves_the_data_plane_and_frees_its_slots(domain):
+    w = domain.create_participant("w")
+    r = domain.create_participant("r")
+    keep_all = topic(hist=History.keep_all())
+    pub = w.create_publisher(keep_all)
+    sub = r.create_subscriber(keep_all)
+    ring_topic = topic("env/state", dur=Durability.TRANSIENT_LOCAL, hist=History.keep_last(4))
+    ring = r.create_publisher(ring_topic)
+    for i in range(10):
+        pub.publish(bytes([i]))
+        ring.publish(bytes([i]))
+    arena, ring_arena = pub._arena, ring._arena
+    assert sub.queued() == 10 and ring_arena.free_count == arena.slot_count - 4
+    r.close(graceful=False)
+    assert pub.matched_subscriptions() == 0
+    with pytest.raises(ParticipantClosed):
+        ring.publish(b"late")
+    assert arena.free_count == arena.slot_count  # the queue's ten slots are back
+    assert ring_arena.free_count == ring_arena.slot_count  # and the ring's four
+    # the records stay until liveliness expires them
+    assert any(rec.participant_id == r.participant_id for rec in w.discover("topics"))
+    for i in range(2000):  # past the 1024 slots a queued reader would hold
+        pub.publish(i.to_bytes(2, "big"))
+    assert arena.free_count == arena.slot_count

@@ -5,9 +5,11 @@ from dfp.middleware import (
     Durability,
     History,
     Loopback,
+    MsgType,
     QoSProfile,
     Reliability,
     TopicDescriptor,
+    decode_frame,
     type_hash_of,
 )
 
@@ -133,3 +135,65 @@ def test_lossless_loopback_needs_no_recovery():
         pub.publish(bytes([i]))
     d.spin()
     assert [s.seq for s in sub.take()] == list(range(50))
+
+
+def matched_pair(port, qos):
+    d = Domain()
+    w = d.create_participant("w", Loopback(port))
+    r = d.create_participant("r", Loopback(port))
+    t = TopicDescriptor("stream", type_hash_of("s"), qos)
+    sub = r.create_subscriber(t)
+    pub = w.create_publisher(t)
+    d.spin()
+    return d, r, sub, pub
+
+
+def test_loopback_data_waits_for_spin_and_take_returns_it_after():
+    d, r, sub, pub = matched_pair(9110, QoSProfile(Reliability.RELIABLE, History.keep_all()))
+    pub.publish(b"a")
+    d.clock.advance(100 * MS)  # a heartbeat is due as well
+    assert sub.take() == [] and len(r._inbox) == 1
+    r.discover("all")
+    assert sub.take() == [] and len(r._inbox) == 1
+    d.spin()
+    assert [(s.seq, s.data) for s in sub.take()] == [(0, b"a")]
+    pub.publish(b"b")
+    assert sub.take() == []
+    d.advance(5 * MS, 5 * MS)
+    assert [(s.seq, s.data) for s in sub.take()] == [(1, b"b")]
+
+
+def test_data_frame_delivered_twice_reaches_the_queue_once():
+    for rel in (Reliability.RELIABLE, Reliability.BEST_EFFORT):
+        d, r, sub, pub = matched_pair(9120, QoSProfile(rel, History.keep_all()))
+        pub.publish(b"a")
+        pub.publish(b"b")
+        first, second = r._inbox
+        # seq 1 twice ahead of seq 0: the reliable path parks it, then drops the copy
+        r._inbox.clear()
+        r._inbox.extend([second, second])
+        d.spin()
+        r._inbox.append(first)  # late seq 0; on the reliable path its NACK resend repeats it
+        d.spin()
+        got = [(s.seq, s.data) for s in sub.take()]
+        if rel == Reliability.RELIABLE:
+            assert got == [(0, b"a"), (1, b"b")]
+        else:
+            assert got == [(1, b"b")] and sub.drops_gap == 1
+
+
+def test_restated_subscribe_does_not_replay_the_ring_again():
+    d = Domain()
+    w = d.create_participant("w", Loopback(9210))
+    r = d.create_participant("r", Loopback(9210))
+    t = TopicDescriptor("env/state", type_hash_of("s"),
+                        QoSProfile(Reliability.RELIABLE, History.keep_last(1),
+                                   Durability.TRANSIENT_LOCAL))
+    pub = w.create_publisher(t)
+    pub.publish(b"v0")
+    late = r.create_subscriber(t)
+    d.advance(1000 * MS, 100 * MS)  # ten heartbeats, each restating the reader
+    data = [raw for _, raw in d.bus(9210).frame_log
+            if decode_frame(raw).msg_type == MsgType.DATA]
+    assert len(data) == 2  # the publish and one replay
+    assert [(s.seq, s.data) for s in late.take()] == [(0, b"v0")]
