@@ -261,31 +261,42 @@ class EnvStore:
     # -- CRUD -------------------------------------------------------------------
 
     def _put(self, rec: EnvRecord) -> None:
-        """Store or replace a record, post its tags and enter it in the order."""
+        """Store or replace a record, post its tags and enter it in the order;
+        a replacement with the same timestamp keeps its order entry."""
         rid = rec.record_id
-        if rid in self._records:
-            self._drop(rid)
+        old = self._records.pop(rid, None)
+        if old is not None:
+            self._unpost(old)
         self._records[rid] = rec
         for tag in rec.tags:
             self._postings[tag].add(rid)
-        key = (rec.timestamp_ns, -rid)
         order = self._order
+        if old is not None:
+            if old.timestamp_ns == rec.timestamp_ns:
+                return
+            del order[bisect_left(order, (old.timestamp_ns, -rid))]
+        key = (rec.timestamp_ns, -rid)
         if not order or order[-1] < key:  # a drive's ingests arrive in order
             order.append(key)
         else:
             insort(order, key)
 
     def _drop(self, rid: int) -> None:
-        """Remove a record, its postings and its order entry; a tag left with
-        no postings goes too."""
+        """Remove a record, its postings and its order entry."""
         rec = self._records.pop(rid)
+        self._unpost(rec)
+        order = self._order
+        del order[bisect_left(order, (rec.timestamp_ns, -rid))]
+
+    def _unpost(self, rec: EnvRecord) -> None:
+        """Take a record's id out of its tags' postings; a tag left with no
+        postings goes too."""
+        rid = rec.record_id
         for tag in rec.tags:
             ids = self._postings[tag]
             ids.discard(rid)
             if not ids:
                 del self._postings[tag]
-        order = self._order
-        del order[bisect_left(order, (rec.timestamp_ns, -rid))]
 
     def create(self, rec: EnvRecord) -> int:
         rec.validate()

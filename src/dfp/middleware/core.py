@@ -19,6 +19,9 @@ a lost frame ends the call in ``Timeout``.
 
 Only ``spin`` (``Domain.spin``/``advance``, a waiting ``call``) handles
 frames, heartbeats, NACKs and deadlines; ``take`` returns what it delivered.
+A ``Domain.spin`` at the instant of the last full round, with no frame sent
+and no participant created since, returns at once, so an in-process ``call``
+at an unchanged clock costs its handler, not a round per participant.
 Heartbeats restate every endpoint, any ``close`` leaves the data plane at
 once, and tests step the manual clock, so every outcome is reproducible.
 """
@@ -243,7 +246,8 @@ class LossModel:
 
 
 class _LoopbackBus:
-    def __init__(self, loss: LossModel | None):
+    def __init__(self, domain: "Domain", loss: LossModel | None):
+        self.domain = domain
         self.loss = loss
         self.endpoints: list[Participant] = []
         self.frame_log: list[tuple[int, bytes]] = []  # (sender pid, raw frame)
@@ -258,6 +262,9 @@ class _LoopbackBus:
                 self.dropped_frames += 1
                 continue
             ep._inbox.append(raw)
+        # marked after queueing: a round that clears the mark later also
+        # finds these frames
+        self.domain._stirred = True
 
 
 class _InProcTopic:
@@ -694,9 +701,10 @@ class Participant:
 
     def call(self, service_name: str, request: bytes, timeout_ms: int = 1000) -> bytes:
         self._require_alive()
+        # the round prunes this participant at this instant, or a round at
+        # this instant already did and nothing has happened since
         self.domain.spin()
         with self._lock:
-            self._prune_db()
             target = None
             for key, info in self._db.records.items():
                 if key[0] == "service" and key[2] == service_name:
@@ -1013,6 +1021,11 @@ class Domain:
         self._participants_by_id: dict[int, Participant] = {}
         self._next_pid = 1
         self._lock = threading.RLock()
+        # the instant of the last full spin; until the clock moves or the
+        # domain is stirred, another spin has nothing to do
+        self._quiet_ns: int | None = None
+        # a frame was sent or a participant created since that spin began
+        self._stirred = False
 
     def now_ns(self) -> int:
         return self.clock.now_ns()
@@ -1028,6 +1041,7 @@ class Domain:
         if not name:
             raise MiddlewareError("participant name must be non-empty")
         with self._lock:
+            self._stirred = True
             pid = self._next_pid
             self._next_pid += 1
             p = Participant(self, pid, name)
@@ -1046,7 +1060,7 @@ class Domain:
                     raise TransportUnavailable(f"cannot bind loopback port {transport.port}")
                 bus = self._buses.get(transport.port)
                 if bus is None:
-                    bus = _LoopbackBus(self._loss_config.get(transport.port))
+                    bus = _LoopbackBus(self, self._loss_config.get(transport.port))
                     self._buses[transport.port] = bus
                 bus.endpoints.append(p)
                 p._bus = bus
@@ -1060,10 +1074,24 @@ class Domain:
         return self._buses[port]
 
     def spin(self) -> None:
-        """One deterministic progress round across all participants."""
+        """One deterministic progress round across all participants.
+
+        Returns at once when nothing can be due: the clock reads what it read
+        when the last full round began, and no frame was sent and no
+        participant created since. A second round at that instant would find
+        every inbox empty and every heartbeat, prune, NACK and deadline check
+        done. (A round whose clock moved under it leaves a stale instant that
+        the clock, which never goes back, does not read again.)
+        """
         with self._lock:
+            now = self.clock.now_ns()
+            if now == self._quiet_ns and not self._stirred:
+                return
+            # a spin nested in this round (a handler that calls) runs in full
+            self._quiet_ns, self._stirred = None, False
             for p in list(self._participants_by_id.values()):
                 p.spin()
+            self._quiet_ns = now
 
     def advance(self, ns: int, quantum_ns: int | None = None) -> None:
         """Step the manual clock by ``ns``, spinning at each quantum."""

@@ -22,6 +22,7 @@ as ``module:attribute`` and called with the node to produce a body.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -248,6 +249,7 @@ class Stack:
         ego_x, ego_v = scenario.ego.position, scenario.ego.speed
         lead_x = scenario.lead.position
         trajectory = []
+        min_gap = math.inf
         fault = None
         try:
             for k in range(steps + 1):
@@ -273,6 +275,8 @@ class Stack:
                     "lead_position": lead_x, "lead_speed": v_lead,
                     "gap": gap, "command": accel,
                 })
+                if gap < min_gap:
+                    min_gap = gap
                 if gap <= 0:
                     raise Collision(t, gap)
                 if k == steps:
@@ -282,12 +286,13 @@ class Stack:
         except RuntimeFault as exc:
             fault = f"{type(exc).__name__}: {exc}"
             log.error("scenario fault: %s", fault)
-        return RunResult(metrics=self._metrics(trajectory, fault),
+        return RunResult(metrics=self._metrics(trajectory, fault, min_gap),
                          trajectory=trajectory, fault=fault)
 
     # -- metrics ------------------------------------------------------------------
 
-    def _metrics(self, trajectory=None, fault: str | None = None) -> dict:
+    def _metrics(self, trajectory=None, fault: str | None = None,
+                 min_gap: float = math.inf) -> dict:
         topics = {name: {"published": n, "delivered": n, "dropped": 0}
                   for name, n in self._produced.items()}
         if self._command_sub is not None:
@@ -311,7 +316,7 @@ class Stack:
             last = trajectory[-1]
             acc_summary = {
                 "steps": len(trajectory),
-                "min_gap_m": round(min(p["gap"] for p in trajectory), 9),
+                "min_gap_m": round(min_gap, 9),
                 "final_gap_error_m": round(
                     abs(last["gap"] - desired_gap(cfg, last["ego_speed"])), 9),
                 "collided": fault is not None and "Collision" in fault,

@@ -311,3 +311,13 @@ def test_demo_drive_never_spins_a_participant(monkeypatch):
     result = Stack(load_config(DEMO_CONFIG)).run_scenario(duration=2.0)
     assert result.ok and len(result.trajectory) == 41
     assert spins == []
+
+
+def test_collision_report_min_gap_counts_the_colliding_point(demo_doc):
+    demo_doc["acc"]["scenario"]["lead"]["position"] = 3.0
+    demo_doc["acc"]["scenario"]["lead_profile"] = [[0.0, 0.0]]
+    result = Stack(parse_config(demo_doc)).run_scenario()
+    assert not result.ok and "Collision" in result.fault
+    gaps = [p["gap"] for p in result.trajectory]
+    assert gaps[-1] <= 0 and gaps[-1] == min(gaps)
+    assert result.metrics["acc"]["min_gap_m"] == round(gaps[-1], 9)

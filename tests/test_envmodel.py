@@ -345,6 +345,23 @@ def test_posting_index_queries_equal_scan_under_random_crud_and_reopen(ops):
         assert store._order == sorted((r.timestamp_ns, -r.record_id) for r in shadow.values())
 
 
+def test_tags_only_update_keeps_its_order_entry():
+    store, _ = corpus_store(random.Random(5))
+    before = list(store._order)
+    for rid in range(0, 50, 7):
+        store.update(rid, {"tags": {"snow", "ramp"}})
+    store.update(3, {"tags": {"fog"}, "timestamp_ns": store.read(3).timestamp_ns})
+    assert store._order == before
+    # the same tuple objects: no entry was deleted and re-inserted
+    assert all(now is was for now, was in zip(store._order, before))
+    records = store.all_records()
+    window = (2000, 8000)
+    for words in (["snow"], ["ramp", "snw"], ["fog"], ["tunnel", "ramp"], ["highway"]):
+        assert store.query(OddQuery(tuple(words))) == brute_force_query(records, words)
+        assert (store.query(OddQuery(tuple(words), time_range=window))
+                == brute_force_query(records, words, time_range=window))
+
+
 def test_query_plan_follows_the_window_and_the_rarest_token():
     """A window no larger than the rarest token's postings is walked; a
     larger one goes through the postings join. Both give the scan's answer."""

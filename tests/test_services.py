@@ -7,6 +7,7 @@ from dfp.middleware import (
     DuplicateService,
     InProcess,
     Loopback,
+    Participant,
     RemoteError,
     ServiceDescriptor,
     ServiceNotFound,
@@ -49,6 +50,25 @@ def test_inprocess_call_answered_at_once_spins_the_domain_once(domain, monkeypat
     assert client.call("diag/echo", b"x", timeout_ms=100) == b"x"
     # the spin before the lookup keeps liveliness pruning; the reply needs none
     assert spins == [domain]
+
+
+def test_inprocess_calls_at_an_unchanged_clock_spin_no_participant(domain, monkeypatch):
+    server = domain.create_participant("server")
+    client = domain.create_participant("client")
+    server.register_service(ServiceDescriptor("diag/echo"), lambda req: req)
+    assert client.call("diag/echo", b"first", timeout_ms=100) == b"first"
+    spins = []
+    spin = Participant.spin
+
+    def counted_spin(self):
+        spins.append(self.name)
+        return spin(self)
+
+    monkeypatch.setattr(Participant, "spin", counted_spin)
+    for i in range(200):
+        assert client.call("diag/echo", bytes([i]), timeout_ms=100) == bytes([i])
+    # the first call's round left nothing due at this instant
+    assert spins == []
 
 
 def test_registered_service_is_discoverable(domain):
@@ -145,6 +165,22 @@ def test_service_record_expires_after_provider_goes_silent(domain):
     assert client.discover("services") == []
     with pytest.raises(ServiceNotFound):
         client.call("diag/echo", b"", timeout_ms=10)
+
+
+def test_quiet_calls_still_see_a_silent_provider_expire(domain):
+    server = domain.create_participant("server")
+    client = domain.create_participant("client")
+    server.register_service(ServiceDescriptor("diag/echo"), lambda r: r)
+    for _ in range(3):  # the later calls find the domain quiet
+        assert client.call("diag/echo", b"x", timeout_ms=10) == b"x"
+    server.close(graceful=False)
+    domain.clock.advance(LIVELINESS_PERIODS * HEARTBEAT_PERIOD_NS)
+    # the call's own round prunes the provider before the lookup
+    with pytest.raises(ServiceNotFound, match="no live provider"):
+        client.call("diag/echo", b"", timeout_ms=10)
+    with pytest.raises(ServiceNotFound, match="no live provider"):
+        client.call("diag/echo", b"", timeout_ms=10)
+    assert client.discover("services") == []
 
 
 def test_call_over_loopback(domain):
