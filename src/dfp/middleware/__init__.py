@@ -1,12 +1,16 @@
 """Unified pub/sub + client/server middleware with QoS and discovery.
 
-Two transports share one protocol:
+Participants, endpoints, discovery and services are shared. Each
+participant holds one transport, and the transport owns every operation
+that differs between the two:
 
-- in-process: samples are handed to subscribers as references into a
-  fixed-slot buffer arena; payload bytes are never copied
-- loopback: frames are serialized with the DFP1 wire format and passed
-  through an in-memory lossy link, with NACK-driven retransmission for
-  reliable topics
+- in-process (``InProcess()``): the domain's zero-copy plane matches
+  endpoints when they are created and hands subscribers references into a
+  fixed-slot buffer arena; payload bytes are never copied or serialised
+- loopback (``Loopback(port)``): the port's bus serialises every frame
+  with the DFP1 wire format, passes it through an in-memory lossy link and
+  runs the wire protocol, with NACK-driven retransmission for reliable
+  topics
 
 Discovery is broker-less: every participant periodically announces its
 endpoints and liveliness; records of a silent peer expire after three

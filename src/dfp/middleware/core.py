@@ -1,15 +1,22 @@
 """Participants, endpoints, discovery and the two transports.
 
 A ``Domain`` is the desk-scale communication universe: it owns the clock,
-the in-process plane and the loopback buses. Participants join a domain
-with one transport:
+the in-process plane and the loopback buses. ``Domain.create_participant``
+picks a participant's transport once, and the participant holds it as
+``_net``. Discovery, endpoints, services and ``spin`` are shared; the
+transport owns every operation that differs between the two:
 
-- ``InProcess()``: endpoints match synchronously, samples are delivered as
-  references into a per-topic slot arena (no payload copies)
-- ``Loopback(port)``: every frame is DFP1-encoded onto an in-memory bus
-  that all participants on that port share; the bus may drop frames with a
-  seeded probability, and reliable topics recover losses via NACK-driven
-  retransmission
+- ``InProcess()`` joins the domain's ``_InProcPlane``. Endpoints match
+  synchronously through per-topic state, samples are references into the
+  topic's slot arena (no payload copies), and announcements, requests and
+  replies reach peers as direct calls, so nothing is ever serialised. The
+  wire duties (receive, NACKs, remote matching, gaps) are no-ops here.
+- ``Loopback(port)`` joins the ``_LoopbackBus`` that all participants on that
+  port share. ``send`` DFP1-encodes every frame, and the bus may drop it
+  with a seeded probability per receiver. The bus runs the wire protocol
+  over each participant's inbox and its subscribers' receive state:
+  matching from announcements, NACK-driven retransmission for reliable
+  topics, gaps, and transient-local replay.
 
 Services (``register_service`` / ``call``) reply as soon as the handler
 returns. A reply that arrives after the caller's timeout is discarded; a
@@ -228,7 +235,7 @@ class _DiscoveryDb:
 
 
 # --------------------------------------------------------------------------
-# transports
+# transports: each owns what differs; a participant holds one as ``_net``
 # --------------------------------------------------------------------------
 
 
@@ -246,6 +253,12 @@ class LossModel:
 
 
 class _LoopbackBus:
+    """One loopback port and the DFP1 wire protocol of its participants.
+
+    The bus keeps no per-participant object: a participant's receive state
+    is its ``_inbox`` and its subscribers' ``_recv``.
+    """
+
     def __init__(self, domain: "Domain", loss: LossModel | None):
         self.domain = domain
         self.loss = loss
@@ -253,10 +266,19 @@ class _LoopbackBus:
         self.frame_log: list[tuple[int, bytes]] = []  # (sender pid, raw frame)
         self.dropped_frames = 0
 
-    def send(self, sender: "Participant", raw: bytes) -> None:
+    def join(self, p: Participant) -> None:
+        self.endpoints.append(p)
+
+    def detach(self, p: Participant) -> None:
+        self.endpoints.remove(p)
+
+    # -- sending -----------------------------------------------------------
+
+    def send(self, sender: Participant, frame: Frame) -> None:
+        raw = encode_frame(frame)
         self.frame_log.append((sender.participant_id, raw))
         for ep in self.endpoints:
-            if ep is sender or not ep.alive:
+            if ep is sender:
                 continue
             if self.loss is not None and self.loss.drop():
                 self.dropped_frames += 1
@@ -265,6 +287,235 @@ class _LoopbackBus:
         # marked after queueing: a round that clears the mark later also
         # finds these frames
         self.domain._stirred = True
+
+    def broadcast(self, p: Participant, msg_type: MsgType, payload_obj: dict,
+                  entity_id: int = 0, flags: int = 0) -> None:
+        self.send(p, Frame(msg_type, flags, p.participant_id, entity_id, 0,
+                           json.dumps(payload_obj, sort_keys=True).encode()))
+
+    def _send_data(self, pub: Publisher, seq: int, payload: bytes) -> None:
+        frame = Frame(MsgType.DATA, _qos_flags(pub.topic.qos),
+                      pub.participant.participant_id, pub.entity_id, seq, payload)
+        self.send(pub.participant, frame)
+
+    def _check_known_topic(self, p: Participant, desc: TopicDescriptor) -> None:
+        for key, info in p._db.records.items():
+            if key[0] in ("publisher", "subscriber") and info["topic"] == desc.name:
+                if info["type_hash"] != desc.type_hash:
+                    raise TypeHashMismatch(
+                        f"topic {desc.name!r} is announced with type_hash "
+                        f"{info['type_hash']:#x}, got {desc.type_hash:#x}"
+                    )
+
+    def new_publisher(self, p: Participant, topic: TopicDescriptor) -> Publisher:
+        self._check_known_topic(p, topic)
+        return Publisher(p, topic, p._alloc_entity(), None)
+
+    def new_subscriber(self, p: Participant, topic: TopicDescriptor) -> Subscriber:
+        self._check_known_topic(p, topic)
+        return Subscriber(p, topic, p._alloc_entity())
+
+    def publish(self, pub: Publisher, seq: int, payload: bytes) -> None:
+        if len(payload) > MAX_WIRE_PAYLOAD:
+            raise PayloadTooLarge("payload exceeds the u32 wire length field")
+        if pub._retains:
+            pub._retain(seq, payload)
+        self._send_data(pub, seq, payload)
+
+    def send_request(self, p: Participant, target: tuple[int, int], service_name: str,
+                     request_id: int, request: bytes) -> None:
+        name_b = service_name.encode()
+        payload = len(name_b).to_bytes(2, "big") + name_b + request
+        self.send(p, Frame(MsgType.REQUEST, 0, p.participant_id, 0, request_id, payload))
+
+    def send_response(self, p: Participant, caller_pid: int, request_id: int, status: int,
+                      body: bytes, code: int) -> None:
+        payload = caller_pid.to_bytes(8, "big") + bytes([status])
+        if status == 0:
+            payload += body
+        else:
+            payload += code.to_bytes(4, "big") + body
+        self.send(p, Frame(MsgType.RESPONSE, 0, p.participant_id, 0, request_id, payload))
+
+    def send_nacks(self, p: Participant, sub: Subscriber, now: int) -> None:
+        for (pid, eid), state in sub._recv.items():
+            if not state.reliable_path:
+                continue
+            if not state.pending and state.high_water <= state.expected:
+                continue
+            if now - state.last_nack_ns < NACK_INTERVAL_NS:
+                continue
+            limit = max(state.high_water, max(state.pending) + 1 if state.pending else 0)
+            missing = [s for s in range(state.expected, limit) if s not in state.pending]
+            if not missing:
+                continue
+            state.last_nack_ns = now
+            payload = json.dumps({
+                "target_pid": pid, "target_eid": eid,
+                "topic": state.topic, "missing": missing[:64],
+            }, sort_keys=True).encode()
+            self.send(p, Frame(MsgType.NACK, 0, p.participant_id, sub.entity_id, 0, payload))
+
+    def _resend(self, pub: Publisher, seqs: list[int]) -> None:
+        # the ring holds contiguous seqs from retained_first_seq() to next_seq
+        first = pub.retained_first_seq()
+        missing_evicted = False
+        for seq in seqs:
+            if not first <= seq < pub.next_seq:
+                missing_evicted = True
+                continue
+            payload = pub._retained[seq - first][1]
+            self._send_data(pub, seq, payload)
+        if missing_evicted:
+            # retention window moved past the request; tell readers to skip ahead
+            self.broadcast(
+                pub.participant, MsgType.ANNOUNCE,
+                {"kind": "gap", "topic": pub.topic.name,
+                 "first_available": pub.retained_first_seq()},
+                entity_id=pub.entity_id,
+            )
+
+    # -- receiving (from ``Participant.spin``) ----------------------------
+
+    def receive(self, p: Participant) -> None:
+        while p._inbox:
+            raw = p._inbox.popleft()
+            try:
+                frame = decode_frame(raw)
+            except FrameError:
+                continue  # a corrupt frame is dropped, not fatal
+            self._handle_frame(p, frame)
+
+    def _handle_frame(self, p: Participant, frame: Frame) -> None:
+        mt = frame.msg_type
+        if mt == MsgType.DATA:
+            self._handle_data(p, frame)
+        elif mt in (MsgType.ANNOUNCE, MsgType.SUBSCRIBE, MsgType.HEARTBEAT):
+            try:
+                obj = json.loads(frame.payload.decode())
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                return
+            p._handle_control(mt, frame.participant_id, frame.entity_id, obj)
+        elif mt == MsgType.REQUEST:
+            if len(frame.payload) < 2:
+                return
+            name_len = int.from_bytes(frame.payload[:2], "big")
+            name = frame.payload[2:2 + name_len].decode(errors="replace")
+            request = frame.payload[2 + name_len:]
+            for ep in p.services.values():
+                if ep.descriptor.service_name == name:
+                    ep.handle(frame.participant_id, frame.seq, request)
+                    break
+        elif mt == MsgType.RESPONSE:
+            if len(frame.payload) < 9:
+                return
+            caller_pid = int.from_bytes(frame.payload[:8], "big")
+            if caller_pid != p.participant_id:
+                return
+            status = frame.payload[8]
+            if status == 0:
+                p._complete_call(frame.seq, 0, frame.payload[9:], 0)
+            else:
+                code = int.from_bytes(frame.payload[9:13], "big")
+                p._complete_call(frame.seq, 1, frame.payload[13:], code)
+        elif mt == MsgType.NACK:
+            try:
+                obj = json.loads(frame.payload.decode())
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                return
+            if obj.get("target_pid") != p.participant_id:
+                return
+            pub = p.publishers.get(obj.get("target_eid"))
+            if pub is not None:
+                self._resend(pub, [int(s) for s in obj.get("missing", [])])
+
+    def match_publisher(self, p: Participant, pid: int, eid: int, info: dict) -> None:
+        pub_qos = QoSProfile.from_json(info["qos"])
+        key = (pid, eid)
+        for sub in p.subscribers.values():
+            if sub.topic.name != info["topic"]:
+                continue
+            if sub.topic.type_hash != info["type_hash"]:
+                continue
+            if not qos_compatible(pub_qos, sub.topic.qos):
+                continue
+            state = sub._recv.get(key)
+            if state is not None:
+                state.high_water = max(state.high_water, info["next_seq"])
+                continue
+            wants_replay = (sub.topic.qos.durability == Durability.TRANSIENT_LOCAL
+                            and pub_qos.durability == Durability.TRANSIENT_LOCAL)
+            expected = info["retained_first"] if wants_replay else info["next_seq"]
+            reliable_path = (pub_qos.reliability == Reliability.RELIABLE
+                             and sub.topic.qos.reliability == Reliability.RELIABLE)
+            sub._recv[key] = _RecvState(info["topic"], expected, reliable_path,
+                                        info["next_seq"])
+
+    def court_subscriber(self, p: Participant, info: dict) -> None:
+        matched = info.get("matched", ())
+        for pub in p.publishers.values():
+            if pub.topic.name != info["topic"] or [p.participant_id, pub.entity_id] in matched:
+                continue
+            if pub.topic.type_hash != info["type_hash"]:
+                continue
+            sub_qos = QoSProfile.from_json(info["qos"])
+            if not qos_compatible(pub.topic.qos, sub_qos):
+                continue
+            p._announce_publisher(pub)
+            if (pub.topic.qos.durability == Durability.TRANSIENT_LOCAL
+                    and sub_qos.durability == Durability.TRANSIENT_LOCAL):
+                for seq, payload in pub._retained:
+                    self._send_data(pub, seq, payload)
+
+    def apply_gap(self, p: Participant, pid: int, eid: int, obj: dict) -> None:
+        key = (pid, eid)
+        first = int(obj.get("first_available", 0))
+        for sub in p.subscribers.values():
+            state = sub._recv.get(key)
+            if state is None or first <= state.expected:
+                continue
+            sub.drops_gap += first - state.expected
+            state.expected = first
+            self._drain_pending(sub, key, state)
+
+    def _handle_data(self, p: Participant, frame: Frame) -> None:
+        key = (frame.participant_id, frame.entity_id)
+        for sub in p.subscribers.values():
+            state = sub._recv.get(key)
+            if state is None:
+                continue
+            seq = frame.seq
+            if seq >= state.high_water:
+                state.high_water = seq + 1
+            if seq < state.expected or seq in state.pending:
+                continue  # duplicate or already-superseded sample
+            if state.reliable_path:
+                if seq == state.expected:
+                    self._deliver_wire(sub, state, key, seq, frame.payload)
+                    state.expected = seq + 1
+                    self._drain_pending(sub, key, state)
+                else:
+                    state.pending[seq] = frame.payload
+            else:
+                sub.drops_gap += seq - state.expected
+                self._deliver_wire(sub, state, key, seq, frame.payload)
+                state.expected = seq + 1
+
+    def _drain_pending(self, sub: Subscriber, key: tuple[int, int],
+                       state: _RecvState) -> None:
+        while state.expected in state.pending:
+            payload = state.pending.pop(state.expected)
+            self._deliver_wire(sub, state, key, state.expected, payload)
+            state.expected += 1
+        if state.pending and min(state.pending) < state.expected:
+            for stale in [s for s in state.pending if s < state.expected]:
+                del state.pending[stale]
+
+    def _deliver_wire(self, sub: Subscriber, state: _RecvState, key: tuple[int, int],
+                      seq: int, payload: bytes) -> None:
+        sample = Sample(state.topic, seq, _publisher_id(*key),
+                        self.domain.now_ns(), BufferHandle(payload))
+        sub._enqueue(sample)
 
 
 class _InProcTopic:
@@ -276,10 +527,35 @@ class _InProcTopic:
 
 
 class _InProcPlane:
+    """The domain's zero-copy plane: one per domain, shared by every
+    in-process participant. Nothing on it is ever serialised."""
+
     def __init__(self, domain: "Domain"):
         self.domain = domain
         self.topics: dict[str, _InProcTopic] = {}
-        self.participants: list[Participant] = []
+        self.participants: list[Participant] = []  # the live ones
+
+    def join(self, p: Participant) -> None:
+        # synchronous plane: existing records are visible immediately
+        now = self.domain.now_ns()
+        for peer in self.participants:
+            for key, info in peer._db.records.items():
+                if key[1] == peer.participant_id:
+                    p._db.add(key, info, now)
+        self.participants.append(p)
+
+    def detach(self, p: Participant) -> None:
+        self.participants.remove(p)
+        for state in self.topics.values():
+            state.publishers = [pub for pub in state.publishers if pub.participant is not p]
+            state.subscribers = [sub for sub in state.subscribers if sub.participant is not p]
+            self._rematch(state)
+        for sub in p.subscribers.values():
+            for sample in sub.take():
+                sample.release()
+        for pub in p.publishers.values():
+            while pub._retained:
+                pub._retained.popleft()[1].release()
 
     def topic_state(self, desc: TopicDescriptor) -> _InProcTopic:
         state = self.topics.get(desc.name)
@@ -295,6 +571,88 @@ class _InProcPlane:
                 f"{state.type_hash:#x}, got {desc.type_hash:#x}"
             )
         return state
+
+    def _rematch(self, state: _InProcTopic, replay_to: Subscriber | None = None) -> None:
+        for pub in state.publishers:
+            matched = tuple(
+                sub for sub in state.subscribers
+                if sub.topic.type_hash == pub.topic.type_hash
+                and qos_compatible(pub.topic.qos, sub.topic.qos)
+            )
+            newly = replay_to is not None and replay_to in matched and replay_to not in pub._matched_subs
+            pub._matched_subs = matched
+            if (newly and pub.topic.qos.durability == Durability.TRANSIENT_LOCAL
+                    and replay_to.topic.qos.durability == Durability.TRANSIENT_LOCAL):
+                for seq, handle in list(pub._retained):
+                    pub._arena.retain(handle.slot)
+                    replay_to._enqueue(Sample(pub.topic.name, seq, pub.publisher_id,
+                                              self.domain.now_ns(), handle))
+
+    def new_publisher(self, p: Participant, topic: TopicDescriptor) -> Publisher:
+        state = self.topic_state(topic)
+        pub = Publisher(p, topic, p._alloc_entity(), state.arena)
+        state.publishers.append(pub)
+        self._rematch(state)
+        return pub
+
+    def new_subscriber(self, p: Participant, topic: TopicDescriptor) -> Subscriber:
+        state = self.topic_state(topic)
+        sub = Subscriber(p, topic, p._alloc_entity())
+        state.subscribers.append(sub)
+        self._rematch(state, replay_to=sub)
+        return sub
+
+    def broadcast(self, p: Participant, msg_type: MsgType, payload_obj: dict,
+                  entity_id: int = 0, flags: int = 0) -> None:
+        for peer in self.participants:
+            if peer is not p:
+                peer._handle_control(msg_type, p.participant_id, entity_id, payload_obj)
+
+    def publish(self, pub: Publisher, seq: int, payload: bytes) -> None:
+        # one reference per holder: each matched subscriber, plus the ring
+        subs = pub._matched_subs
+        handle = pub._arena.acquire(payload, len(subs) + pub._retains)
+        if pub._retains:
+            evicted = pub._retain(seq, handle)
+            if evicted is not None:
+                evicted.release()
+        sample = Sample(pub.topic.name, seq, pub.publisher_id,
+                        self.domain.now_ns(), handle)
+        for sub in subs:
+            sub._enqueue(sample)
+
+    def send_request(self, p: Participant, target: tuple[int, int], service_name: str,
+                     request_id: int, request: bytes) -> None:
+        peer = self.domain._participants_by_id.get(target[0])
+        if peer is None or not peer.alive:
+            raise ServiceNotFound(f"provider of {service_name!r} is gone")
+        ep = peer.services.get(target[1])
+        if ep is None:
+            raise ServiceNotFound(f"provider of {service_name!r} is gone")
+        ep.handle(p.participant_id, request_id, request)
+
+    def send_response(self, p: Participant, caller_pid: int, request_id: int, status: int,
+                      body: bytes, code: int) -> None:
+        peer = self.domain._participants_by_id.get(caller_pid)
+        if peer is not None and peer.alive:
+            peer._complete_call(request_id, status, body, code)
+
+    # the wire duties have nothing to do on the plane
+
+    def receive(self, p: Participant) -> None:
+        """An in-process peer's inbox stays empty: control arrives as calls."""
+
+    def send_nacks(self, p: Participant, sub: Subscriber, now: int) -> None:
+        """Nothing is lost on the plane, so nothing is asked for again."""
+
+    def match_publisher(self, p: Participant, pid: int, eid: int, info: dict) -> None:
+        """The plane matched its endpoints when they were created."""
+
+    def court_subscriber(self, p: Participant, info: dict) -> None:
+        """The plane matched, and replayed to, a subscriber when it was created."""
+
+    def apply_gap(self, p: Participant, pid: int, eid: int, obj: dict) -> None:
+        """No resend on the plane, so no gap announcement either."""
 
 
 # --------------------------------------------------------------------------
@@ -320,19 +678,27 @@ class Publisher:
         self._matched_subs: tuple = ()
         self.published_count = 0
 
-    def _retain(self, seq: int, item) -> None:
-        # an in-process handle already counts the ring as a holder
+    def _retain(self, seq: int, item):
+        """Ring ``item``; return the item it evicts, or None."""
         self._retained.append((seq, item))
         if self._retain_depth is not None and len(self._retained) > self._retain_depth:
-            _, old = self._retained.popleft()
-            if self._arena is not None:
-                old.release()
+            return self._retained.popleft()[1]
+        return None
 
     def retained_first_seq(self) -> int:
         return self._retained[0][0] if self._retained else self.next_seq
 
     def publish(self, payload: bytes) -> int:
-        return self.participant._publish(self, payload)
+        self.participant._require_alive()
+        if not isinstance(payload, (bytes, bytearray, memoryview)):
+            raise MiddlewareError("payload must be bytes-like")
+        if not isinstance(payload, bytes):
+            payload = bytes(payload)
+        seq = self.next_seq
+        self.participant._net.publish(self, seq, payload)
+        self.next_seq = seq + 1
+        self.published_count += 1
+        return seq
 
     def matched_subscriptions(self) -> int:
         return len(self._matched_subs)
@@ -416,18 +782,19 @@ class _ServiceEndpoint:
         self.handler = handler
 
     def handle(self, caller_pid: int, request_id: int, request: bytes) -> None:
-        reply = self.participant._send_response
+        p = self.participant
+        reply = p._net.send_response
         try:
             result = self.handler(request)
         except ServiceFault as exc:
-            reply(caller_pid, request_id, 1, exc.message.encode(), exc.code)
+            reply(p, caller_pid, request_id, 1, exc.message.encode(), exc.code)
             return
         except Exception as exc:  # handler fault propagates as a coded error
-            reply(caller_pid, request_id, 1, str(exc).encode(), 1)
+            reply(p, caller_pid, request_id, 1, str(exc).encode(), 1)
             return
         if not isinstance(result, (bytes, bytearray)):
             raise MiddlewareError("service handler must return bytes")
-        reply(caller_pid, request_id, 0, bytes(result), 0)
+        reply(p, caller_pid, request_id, 0, bytes(result), 0)
 
 
 class ServiceHandle:
@@ -445,7 +812,7 @@ class ServiceHandle:
 
 
 class Participant:
-    def __init__(self, domain: "Domain", participant_id: int, name: str):
+    def __init__(self, domain: "Domain", participant_id: int, name: str, net):
         self.domain = domain
         self.participant_id = participant_id
         self.name = name
@@ -455,11 +822,11 @@ class Participant:
         self.subscribers: dict[int, Subscriber] = {}
         self.services: dict[int, _ServiceEndpoint] = {}
         self._db = _DiscoveryDb(participant_id)
-        self._inbox: deque[bytes] = deque()
+        self._inbox: deque[bytes] = deque()  # loopback frames waiting for spin
         self._pending_calls: dict[int, list] = {}
         self._next_request_id = 1
         self._next_hb_ns = domain.now_ns()  # first heartbeat due immediately
-        self._bus: _LoopbackBus | None = None
+        self._net = net  # _InProcPlane or _LoopbackBus: owns every operation that differs
         self._lock = domain._lock  # one reentrant lock orders all control paths
 
     # -- lifecycle ---------------------------------------------------------
@@ -472,9 +839,8 @@ class Participant:
             if not self.alive:
                 return
             if graceful:
-                self._broadcast_control(MsgType.ANNOUNCE, {"kind": "leave"})
-            if self._bus is None:
-                self.domain._detach_inproc_endpoints(self)
+                self._net.broadcast(self, MsgType.ANNOUNCE, {"kind": "leave"})
+            self._net.detach(self)
             self.alive = False
 
     def _require_alive(self) -> None:
@@ -483,26 +849,10 @@ class Participant:
 
     # -- endpoint creation ---------------------------------------------------
 
-    def _check_known_topic(self, desc: TopicDescriptor) -> None:
-        for key, info in self._db.records.items():
-            if key[0] in ("publisher", "subscriber") and info["topic"] == desc.name:
-                if info["type_hash"] != desc.type_hash:
-                    raise TypeHashMismatch(
-                        f"topic {desc.name!r} is announced with type_hash "
-                        f"{info['type_hash']:#x}, got {desc.type_hash:#x}"
-                    )
-
     def create_publisher(self, topic: TopicDescriptor) -> Publisher:
         with self._lock:
             self._require_alive()
-            if self._bus is None:
-                state = self.domain._inproc.topic_state(topic)
-                pub = Publisher(self, topic, self._alloc_entity(), state.arena)
-                state.publishers.append(pub)
-                self.domain._rematch_inproc(state)
-            else:
-                self._check_known_topic(topic)
-                pub = Publisher(self, topic, self._alloc_entity(), None)
+            pub = self._net.new_publisher(self, topic)
             self.publishers[pub.entity_id] = pub
             self._announce_publisher(pub)
             return pub
@@ -510,14 +860,7 @@ class Participant:
     def create_subscriber(self, topic: TopicDescriptor) -> Subscriber:
         with self._lock:
             self._require_alive()
-            if self._bus is None:
-                state = self.domain._inproc.topic_state(topic)
-                sub = Subscriber(self, topic, self._alloc_entity())
-                state.subscribers.append(sub)
-                self.domain._rematch_inproc(state, replay_to=sub)
-            else:
-                self._check_known_topic(topic)
-                sub = Subscriber(self, topic, self._alloc_entity())
+            sub = self._net.new_subscriber(self, topic)
             self.subscribers[sub.entity_id] = sub
             self._announce_subscriber(sub)
             return sub
@@ -583,23 +926,6 @@ class Participant:
 
     # -- announcements ---------------------------------------------------------
 
-    def _broadcast_control(self, msg_type: MsgType, payload_obj: dict,
-                           entity_id: int = 0, flags: int = 0) -> None:
-        if self._bus is not None:
-            frame = Frame(msg_type, flags, self.participant_id, entity_id, 0,
-                          json.dumps(payload_obj, sort_keys=True).encode())
-            self._bus.send(self, encode_frame(frame))
-        else:
-            for peer in self.domain._inproc.participants:
-                if peer is not self and peer.alive:
-                    peer._handle_control(msg_type, self.participant_id, entity_id,
-                                         payload_obj)
-
-    def _announce_self(self) -> None:
-        now = self.domain.now_ns()
-        self._db.add(("participant", self.participant_id), {"name": self.name}, now)
-        self._broadcast_control(MsgType.ANNOUNCE, {"kind": "participant", "name": self.name})
-
     def _announce_publisher(self, pub: Publisher) -> None:
         now = self.domain.now_ns()
         info = {
@@ -611,8 +937,8 @@ class Participant:
             "retained_first": pub.retained_first_seq(),
         }
         self._db.add(("publisher", self.participant_id, pub.entity_id), info, now)
-        self._broadcast_control(MsgType.ANNOUNCE, info, entity_id=pub.entity_id,
-                                flags=_qos_flags(pub.topic.qos))
+        self._net.broadcast(self, MsgType.ANNOUNCE, info, entity_id=pub.entity_id,
+                            flags=_qos_flags(pub.topic.qos))
 
     def _announce_subscriber(self, sub: Subscriber) -> None:
         now = self.domain.now_ns()
@@ -625,7 +951,7 @@ class Participant:
             "matched": sorted(sub._recv),
         }
         self._db.add(("subscriber", self.participant_id, sub.entity_id), info, now)
-        self._broadcast_control(MsgType.SUBSCRIBE, info, entity_id=sub.entity_id)
+        self._net.broadcast(self, MsgType.SUBSCRIBE, info, entity_id=sub.entity_id)
 
     def _announce_service(self, ep: _ServiceEndpoint) -> None:
         now = self.domain.now_ns()
@@ -637,65 +963,7 @@ class Participant:
             "entity_id": ep.entity_id,
         }
         self._db.add(("service", self.participant_id, ep.descriptor.service_name), info, now)
-        self._broadcast_control(MsgType.ANNOUNCE, info, entity_id=ep.entity_id)
-
-    # -- publishing -------------------------------------------------------------
-
-    def _publish(self, pub: Publisher, payload: bytes) -> int:
-        self._require_alive()
-        if not isinstance(payload, (bytes, bytearray, memoryview)):
-            raise MiddlewareError("payload must be bytes-like")
-        if not isinstance(payload, bytes):
-            payload = bytes(payload)
-        seq = pub.next_seq
-        if pub._arena is not None:
-            # one reference per holder: each matched subscriber, plus the ring
-            subs = pub._matched_subs
-            handle = pub._arena.acquire(payload, len(subs) + pub._retains)
-            if pub._retains:
-                pub._retain(seq, handle)
-            sample = Sample(pub.topic.name, seq, pub.publisher_id,
-                            self.domain.now_ns(), handle)
-            for sub in subs:
-                sub._enqueue(sample)
-        else:
-            if len(payload) > MAX_WIRE_PAYLOAD:
-                raise PayloadTooLarge("payload exceeds the u32 wire length field")
-            if pub._retains:
-                pub._retain(seq, payload)
-            frame = Frame(MsgType.DATA, _qos_flags(pub.topic.qos),
-                          self.participant_id, pub.entity_id, seq, payload)
-            self._bus.send(self, encode_frame(frame))
-        pub.next_seq = seq + 1
-        pub.published_count += 1
-        return seq
-
-    def _resend(self, pub: Publisher, seqs: list[int]) -> None:
-        # the ring holds contiguous seqs from retained_first_seq() to next_seq
-        first = pub.retained_first_seq()
-        missing_evicted = False
-        for seq in seqs:
-            if not first <= seq < pub.next_seq:
-                missing_evicted = True
-                continue
-            payload = pub._retained[seq - first][1]
-            frame = Frame(MsgType.DATA, _qos_flags(pub.topic.qos),
-                          self.participant_id, pub.entity_id, seq, payload)
-            self._bus.send(self, encode_frame(frame))
-        if missing_evicted:
-            # retention window moved past the request; tell readers to skip ahead
-            self._broadcast_control(
-                MsgType.ANNOUNCE,
-                {"kind": "gap", "topic": pub.topic.name,
-                 "first_available": pub.retained_first_seq()},
-                entity_id=pub.entity_id,
-            )
-
-    def _replay_retained(self, pub: Publisher) -> None:
-        for seq, payload in list(pub._retained):
-            frame = Frame(MsgType.DATA, _qos_flags(pub.topic.qos),
-                          self.participant_id, pub.entity_id, seq, payload)
-            self._bus.send(self, encode_frame(frame))
+        self._net.broadcast(self, MsgType.ANNOUNCE, info, entity_id=ep.entity_id)
 
     # -- client/server ------------------------------------------------------------
 
@@ -717,7 +985,7 @@ class Participant:
             slot: list = []
             self._pending_calls[request_id] = slot
         try:
-            self._send_request(target, service_name, request_id, request)
+            self._net.send_request(self, target, service_name, request_id, request)
             deadline = self.domain.now_ns() + timeout_ms * MS
             # an in-process reply is already in the slot: no spin needed
             while not slot:
@@ -736,37 +1004,6 @@ class Participant:
             with self._lock:
                 self._pending_calls.pop(request_id, None)
 
-    def _send_request(self, target: tuple[int, int], service_name: str,
-                      request_id: int, request: bytes) -> None:
-        if self._bus is not None:
-            name_b = service_name.encode()
-            payload = len(name_b).to_bytes(2, "big") + name_b + request
-            frame = Frame(MsgType.REQUEST, 0, self.participant_id, 0, request_id, payload)
-            self._bus.send(self, encode_frame(frame))
-        else:
-            peer = self.domain._participants_by_id.get(target[0])
-            if peer is None or not peer.alive:
-                raise ServiceNotFound(f"provider of {service_name!r} is gone")
-            ep = peer.services.get(target[1])
-            if ep is None:
-                raise ServiceNotFound(f"provider of {service_name!r} is gone")
-            ep.handle(self.participant_id, request_id, request)
-
-    def _send_response(self, caller_pid: int, request_id: int, status: int,
-                       body: bytes, code: int) -> None:
-        if self._bus is not None:
-            payload = caller_pid.to_bytes(8, "big") + bytes([status])
-            if status == 0:
-                payload += body
-            else:
-                payload += code.to_bytes(4, "big") + body
-            frame = Frame(MsgType.RESPONSE, 0, self.participant_id, 0, request_id, payload)
-            self._bus.send(self, encode_frame(frame))
-        else:
-            peer = self.domain._participants_by_id.get(caller_pid)
-            if peer is not None and peer.alive:
-                peer._complete_call(request_id, status, body, code)
-
     def _complete_call(self, request_id: int, status: int, body: bytes, code: int) -> None:
         with self._lock:
             slot = self._pending_calls.get(request_id)
@@ -781,26 +1018,20 @@ class Participant:
         with self._lock:
             if not self.alive:
                 return
-            while self._inbox:
-                raw = self._inbox.popleft()
-                try:
-                    frame = decode_frame(raw)
-                except FrameError:
-                    continue  # a corrupt frame is dropped, not fatal
-                self._handle_frame(frame)
+            self._net.receive(self)
             now = self.domain.now_ns()
             if now >= self._next_hb_ns:
                 self._heartbeat(now)
                 self._next_hb_ns = now + HEARTBEAT_PERIOD_NS
             self._prune_db()
             for sub in self.subscribers.values():
-                self._send_nacks(sub, now)
+                self._net.send_nacks(self, sub, now)
                 sub._check_deadline(now)
 
     def _heartbeat(self, now: int) -> None:
         self._db.heartbeat(self.participant_id, now)
-        self._broadcast_control(MsgType.HEARTBEAT,
-                                {"kind": "heartbeat", "name": self.name})
+        self._net.broadcast(self, MsgType.HEARTBEAT,
+                            {"kind": "heartbeat", "name": self.name})
         # frames may have been lost, or a peer may have expired our records
         # while we were not spinning: periodically restate every endpoint
         for pub in self.publishers.values():
@@ -809,73 +1040,6 @@ class Participant:
             self._announce_service(ep)
         for sub in self.subscribers.values():
             self._announce_subscriber(sub)
-
-    def _send_nacks(self, sub: Subscriber, now: int) -> None:
-        if self._bus is None:
-            return
-        for (pid, eid), state in sub._recv.items():
-            if not state.reliable_path:
-                continue
-            if not state.pending and state.high_water <= state.expected:
-                continue
-            if now - state.last_nack_ns < NACK_INTERVAL_NS:
-                continue
-            limit = max(state.high_water, max(state.pending) + 1 if state.pending else 0)
-            missing = [s for s in range(state.expected, limit) if s not in state.pending]
-            if not missing:
-                continue
-            state.last_nack_ns = now
-            payload = json.dumps({
-                "target_pid": pid, "target_eid": eid,
-                "topic": state.topic, "missing": missing[:64],
-            }, sort_keys=True).encode()
-            frame = Frame(MsgType.NACK, 0, self.participant_id, sub.entity_id, 0, payload)
-            self._bus.send(self, encode_frame(frame))
-
-    # -- frame handling (loopback receive path) ---------------------------------
-
-    def _handle_frame(self, frame: Frame) -> None:
-        mt = frame.msg_type
-        if mt == MsgType.DATA:
-            self._handle_data(frame)
-        elif mt in (MsgType.ANNOUNCE, MsgType.SUBSCRIBE, MsgType.HEARTBEAT):
-            try:
-                obj = json.loads(frame.payload.decode())
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return
-            self._handle_control(mt, frame.participant_id, frame.entity_id, obj)
-        elif mt == MsgType.REQUEST:
-            if len(frame.payload) < 2:
-                return
-            name_len = int.from_bytes(frame.payload[:2], "big")
-            name = frame.payload[2:2 + name_len].decode(errors="replace")
-            request = frame.payload[2 + name_len:]
-            for ep in self.services.values():
-                if ep.descriptor.service_name == name:
-                    ep.handle(frame.participant_id, frame.seq, request)
-                    break
-        elif mt == MsgType.RESPONSE:
-            if len(frame.payload) < 9:
-                return
-            caller_pid = int.from_bytes(frame.payload[:8], "big")
-            if caller_pid != self.participant_id:
-                return
-            status = frame.payload[8]
-            if status == 0:
-                self._complete_call(frame.seq, 0, frame.payload[9:], 0)
-            else:
-                code = int.from_bytes(frame.payload[9:13], "big")
-                self._complete_call(frame.seq, 1, frame.payload[13:], code)
-        elif mt == MsgType.NACK:
-            try:
-                obj = json.loads(frame.payload.decode())
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return
-            if obj.get("target_pid") != self.participant_id:
-                return
-            pub = self.publishers.get(obj.get("target_eid"))
-            if pub is not None:
-                self._resend(pub, [int(s) for s in obj.get("missing", [])])
 
     def _handle_control(self, mt: MsgType, pid: int, eid: int, obj: dict) -> None:
         now = self.domain.now_ns()
@@ -889,108 +1053,17 @@ class Participant:
             self._db.add(("participant", pid), {"name": obj.get("name", "")}, now)
         elif kind == "publisher":
             self._db.add(("publisher", pid, eid), obj, now)
-            self._match_remote_publisher(pid, eid, obj)
+            self._net.match_publisher(self, pid, eid, obj)
         elif kind == "subscriber":
             self._db.add(("subscriber", pid, eid), obj, now)
-            self._court_remote_subscriber(obj)
+            self._net.court_subscriber(self, obj)
         elif kind == "service":
             self._db.add(("service", pid, obj.get("name", "")), obj, now)
         elif kind == "leave":
             gone = self._db.remove_participant(pid)
             self._unmatch(gone)
         elif kind == "gap":
-            self._apply_gap(pid, eid, obj)
-
-    def _match_remote_publisher(self, pid: int, eid: int, info: dict) -> None:
-        if self._bus is None:
-            return  # in-process matching is owned by the plane
-        pub_qos = QoSProfile.from_json(info["qos"])
-        key = (pid, eid)
-        for sub in self.subscribers.values():
-            if sub.topic.name != info["topic"]:
-                continue
-            if sub.topic.type_hash != info["type_hash"]:
-                continue
-            if not qos_compatible(pub_qos, sub.topic.qos):
-                continue
-            state = sub._recv.get(key)
-            if state is not None:
-                state.high_water = max(state.high_water, info["next_seq"])
-                continue
-            wants_replay = (sub.topic.qos.durability == Durability.TRANSIENT_LOCAL
-                            and pub_qos.durability == Durability.TRANSIENT_LOCAL)
-            expected = info["retained_first"] if wants_replay else info["next_seq"]
-            reliable_path = (pub_qos.reliability == Reliability.RELIABLE
-                             and sub.topic.qos.reliability == Reliability.RELIABLE)
-            sub._recv[key] = _RecvState(info["topic"], expected, reliable_path,
-                                        info["next_seq"])
-
-    def _court_remote_subscriber(self, info: dict) -> None:
-        if self._bus is None:
-            return  # in-process matching is owned by the plane
-        matched = info.get("matched", ())
-        for pub in self.publishers.values():
-            if pub.topic.name != info["topic"] or [self.participant_id, pub.entity_id] in matched:
-                continue
-            if pub.topic.type_hash != info["type_hash"]:
-                continue
-            sub_qos = QoSProfile.from_json(info["qos"])
-            if not qos_compatible(pub.topic.qos, sub_qos):
-                continue
-            self._announce_publisher(pub)
-            if (pub.topic.qos.durability == Durability.TRANSIENT_LOCAL
-                    and sub_qos.durability == Durability.TRANSIENT_LOCAL):
-                self._replay_retained(pub)
-
-    def _apply_gap(self, pid: int, eid: int, obj: dict) -> None:
-        key = (pid, eid)
-        first = int(obj.get("first_available", 0))
-        for sub in self.subscribers.values():
-            state = sub._recv.get(key)
-            if state is None or first <= state.expected:
-                continue
-            sub.drops_gap += first - state.expected
-            state.expected = first
-            self._drain_pending(sub, key, state)
-
-    def _handle_data(self, frame: Frame) -> None:
-        key = (frame.participant_id, frame.entity_id)
-        for sub in self.subscribers.values():
-            state = sub._recv.get(key)
-            if state is None:
-                continue
-            seq = frame.seq
-            if seq >= state.high_water:
-                state.high_water = seq + 1
-            if seq < state.expected or seq in state.pending:
-                continue  # duplicate or already-superseded sample
-            if state.reliable_path:
-                if seq == state.expected:
-                    self._deliver_wire(sub, state, key, seq, frame.payload)
-                    state.expected = seq + 1
-                    self._drain_pending(sub, key, state)
-                else:
-                    state.pending[seq] = frame.payload
-            else:
-                sub.drops_gap += seq - state.expected
-                self._deliver_wire(sub, state, key, seq, frame.payload)
-                state.expected = seq + 1
-
-    def _drain_pending(self, sub: Subscriber, key: tuple[int, int],
-                       state: _RecvState) -> None:
-        while state.expected in state.pending:
-            payload = state.pending.pop(state.expected)
-            self._deliver_wire(sub, state, key, state.expected, payload)
-            state.expected += 1
-        if state.pending and min(state.pending) < state.expected:
-            for stale in [s for s in state.pending if s < state.expected]:
-                del state.pending[stale]
-
-    def _deliver_wire(self, sub: Subscriber, state: _RecvState, key: tuple[int, int],
-                      seq: int, payload: bytes) -> None:
-        sample = Sample(state.topic, seq, _publisher_id(*key),
-                        self.domain.now_ns(), BufferHandle(payload))
-        sub._enqueue(sample)
+            self._net.apply_gap(self, pid, eid, obj)
 
 
 def _qos_flags(qos: QoSProfile) -> int:
@@ -1044,30 +1117,22 @@ class Domain:
             self._stirred = True
             pid = self._next_pid
             self._next_pid += 1
-            p = Participant(self, pid, name)
             if isinstance(transport, InProcess):
-                self._inproc.participants.append(p)
-                # synchronous plane: existing records are visible immediately
-                for peer in self._inproc.participants:
-                    if peer is p or not peer.alive:
-                        continue
-                    now = self.now_ns()
-                    for key, info in peer._db.records.items():
-                        if key[1] == peer.participant_id:
-                            p._db.add(key, info, now)
+                net = self._inproc
             elif isinstance(transport, Loopback):
                 if not 1 <= transport.port <= 65535:
                     raise TransportUnavailable(f"cannot bind loopback port {transport.port}")
-                bus = self._buses.get(transport.port)
-                if bus is None:
-                    bus = _LoopbackBus(self, self._loss_config.get(transport.port))
-                    self._buses[transport.port] = bus
-                bus.endpoints.append(p)
-                p._bus = bus
+                net = self._buses.get(transport.port)
+                if net is None:
+                    net = _LoopbackBus(self, self._loss_config.get(transport.port))
+                    self._buses[transport.port] = net
             else:
                 raise TransportUnavailable(f"unknown transport {transport!r}")
+            p = Participant(self, pid, name, net)
+            net.join(p)
             self._participants_by_id[pid] = p
-            p._announce_self()
+            p._db.add(("participant", pid), {"name": name}, self.now_ns())
+            net.broadcast(p, MsgType.ANNOUNCE, {"kind": "participant", "name": name})
             return p
 
     def bus(self, port: int) -> _LoopbackBus:
@@ -1102,31 +1167,3 @@ class Domain:
             self.clock.advance(step)
             remaining -= step
             self.spin()
-
-    def _rematch_inproc(self, state: _InProcTopic, replay_to: Subscriber | None = None) -> None:
-        for pub in state.publishers:
-            matched = tuple(
-                sub for sub in state.subscribers
-                if sub.topic.type_hash == pub.topic.type_hash
-                and qos_compatible(pub.topic.qos, sub.topic.qos)
-            )
-            newly = replay_to is not None and replay_to in matched and replay_to not in pub._matched_subs
-            pub._matched_subs = matched
-            if (newly and pub.topic.qos.durability == Durability.TRANSIENT_LOCAL
-                    and replay_to.topic.qos.durability == Durability.TRANSIENT_LOCAL):
-                for seq, handle in list(pub._retained):
-                    pub._arena.retain(handle.slot)
-                    replay_to._enqueue(Sample(pub.topic.name, seq, pub.publisher_id,
-                                              self.now_ns(), handle))
-
-    def _detach_inproc_endpoints(self, p: Participant) -> None:
-        for state in self._inproc.topics.values():
-            state.publishers = [pub for pub in state.publishers if pub.participant is not p]
-            state.subscribers = [sub for sub in state.subscribers if sub.participant is not p]
-            self._rematch_inproc(state)
-        for sub in p.subscribers.values():
-            for sample in sub.take():
-                sample.release()
-        for pub in p.publishers.values():
-            while pub._retained:
-                pub._retained.popleft()[1].release()

@@ -9,6 +9,8 @@ from dfp.middleware import (
     Domain,
     Durability,
     History,
+    InProcess,
+    Loopback,
     PayloadTooLarge,
     QoSProfile,
     Reliability,
@@ -137,18 +139,31 @@ def test_best_effort_subscriber_matches_reliable_publisher(pair):
     assert [s.data for s in sub.take()] == [b"x"]
 
 
-def test_type_hash_mismatch_on_second_publisher(pair):
-    w, _ = pair
+TRANSPORTS = pytest.mark.parametrize("transport", [InProcess(), Loopback(7201)],
+                                     ids=["inprocess", "loopback"])
+
+
+@TRANSPORTS
+def test_type_hash_mismatch_on_second_publisher(domain, transport):
+    w = domain.create_participant("writer", transport)
+    domain.create_participant("reader", transport)
     w.create_publisher(topic(schema="a"))
+    domain.spin()
     with pytest.raises(TypeHashMismatch):
         w.create_publisher(topic(schema="b"))
+    # the refused create allocated no entity id
+    assert w.create_publisher(topic(schema="a")).entity_id == 2
 
 
-def test_type_hash_mismatch_on_subscriber(pair):
-    w, r = pair
+@TRANSPORTS
+def test_type_hash_mismatch_on_subscriber(domain, transport):
+    w = domain.create_participant("writer", transport)
+    r = domain.create_participant("reader", transport)
     w.create_publisher(topic(schema="a"))
+    domain.spin()  # on loopback, the reader learns the topic from the writer's announce
     with pytest.raises(TypeHashMismatch):
         r.create_subscriber(topic(schema="b"))
+    assert r.create_subscriber(topic(schema="a")).entity_id == 1
 
 
 def test_zero_copy_buffer_identity_across_subscribers(domain):

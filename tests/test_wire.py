@@ -6,6 +6,16 @@ layout, so a codec regression cannot hide behind its own round-trip.
 
 import pytest
 
+import dfp.middleware.core as core
+from dfp.middleware import (
+    Domain,
+    Loopback,
+    QoSProfile,
+    Reliability,
+    ServiceDescriptor,
+    TopicDescriptor,
+    type_hash_of,
+)
 from dfp.middleware.wire import (
     HEADER_LEN,
     Frame,
@@ -127,3 +137,37 @@ def test_any_frame_round_trips(msg_type, flags, pid, eid, seq, payload):
     raw = encode_frame(frame)
     assert len(raw) == HEADER_LEN + len(payload)
     assert decode_frame(raw) == frame
+
+
+def test_only_the_loopback_path_calls_the_codec_bound_in_core(monkeypatch):
+    # the benchmark's tracer times the wire by wrapping these two module names
+    calls = {"encode": 0, "decode": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(core, "encode_frame", counting("encode", core.encode_frame))
+    monkeypatch.setattr(core, "decode_frame", counting("decode", core.decode_frame))
+    t = TopicDescriptor("codec/probe", type_hash_of("c"), QoSProfile(Reliability.RELIABLE))
+
+    d = Domain()
+    w, r = d.create_participant("w"), d.create_participant("r")
+    sub, pub = r.create_subscriber(t), w.create_publisher(t)
+    w.register_service(ServiceDescriptor("codec/echo"), lambda req: req)
+    pub.publish(b"x")
+    assert [s.data for s in sub.take()] == [b"x"]
+    assert r.call("codec/echo", b"q") == b"q"
+    assert calls == {"encode": 0, "decode": 0}  # the in-process plane never serialises
+
+    d = Domain()
+    w, r = d.create_participant("w", Loopback(7301)), d.create_participant("r", Loopback(7301))
+    sub, pub = r.create_subscriber(t), w.create_publisher(t)
+    d.spin()
+    before = dict(calls)
+    pub.publish(b"y")
+    d.spin()
+    assert [s.data for s in sub.take()] == [b"y"]
+    assert calls["encode"] > before["encode"] and calls["decode"] > before["decode"]
