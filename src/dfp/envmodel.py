@@ -20,15 +20,29 @@ postings, intersects across tokens, filters and sorts the survivors. So a
 query costs the vocabulary plus the smaller of its window and its rarest
 token's postings, not the store size.
 
+A saved ODD is a standing result: ``save_odd`` seeds its matches with one
+``query``, and every write after that tests only the record it adds,
+replaces or removes. Whether a record matches depends on nothing else: its
+class, its timestamp and its tags. The tag test is memoised by the record's
+``tags`` frozenset (``INGEST_TABLE`` shares one per device kind), so a write
+pays one dict lookup for the saved ODDs whose tokens its tags match, then
+for each of those a class and time check and, when the record passes, an
+append (in-order ingests) or a ``bisect``. Saved ODDs its tags do not match
+cost it nothing. Reading a saved ODD with ``run_odd`` copies its list and
+runs no query.
+
 The persistent form is a JSON-lines log, one record object per line;
 ``delete`` appends a tombstone line ``{"record_id": ..., "deleted": true}``
-and opening a log replays it in order.
+and opening a log replays it in order. A last line with no newline is the
+mark of a write cut short; ``open`` discards it and truncates the file to
+its last complete line, so the next append starts a line of its own.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import os
 import re
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
@@ -194,6 +208,48 @@ INGEST_TABLE = {
 }
 
 
+def _order_key(rec: EnvRecord) -> tuple:
+    return rec.timestamp_ns, -rec.record_id
+
+
+class _StandingOdd:
+    """A saved ODD's matches, ascending by ``(timestamp_ns, -record_id)``.
+
+    The store memoises the tag test (``takes_tags``) by tag set and offers
+    a written record only to the saved ODDs whose tag test it passes;
+    ``admits`` adds the class and time tests.
+    """
+
+    __slots__ = ("tokens", "class_filter", "time_range", "matches")
+
+    def __init__(self, q: OddQuery):
+        self.tokens = q.effective_tokens()
+        self.class_filter = q.class_filter
+        self.time_range = q.time_range
+        self.matches: list[EnvRecord] = []
+
+    def takes_tags(self, tags: frozenset) -> bool:
+        return all(any(fuzzy_match(tok, tag) for tag in tags) for tok in self.tokens)
+
+    def admits(self, rec: EnvRecord) -> bool:
+        if self.class_filter is not None and rec.record_class is not self.class_filter:
+            return False
+        if self.time_range is None:
+            return True
+        t0, t1 = self.time_range
+        return t0 <= rec.timestamp_ns <= t1
+
+    def add(self, rec: EnvRecord) -> None:
+        matches = self.matches
+        if not matches or matches[-1].timestamp_ns < rec.timestamp_ns:
+            matches.append(rec)  # a drive's ingests arrive in order
+        else:
+            insort(matches, rec, key=_order_key)
+
+    def remove(self, rec: EnvRecord) -> None:
+        del self.matches[bisect_left(self.matches, _order_key(rec), key=_order_key)]
+
+
 class EnvStore:
     """In-memory record store with an optional append-only JSONL log."""
 
@@ -201,7 +257,9 @@ class EnvStore:
         self._records: dict[int, EnvRecord] = {}
         self._postings: defaultdict[str, set[int]] = defaultdict(set)  # no empty sets
         self._order: list[tuple[int, int]] = []  # (timestamp_ns, -record_id), ascending
-        self._odds: dict[str, OddQuery] = {}
+        self._odds: dict[str, _StandingOdd] = {}
+        # tags -> the saved ODDs whose every token matches one of them
+        self._odds_by_tags: dict[frozenset, tuple] = {}
         self._next_id = 0
         self._log_path = log_path
 
@@ -215,13 +273,19 @@ class EnvStore:
         included, so a reopened store never re-issues a deleted id. The
         postings and the order index are built in one pass and one sort
         after the replay, which costs less than keeping them current line
-        by line.
+        by line. A last line with no newline was cut short mid-write: it is
+        discarded and the file truncated to the end of the line before it.
+        A bad line anywhere else raises.
         """
         store = cls()
         records = store._records
         dead_high = -1
+        torn = ""
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
+                if not line.endswith("\n"):  # only the last line can lack one
+                    torn = line
+                    break
                 line = line.strip()
                 if not line:
                     continue
@@ -233,6 +297,8 @@ class EnvStore:
                     continue
                 rec = EnvRecord.from_json_obj(obj)
                 records[rec.record_id] = rec
+        if torn:
+            os.truncate(path, os.path.getsize(path) - len(torn.encode("utf-8")))
         postings = store._postings
         for rid, rec in records.items():
             for tag in rec.tags:
@@ -261,8 +327,9 @@ class EnvStore:
     # -- CRUD -------------------------------------------------------------------
 
     def _put(self, rec: EnvRecord) -> None:
-        """Store or replace a record, post its tags and enter it in the order;
-        a replacement with the same timestamp keeps its order entry."""
+        """Store or replace a record, post its tags, enter it in every saved
+        ODD it matches and in the order; a replacement with the same
+        timestamp keeps its order entry."""
         rid = rec.record_id
         old = self._records.pop(rid, None)
         if old is not None:
@@ -270,6 +337,9 @@ class EnvStore:
         self._records[rid] = rec
         for tag in rec.tags:
             self._postings[tag].add(rid)
+        for odd in self._tag_odds(rec.tags):
+            if odd.admits(rec):
+                odd.add(rec)
         order = self._order
         if old is not None:
             if old.timestamp_ns == rec.timestamp_ns:
@@ -282,21 +352,33 @@ class EnvStore:
             insort(order, key)
 
     def _drop(self, rid: int) -> None:
-        """Remove a record, its postings and its order entry."""
+        """Remove a record, its postings, its saved-ODD entries and its
+        order entry."""
         rec = self._records.pop(rid)
         self._unpost(rec)
         order = self._order
         del order[bisect_left(order, (rec.timestamp_ns, -rid))]
 
     def _unpost(self, rec: EnvRecord) -> None:
-        """Take a record's id out of its tags' postings; a tag left with no
-        postings goes too."""
+        """Take a record out of its tags' postings, where a tag left with
+        no postings goes too, and out of the saved ODDs it matches."""
         rid = rec.record_id
         for tag in rec.tags:
             ids = self._postings[tag]
             ids.discard(rid)
             if not ids:
                 del self._postings[tag]
+        for odd in self._tag_odds(rec.tags):
+            if odd.admits(rec):
+                odd.remove(rec)
+
+    def _tag_odds(self, tags: frozenset) -> tuple:
+        """The saved ODDs whose tag test ``tags`` passes, memoised."""
+        odds = self._odds_by_tags.get(tags)
+        if odds is None:
+            odds = self._odds_by_tags[tags] = tuple(
+                odd for odd in self._odds.values() if odd.takes_tags(tags))
+        return odds
 
     def create(self, rec: EnvRecord) -> int:
         rec.validate()
@@ -419,17 +501,30 @@ class EnvStore:
     # -- saved ODDs ----------------------------------------------------------------
 
     def save_odd(self, name: str, q: OddQuery) -> None:
-        q.effective_tokens()  # reject stopword-only definitions up front
+        """Save ``q`` as a standing result, seeded by one ``query``.
+
+        From then on each write tests only the record it writes: one dict
+        lookup finds the saved ODDs whose tag test its tag set passes (the
+        test runs once per new tag set), and each of those checks the class
+        and the time window and appends or ``bisect``s the record.
+        """
+        odd = _StandingOdd(q)  # rejects stopword-only definitions up front
         if name in self._odds:
             raise DuplicateOddName(f"odd {name!r} exists")
-        self._odds[name] = q
+        odd.matches = self.query(q)[::-1]
+        self._odds[name] = odd
+        self._odds_by_tags.clear()
 
     def run_odd(self, name: str) -> list[EnvRecord]:
+        """What ``query`` would return for the saved ODD, as a new list.
+
+        It costs one reversed copy of the standing result: no fuzzy pass,
+        no postings join and no per-record Python work.
+        """
         try:
-            q = self._odds[name]
+            return self._odds[name].matches[::-1]
         except KeyError:
             raise OddNotFound(f"no odd {name!r}") from None
-        return self.query(q)
 
     # -- ingestion -----------------------------------------------------------------
 

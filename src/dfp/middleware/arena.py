@@ -31,7 +31,8 @@ class BufferHandle:
     """Reference to one immutable payload occupying an arena slot.
 
     ``release()`` drops one reference; callers release once per occurrence
-    they received (each queued delivery holds exactly one reference).
+    they received (each queued delivery holds exactly one reference, and a
+    ``Sample`` releases no more references than it was delivered with).
     Detached handles (no arena) wrap wire-received payloads and ignore
     release entirely.
     """

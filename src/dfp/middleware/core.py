@@ -157,23 +157,32 @@ class DiscoveryRecord:
 class Sample:
     """One published datum; ``payload`` is a shared buffer reference."""
 
-    __slots__ = ("topic", "seq", "publisher_id", "timestamp_ns", "payload")
+    __slots__ = ("topic", "seq", "publisher_id", "timestamp_ns", "payload", "_held")
 
     def __init__(self, topic: str, seq: int, publisher_id: int, timestamp_ns: int,
-                 payload: BufferHandle):
+                 payload: BufferHandle, deliveries: int = 1):
         self.topic = topic
         self.seq = seq
         self.publisher_id = publisher_id
         self.timestamp_ns = timestamp_ns
         self.payload = payload
+        self._held = deliveries  # deliveries whose reference is still held
 
     @property
     def data(self) -> bytes:
         return self.payload.data
 
     def release(self) -> None:
-        """Drop this delivery's reference so the arena slot can recycle."""
-        self.payload.release()
+        """Drop one delivery's reference so the arena slot can recycle.
+
+        A sample releases at most as many references as it was delivered
+        with: a second release of a sample that one reader took does
+        nothing, and no over-release reaches the retained ring's reference
+        or a later sample in the same slot.
+        """
+        if self._held:
+            self._held -= 1
+            self.payload.release()
 
     def __repr__(self):
         return (f"Sample(topic={self.topic!r}, seq={self.seq}, "
@@ -616,8 +625,9 @@ class _InProcPlane:
             evicted = pub._retain(seq, handle)
             if evicted is not None:
                 evicted.release()
+        # one sample object for every subscriber, carrying one delivery each
         sample = Sample(pub.topic.name, seq, pub.publisher_id,
-                        self.domain.now_ns(), handle)
+                        self.domain.now_ns(), handle, len(subs))
         for sub in subs:
             sub._enqueue(sample)
 

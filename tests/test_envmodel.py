@@ -1,12 +1,13 @@
 """CRUD semantics, fuzzy queries, saved ODDs, ingestion, persistence."""
 
+import json
 import os
 import random
 import tempfile
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dfp.envmodel import (
     INGEST_TABLE,
@@ -26,7 +27,7 @@ from dfp.envmodel import (
     fuzzy_match,
     levenshtein,
 )
-from dfp.hal import DeviceDescriptor, DeviceKind, DeviceRegistry, normalize
+from dfp.hal import AbstractFrame, DeviceDescriptor, DeviceKind, DeviceRegistry, normalize
 
 from oracles import levenshtein_recursive
 
@@ -400,6 +401,138 @@ def test_saved_odd_equals_direct_query_and_sees_new_records():
     assert [r.record_id for r in store.run_odd("wet_tunnel")][0] == 50
 
 
+STANDING_ODDS = {
+    "rain": OddQuery(("rain",)),
+    "typo": OddQuery(("raim", "the", "tunel")),  # "raim" is one edit from two tags
+    "exact": OddQuery(("ice",), RecordClass.WEATHER),  # too short for a fuzzy match
+    "lead": OddQuery(("vehicle", "lead")),  # every radar frame
+    "window": OddQuery(("rail",), time_range=(1, 2)),
+    "both": OddQuery(("snow", "fog"), RecordClass.OBJECT, (0, 2)),
+}
+frame_kinds = st.sampled_from([DeviceKind.RADAR, DeviceKind.GPS, DeviceKind.V2X])
+# "rain" on every other tag set, so updates often move records that a saved
+# ODD holds; ids 0-4 are few, so updates and deletes often find a record
+rainy_tag_sets = st.tuples(tag_sets, st.booleans()).map(
+    lambda p: p[0] | {"rain"} if p[1] else p[0])
+standing_updates = st.tuples(st.just("update"), record_ids, st.none() | rainy_tag_sets,
+                             st.none() | timestamps, st.integers(0, 9))
+standing_ops = st.one_of(
+    st.tuples(st.just("create"), record_ids, rainy_tag_sets, timestamps, classes),
+    st.tuples(st.just("frame"), frame_kinds, timestamps),
+    st.tuples(st.just("mapping"), rainy_tag_sets, timestamps, classes),
+    standing_updates,
+    standing_updates,
+    st.tuples(st.just("delete"), record_ids),
+    st.tuples(st.just("reopen")),
+    st.tuples(st.just("save"), st.sampled_from(sorted(STANDING_ODDS))),
+)
+
+
+def frame_record(rid, kind, ts):
+    """The record ``ingest`` makes of a frame, built from ``INGEST_TABLE``."""
+    cls, tags, source = INGEST_TABLE[kind]
+    attributes = {"range_m": 40.0 + rid}
+    position = (attributes["range_m"], 0.0) if kind == DeviceKind.RADAR else None
+    return (AbstractFrame(f"{kind.value}0", kind, rid, ts, attributes),
+            EnvRecord(rid, cls, tags, ts, attributes, position, source))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(sorted(STANDING_ODDS)), unique=True, min_size=1, max_size=3),
+       st.lists(standing_ops, max_size=30))
+@example(["rain", "window"], [  # each way a write can move a standing entry
+    ("create", 0, frozenset({"rain", "rail"}), 1, RecordClass.OBJECT),
+    ("update", 0, None, None, 3),  # stays in both, same place, new record
+    ("update", 0, None, 3, 4),  # moves in "rain", leaves "window"
+    ("frame", DeviceKind.RADAR, 2),
+    ("save", "lead"),
+    ("frame", DeviceKind.RADAR, 0),  # lands before the last match
+    ("update", 1, None, 1, 5),
+    ("delete", 0),
+    ("reopen",),
+    ("mapping", frozenset({"rail"}), 2, RecordClass.WEATHER),
+])
+def test_saved_odds_equal_the_query_and_a_scan_after_every_write(initial, ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "env.jsonl")
+        open(path, "w").close()
+        store = EnvStore(log_path=path)
+        shadow, next_id, saved = {}, 0, []
+
+        def save(name):
+            if name in saved:
+                with pytest.raises(DuplicateOddName):
+                    store.save_odd(name, STANDING_ODDS[name])
+            else:
+                store.save_odd(name, STANDING_ODDS[name])
+                saved.append(name)
+
+        for name in initial:  # saved before any record exists
+            save(name)
+        for op in ops:
+            kind = op[0]
+            if kind == "create":
+                _, rid, tags, ts, cls = op
+                if rid in shadow:
+                    with pytest.raises(DuplicateId):
+                        store.create(rec(rid, tags, ts=ts, cls=cls))
+                else:
+                    shadow[rid] = rec(rid, tags, ts=ts, cls=cls)
+                    store.create(shadow[rid])
+                    next_id = max(next_id, rid + 1)
+            elif kind == "frame":
+                frame, shadow[next_id] = frame_record(next_id, *op[1:])
+                assert store.ingest(frame) == next_id
+                next_id += 1
+            elif kind == "mapping":
+                _, tags, ts, cls = op
+                assert store.ingest({"class": cls.value, "tags": sorted(tags),
+                                     "timestamp_ns": ts}) == next_id
+                shadow[next_id] = rec(next_id, tags, ts=ts, cls=cls, source=Source.FUSION)
+                next_id += 1
+            elif kind == "update":
+                _, rid, tags, ts, mark = op
+                patch = {"attributes": {"mark": mark}}  # "neither" still makes a new record
+                if tags is not None:
+                    patch["tags"] = tags
+                if ts is not None:
+                    patch["timestamp_ns"] = ts
+                if rid in shadow:
+                    store.update(rid, patch)
+                    shadow[rid] = replace(shadow[rid], **patch)
+                else:
+                    with pytest.raises(NotFound):
+                        store.update(rid, patch)
+            elif kind == "delete":
+                _, rid = op
+                if rid in shadow:
+                    store.delete(rid)
+                    del shadow[rid]
+                else:
+                    with pytest.raises(NotFound):
+                        store.delete(rid)
+            elif kind == "reopen":
+                store = EnvStore.open(path)
+                for name in saved:
+                    store.save_odd(name, STANDING_ODDS[name])
+            else:
+                save(op[1])
+            for name in saved:
+                q = STANDING_ODDS[name]
+                got = store.run_odd(name)
+                assert got == store.query(q), (name, op)
+                assert got == brute_force_query(shadow.values(), q.tokens, q.class_filter,
+                                                q.time_range), (name, op)
+
+
+def test_run_odd_returns_a_new_list_each_call():
+    store = seeded_store()
+    store.save_odd("wet", OddQuery(("rain",)))
+    first = store.run_odd("wet")
+    first.clear()
+    assert [r.record_id for r in store.run_odd("wet")] == [4, 2, 1]
+
+
 def test_odd_name_collision_and_missing():
     store = seeded_store()
     store.save_odd("x", OddQuery(("tunnel",)))
@@ -496,3 +629,32 @@ def test_reopen_does_not_reissue_the_highest_deleted_id(tmp_path):
     reopened = EnvStore.open(path)
     assert live.ingest({"class": "weather", "tags": ["fog"]}) == 3
     assert reopened.ingest({"class": "weather", "tags": ["fog"]}) == 3
+
+
+@pytest.mark.parametrize("kept", [1, 20, -1])  # -1: only the newline was lost
+def test_open_discards_a_torn_last_line_and_appends_after_it(tmp_path, kept):
+    path = str(tmp_path / "env.jsonl")
+    live = EnvStore(log_path=path)
+    for ts in range(3):
+        live.ingest({"class": "weather", "tags": ["rain"], "timestamp_ns": ts})
+    whole = os.path.getsize(path)
+    live.ingest({"class": "weather", "tags": ["fog"], "timestamp_ns": 3})
+    with open(path, "r+b") as fh:  # a crash cut the fourth line short
+        fh.truncate(whole + kept if kept > 0 else os.path.getsize(path) + kept)
+    reopened = EnvStore.open(path)
+    assert [r.record_id for r in reopened.all_records()] == [0, 1, 2]
+    assert os.path.getsize(path) == whole
+    reopened.ingest({"class": "weather", "tags": ["snow"], "timestamp_ns": 4})
+    again = EnvStore.open(path)
+    assert again.all_records() == reopened.all_records()
+    assert [sorted(r.tags) for r in again.all_records()] == [["rain"]] * 3 + [["snow"]]
+
+
+def test_open_still_rejects_a_bad_complete_line(tmp_path):
+    path = tmp_path / "env.jsonl"
+    good = json.dumps(rec(1, {"rain"}).to_json_obj())
+    for text in (f"{good}\n{{bad\n{good}\n", f"{good}\n{{bad\n", f"{{bad\n{good}"):
+        path.write_text(text)
+        with pytest.raises(json.JSONDecodeError):
+            EnvStore.open(str(path))
+        assert path.read_text() == text  # nothing was truncated

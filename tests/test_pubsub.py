@@ -230,6 +230,49 @@ def test_slot_is_counted_once_for_each_reader_and_the_retained_ring():
     assert arena.free_count == 1
 
 
+def test_releasing_a_sample_twice_leaves_the_ring_its_reference():
+    domain = Domain(arena_slot_size=64, arena_slot_count=2)
+    w = domain.create_participant("w")
+    r = domain.create_participant("r")
+    tl = topic(dur=Durability.TRANSIENT_LOCAL, hist=History.keep_last(1))
+    pub = w.create_publisher(tl)
+    reader = r.create_subscriber(tl)
+    arena = pub._arena
+    pub.publish(b"one")
+    (sample,) = reader.take()
+    sample.release()
+    sample.release()
+    pub.publish(b"two")
+    (queued,) = reader._queue
+    slot = queued.payload.slot
+    assert arena.refcount(slot) == 2  # the reader and the ring
+    late = r.create_subscriber(tl)
+    (replayed,) = late.take()
+    assert (replayed.seq, replayed.data) == (1, b"two")
+    assert arena.refcount(slot) == 3  # the reader, the ring and the late reader
+
+
+def test_over_release_by_one_reader_never_reaches_the_rings_reference():
+    domain = Domain(arena_slot_size=64, arena_slot_count=2)
+    w = domain.create_participant("w")
+    r = domain.create_participant("r")
+    tl = topic(dur=Durability.TRANSIENT_LOCAL, hist=History.keep_last(1))
+    pub = w.create_publisher(tl)
+    first, second = r.create_subscriber(tl), r.create_subscriber(tl)
+    arena = pub._arena
+    pub.publish(b"a")
+    (mine,), (theirs,) = first.take(), second.take()
+    slot = mine.payload.slot
+    for _ in range(3):
+        mine.release()
+    assert arena.refcount(slot) == 1  # the sample's two deliveries are spent
+    theirs.release()
+    assert arena.refcount(slot) == 1  # the ring still holds "a"
+    late = r.create_subscriber(tl)
+    (replayed,) = late.take()
+    assert replayed.data == b"a" and arena.refcount(slot) == 2
+
+
 def test_publish_too_large_for_arena_slot():
     domain = Domain(arena_slot_size=16)
     w = domain.create_participant("w")
