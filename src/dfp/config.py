@@ -14,19 +14,27 @@ Top-level keys (all others are rejected)::
 Validation is complete before any layer starts: every dangling
 cross-reference (unknown topic, group, algorithm, fsm, state, device,
 odd) fails with a diagnostic naming the offending reference.
+
+``build_pipeline`` is the one assembly of the task graph and the mode
+coordinator. Validation runs it with stub bodies, so everything the graph
+checks when it is built (wiring, stage order, cycles, port counts against
+each algorithm's descriptor, group binding against binding requirements)
+fails here as a ``ConfigurationError``; the runtime's ``Stack`` runs it
+with the real bodies.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from dfp import ConfigurationError, DfpError
 from dfp.acc import AccConfig, Scenario, VehicleState
 from dfp.envmodel import OddQuery, RecordClass
 from dfp.funcsw import (
     AlgorithmDescriptor,
+    AlgorithmRegistry,
     GroupPolicy,
     RestartPolicy,
     Stage,
@@ -293,7 +301,6 @@ def validate_config(cfg: SystemConfig) -> None:
     """Resolve every cross-reference; raise with the failing name if not."""
     _unique([d.device_id for d in cfg.devices], "device")
     _unique([t.name for t in cfg.topics], "topic")
-    _unique([n.node_id for n in cfg.nodes], "node")
     _unique([(a.name, a.version) for a in cfg.algorithms], "algorithm")
     _unique([f.fsm_id for f in cfg.fsms], "fsm")
     _unique([name for name, _ in cfg.odds], "odd")
@@ -301,8 +308,6 @@ def validate_config(cfg: SystemConfig) -> None:
     known_algorithms = {(a.name, a.version) for a in cfg.algorithms}
     device_ids = {d.device_id for d in cfg.devices}
     for node in cfg.nodes:
-        if node.group_id not in cfg.groups:
-            _fail(f"node {node.node_id!r} references unknown group {node.group_id!r}")
         if node.algorithm not in known_algorithms:
             _fail(f"node {node.node_id!r} references unknown algorithm "
                   f"{node.algorithm[0]}@{node.algorithm[1]}")
@@ -310,32 +315,46 @@ def validate_config(cfg: SystemConfig) -> None:
         if dev is not None and dev not in device_ids:
             _fail(f"node {node.node_id!r} references unknown device {dev!r}")
 
-    # wiring, stage order and acyclicity, using stub bodies
-    if cfg.nodes:
-        stub_nodes = [
-            TaskNode(n.node_id, n.stage, n.inputs, n.outputs, n.group_id,
-                     algorithm=None, body=lambda inputs, config: {},
-                     config=dict(n.config), config_modes=dict(n.config_modes),
-                     watchdog_ms=n.watchdog_ms)
-            for n in cfg.nodes
-        ]
-        try:
-            build_graph(stub_nodes, cfg.groups, external_topics=cfg.topic_names())
-        except DfpError as exc:
-            _fail(f"pipeline: {exc}")
-
-    # fsm cross-references, including action group names
-    if cfg.fsms:
-        try:
-            Coordinator(groups=set(cfg.groups)).load(cfg.fsms)
-        except DfpError as exc:
-            _fail(f"fsms: {exc}")
+    try:
+        build_pipeline(cfg, lambda descriptor: _stub_factory)
+    except DfpError as exc:
+        _fail(f"pipeline: {exc}")
 
     if cfg.acc is not None:
         fsm_ids = {f.fsm_id for f in cfg.fsms}
         for fsm_id, event in cfg.acc.engage_events:
             if fsm_id not in fsm_ids:
                 _fail(f"acc engage event references unknown fsm {fsm_id!r}")
+
+
+def _stub_factory(node):
+    return lambda inputs, config: {}
+
+
+def build_pipeline(cfg: SystemConfig, factory_for):
+    """Assemble the task graph and the mode coordinator ``cfg`` declares.
+
+    ``factory_for(descriptor)`` gives the body factory each algorithm is
+    registered with, or None to import its ``entry`` when a node resolves
+    it. The graph gets copies of the node declarations, since resolving a
+    node sets its body, so graphs built from one config share no node.
+    Returns ``(graph, coordinator)``; the graph is None when the config
+    declares no nodes.
+    """
+    registry = AlgorithmRegistry()
+    for descriptor in cfg.algorithms:
+        registry.register(descriptor, factory_for(descriptor))
+    graph = None
+    if cfg.nodes:
+        graph = build_graph([replace(n, config=dict(n.config)) for n in cfg.nodes],
+                            cfg.groups, registry=registry,
+                            external_topics=cfg.topic_names())
+        for gid, policy in cfg.groups.items():
+            if policy.binding_label:
+                graph.bind(gid, policy.binding_label)
+    coordinator = Coordinator(groups=set(cfg.groups), group_controller=graph)
+    coordinator.load(cfg.fsms)
+    return graph, coordinator
 
 
 def load_config(path) -> SystemConfig:

@@ -10,19 +10,23 @@ transport owns every operation that differs between the two:
   synchronously through per-topic state, samples are references into the
   topic's slot arena (no payload copies), and announcements, requests and
   replies reach peers as direct calls, so nothing is ever serialised. The
-  wire duties (receive, NACKs, remote matching, gaps) are no-ops here.
+  wire duties (receive, NACKs, remote matching, gaps) are no-ops here, and
+  a publisher keeps a retained ring only for a transient-local topic.
 - ``Loopback(port)`` joins the ``_LoopbackBus`` that all participants on that
   port share. ``send`` DFP1-encodes every frame, and the bus may drop it
   with a seeded probability per receiver. The bus runs the wire protocol
   over each participant's inbox and its subscribers' receive state:
   matching from announcements, NACK-driven retransmission for reliable
-  topics, gaps, and transient-local replay.
+  topics, gaps, and transient-local replay, so a publisher keeps a retained
+  ring for a reliable or a transient-local topic.
 
 Services (``register_service`` / ``call``) reply as soon as the handler
 returns. A reply that arrives after the caller's timeout is discarded; a
 ``ServiceFault`` raised by the handler reaches the caller as ``RemoteError``
-with its code. Loopback REQUEST and RESPONSE frames are not retransmitted, so
-a lost frame ends the call in ``Timeout``.
+with its code, and any other exception, or a reply that is not bytes, as
+``RemoteError`` with code 1, on either transport. Loopback REQUEST and
+RESPONSE frames are not retransmitted, so a lost frame ends the call in
+``Timeout``.
 
 Only ``spin`` (``Domain.spin``/``advance``, a waiting ``call``) handles
 frames, heartbeats, NACKs and deadlines; ``take`` returns what it delivered.
@@ -318,7 +322,11 @@ class _LoopbackBus:
 
     def new_publisher(self, p: Participant, topic: TopicDescriptor) -> Publisher:
         self._check_known_topic(p, topic)
-        return Publisher(p, topic, p._alloc_entity(), None)
+        # the ring replays transient-local topics and resends reliable ones
+        qos = topic.qos
+        return Publisher(p, topic, p._alloc_entity(), None,
+                         retains=(qos.durability == Durability.TRANSIENT_LOCAL
+                                  or qos.reliability == Reliability.RELIABLE))
 
     def new_subscriber(self, p: Participant, topic: TopicDescriptor) -> Subscriber:
         self._check_known_topic(p, topic)
@@ -359,11 +367,10 @@ class _LoopbackBus:
             if not missing:
                 continue
             state.last_nack_ns = now
-            payload = json.dumps({
+            self.broadcast(p, MsgType.NACK, {
                 "target_pid": pid, "target_eid": eid,
                 "topic": state.topic, "missing": missing[:64],
-            }, sort_keys=True).encode()
-            self.send(p, Frame(MsgType.NACK, 0, p.participant_id, sub.entity_id, 0, payload))
+            }, entity_id=sub.entity_id)
 
     def _resend(self, pub: Publisher, seqs: list[int]) -> None:
         # the ring holds contiguous seqs from retained_first_seq() to next_seq
@@ -399,12 +406,6 @@ class _LoopbackBus:
         mt = frame.msg_type
         if mt == MsgType.DATA:
             self._handle_data(p, frame)
-        elif mt in (MsgType.ANNOUNCE, MsgType.SUBSCRIBE, MsgType.HEARTBEAT):
-            try:
-                obj = json.loads(frame.payload.decode())
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return
-            p._handle_control(mt, frame.participant_id, frame.entity_id, obj)
         elif mt == MsgType.REQUEST:
             if len(frame.payload) < 2:
                 return
@@ -427,16 +428,17 @@ class _LoopbackBus:
             else:
                 code = int.from_bytes(frame.payload[9:13], "big")
                 p._complete_call(frame.seq, 1, frame.payload[13:], code)
-        elif mt == MsgType.NACK:
+        else:  # ANNOUNCE, SUBSCRIBE, HEARTBEAT and NACK carry one JSON document
             try:
                 obj = json.loads(frame.payload.decode())
             except (UnicodeDecodeError, json.JSONDecodeError):
                 return
-            if obj.get("target_pid") != p.participant_id:
-                return
-            pub = p.publishers.get(obj.get("target_eid"))
-            if pub is not None:
-                self._resend(pub, [int(s) for s in obj.get("missing", [])])
+            if mt != MsgType.NACK:
+                p._handle_control(mt, frame.participant_id, frame.entity_id, obj)
+            elif obj.get("target_pid") == p.participant_id:
+                pub = p.publishers.get(obj.get("target_eid"))
+                if pub is not None:
+                    self._resend(pub, [int(s) for s in obj.get("missing", [])])
 
     def match_publisher(self, p: Participant, pid: int, eid: int, info: dict) -> None:
         pub_qos = QoSProfile.from_json(info["qos"])
@@ -599,7 +601,9 @@ class _InProcPlane:
 
     def new_publisher(self, p: Participant, topic: TopicDescriptor) -> Publisher:
         state = self.topic_state(topic)
-        pub = Publisher(p, topic, p._alloc_entity(), state.arena)
+        # nothing is lost on the plane: the ring only replays transient-local topics
+        pub = Publisher(p, topic, p._alloc_entity(), state.arena,
+                        retains=topic.qos.durability == Durability.TRANSIENT_LOCAL)
         state.publishers.append(pub)
         self._rematch(state)
         return pub
@@ -672,19 +676,18 @@ class _InProcPlane:
 
 class Publisher:
     def __init__(self, participant: "Participant", topic: TopicDescriptor, entity_id: int,
-                 arena: SlotArena | None):
+                 arena: SlotArena | None, retains: bool):
         self.participant = participant
         self.topic = topic
         self.entity_id = entity_id
         self.publisher_id = _publisher_id(participant.participant_id, entity_id)
         self.next_seq = 0
         self._arena = arena  # None on the loopback path
-        # retained ring: (seq, handle-or-bytes); serves transient-local replay
-        # and reliable retransmission
+        # retained ring: (seq, handle-or-bytes), kept when the transport says
+        # so; serves transient-local replay and reliable retransmission
         self._retained: deque = deque()
         self._retain_depth = topic.qos.history.depth  # None = unbounded
-        self._retains = (topic.qos.durability == Durability.TRANSIENT_LOCAL
-                         or (arena is None and topic.qos.reliability == Reliability.RELIABLE))
+        self._retains = retains
         self._matched_subs: tuple = ()
         self.published_count = 0
 
@@ -796,14 +799,14 @@ class _ServiceEndpoint:
         reply = p._net.send_response
         try:
             result = self.handler(request)
+            if not isinstance(result, (bytes, bytearray)):
+                raise TypeError("service handler must return bytes")
         except ServiceFault as exc:
             reply(p, caller_pid, request_id, 1, exc.message.encode(), exc.code)
             return
         except Exception as exc:  # handler fault propagates as a coded error
             reply(p, caller_pid, request_id, 1, str(exc).encode(), 1)
             return
-        if not isinstance(result, (bytes, bytearray)):
-            raise MiddlewareError("service handler must return bytes")
         reply(p, caller_pid, request_id, 0, bytes(result), 0)
 
 

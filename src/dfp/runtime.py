@@ -14,9 +14,15 @@ not JSON. The report counts every other declared topic from the graph's
 firing reports; graph ports are lossless, so such a topic delivers what it
 publishes and drops nothing.
 
-Node bodies resolve through the algorithm registry. Entries of the form
-``builtin:<name>`` bind to the builders below; anything else is imported
-as ``module:attribute`` and called with the node to produce a body.
+The graph and the mode coordinator come from ``dfp.config.build_pipeline``,
+the same assembly that validated the config, so a Stack starts only what
+validation built. Node bodies resolve through the algorithm registry.
+Entries of the form ``builtin:<name>`` bind to the builders below;
+anything else is imported as ``module:attribute`` and called with the node
+to produce a body. An entry that does not import, or any other assembly
+failure, raises ``ConfigurationError``. Each Stack builds from copies of
+the config's node declarations, so two Stacks from one config drive
+independently.
 """
 
 from __future__ import annotations
@@ -26,14 +32,13 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-from dfp import ConfigurationError, RuntimeFault
+from dfp import ConfigurationError, DfpError, RuntimeFault
 from dfp.acc import Collision, desired_gap, lead_speed_at, plant_step, simulate
-from dfp.config import SystemConfig
+from dfp.config import SystemConfig, build_pipeline
 from dfp.envmodel import EnvStore
-from dfp.funcsw import AlgorithmRegistry, TaskGraph, build_graph
 from dfp.hal import DeviceRegistry, normalize
 from dfp.middleware import Domain
-from dfp.modemgr import Coordinator, StartGroup, StopGroup
+from dfp.modemgr import StartGroup, StopGroup
 from dfp.util import canonical_json, clamp
 
 log = logging.getLogger("dfp.runtime")
@@ -150,23 +155,12 @@ class Stack:
         self.env = EnvStore()
         for name, query in config.odds:
             self.env.save_odd(name, query)
-        self.registry = AlgorithmRegistry()
-        for descriptor in config.algorithms:
-            builder = BUILTIN_BODIES.get(descriptor.entry)
-            if builder is not None:
-                factory = (lambda b: lambda node: b(self, node))(builder)
-            else:
-                factory = None  # resolved as module:attribute on demand
-            self.registry.register(descriptor, factory)
-        self.graph: TaskGraph | None = None
-        self.coordinator: Coordinator | None = None
-        if config.nodes:
-            self.graph = build_graph(config.nodes, config.groups,
-                                     registry=self.registry,
-                                     external_topics=config.topic_names())
-            for gid, policy in config.groups.items():
-                if policy.binding_label:
-                    self.graph.bind(gid, policy.binding_label)
+        try:
+            self.graph, coordinator = build_pipeline(config, self._factory_for)
+        except DfpError as exc:  # an entry that does not import, say
+            raise ConfigurationError(f"pipeline: {exc}") from exc
+        # without a graph there is nothing for modes to drive: none are reported
+        self.coordinator = coordinator if self.graph is not None else None
         # the command topic is the declared control/* topic (README, "System configuration")
         command = next((t for t in config.topics if t.name.startswith("control/")), None)
         self._command_topic = command.name if command else None
@@ -178,12 +172,14 @@ class Stack:
         if self.graph is not None:
             managed = self._fsm_managed_groups()
             self.graph.start(groups=[g for g in config.groups if g not in managed])
-            self.coordinator = Coordinator(group_controller=self.graph)
-            if config.fsms:
-                self.coordinator.load(config.fsms)
         self._fsm_dispatches = 0
         self._fired_counts = {nid: 0 for nid in (self.graph.nodes if self.graph else ())}
         self._max_elapsed = {nid: 0.0 for nid in self._fired_counts}
+
+    def _factory_for(self, descriptor):
+        """Bind a builtin entry to this stack; None imports the entry on demand."""
+        builder = BUILTIN_BODIES.get(descriptor.entry)
+        return None if builder is None else (lambda node: builder(self, node))
 
     def _fsm_managed_groups(self) -> set:
         """Groups any FSM action references; their start/stop is mode-driven."""

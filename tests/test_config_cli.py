@@ -72,6 +72,28 @@ def test_duplicate_node_rejected(demo_doc):
     expect_config_error(demo_doc, "radar_acq")
 
 
+def _port_count_mismatch(doc):
+    doc["algorithms"][1]["inputs"] = ["frames", "calibration"]  # frame_normalize
+
+
+def _binding_conflict(doc):
+    doc["pipeline"]["groups"]["acc_control"]["binding_label"] = "ai-unit"
+
+
+def _unimportable_entry(doc):
+    doc["algorithms"][1]["entry"] = "no_such_module:fn"
+
+
+def test_port_count_mismatch_names_the_node(demo_doc):
+    _port_count_mismatch(demo_doc)
+    expect_config_error(demo_doc, "pipeline: node 'abstraction' wires 1 inputs")
+
+
+def test_binding_conflict_names_the_node(demo_doc):
+    _binding_conflict(demo_doc)
+    expect_config_error(demo_doc, "pipeline: node 'acc_ctrl' requires label 'control-unit'")
+
+
 def test_fsm_action_with_undefined_group_named(demo_doc):
     demo_doc["fsms"][1]["transitions"][0]["actions"] = [{"start_group": "ghost_group"}]
     expect_config_error(demo_doc, "ghost_group")
@@ -128,6 +150,24 @@ def test_cli_invalid_reference_exits_2(tmp_path, demo_doc, capsys):
     code = main(["run", "--config", str(path)])
     assert code == 2
     assert "ghost" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("breakage,named", [
+    (_port_count_mismatch, "abstraction"),
+    (_binding_conflict, "acc_ctrl"),
+    (_unimportable_entry, "no_such_module:fn"),
+], ids=["port_count", "binding", "entry"])
+def test_cli_assembly_failure_exits_2_with_one_diagnostic(tmp_path, demo_doc, capsys,
+                                                          breakage, named):
+    breakage(demo_doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(demo_doc))
+    out = tmp_path / "m.json"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("dfpctl: config error: pipeline: ") and named in line
+    assert not out.exists()
 
 
 def test_cli_run_short_and_deterministic(tmp_path):
@@ -242,6 +282,19 @@ def test_fallback_stops_control_samples_within_one_round():
     assert topics["world/radar0"]["published"] == 0  # external input, never produced
     coasting = [p for p in result.trajectory if p["t"] > fallback_step * 0.05]
     assert all(p["command"] == 0.0 for p in coasting)
+
+
+def test_two_stacks_from_one_config_drive_independently():
+    cfg = load_config(DEMO_CONFIG)
+    first, second = Stack(cfg), Stack(cfg)
+    result = first.run_scenario(duration=1.0)
+    steps = result.metrics["acc"]["steps"]
+    assert result.ok and steps == 21
+    assert result.metrics["odds"]["lead_vehicle"] == steps
+    assert len(first.env.all_records()) == steps
+    assert second.env.all_records() == []
+    # the config's own declarations stay unbound
+    assert all(node.body is None for node in cfg.nodes)
 
 
 def test_sdk_purity_of_the_acc_module():

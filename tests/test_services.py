@@ -154,6 +154,31 @@ def test_unexpected_handler_exception_becomes_remote_error(domain, transport):
     assert err.value.code == 1
 
 
+@TRANSPORTS
+def test_handler_returning_non_bytes_becomes_remote_error(domain, transport):
+    server = domain.create_participant("server", transport)
+    client = domain.create_participant("client", transport)
+    server.register_service(ServiceDescriptor("diag/text"), lambda req: "not bytes")
+    server.register_service(ServiceDescriptor("diag/echo"), lambda req: req)
+    domain.spin()
+    with pytest.raises(RemoteError, match="must return bytes") as err:
+        client.call("diag/text", b"", timeout_ms=100)
+    assert err.value.code == 1
+    # the fault ended that call only: the domain goes on answering
+    assert client.call("diag/echo", b"after", timeout_ms=100) == b"after"
+
+
+def test_inprocess_call_to_a_silently_closed_provider_is_refused(domain):
+    server = domain.create_participant("server")
+    client = domain.create_participant("client")
+    server.register_service(ServiceDescriptor("diag/echo"), lambda r: r)
+    assert client.call("diag/echo", b"x", timeout_ms=10) == b"x"
+    server.close(graceful=False)
+    # the record is still live, but the plane sees the provider has closed
+    with pytest.raises(ServiceNotFound, match="is gone"):
+        client.call("diag/echo", b"y", timeout_ms=10)
+
+
 def test_service_record_expires_after_provider_goes_silent(domain):
     server = domain.create_participant("server")
     client = domain.create_participant("client")
