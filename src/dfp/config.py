@@ -339,7 +339,8 @@ def build_pipeline(cfg: SystemConfig, factory_for):
     it. The graph gets copies of the node declarations, since resolving a
     node sets its body, so graphs built from one config share no node.
     Returns ``(graph, coordinator)``; the graph is None when the config
-    declares no nodes.
+    declares no nodes, which an ``acc`` section, a plant for the graph to
+    drive, does not allow.
     """
     registry = AlgorithmRegistry()
     for descriptor in cfg.algorithms:
@@ -352,6 +353,8 @@ def build_pipeline(cfg: SystemConfig, factory_for):
         for gid, policy in cfg.groups.items():
             if policy.binding_label:
                 graph.bind(gid, policy.binding_label)
+    elif cfg.acc is not None:
+        raise ConfigurationError("the acc section needs pipeline nodes to drive its plant")
     coordinator = Coordinator(groups=set(cfg.groups), group_controller=graph)
     coordinator.load(cfg.fsms)
     return graph, coordinator

@@ -33,9 +33,14 @@ runs no query.
 
 The persistent form is a JSON-lines log, one record object per line;
 ``delete`` appends a tombstone line ``{"record_id": ..., "deleted": true}``
-and opening a log replays it in order. A last line with no newline is the
-mark of a write cut short; ``open`` discards it and truncates the file to
-its last complete line, so the next append starts a line of its own.
+and opening a log replays it in order. A store opens its log in append
+mode once, at its first write, and holds the handle until ``close()``; the
+constructor and ``open`` open no write handle. Each write hands its line,
+built once by one shared encoder, to the OS in a single write before it
+returns, so another ``open`` of the file sees it at once; nothing is
+fsynced. A last line with no newline is the mark of a write cut short;
+``open`` discards it and truncates the file to its last complete line, so
+the next append, by any store, starts a line of its own.
 """
 
 from __future__ import annotations
@@ -102,6 +107,10 @@ STOPWORDS = frozenset({"on", "in", "at", "the", "a", "an", "of", "and", "with"})
 FUZZY_MIN_LEN = 4
 
 _TAG_RE = re.compile(r"^[a-z0-9_]+$")
+
+# one encoder for every log line; ``json.dumps(obj, sort_keys=True)`` would
+# build a new one per call and produce the same text
+_encode_line = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass(frozen=True)
@@ -251,7 +260,13 @@ class _StandingOdd:
 
 
 class EnvStore:
-    """In-memory record store with an optional append-only JSONL log."""
+    """In-memory record store with an optional append-only JSONL log.
+
+    The log is opened in append mode at the first write and stays open
+    until ``close()``, which may be called more than once; a write after it
+    opens the log again. ``with EnvStore.open(path) as store:`` closes it
+    at exit. Every write's line reaches the OS before the write returns.
+    """
 
     def __init__(self, log_path=None):
         self._records: dict[int, EnvRecord] = {}
@@ -262,6 +277,7 @@ class EnvStore:
         self._odds_by_tags: dict[frozenset, tuple] = {}
         self._next_id = 0
         self._log_path = log_path
+        self._log_file = None  # opened by the first write
 
     # -- persistence ------------------------------------------------------------
 
@@ -312,17 +328,34 @@ class EnvStore:
     def dump_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for rid in sorted(self._records):
-                fh.write(json.dumps(self._records[rid].to_json_obj(), sort_keys=True))
-                fh.write("\n")
+                fh.write(_encode_line(self._records[rid].to_json_obj()) + "\n")
 
     def _log(self, entry) -> None:
-        """Append a record, or a tombstone dict, to the log if there is one."""
+        """Append a record, or a tombstone dict, to the log if there is one.
+
+        The line goes to the OS in one write; append mode puts it at the
+        file's end even after another store truncated a torn tail.
+        """
         if self._log_path is None:
             return
+        if self._log_file is None:
+            self._log_file = open(self._log_path, "ab", buffering=0)
         obj = entry if isinstance(entry, dict) else entry.to_json_obj()
-        with open(self._log_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, sort_keys=True))
-            fh.write("\n")
+        line = (_encode_line(obj) + "\n").encode()
+        while line:  # a file write falls short only when the disk fills
+            line = line[self._log_file.write(line):]
+
+    def close(self) -> None:
+        """Release the log handle; a later write opens it again."""
+        if self._log_file is not None:
+            self._log_file.close()
+            self._log_file = None
+
+    def __enter__(self) -> "EnvStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- CRUD -------------------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -168,6 +169,28 @@ def test_cli_assembly_failure_exits_2_with_one_diagnostic(tmp_path, demo_doc, ca
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("dfpctl: config error: pipeline: ") and named in line
     assert not out.exists()
+
+
+def test_acc_without_pipeline_nodes_is_a_config_error(tmp_path, demo_doc, capsys):
+    # nothing would drive the plant: the first round or engage event had no graph
+    del demo_doc["pipeline"], demo_doc["algorithms"]
+    for fsm in demo_doc["fsms"]:
+        for t in fsm["transitions"]:
+            t["actions"] = [a for a in t.get("actions", ())
+                            if not {"start_group", "stop_group"} & a.keys()]
+    expect_config_error(demo_doc, "acc section needs pipeline nodes")
+    # a config assembled without validation meets the same check in the Stack
+    unchecked = replace(parse_config({k: v for k, v in demo_doc.items() if k != "acc"}),
+                        acc=load_config(DEMO_CONFIG).acc)
+    with pytest.raises(ConfigurationError, match="acc section needs pipeline nodes"):
+        Stack(unchecked)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(demo_doc))
+    code = main(["run", "--config", str(path), "--duration", "1"])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("dfpctl: config error: pipeline: "
+                    "the acc section needs pipeline nodes to drive its plant")
 
 
 def test_cli_run_short_and_deterministic(tmp_path):

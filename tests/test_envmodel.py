@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dfp.envmodel
 from dfp.envmodel import (
     INGEST_TABLE,
     STOPWORDS,
@@ -601,12 +602,12 @@ def test_reingesting_same_frame_gives_distinct_ids_equal_content():
 
 def test_jsonl_log_replay_rebuilds_store(tmp_path):
     path = tmp_path / "env.jsonl"
-    store = EnvStore(log_path=str(path))
-    store.create(rec(1, {"tunnel"}, ts=10))
-    store.create(rec(2, {"rain"}, ts=20))
-    store.update(2, {"tags": {"rain", "heavy"}})
-    store.create(rec(3, {"fog"}, ts=30))
-    store.delete(3)
+    with EnvStore(log_path=str(path)) as store:
+        store.create(rec(1, {"tunnel"}, ts=10))
+        store.create(rec(2, {"rain"}, ts=20))
+        store.update(2, {"tags": {"rain", "heavy"}})
+        store.create(rec(3, {"fog"}, ts=30))
+        store.delete(3)
     reopened = EnvStore.open(str(path))
     assert {r.record_id for r in reopened.all_records()} == {1, 2}
     assert reopened.read(2).tags == frozenset({"rain", "heavy"})
@@ -629,6 +630,8 @@ def test_reopen_does_not_reissue_the_highest_deleted_id(tmp_path):
     reopened = EnvStore.open(path)
     assert live.ingest({"class": "weather", "tags": ["fog"]}) == 3
     assert reopened.ingest({"class": "weather", "tags": ["fog"]}) == 3
+    live.close()
+    reopened.close()
 
 
 @pytest.mark.parametrize("kept", [1, 20, -1])  # -1: only the newline was lost
@@ -648,6 +651,14 @@ def test_open_discards_a_torn_last_line_and_appends_after_it(tmp_path, kept):
     again = EnvStore.open(path)
     assert again.all_records() == reopened.all_records()
     assert [sorted(r.tags) for r in again.all_records()] == [["rain"]] * 3 + [["snow"]]
+    # the first store still holds the handle it wrote the torn line with: its
+    # next line goes after the new end, not at the offset it had reached
+    live.ingest({"class": "weather", "tags": ["hail"], "timestamp_ns": 5})
+    last = EnvStore.open(path)
+    assert [sorted(r.tags) for r in last.all_records()] == [["rain"]] * 3 + [["snow"], ["hail"]]
+    assert [r.record_id for r in last.all_records()] == [0, 1, 2, 3, 4]
+    live.close()
+    reopened.close()
 
 
 def test_open_still_rejects_a_bad_complete_line(tmp_path):
@@ -658,3 +669,107 @@ def test_open_still_rejects_a_bad_complete_line(tmp_path):
         with pytest.raises(json.JSONDecodeError):
             EnvStore.open(str(path))
         assert path.read_text() == text  # nothing was truncated
+
+
+# -- the log handle -----------------------------------------------------------------
+
+@pytest.fixture
+def write_handles(monkeypatch):
+    """Every file the envmodel module opens to write or append, in order."""
+    handles = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if set(mode) & set("wax+"):
+            handles.append(fh)
+        return fh
+
+    monkeypatch.setattr(dfp.envmodel, "open", counting_open, raising=False)
+    return handles
+
+
+def every_kind_of_write(store, rounds):
+    """Creates, frame and mapping ingests, updates and deletes; yields after each."""
+    handle = DeviceRegistry().register_device(
+        DeviceDescriptor("radar0", DeviceKind.RADAR, 20.0, 3))
+    for k in range(rounds):
+        # the ingests take the ids after it, clear of the next round's create
+        rid = store.create(rec(100 * (k + 1), {"tunnel", "rain"}, ts=k))
+        yield
+        store.ingest(normalize(handle.stamp(
+            {"range_km": 0.05, "range_rate_mps": -1.0, "azimuth_rad": 0.0})))
+        yield
+        store.ingest({"class": "weather", "attributes": {"fog": True}, "timestamp_ns": k})
+        yield
+        store.update(rid, {"tags": ["tunnel", "snow"], "timestamp_ns": k + 1})
+        yield
+        store.delete(rid)
+        yield
+
+
+def test_writes_open_the_log_once(tmp_path, write_handles):
+    path = str(tmp_path / "env.jsonl")
+    with EnvStore(log_path=path) as store:
+        assert write_handles == []  # the constructor opens nothing
+        for _ in every_kind_of_write(store, 20):
+            pass
+    assert len(write_handles) == 1
+    assert EnvStore.open(path).all_records() == store.all_records()
+
+
+def test_open_and_queries_open_no_write_handle(tmp_path, write_handles):
+    path = str(tmp_path / "env.jsonl")
+    with EnvStore(log_path=path) as store:
+        for _ in every_kind_of_write(store, 3):
+            pass
+    write_handles.clear()
+    reader = EnvStore.open(path)
+    reader.save_odd("rain", OddQuery(("rain",)))
+    reader.query(OddQuery(("lead", "vehicle")))
+    reader.run_odd("rain")
+    reader.all_records()
+    assert write_handles == []
+
+
+def test_every_write_reaches_the_file_before_it_returns(tmp_path):
+    path = str(tmp_path / "env.jsonl")
+    with EnvStore(log_path=path) as store:
+        for _ in every_kind_of_write(store, 4):
+            assert EnvStore.open(path).all_records() == store.all_records()
+
+
+def test_close_twice_with_block_and_write_after_close(tmp_path, write_handles):
+    path = str(tmp_path / "env.jsonl")
+    store = EnvStore(log_path=path)
+    store.close()  # nothing open yet
+    store.create(rec(1, {"rain"}))
+    store.close()
+    store.close()
+    assert [fh.closed for fh in write_handles] == [True]
+    store.create(rec(2, {"fog"}))  # opens the log again
+    assert len(write_handles) == 2 and not write_handles[1].closed
+    store.close()
+    with EnvStore.open(path) as reopened:
+        assert len(write_handles) == 2  # opening and reading hold no handle
+        reopened.delete(1)
+    assert len(write_handles) == 3 and all(fh.closed for fh in write_handles)
+    assert [r.record_id for r in EnvStore.open(path).all_records()] == [2]
+
+
+def test_log_lines_are_json_dumps_byte_for_byte(tmp_path):
+    path = tmp_path / "env.jsonl"
+    with EnvStore(log_path=str(path)) as store:
+        entries = [store.read(store.create(
+            rec(7, {"rain", "night"}, ts=3, attributes={"note": "Straße ☂", "mu": 0.1},
+                position=(1.5, -2.0), source=Source.CLOUD)))]
+        entries.append(store.read(store.ingest(
+            {"class": "weather", "attributes": {"fog": True, "temp_c": -4}})))
+        entries.append(store.update(7, {"tags": ["rain"], "attributes": {"n": None}}))
+        store.delete(8)
+    objs = [e.to_json_obj() for e in entries] + [{"record_id": 8, "deleted": True}]
+    expected = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+    assert path.read_bytes() == expected.encode("utf-8")
+    snapshot = tmp_path / "snap.jsonl"
+    store.dump_jsonl(str(snapshot))
+    assert snapshot.read_bytes() == (json.dumps(entries[2].to_json_obj(), sort_keys=True)
+                                     + "\n").encode("utf-8")
