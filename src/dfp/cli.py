@@ -16,7 +16,7 @@ import sys
 from dfp import ConfigurationError
 from dfp.bench import DEFAULT_SIZES, format_table, run_bench
 from dfp.config import load_config
-from dfp.envmodel import EmptyQuery, EnvStore, OddQuery
+from dfp.envmodel import EmptyQuery, EnvModelError, EnvStore, OddQuery
 from dfp.middleware import PayloadTooLarge
 from dfp.runtime import Stack
 
@@ -105,7 +105,7 @@ def cmd_bench(args) -> int:
 def cmd_query_env(args) -> int:
     try:
         store = EnvStore.open(args.store)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EnvModelError) as exc:
         print(f"dfpctl: cannot read store: {exc}", file=sys.stderr)
         return 2
     try:

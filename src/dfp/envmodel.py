@@ -10,15 +10,18 @@ The store keeps two indexes that ``_put`` and ``_drop`` keep in step with
 every write and ``open`` builds after its replay: postings, tag -> set of
 record ids, and the order index, every ``(timestamp_ns, -record_id)`` in
 ascending order, which read backwards is the result order. A query makes
-one ``fuzzy_match`` pass over the tag vocabulary per token (tags whose
-length differs from the token's by more than one are skipped without an
-edit-distance call), then takes the cheaper of two plans. When the time
-window holds no more order entries than the smallest token's postings, it
-walks the window newest first and keeps the records every token's postings
-contain, already in result order. Otherwise it unions each token's
-postings, intersects across tokens, filters and sorts the survivors. So a
-query costs the vocabulary plus the smaller of its window and its rarest
-token's postings, not the store size.
+one ``fuzzy_match`` pass over the tag vocabulary per token, then takes the
+cheaper of two plans. The pass runs the edit distance only on tags one
+edit could reach: an edit changes the length by at most one and the
+character set by at most two characters (a substitution drops one and
+brings in another), so a tag that differs from the token by more than that
+in either is skipped without the call. When the time window holds no more
+order entries than the smallest token's postings, it walks the window
+newest first and keeps the records every token's postings contain, already
+in result order. Otherwise it unions each token's postings, intersects
+across tokens, filters and sorts the survivors. So a query costs the
+vocabulary plus the smaller of its window and its rarest token's postings,
+not the store size.
 
 A saved ODD is a standing result: ``save_odd`` seeds its matches with one
 ``query``, and every write after that tests only the record it adds,
@@ -182,10 +185,20 @@ def normalize_token(word: str) -> str:
 
 
 def fuzzy_match(token: str, tag: str) -> bool:
+    """Exact, or ``len(token) >= FUZZY_MIN_LEN`` and edit distance <= 1.
+
+    Two necessary conditions throw out most pairs before ``levenshtein``
+    runs. The edit distance is at least the length difference. And one
+    edit changes the character set by at most two characters: a
+    substitution can drop one character and bring in another, an insertion
+    or a deletion adds or removes one. So character sets that differ in
+    more than two characters cannot be one edit apart. What passes both,
+    true matches, transpositions and close misses, goes to ``levenshtein``.
+    """
     if token == tag:
         return True
-    # the edit distance is at least the length difference
-    if len(token) < FUZZY_MIN_LEN or abs(len(token) - len(tag)) > 1:
+    if (len(token) < FUZZY_MIN_LEN or abs(len(token) - len(tag)) > 1
+            or len(set(token).symmetric_difference(tag)) > 2):
         return False
     return levenshtein(token, tag) <= 1
 
@@ -291,14 +304,17 @@ class EnvStore:
         after the replay, which costs less than keeping them current line
         by line. A last line with no newline was cut short mid-write: it is
         discarded and the file truncated to the end of the line before it.
-        A bad line anywhere else raises.
+        A bad line anywhere else raises: ``json.JSONDecodeError`` if it is
+        not JSON, ``InvalidRecord`` naming its line number if it is JSON but
+        not a record or tombstone (a missing key, a wrong type, a bad tag or
+        an unknown class).
         """
         store = cls()
         records = store._records
         dead_high = -1
         torn = ""
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 if not line.endswith("\n"):  # only the last line can lack one
                     torn = line
                     break
@@ -306,12 +322,17 @@ class EnvStore:
                 if not line:
                     continue
                 obj = json.loads(line)
-                if obj.get("deleted"):
-                    rid = int(obj["record_id"])
-                    records.pop(rid, None)
-                    dead_high = max(dead_high, rid)
-                    continue
-                rec = EnvRecord.from_json_obj(obj)
+                try:
+                    if obj.get("deleted"):
+                        rid = int(obj["record_id"])
+                        records.pop(rid, None)
+                        dead_high = max(dead_high, rid)
+                        continue
+                    rec = EnvRecord.from_json_obj(obj)
+                except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+                        InvalidRecord) as exc:
+                    why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                    raise InvalidRecord(f"line {lineno}: {why}") from exc
                 records[rec.record_id] = rec
         if torn:
             os.truncate(path, os.path.getsize(path) - len(torn.encode("utf-8")))

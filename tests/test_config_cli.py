@@ -253,6 +253,26 @@ def test_cli_query_env_unreadable_store_exit_2(capsys):
     assert code == 2
 
 
+_GOOD_LINE = {"record_id": 1, "class": "weather", "tags": ["rain"], "timestamp_ns": 0}
+
+
+@pytest.mark.parametrize("bad", [
+    {**_GOOD_LINE, "record_id": 2, "tags": ["Bad Tag"]},
+    {k: v for k, v in _GOOD_LINE.items() if k != "class"},
+    {**_GOOD_LINE, "record_id": 2, "timestamp_ns": None},
+    {**_GOOD_LINE, "record_id": 2, "class": "cloud"},
+], ids=["bad_tag", "missing_key", "wrong_type", "unknown_class"])
+def test_cli_query_env_line_that_is_not_a_record_exit_2(tmp_path, capsys, bad):
+    store = tmp_path / "env.jsonl"
+    store.write_text(json.dumps(_GOOD_LINE) + "\n" + json.dumps(bad) + "\n")
+    code = main(["query-env", "--store", str(store), "--tokens", "rain"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("dfpctl: cannot read store: line 2: ")
+
+
 def test_cli_bench_smoke(capsys):
     code = main(["bench", "--sizes", "1024,65536", "--samples", "50"])
     assert code == 0

@@ -144,6 +144,66 @@ def test_fuzzy_match_length_bound_equals_one_edit_oracle(pair):
     assert fuzzy_match(tok, tag) == want
 
 
+WIDE = "abcdefgh"
+
+
+@st.composite
+def wide_pairs(draw):
+    """A token over eight letters and a tag drawn on its own or made from
+    the token by one or two edits, so that both the pairs the character-set
+    filter throws out and the one-edit pairs it must keep turn up."""
+    tok = draw(st.text(alphabet=WIDE, max_size=8))
+    if draw(st.booleans()):
+        return tok, draw(st.text(alphabet=WIDE, max_size=8))
+    tag = tok
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(tag)))
+        c = draw(st.sampled_from(WIDE))
+        kind = draw(st.sampled_from(("substitute", "insert", "delete")))
+        if kind == "insert" or i == len(tag):
+            tag = tag[:i] + c + tag[i:]
+        elif kind == "substitute":
+            tag = tag[:i] + c + tag[i + 1:]
+        else:
+            tag = tag[:i] + tag[i + 1:]
+    return tok, tag
+
+
+@settings(max_examples=600, deadline=None)
+@given(wide_pairs())
+@example(("abcd", "abce"))  # a substitution that drops a character and brings one in
+@example(("abcd", "abcde"))
+@example(("abcde", "abce"))
+@example(("abcd", "abdc"))  # a transposition passes the filter, then fails
+def test_fuzzy_match_equals_one_edit_oracle_over_a_wide_alphabet(pair):
+    tok, tag = pair
+    want = tok == tag or (len(tok) >= 4 and levenshtein_recursive(tok, tag) <= 1)
+    assert fuzzy_match(tok, tag) == want
+
+
+def test_levenshtein_runs_only_on_tags_one_edit_could_reach(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return levenshtein(a, b)
+
+    monkeypatch.setattr(dfp.envmodel, "levenshtein", counting)
+    assert not fuzzy_match("tunnvl", "bridge")  # same length, no character in common
+    assert calls == []
+    assert fuzzy_match("tunnvl", "tunnel")  # substitution
+    assert fuzzy_match("tunnnel", "tunnel")  # insertion
+    assert fuzzy_match("tunel", "tunnel")  # deletion
+    assert not fuzzy_match("tnunel", "tunnel")  # a transposition is two edits
+    assert calls == [("tunnvl", "tunnel"), ("tunnnel", "tunnel"), ("tunel", "tunnel"),
+                     ("tnunel", "tunnel")]
+    calls.clear()
+    # the vocabulary pass: only "tunnel" of the seeded store's seven tags is close enough
+    got = seeded_store().query(OddQuery(("tunnvl",)))
+    assert [r.record_id for r in got] == [3, 2, 1]
+    assert calls == [("tunnvl", "tunnel")]
+
+
 def test_paper_style_query_with_connector_words():
     store = seeded_store()
     q = OddQuery(("tunnel", "on", "highway", "in", "rain"))
@@ -332,9 +392,11 @@ def test_posting_index_queries_equal_scan_under_random_crud_and_reopen(ops):
                     with pytest.raises(NotFound):
                         store.delete(rid)
             elif kind == "reopen":
+                store.close()
                 store = EnvStore.open(path)
             else:
                 check_query(store, shadow, *op[1:])
+        store.close()  # what follows only reads
         assert store.all_records() == sorted(shadow.values(), key=lambda r: r.record_id)
         for word in QUERY_WORDS:
             for window in (None, (1, 2), (-1, 4)):
@@ -513,6 +575,7 @@ def test_saved_odds_equal_the_query_and_a_scan_after_every_write(initial, ops):
                     with pytest.raises(NotFound):
                         store.delete(rid)
             elif kind == "reopen":
+                store.close()
                 store = EnvStore.open(path)
                 for name in saved:
                     store.save_odd(name, STANDING_ODDS[name])
@@ -524,6 +587,7 @@ def test_saved_odds_equal_the_query_and_a_scan_after_every_write(initial, ops):
                 assert got == store.query(q), (name, op)
                 assert got == brute_force_query(shadow.values(), q.tokens, q.class_filter,
                                                 q.time_range), (name, op)
+        store.close()
 
 
 def test_run_odd_returns_a_new_list_each_call():
@@ -669,6 +733,26 @@ def test_open_still_rejects_a_bad_complete_line(tmp_path):
         with pytest.raises(json.JSONDecodeError):
             EnvStore.open(str(path))
         assert path.read_text() == text  # nothing was truncated
+
+
+def test_open_names_the_line_that_is_json_but_not_a_record(tmp_path):
+    path = tmp_path / "env.jsonl"
+    good = json.dumps(rec(1, {"rain"}).to_json_obj())
+    bad_lines = {
+        "bad tag": {**rec(2, {"rain"}).to_json_obj(), "tags": ["Bad Tag"]},
+        "missing key 'class'": {k: v for k, v in rec(2, {"rain"}).to_json_obj().items()
+                                if k != "class"},
+        "invalid literal": {**rec(2, {"rain"}).to_json_obj(), "record_id": "two"},
+        "not a valid RecordClass": {**rec(2, {"rain"}).to_json_obj(), "class": "cloud"},
+        "missing key 'record_id'": {"deleted": True},
+        "has no attribute": [2, "rain"],
+    }
+    for why, obj in bad_lines.items():
+        text = f"{good}\n{json.dumps(obj)}\n{good}\n"
+        path.write_text(text)
+        with pytest.raises(InvalidRecord, match=f"^line 2: .*{why}"):
+            EnvStore.open(str(path))
+        assert path.read_text() == text
 
 
 # -- the log handle -----------------------------------------------------------------
