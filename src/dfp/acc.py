@@ -144,17 +144,6 @@ class TrajectoryPoint:
     gap: float
     command: float
 
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "ego_position": self.ego_position,
-            "ego_speed": self.ego_speed,
-            "lead_position": self.lead_position,
-            "lead_speed": self.lead_speed,
-            "gap": self.gap,
-            "command": self.command,
-        }
-
 
 def simulate(scenario: Scenario, cfg: AccConfig,
              dt: float | None = None) -> list[TrajectoryPoint]:
@@ -177,9 +166,3 @@ def simulate(scenario: Scenario, cfg: AccConfig,
         ego_x, ego_v = plant_step(ego_x, ego_v, accel, dt)
         lead_x = lead_x + v_lead * dt  # piecewise-constant speed: exact
     return trajectory
-
-
-def trajectory_json(trajectory) -> str:
-    import json
-
-    return "\n".join(json.dumps(p.as_dict(), sort_keys=True) for p in trajectory)

@@ -35,10 +35,6 @@ class BenchRow:
     p99_us: float
     samples: int
 
-    def as_dict(self) -> dict:
-        return {"path": self.path, "size": self.size, "median_us": self.median_us,
-                "p99_us": self.p99_us, "samples": self.samples}
-
 
 def _copy(data: bytes) -> bytes:
     return memoryview(data).tobytes()

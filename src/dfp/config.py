@@ -38,8 +38,8 @@ from dfp.funcsw import (
     GroupPolicy,
     RestartPolicy,
     Stage,
+    TaskGraph,
     TaskNode,
-    build_graph,
 )
 from dfp.hal import MAX_RATE_HZ, DeviceDescriptor, DeviceKind
 from dfp.middleware import QoSProfile, TopicDescriptor, type_hash_of
@@ -347,9 +347,9 @@ def build_pipeline(cfg: SystemConfig, factory_for):
         registry.register(descriptor, factory_for(descriptor))
     graph = None
     if cfg.nodes:
-        graph = build_graph([replace(n, config=dict(n.config)) for n in cfg.nodes],
-                            cfg.groups, registry=registry,
-                            external_topics=cfg.topic_names())
+        graph = TaskGraph([replace(n, config=dict(n.config)) for n in cfg.nodes],
+                          cfg.groups, registry=registry,
+                          external_topics=cfg.topic_names())
         for gid, policy in cfg.groups.items():
             if policy.binding_label:
                 graph.bind(gid, policy.binding_label)

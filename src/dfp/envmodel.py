@@ -116,6 +116,14 @@ _TAG_RE = re.compile(r"^[a-z0-9_]+$")
 _encode_line = json.JSONEncoder(sort_keys=True).encode
 
 
+def _tag_words(value):
+    """``value`` as given for a record's tags; a string is refused, because
+    a set built from it would hold its letters, not the word."""
+    if isinstance(value, str):
+        raise InvalidRecord(f"tags must be a list of words, not the string {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class EnvRecord:
     record_id: int
@@ -153,7 +161,7 @@ class EnvRecord:
         rec = cls(
             record_id=int(obj["record_id"]),
             record_class=RecordClass(obj["class"]),
-            tags=frozenset(obj["tags"]),
+            tags=frozenset(_tag_words(obj["tags"])),
             timestamp_ns=int(obj["timestamp_ns"]),
             attributes=dict(obj.get("attributes", {})),
             position=tuple(obj["position"]) if obj.get("position") is not None else None,
@@ -460,7 +468,7 @@ class EnvStore:
                     raise InvalidRecord("record class cannot change")
                 continue
             if key == "tags":
-                fields["tags"] = frozenset(value)
+                fields["tags"] = frozenset(_tag_words(value))
             elif key == "attributes":
                 fields["attributes"] = dict(value)
             elif key == "position":
@@ -621,7 +629,7 @@ class EnvStore:
         except KeyError:
             raise InvalidRecord("mapping ingest needs a 'class' field") from None
         attributes = dict(payload.get("attributes", {}))
-        tags = set(payload.get("tags", ()))
+        tags = set(_tag_words(payload.get("tags", ())))
         # boolean-true attributes double as tags: {"rain": true} -> {"rain"}
         for key, value in attributes.items():
             if value is True and _TAG_RE.match(str(key)):

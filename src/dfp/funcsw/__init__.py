@@ -33,7 +33,7 @@ from dfp.funcsw.types import (
     UnresolvedInput,
 )
 from dfp.funcsw.registry import AlgorithmRegistry
-from dfp.funcsw.graph import TaskGraph, build_graph
+from dfp.funcsw.graph import TaskGraph
 
 __all__ = [
     "AlgorithmDescriptor",
@@ -59,5 +59,4 @@ __all__ = [
     "UnknownGroup",
     "UnknownNode",
     "UnresolvedInput",
-    "build_graph",
 ]

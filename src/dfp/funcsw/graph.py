@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 
-from dfp.funcsw.registry import AlgorithmRegistry
 from dfp.funcsw.types import (
     BindingConflict,
     CycleDetected,
@@ -76,18 +75,14 @@ def _find_cycle(remaining, down) -> list[str]:
     return path[seen[node]:] + [node]
 
 
-def build_graph(nodes, groups, registry: AlgorithmRegistry | None = None,
-                external_topics=None) -> "TaskGraph":
-    """Validate node declarations and derive edges and the firing order.
+class TaskGraph:
+    """Node declarations, validated, with their edges and firing order.
 
     ``external_topics`` optionally closes the input namespace: inputs that
     no node produces must then appear in it. When omitted, unproduced
     inputs are implicitly external.
     """
-    return TaskGraph(nodes, groups, registry, external_topics)
 
-
-class TaskGraph:
     def __init__(self, nodes, groups, registry=None, external_topics=None):
         if not nodes:
             raise GraphError("node list must be non-empty")

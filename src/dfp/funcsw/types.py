@@ -174,11 +174,6 @@ class FiringReport:
     failures: list  # {"node":..., "reason":...}
 
     def to_json(self) -> str:
-        def enc(obj):
-            if hasattr(obj, "as_dict"):
-                return obj.as_dict()
-            return repr(obj)
-
         doc = {
             "round": self.round_index,
             "fired": list(self.fired),
@@ -186,4 +181,4 @@ class FiringReport:
             "produced": {k: self.produced[k] for k in sorted(self.produced)},
             "failures": list(self.failures),
         }
-        return json.dumps(doc, sort_keys=True, default=enc)
+        return json.dumps(doc, sort_keys=True, default=repr)

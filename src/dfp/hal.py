@@ -84,15 +84,6 @@ class SensorFrame:
     timestamp_ns: int
     raw: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "device_id": self.device_id,
-            "kind": self.kind.value,
-            "seq": self.seq,
-            "timestamp_ns": self.timestamp_ns,
-            "raw": dict(self.raw),
-        }
-
 
 @dataclass(frozen=True)
 class AbstractFrame:
@@ -101,15 +92,6 @@ class AbstractFrame:
     seq: int
     timestamp_ns: int
     normalized: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "source_id": self.source_id,
-            "kind": self.kind.value,
-            "seq": self.seq,
-            "timestamp_ns": self.timestamp_ns,
-            "normalized": dict(self.normalized),
-        }
 
 
 # -- synthetic generation ----------------------------------------------------
@@ -305,10 +287,6 @@ class DeviceHandle:
         self.descriptor = descriptor
         self._next_seq = 0
 
-    @property
-    def device_id(self) -> str:
-        return self.descriptor.device_id
-
     def _timestamp(self, seq: int) -> int:
         return round(seq * 1e9 / self.descriptor.rate_hz)
 
@@ -357,6 +335,3 @@ class DeviceRegistry:
             return self._devices[device_id]
         except KeyError:
             raise UnknownDevice(f"no device {device_id!r}") from None
-
-    def tick(self, device_id: str, n: int = 1) -> list[SensorFrame]:
-        return self.handle(device_id).tick(n)

@@ -44,17 +44,9 @@ class BufferHandle:
         self.slot = slot
         self.data = data
 
-    @property
-    def length(self) -> int:
-        return len(self.data)
-
     def release(self) -> None:
         if self._arena is not None:
             self._arena.release(self.slot)
-
-    def __repr__(self):
-        where = f"slot={self.slot}" if self._arena is not None else "detached"
-        return f"BufferHandle({where}, len={len(self.data)})"
 
 
 class SlotArena:

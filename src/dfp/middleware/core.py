@@ -188,10 +188,6 @@ class Sample:
             self._held -= 1
             self.payload.release()
 
-    def __repr__(self):
-        return (f"Sample(topic={self.topic!r}, seq={self.seq}, "
-                f"publisher={self.publisher_id:#x}, len={self.payload.length})")
-
 
 def _publisher_id(participant_id: int, entity_id: int) -> int:
     return ((participant_id << 24) | entity_id) & 0xFFFFFFFFFFFFFFFF
@@ -665,9 +661,6 @@ class _InProcPlane:
     def court_subscriber(self, p: Participant, info: dict) -> None:
         """The plane matched, and replayed to, a subscriber when it was created."""
 
-    def apply_gap(self, p: Participant, pid: int, eid: int, obj: dict) -> None:
-        """No resend on the plane, so no gap announcement either."""
-
 
 # --------------------------------------------------------------------------
 # endpoints
@@ -810,15 +803,6 @@ class _ServiceEndpoint:
         reply(p, caller_pid, request_id, 0, bytes(result), 0)
 
 
-class ServiceHandle:
-    def __init__(self, endpoint: _ServiceEndpoint):
-        self._endpoint = endpoint
-
-    @property
-    def service_name(self) -> str:
-        return self._endpoint.descriptor.service_name
-
-
 # --------------------------------------------------------------------------
 # participant
 # --------------------------------------------------------------------------
@@ -878,7 +862,7 @@ class Participant:
             self._announce_subscriber(sub)
             return sub
 
-    def register_service(self, descriptor: ServiceDescriptor, handler) -> ServiceHandle:
+    def register_service(self, descriptor: ServiceDescriptor, handler) -> None:
         with self._lock:
             self._require_alive()
             self._prune_db()
@@ -889,7 +873,6 @@ class Participant:
             ep = _ServiceEndpoint(self, descriptor, self._alloc_entity(), handler)
             self.services[ep.entity_id] = ep
             self._announce_service(ep)
-            return ServiceHandle(ep)
 
     def _alloc_entity(self) -> int:
         eid = self._next_entity
@@ -1058,11 +1041,8 @@ class Participant:
         now = self.domain.now_ns()
         kind = obj.get("kind")
         self._db.heartbeat(pid, now)
-        if mt == MsgType.HEARTBEAT:
+        if mt == MsgType.HEARTBEAT or kind == "participant":
             # liveliness assertions double as identity for late joiners
-            self._db.add(("participant", pid), {"name": obj.get("name", "")}, now)
-            return
-        if kind == "participant":
             self._db.add(("participant", pid), {"name": obj.get("name", "")}, now)
         elif kind == "publisher":
             self._db.add(("publisher", pid, eid), obj, now)

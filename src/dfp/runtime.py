@@ -133,10 +133,6 @@ class RunResult:
     trajectory: list = field(default_factory=list)
     fault: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.fault is None
-
     def metrics_json(self) -> str:
         return canonical_json(self.metrics) + "\n"
 

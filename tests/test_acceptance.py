@@ -17,7 +17,7 @@ from dfp.bench import latency_ratios, run_bench
 from dfp.cli import main as dfpctl
 from dfp.config import load_config
 from dfp.envmodel import STOPWORDS, EnvRecord, EnvStore, OddQuery, RecordClass
-from dfp.funcsw import GroupPolicy, Lifecycle, RestartPolicy, Stage, TaskNode, build_graph
+from dfp.funcsw import GroupPolicy, Lifecycle, RestartPolicy, Stage, TaskGraph, TaskNode
 from dfp.funcsw.types import LEGAL_TRANSITIONS
 from dfp.middleware import (
     Domain,
@@ -210,7 +210,7 @@ def test_a5_orchestration_matches_oracle_and_lifecycle_is_legal():
         rng = random.Random(50505)
         for trial in range(100):
             nodes, external = _random_dag(rng)
-            graph = build_graph(nodes, {"default": GroupPolicy()})
+            graph = TaskGraph(nodes, {"default": GroupPolicy()})
             graph.start()
             assert graph.topo_order == toposort_bruteforce(list(graph.nodes), graph.edges)
             fed = {t: 1 for t, feed in external.items() if feed}
@@ -233,8 +233,8 @@ def test_a5_orchestration_matches_oracle_and_lifecycle_is_legal():
                 return {}
 
             node = TaskNode("worker", Stage.SERVICE, ("w",), (), group_id="g", body=body)
-            graph = build_graph([node],
-                                {"g": GroupPolicy(restart_policy=RestartPolicy.up_to(limit))})
+            graph = TaskGraph([node],
+                              {"g": GroupPolicy(restart_policy=RestartPolicy.up_to(limit))})
             graph.start()
             fired_rounds = 0
             for k in range(10):
@@ -357,7 +357,7 @@ def test_a8_acc_through_the_full_stack_with_reintegration_oracle():
         config = load_config(DEMO_CONFIG)
         stack = Stack(config)
         result = stack.run_scenario()
-        assert result.ok, result.fault
+        assert result.fault is None, result.fault
         trajectory = result.trajectory
         assert len(trajectory) == 2401  # 120 s at dt=0.05
         cfg = config.acc.config
@@ -402,7 +402,7 @@ def test_a10_fallback_stops_the_control_group_within_one_round():
         result = stack.run_scenario(
             duration=8.0,
             event_schedule={fallback_step: [("ads", "fallback_trigger")]})
-        assert result.ok, result.fault
+        assert result.fault is None, result.fault
         assert stack.coordinator.snapshot()["ads"] == "fallback"
         for node_id in ("acc_planner", "acc_ctrl"):
             assert stack.graph.lifecycle_of(node_id) == Lifecycle.STOPPED

@@ -8,7 +8,7 @@ def test_acquire_returns_handle_to_same_bytes_object():
     payload = b"hello"
     handle = arena.acquire(payload)
     assert handle.data is payload
-    assert handle.length == 5
+    assert len(handle.data) == 5
 
 
 def test_payload_larger_than_slot_rejected():

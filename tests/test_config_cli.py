@@ -315,7 +315,7 @@ def test_fallback_stops_control_samples_within_one_round():
     fallback_step = 100
     result = stack.run_scenario(
         duration=10.0, event_schedule={fallback_step: [("ads", "fallback_trigger")]})
-    assert result.ok
+    assert result.fault is None
     assert stack.coordinator.snapshot()["ads"] == "fallback"
     topics = result.metrics["topics"]
     assert topics["control/acc_cmd"]["published"] == fallback_step  # steps 0..99, none after
@@ -332,7 +332,7 @@ def test_two_stacks_from_one_config_drive_independently():
     first, second = Stack(cfg), Stack(cfg)
     result = first.run_scenario(duration=1.0)
     steps = result.metrics["acc"]["steps"]
-    assert result.ok and steps == 21
+    assert result.fault is None and steps == 21
     assert result.metrics["odds"]["lead_vehicle"] == steps
     assert len(first.env.all_records()) == steps
     assert second.env.all_records() == []
@@ -388,7 +388,7 @@ def test_drive_goes_through_the_seams_the_benchmark_times(monkeypatch):
     result = stack.run_scenario(duration=2.0)
     result.metrics_json()
     steps = len(result.trajectory)
-    assert result.ok and steps == 41 and cfg.odds
+    assert result.fault is None and steps == 41 and cfg.odds
     assert calls == {"step": steps, "command": steps, "odd": len(cfg.odds)}
 
 
@@ -405,7 +405,7 @@ def test_demo_drive_never_spins_a_participant(monkeypatch):
 
     monkeypatch.setattr(Participant, "spin", counted_spin)
     result = Stack(load_config(DEMO_CONFIG)).run_scenario(duration=2.0)
-    assert result.ok and len(result.trajectory) == 41
+    assert result.fault is None and len(result.trajectory) == 41
     assert spins == []
 
 
@@ -413,7 +413,7 @@ def test_collision_report_min_gap_counts_the_colliding_point(demo_doc):
     demo_doc["acc"]["scenario"]["lead"]["position"] = 3.0
     demo_doc["acc"]["scenario"]["lead_profile"] = [[0.0, 0.0]]
     result = Stack(parse_config(demo_doc)).run_scenario()
-    assert not result.ok and "Collision" in result.fault
+    assert result.fault is not None and "Collision" in result.fault
     gaps = [p["gap"] for p in result.trajectory]
     assert gaps[-1] <= 0 and gaps[-1] == min(gaps)
     assert result.metrics["acc"]["min_gap_m"] == round(gaps[-1], 9)

@@ -83,6 +83,14 @@ def test_update_reflects_exactly_the_patch():
     assert after.timestamp_ns == 10  # untouched fields stay
 
 
+def test_update_refuses_a_string_for_tags():
+    store = EnvStore()
+    store.create(rec(1, {"x1"}))
+    with pytest.raises(InvalidRecord, match="'rain'"):
+        store.update(1, {"tags": "rain"})
+    assert store.read(1).tags == frozenset({"x1"})
+
+
 def test_update_cannot_change_class():
     store = EnvStore()
     store.create(rec(1, {"rain"}, cls=RecordClass.WEATHER))
@@ -649,6 +657,13 @@ def test_invalid_mapping_ingest_is_rejected_and_changes_nothing():
     assert store.ingest({"class": "weather", "tags": ["fog"]}) == 1  # next id unchanged
 
 
+def test_mapping_ingest_refuses_a_string_for_tags():
+    store = EnvStore()
+    with pytest.raises(InvalidRecord, match="'fog'"):
+        store.ingest({"class": "weather", "tags": "fog"})
+    assert store.all_records() == []
+
+
 def test_reingesting_same_frame_gives_distinct_ids_equal_content():
     handle = DeviceRegistry().register_device(
         DeviceDescriptor("gps0", DeviceKind.GPS, 10.0, 3))
@@ -753,6 +768,15 @@ def test_open_names_the_line_that_is_json_but_not_a_record(tmp_path):
         with pytest.raises(InvalidRecord, match=f"^line 2: .*{why}"):
             EnvStore.open(str(path))
         assert path.read_text() == text
+
+
+def test_open_refuses_a_log_line_with_a_string_for_tags(tmp_path):
+    path = tmp_path / "env.jsonl"
+    good = json.dumps(rec(1, {"rain"}).to_json_obj())
+    bad = json.dumps({**rec(2, {"snow"}).to_json_obj(), "tags": "snow"})
+    path.write_text(f"{good}\n{bad}\n")
+    with pytest.raises(InvalidRecord, match="^line 2: .*'snow'"):
+        EnvStore.open(str(path))
 
 
 # -- the log handle -----------------------------------------------------------------

@@ -12,8 +12,8 @@ from dfp.funcsw import (
     NodeResult,
     RestartPolicy,
     Stage,
+    TaskGraph,
     TaskNode,
-    build_graph,
 )
 from dfp.funcsw.types import LEGAL_TRANSITIONS
 
@@ -49,7 +49,7 @@ def diamond():
         TaskNode("d", Stage.SERVICE, inputs=("tb", "tc"), outputs=("td",),
                  body=forward("td")),
     ]
-    return build_graph(nodes, groups())
+    return TaskGraph(nodes, groups())
 
 
 def test_diamond_fires_fully_in_topological_order():
@@ -69,7 +69,7 @@ def test_missing_port_blocks_node_and_descendants():
         TaskNode("d", Stage.SERVICE, inputs=("tb",), outputs=(),
                  body=emit()),
     ]
-    g = build_graph(nodes, groups())
+    g = TaskGraph(nodes, groups())
     g.start()
     report = g.step({"w1": 1})  # nothing on "other"
     assert report.fired == ["a"]
@@ -99,8 +99,8 @@ def test_freshness_is_consumed_by_firing():
 
 
 def test_zero_input_nodes_fire_every_round():
-    g = build_graph([TaskNode("tick", Stage.ACQUISITION, outputs=("t",),
-                              body=emit(t=1))], groups())
+    g = TaskGraph([TaskNode("tick", Stage.ACQUISITION, outputs=("t",),
+                            body=emit(t=1))], groups())
     g.start()
     assert g.step({}).fired == ["tick"]
     assert g.step({}).fired == ["tick"]
@@ -120,7 +120,7 @@ def crashing_body(crash_on_call, **outputs):
 def test_restart_policy_up_to_one():
     nodes = [TaskNode("a", Stage.SERVICE, inputs=("w",), outputs=(),
                       body=crashing_body({1, 2}), group_id="g")]
-    g = build_graph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.up_to(1))})
+    g = TaskGraph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.up_to(1))})
     g.start()
     g.step({"w": 1})  # first crash: restarted
     assert g.lifecycle_of("a") == Lifecycle.RUNNING
@@ -134,7 +134,7 @@ def test_restart_policy_up_to_one():
 def test_restart_policy_never():
     nodes = [TaskNode("a", Stage.SERVICE, inputs=("w",), outputs=(),
                       body=crashing_body({1}), group_id="g")]
-    g = build_graph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.never())})
+    g = TaskGraph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.never())})
     g.start()
     g.step({"w": 1})
     assert g.lifecycle_of("a") == Lifecycle.FAILED
@@ -147,7 +147,7 @@ def test_downstream_stops_firing_after_permanent_failure():
         TaskNode("d", Stage.SERVICE, inputs=("ta",), outputs=(),
                  body=emit(), group_id="g"),
     ]
-    g = build_graph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.never())})
+    g = TaskGraph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.never())})
     g.start()
     assert g.step({"w": 1}).fired == ["a", "d"]
     g.step({"w": 2})  # a crashes permanently
@@ -161,7 +161,7 @@ def test_watchdog_overrun_is_a_failure():
 
     nodes = [TaskNode("a", Stage.SERVICE, inputs=("w",), outputs=(),
                       body=slow, watchdog_ms=50.0, group_id="g")]
-    g = build_graph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.never())})
+    g = TaskGraph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.never())})
     g.start()
     report = g.step({"w": 1})
     assert report.fired == []
@@ -172,7 +172,7 @@ def test_watchdog_overrun_is_a_failure():
 def test_undeclared_output_is_a_failure():
     nodes = [TaskNode("a", Stage.SERVICE, inputs=("w",), outputs=("x",),
                       body=emit(x=1, y=2), group_id="g")]
-    g = build_graph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.never())})
+    g = TaskGraph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.never())})
     g.start()
     report = g.step({"w": 1})
     assert report.fired == [] and report.produced == {}
@@ -186,7 +186,7 @@ def test_restart_clears_input_freshness():
         TaskNode("a", Stage.SERVICE, inputs=("w1", "w2"), outputs=(),
                  body=crashing_body({1}), group_id="g"),
     ]
-    g = build_graph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.up_to(5))})
+    g = TaskGraph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.up_to(5))})
     g.start()
     g.step({"w1": 1, "w2": 1})  # fires, crashes, restarts with cleared ports
     assert g.lifecycle_of("a") == Lifecycle.RUNNING
@@ -210,7 +210,7 @@ def test_group_wise_start():
         TaskNode("b", Stage.SERVICE, inputs=("t",), outputs=(),
                  body=emit(), group_id="control"),
     ]
-    g = build_graph(nodes, {"sensors": GroupPolicy(), "control": GroupPolicy()})
+    g = TaskGraph(nodes, {"sensors": GroupPolicy(), "control": GroupPolicy()})
     g.start(groups=["sensors"])
     assert g.step({"w": 1}).fired == ["a"]
     g.start_group("control")
@@ -220,7 +220,7 @@ def test_group_wise_start():
 def test_lifecycle_trace_has_no_illegal_transitions():
     nodes = [TaskNode("a", Stage.SERVICE, inputs=("w",), outputs=(),
                       body=crashing_body({1, 2, 3}), group_id="g")]
-    g = build_graph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.up_to(2))})
+    g = TaskGraph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.up_to(2))})
     g.start()
     for k in range(5):
         g.step({"w": k})
@@ -278,7 +278,7 @@ def test_hundred_random_dags_match_firing_oracle():
     rng = random.Random(2024)
     for trial in range(100):
         task_nodes, external = random_stage_consistent_dag(rng)
-        g = build_graph(task_nodes, groups())
+        g = TaskGraph(task_nodes, groups())
         g.start()
         assert g.topo_order == toposort_bruteforce(list(g.nodes), g.edges)
         fed = {t: 1 for t, feed in external.items() if feed}
@@ -293,7 +293,7 @@ def test_stage_monotonicity_within_every_report():
     rng = random.Random(7)
     for _ in range(20):
         task_nodes, external = random_stage_consistent_dag(rng)
-        g = build_graph(task_nodes, groups())
+        g = TaskGraph(task_nodes, groups())
         g.start()
         # a second round lets a node fire on data left fresh by the first
         for report in (g.step({t: 1 for t in external}), g.step({t: 1 for t in external})):
@@ -382,7 +382,7 @@ def test_compiled_round_matches_oracle_under_lifecycle_operations(seed, ops):
     for node in task_nodes:
         node.group_id = rng.choice(sorted(policies))
         node.body = body_for(node.node_id, node.outputs)
-    g = build_graph(task_nodes, policies)
+    g = TaskGraph(task_nodes, policies)
     model = _Model(g, policies)
     g.start(groups=["never", "once"])
     model.start_group("never")

@@ -16,12 +16,12 @@ from dfp.funcsw import (
     Stage,
     StageOrderViolation,
     StaticKeyWhileRunning,
+    TaskGraph,
     TaskNode,
     UnknownConfigKey,
     UnknownGroup,
     UnknownNode,
     UnresolvedInput,
-    build_graph,
 )
 
 from oracles import toposort_bruteforce
@@ -48,7 +48,7 @@ def test_diamond_topological_order_with_lexicographic_tiebreak():
         node("c", Stage.ABSTRACTION, inputs=("ta",), outputs=("tc",)),
         node("d", Stage.SERVICE, inputs=("tb", "tc")),
     ]
-    g = build_graph(nodes, groups())
+    g = TaskGraph(nodes, groups())
     assert g.topo_order == ["a", "b", "c", "d"]
     assert g.topo_order == toposort_bruteforce(list(g.nodes), g.edges)
 
@@ -59,7 +59,7 @@ def test_stage_order_violation_rejected():
         node("early", Stage.ACQUISITION, inputs=("t",)),
     ]
     with pytest.raises(StageOrderViolation):
-        build_graph(nodes, groups())
+        TaskGraph(nodes, groups())
 
 
 def test_smallest_cycle_is_reported():
@@ -68,18 +68,18 @@ def test_smallest_cycle_is_reported():
         node("b", Stage.SERVICE, inputs=("ta",), outputs=("tb",)),
     ]
     with pytest.raises(CycleDetected) as err:
-        build_graph(nodes, groups())
+        TaskGraph(nodes, groups())
     assert set(err.value.cycle) == {"a", "b"}
 
 
 def test_duplicate_node_id_rejected():
     with pytest.raises(DuplicateNodeId):
-        build_graph([node("x"), node("x")], groups())
+        TaskGraph([node("x"), node("x")], groups())
 
 
 def test_unknown_group_rejected():
     with pytest.raises(UnknownGroup):
-        build_graph([node("x", group="ghost")], groups())
+        TaskGraph([node("x", group="ghost")], groups())
 
 
 def test_two_producers_for_one_topic_rejected():
@@ -89,14 +89,14 @@ def test_two_producers_for_one_topic_rejected():
         node("c", Stage.SERVICE, inputs=("t",)),
     ]
     with pytest.raises(UnresolvedInput):
-        build_graph(nodes, groups())
+        TaskGraph(nodes, groups())
 
 
 def test_closed_topic_namespace_flags_dangling_inputs():
     nodes = [node("c", Stage.SERVICE, inputs=("nowhere",))]
     with pytest.raises(UnresolvedInput):
-        build_graph(nodes, groups(), external_topics={"somewhere"})
-    build_graph(nodes, groups(), external_topics={"nowhere"})  # declared: fine
+        TaskGraph(nodes, groups(), external_topics={"somewhere"})
+    TaskGraph(nodes, groups(), external_topics={"nowhere"})  # declared: fine
 
 
 def registry_with(name="alg", version="1.0.0", n_in=1, n_out=1, binding=None):
@@ -121,8 +121,8 @@ def test_registry_roundtrip_and_misses():
 
 def test_registry_loads_module_attribute_entry_on_resolve():
     reg = AlgorithmRegistry()
-    reg.register(AlgorithmDescriptor("builder", "1.0.0", "dfp.funcsw:build_graph"))
-    assert reg.resolve("builder", "1.0.0")[1] is build_graph
+    reg.register(AlgorithmDescriptor("builder", "1.0.0", "dfp.funcsw:TaskGraph"))
+    assert reg.resolve("builder", "1.0.0")[1] is TaskGraph
 
 
 @pytest.mark.parametrize("entry", ["dfp.funcsw", "dfp.funcsw:", ":build_graph"])
@@ -147,11 +147,11 @@ def test_port_schema_mismatch_caught_at_build():
     nodes = [TaskNode("n", Stage.SERVICE, inputs=("only_one",),
                       algorithm=("alg", "1.0.0"))]
     with pytest.raises(PortSchemaMismatch):
-        build_graph(nodes, groups(), registry=reg)
+        TaskGraph(nodes, groups(), registry=reg)
 
 
 def test_bind_labels_whole_group():
-    g = build_graph([node("a"), node("b")], groups())
+    g = TaskGraph([node("a"), node("b")], groups())
     g.bind("default", "ai-unit")
     assert g.binding_of("a") == "ai-unit"
     assert g.binding_of("b") == "ai-unit"
@@ -160,14 +160,14 @@ def test_bind_labels_whole_group():
 def test_bind_conflicts_with_algorithm_requirement():
     reg = registry_with(n_in=0, n_out=0, binding="control-unit")
     nodes = [TaskNode("n", Stage.SERVICE, algorithm=("alg", "1.0.0"))]
-    g = build_graph(nodes, groups(), registry=reg)
+    g = TaskGraph(nodes, groups(), registry=reg)
     with pytest.raises(BindingConflict):
         g.bind("default", "ai-unit")
     g.bind("default", "control-unit")
 
 
 def test_rebind_last_wins_before_start_but_conflicts_after():
-    g = build_graph([node("a")], groups())
+    g = TaskGraph([node("a")], groups())
     g.bind("default", "ai-unit")
     g.bind("default", "compute-unit")
     assert g.binding_of("a") == "compute-unit"
@@ -177,14 +177,14 @@ def test_rebind_last_wins_before_start_but_conflicts_after():
 
 
 def test_bind_unknown_group():
-    g = build_graph([node("a")], groups())
+    g = TaskGraph([node("a")], groups())
     with pytest.raises(UnknownGroup):
         g.bind("ghost", "ai-unit")
 
 
 def test_dynamic_key_changes_while_running():
     n = node("a", config={"gain": 1.0}, config_modes={"gain": "dynamic"})
-    g = build_graph([n], groups())
+    g = TaskGraph([n], groups())
     g.start()
     g.configure("a", {"gain": 2.0})
     assert g.nodes["a"].config["gain"] == 2.0
@@ -193,7 +193,7 @@ def test_dynamic_key_changes_while_running():
 def test_static_key_sealed_while_running():
     n = node("a", config={"input_topic": "t", "gain": 1.0},
              config_modes={"gain": "dynamic"})
-    g = build_graph([n], groups())
+    g = TaskGraph([n], groups())
     g.configure("a", {"input_topic": "u"})  # before start: fine
     g.start()
     with pytest.raises(StaticKeyWhileRunning) as err:
@@ -202,7 +202,7 @@ def test_static_key_sealed_while_running():
 
 
 def test_unknown_config_key_rejected():
-    g = build_graph([node("a", config={"gain": 1.0})], groups())
+    g = TaskGraph([node("a", config={"gain": 1.0})], groups())
     with pytest.raises(UnknownConfigKey):
         g.configure("a", {"gian": 2.0})
     with pytest.raises(UnknownNode):
@@ -223,7 +223,7 @@ def test_algorithm_swap_keeps_edges_identical():
         TaskNode("n", Stage.SERVICE, inputs=("t",), outputs=("u",),
                  algorithm=("alg", "1.0.0")),
     ]
-    g = build_graph(nodes, groups(), registry=reg)
+    g = TaskGraph(nodes, groups(), registry=reg)
     edges_before = set(g.edges)
     g.swap_algorithm("n", "2.0.0")
     assert g.nodes["n"].algorithm == ("alg", "2.0.0")
