@@ -66,7 +66,7 @@ ALLOWED = {
     ("dfp.hal", "_gen_lidar"): D5,
     ("dfp.hal", "_gen_radar"): D5,
     ("dfp.hal", "_gen_v2x"): D5,
-    ("dfp.middleware.core", "_LoopbackBus.send_request"): D6,
+    ("dfp.middleware.core", "_LoopbackBus.call"): D6,
     ("dfp.middleware.core", "_LoopbackBus.send_response"): D6,
     ("dfp.middleware.core", "_LoopbackBus.apply_gap"): D6,
     ("dfp.funcsw.graph", "TaskGraph.stop_group"): D7,

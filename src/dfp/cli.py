@@ -41,6 +41,16 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _parse_samples(text: str) -> int:
+    try:
+        samples = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad sample count {text!r}")
+    if samples < 1:
+        raise argparse.ArgumentTypeError(f"bad sample count {text!r} (want at least 1)")
+    return samples
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfpctl",
@@ -59,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--sizes", type=_parse_sizes,
                          default=list(DEFAULT_SIZES),
                          help="comma-separated payload sizes in bytes")
-    bench_p.add_argument("--samples", type=int, default=10_000,
+    bench_p.add_argument("--samples", type=_parse_samples, default=10_000,
                          help="samples per size and path")
 
     query_p = commands.add_parser("query-env", help="fuzzy-query a record log")

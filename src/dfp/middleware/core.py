@@ -8,10 +8,10 @@ transport owns every operation that differs between the two:
 
 - ``InProcess()`` joins the domain's ``_InProcPlane``. Endpoints match
   synchronously through per-topic state, samples are references into the
-  topic's slot arena (no payload copies), and announcements, requests and
-  replies reach peers as direct calls, so nothing is ever serialised. The
-  wire duties (receive, NACKs, remote matching, gaps) are no-ops here, and
-  a publisher keeps a retained ring only for a transient-local topic.
+  topic's slot arena (no payload copies), and announcements and calls
+  reach peers as direct calls, so nothing is ever serialised. The wire
+  duties (receive, NACKs, remote matching, gaps) are no-ops here, and a
+  publisher keeps a retained ring only for a transient-local topic.
 - ``Loopback(port)`` joins the ``_LoopbackBus`` that all participants on that
   port share. ``send`` DFP1-encodes every frame, and the bus may drop it
   with a seeded probability per receiver. The bus runs the wire protocol
@@ -20,13 +20,17 @@ transport owns every operation that differs between the two:
   topics, gaps, and transient-local replay, so a publisher keeps a retained
   ring for a reliable or a transient-local topic.
 
-Services (``register_service`` / ``call``) reply as soon as the handler
-returns. A reply that arrives after the caller's timeout is discarded; a
-``ServiceFault`` raised by the handler reaches the caller as ``RemoteError``
-with its code, and any other exception, or a reply that is not bytes, as
-``RemoteError`` with code 1, on either transport. Loopback REQUEST and
-RESPONSE frames are not retransmitted, so a lost frame ends the call in
-``Timeout``.
+Services (``register_service`` / ``call``): each participant's discovery
+database indexes its service records by name, so ``call`` finds the
+provider without walking the records. An in-process call runs the
+provider's handler in place and returns its reply, with no request id and
+no wait. A loopback call sends a REQUEST with a request id and spins until
+the RESPONSE or the timeout (``Timeout``); a reply that arrives later is
+discarded. On either transport a ``ServiceFault`` raised by the handler
+reaches the caller as ``RemoteError`` with its code, and any other
+exception, or a reply that is not bytes, as ``RemoteError`` with code 1.
+Loopback REQUEST and RESPONSE frames are not retransmitted, so a lost
+frame ends the call in ``Timeout``.
 
 Only ``spin`` (``Domain.spin``/``advance``, a waiting ``call``) handles
 frames, heartbeats, NACKs and deadlines; ``take`` returns what it delivered.
@@ -214,11 +218,16 @@ class _DiscoveryDb:
         # key -> ("publisher"|"subscriber", pid, eid) or ("service", pid, name)
         # or ("participant", pid)
         self.records: dict[tuple, dict] = {}
+        # service name -> its keys in ``records``, in ``records`` order, so
+        # the first is the provider a scan of ``records`` would find first
+        self.services: dict[str, list[tuple]] = {}
 
     def heartbeat(self, pid: int, now: int) -> None:
         self.peer_last_hb[pid] = now
 
     def add(self, key: tuple, info: dict, now: int) -> None:
+        if key[0] == "service" and key not in self.records:
+            self.services.setdefault(key[2], []).append(key)
         self.records[key] = info
         self.heartbeat(key[1], now)
 
@@ -226,6 +235,11 @@ class _DiscoveryDb:
         gone = [k for k in self.records if k[1] == pid]
         for k in gone:
             del self.records[k]
+            if k[0] == "service":
+                keys = self.services[k[2]]
+                keys.remove(k)
+                if not keys:
+                    del self.services[k[2]]
         self.peer_last_hb.pop(pid, None)
         return gone
 
@@ -335,11 +349,35 @@ class _LoopbackBus:
             pub._retain(seq, payload)
         self._send_data(pub, seq, payload)
 
-    def send_request(self, p: Participant, target: tuple[int, int], service_name: str,
-                     request_id: int, request: bytes) -> None:
-        name_b = service_name.encode()
-        payload = len(name_b).to_bytes(2, "big") + name_b + request
-        self.send(p, Frame(MsgType.REQUEST, 0, p.participant_id, 0, request_id, payload))
+    def call(self, p: Participant, provider: int, service_name: str, request: bytes,
+             timeout_ms: int) -> tuple[int, bytes, int]:
+        """Send a REQUEST and spin the domain until its RESPONSE or the timeout.
+
+        The REQUEST reaches every other participant on the port, and whoever
+        provides ``service_name`` answers; the request id pairs the answer
+        with this call, and a RESPONSE that comes later finds no slot.
+        """
+        with p._lock:
+            request_id = p._next_request_id
+            p._next_request_id += 1
+            slot: list = []
+            p._pending_calls[request_id] = slot
+        try:
+            name_b = service_name.encode()
+            payload = len(name_b).to_bytes(2, "big") + name_b + request
+            self.send(p, Frame(MsgType.REQUEST, 0, p.participant_id, 0, request_id, payload))
+            deadline = self.domain.now_ns() + timeout_ms * MS
+            while True:
+                self.domain.spin()
+                if slot:
+                    return slot[0]
+                now = self.domain.now_ns()
+                if now >= deadline:
+                    raise Timeout(f"no response from {service_name!r} within {timeout_ms} ms")
+                self.domain.clock.advance(min(CALL_QUANTUM_NS, deadline - now))
+        finally:
+            with p._lock:
+                p._pending_calls.pop(request_id, None)
 
     def send_response(self, p: Participant, caller_pid: int, request_id: int, status: int,
                       body: bytes, code: int) -> None:
@@ -407,23 +445,23 @@ class _LoopbackBus:
                 return
             name_len = int.from_bytes(frame.payload[:2], "big")
             name = frame.payload[2:2 + name_len].decode(errors="replace")
-            request = frame.payload[2 + name_len:]
-            for ep in p.services.values():
-                if ep.descriptor.service_name == name:
-                    ep.handle(frame.participant_id, frame.seq, request)
-                    break
+            ep = p.services.get(name)
+            if ep is not None:
+                self.send_response(p, frame.participant_id, frame.seq,
+                                   *ep.answer(frame.payload[2 + name_len:]))
         elif mt == MsgType.RESPONSE:
             if len(frame.payload) < 9:
                 return
             caller_pid = int.from_bytes(frame.payload[:8], "big")
-            if caller_pid != p.participant_id:
+            slot = p._pending_calls.get(frame.seq)
+            # a late response finds no pending slot and is discarded
+            if caller_pid != p.participant_id or slot is None or slot:
                 return
-            status = frame.payload[8]
-            if status == 0:
-                p._complete_call(frame.seq, 0, frame.payload[9:], 0)
+            if frame.payload[8] == 0:
+                slot.append((0, frame.payload[9:], 0))
             else:
                 code = int.from_bytes(frame.payload[9:13], "big")
-                p._complete_call(frame.seq, 1, frame.payload[13:], code)
+                slot.append((1, frame.payload[13:], code))
         else:  # ANNOUNCE, SUBSCRIBE, HEARTBEAT and NACK carry one JSON document
             try:
                 obj = json.loads(frame.payload.decode())
@@ -631,21 +669,14 @@ class _InProcPlane:
         for sub in subs:
             sub._enqueue(sample)
 
-    def send_request(self, p: Participant, target: tuple[int, int], service_name: str,
-                     request_id: int, request: bytes) -> None:
-        peer = self.domain._participants_by_id.get(target[0])
-        if peer is None or not peer.alive:
+    def call(self, p: Participant, provider: int, service_name: str, request: bytes,
+             timeout_ms: int) -> tuple[int, bytes, int]:
+        """Run the provider's handler in place: nothing is lost on the plane,
+        so no request id pairs the reply and no timeout can pass."""
+        peer = self.domain._participants_by_id[provider]
+        if not peer.alive:  # closed silently: its record lives until it expires
             raise ServiceNotFound(f"provider of {service_name!r} is gone")
-        ep = peer.services.get(target[1])
-        if ep is None:
-            raise ServiceNotFound(f"provider of {service_name!r} is gone")
-        ep.handle(p.participant_id, request_id, request)
-
-    def send_response(self, p: Participant, caller_pid: int, request_id: int, status: int,
-                      body: bytes, code: int) -> None:
-        peer = self.domain._participants_by_id.get(caller_pid)
-        if peer is not None and peer.alive:
-            peer._complete_call(request_id, status, body, code)
+        return peer.services[service_name].answer(request)
 
     # the wire duties have nothing to do on the plane
 
@@ -780,27 +811,23 @@ class Subscriber:
 
 
 class _ServiceEndpoint:
-    def __init__(self, participant: "Participant", descriptor: ServiceDescriptor,
-                 entity_id: int, handler):
-        self.participant = participant
+    def __init__(self, descriptor: ServiceDescriptor, entity_id: int, handler):
         self.descriptor = descriptor
         self.entity_id = entity_id
         self.handler = handler
 
-    def handle(self, caller_pid: int, request_id: int, request: bytes) -> None:
-        p = self.participant
-        reply = p._net.send_response
+    def answer(self, request: bytes) -> tuple[int, bytes, int]:
+        """Run the handler: ``(status, body, code)`` is ``(0, reply, 0)``, or
+        ``(1, message, code)`` when the handler fails, on either transport."""
         try:
             result = self.handler(request)
             if not isinstance(result, (bytes, bytearray)):
                 raise TypeError("service handler must return bytes")
         except ServiceFault as exc:
-            reply(p, caller_pid, request_id, 1, exc.message.encode(), exc.code)
-            return
+            return 1, exc.message.encode(), exc.code
         except Exception as exc:  # handler fault propagates as a coded error
-            reply(p, caller_pid, request_id, 1, str(exc).encode(), 1)
-            return
-        reply(p, caller_pid, request_id, 0, bytes(result), 0)
+            return 1, str(exc).encode(), 1
+        return 0, bytes(result), 0
 
 
 # --------------------------------------------------------------------------
@@ -817,10 +844,10 @@ class Participant:
         self._next_entity = 1
         self.publishers: dict[int, Publisher] = {}
         self.subscribers: dict[int, Subscriber] = {}
-        self.services: dict[int, _ServiceEndpoint] = {}
+        self.services: dict[str, _ServiceEndpoint] = {}  # by service name
         self._db = _DiscoveryDb(participant_id)
         self._inbox: deque[bytes] = deque()  # loopback frames waiting for spin
-        self._pending_calls: dict[int, list] = {}
+        self._pending_calls: dict[int, list] = {}  # loopback calls awaiting a RESPONSE
         self._next_request_id = 1
         self._next_hb_ns = domain.now_ns()  # first heartbeat due immediately
         self._net = net  # _InProcPlane or _LoopbackBus: owns every operation that differs
@@ -867,11 +894,10 @@ class Participant:
             self._require_alive()
             self._prune_db()
             name = descriptor.service_name
-            for key in self._db.records:
-                if key[0] == "service" and key[2] == name:
-                    raise DuplicateService(f"service {name!r} is already registered")
-            ep = _ServiceEndpoint(self, descriptor, self._alloc_entity(), handler)
-            self.services[ep.entity_id] = ep
+            if name in self._db.services:
+                raise DuplicateService(f"service {name!r} is already registered")
+            ep = _ServiceEndpoint(descriptor, self._alloc_entity(), handler)
+            self.services[name] = ep
             self._announce_service(ep)
 
     def _alloc_entity(self) -> int:
@@ -969,43 +995,14 @@ class Participant:
         # this instant already did and nothing has happened since
         self.domain.spin()
         with self._lock:
-            target = None
-            for key, info in self._db.records.items():
-                if key[0] == "service" and key[2] == service_name:
-                    target = (key[1], info.get("entity_id", 0))
-                    break
-            if target is None:
+            providers = self._db.services.get(service_name)
+            if providers is None:
                 raise ServiceNotFound(f"no live provider for service {service_name!r}")
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            slot: list = []
-            self._pending_calls[request_id] = slot
-        try:
-            self._net.send_request(self, target, service_name, request_id, request)
-            deadline = self.domain.now_ns() + timeout_ms * MS
-            # an in-process reply is already in the slot: no spin needed
-            while not slot:
-                self.domain.spin()
-                if slot:
-                    break
-                now = self.domain.now_ns()
-                if now >= deadline:
-                    raise Timeout(f"no response from {service_name!r} within {timeout_ms} ms")
-                self.domain.clock.advance(min(CALL_QUANTUM_NS, deadline - now))
-            status, body, code = slot[0]
-            if status == 0:
-                return body
-            raise RemoteError(code, body.decode(errors="replace"))
-        finally:
-            with self._lock:
-                self._pending_calls.pop(request_id, None)
-
-    def _complete_call(self, request_id: int, status: int, body: bytes, code: int) -> None:
-        with self._lock:
-            slot = self._pending_calls.get(request_id)
-            if slot is not None and not slot:
-                slot.append((status, body, code))
-            # a late response finds no pending entry and is discarded
+            provider = providers[0][1]
+        status, body, code = self._net.call(self, provider, service_name, request, timeout_ms)
+        if status == 0:
+            return body
+        raise RemoteError(code, body.decode(errors="replace"))
 
     # -- spin: frames, heartbeats, liveliness, nacks ----------------------------
 

@@ -26,6 +26,11 @@ DELETED = [
     ("dfp.middleware.arena", "BufferHandle.length"),
     ("dfp.middleware.core", "Sample.__repr__"),
     ("dfp.middleware.core", "_InProcPlane.apply_gap"),
+    ("dfp.middleware.core", "_InProcPlane.send_request"),
+    ("dfp.middleware.core", "_InProcPlane.send_response"),
+    ("dfp.middleware.core", "_LoopbackBus.send_request"),
+    ("dfp.middleware.core", "_ServiceEndpoint.handle"),
+    ("dfp.middleware.core", "Participant._complete_call"),
     ("dfp.middleware.core", "ServiceHandle"),
     ("dfp.funcsw.graph", "build_graph"),
     ("dfp.acc", "TrajectoryPoint.as_dict"),

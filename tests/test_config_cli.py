@@ -285,6 +285,17 @@ def test_cli_bench_payload_too_large(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("samples", ["0", "-5", "many"])
+def test_cli_bench_bad_sample_count_is_a_usage_error(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", "1024", "--samples", samples])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1].startswith(
+        f"dfpctl bench: error: argument --samples: bad sample count {samples!r}")
+
+
 def test_bench_accepts_empty_payloads():
     from dfp.bench import run_bench
 

@@ -1,6 +1,7 @@
 """Client/server calls: correlation, timeouts, faults, liveliness."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dfp.middleware import (
     Domain,
@@ -12,9 +13,11 @@ from dfp.middleware import (
     ServiceDescriptor,
     ServiceNotFound,
     Timeout,
+    TopicDescriptor,
+    type_hash_of,
 )
 from dfp.middleware.core import ServiceFault
-from dfp.middleware.core import HEARTBEAT_PERIOD_NS, LIVELINESS_PERIODS
+from dfp.middleware.core import HEARTBEAT_PERIOD_NS, LIVELINESS_NS, LIVELINESS_PERIODS
 
 
 @pytest.fixture
@@ -213,3 +216,145 @@ def test_call_over_loopback(domain):
     server.register_service(ServiceDescriptor("diag/echo"), lambda req: b"<" + req + b">")
     domain.spin()
     assert client.call("diag/echo", b"ping", timeout_ms=500) == b"<ping>"
+
+
+def test_handler_that_calls_another_inprocess_service_returns_the_inner_reply(domain):
+    inner = domain.create_participant("inner")
+    outer = domain.create_participant("outer")
+    client = domain.create_participant("client")
+    inner.register_service(ServiceDescriptor("svc/inner"), lambda req: b"inner:" + req)
+    outer.register_service(ServiceDescriptor("svc/outer"),
+                           lambda req: outer.call("svc/inner", req, timeout_ms=10))
+    assert client.call("svc/outer", b"x", timeout_ms=10) == b"inner:x"
+
+
+@TRANSPORTS
+def test_a_new_provider_gets_the_call_after_the_old_one_leaves(domain, transport):
+    old = domain.create_participant("old", transport)
+    new = domain.create_participant("new", transport)
+    client = domain.create_participant("client", transport)
+    old.register_service(ServiceDescriptor("diag/who"), lambda req: b"old")
+    domain.spin()
+    assert client.call("diag/who", b"", timeout_ms=100) == b"old"
+    old.close()
+    domain.spin()  # over loopback, the leave reaches the peers here
+    new.register_service(ServiceDescriptor("diag/who"), lambda req: b"new")
+    assert client.call("diag/who", b"", timeout_ms=100) == b"new"
+
+
+class WalkCountingDict(dict):
+    """A dict that counts every walk over its keys, values or items."""
+
+    walks = 0
+
+    def _walked(self, view):
+        self.walks += 1
+        return view
+
+    def __iter__(self):
+        return self._walked(super().__iter__())
+
+    def keys(self):
+        return self._walked(super().keys())
+
+    def values(self):
+        return self._walked(super().values())
+
+    def items(self):
+        return self._walked(super().items())
+
+
+def test_quiet_inprocess_call_walks_no_discovery_record(domain):
+    server = domain.create_participant("server")
+    client = domain.create_participant("client")
+    for i in range(100):
+        topic = TopicDescriptor(f"extra/t{i}", type_hash_of("extra"))
+        server.create_publisher(topic)
+        client.create_subscriber(topic)
+    server.register_service(ServiceDescriptor("diag/echo"), lambda req: req)
+    domain.spin()
+    client._db.records = records = WalkCountingDict(client._db.records)
+    assert len(records) > 200
+    for i in range(50):
+        assert client.call("diag/echo", bytes([i]), timeout_ms=10) == bytes([i])
+    assert records.walks == 0
+
+
+def scanned_services(db) -> dict:
+    """The service index a scan of ``db.records`` builds, in record order."""
+    found: dict = {}
+    for key in db.records:
+        if key[0] == "service":
+            found.setdefault(key[2], []).append(key)
+    return found
+
+
+ORACLE_NAMES = ("svc/a", "svc/b")
+oracle_steps = st.lists(st.one_of(
+    st.tuples(st.just("join")),
+    st.tuples(st.just("register"), st.integers(0, 7), st.sampled_from(ORACLE_NAMES)),
+    st.tuples(st.just("close"), st.integers(0, 7), st.booleans()),
+    st.tuples(st.just("expire")),  # a silent provider's records time out
+    st.tuples(st.just("settle")),  # one heartbeat round reaches every peer
+), max_size=14)
+
+
+@TRANSPORTS
+@settings(max_examples=100, deadline=None)
+@given(steps=oracle_steps)
+# a late joiner does not learn a silent provider's records, so it can
+# register the same name while a peer still holds both, the dead one first
+@example(steps=[("register", 0, "svc/a"), ("close", 0, False), ("join",),
+                ("register", 2, "svc/a")])
+def test_service_index_is_a_scan_of_the_records_and_call_reaches_its_first(transport, steps):
+    domain = Domain()
+    parts = [domain.create_participant(f"p{i}", transport) for i in range(3)]
+    loopback = isinstance(transport, Loopback)
+
+    def index_is_the_scan():
+        for p in parts:
+            if p.alive:
+                assert p._db.services == scanned_services(p._db)
+
+    def calls_reach_the_first_provider():
+        by_pid = {p.participant_id: p for p in parts}
+        for caller in [p for p in parts if p.alive]:
+            for name, keys in scanned_services(caller._db).items():
+                first = by_pid[keys[0][1]]
+                if loopback:
+                    # every provider on the port hears the REQUEST, and the
+                    # bus hands no frame back to its sender
+                    answering = [p for p in parts if p.alive and name in p.services]
+                    if answering != [first] or first is caller:
+                        continue
+                if first.alive:
+                    assert caller.call(name, b"", timeout_ms=50) == first.name.encode()
+                else:
+                    with pytest.raises(ServiceNotFound, match="is gone"):
+                        caller.call(name, b"", timeout_ms=50)
+
+    for step in steps:
+        live = [p for p in parts if p.alive]
+        if step[0] == "join":
+            parts.append(domain.create_participant(f"p{len(parts)}", transport))
+        elif step[0] == "register" and live:
+            p = live[step[1] % len(live)]
+            known = step[2] in {r.descriptor.service_name for r in p.discover("services")}
+            try:
+                p.register_service(ServiceDescriptor(step[2]),
+                                   lambda req, name=p.name: name.encode())
+                assert not known
+            except DuplicateService:
+                assert known
+        elif step[0] == "close" and live:
+            live[step[1] % len(live)].close(graceful=step[2])
+        elif step[0] == "expire":
+            domain.advance(LIVELINESS_NS)
+        elif step[0] == "settle":
+            # every participant heartbeats in the first round; the second
+            # hands peers what participants later in that round sent
+            domain.advance(HEARTBEAT_PERIOD_NS)
+            domain.spin()
+        index_is_the_scan()
+        calls_reach_the_first_provider()
+        index_is_the_scan()
