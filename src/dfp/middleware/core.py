@@ -26,9 +26,12 @@ provider without walking the records. An in-process call runs the
 provider's handler in place and returns its reply, with no request id and
 no wait. A loopback call sends a REQUEST with a request id and spins until
 the RESPONSE or the timeout (``Timeout``); a reply that arrives later is
-discarded. On either transport a ``ServiceFault`` raised by the handler
-reaches the caller as ``RemoteError`` with its code, and any other
-exception, or a reply that is not bytes, as ``RemoteError`` with code 1.
+discarded. The bus never hands a frame back to its sender, so a loopback
+participant that is itself the provider runs its handler in place, as an
+in-process call does, and sends no frame. On either transport a
+``ServiceFault`` raised by the handler reaches the caller as
+``RemoteError`` with its code, and any other exception, or a reply that
+is not bytes, as ``RemoteError`` with code 1.
 Loopback REQUEST and RESPONSE frames are not retransmitted, so a lost
 frame ends the call in ``Timeout``.
 
@@ -317,8 +320,8 @@ class _LoopbackBus:
                            json.dumps(payload_obj, sort_keys=True).encode()))
 
     def _send_data(self, pub: Publisher, seq: int, payload: bytes) -> None:
-        frame = Frame(MsgType.DATA, _qos_flags(pub.topic.qos),
-                      pub.participant.participant_id, pub.entity_id, seq, payload)
+        frame = Frame(MsgType.DATA, pub._qos_flags, pub.participant.participant_id,
+                      pub.entity_id, seq, payload)
         self.send(pub.participant, frame)
 
     def _check_known_topic(self, p: Participant, desc: TopicDescriptor) -> None:
@@ -355,8 +358,12 @@ class _LoopbackBus:
 
         The REQUEST reaches every other participant on the port, and whoever
         provides ``service_name`` answers; the request id pairs the answer
-        with this call, and a RESPONSE that comes later finds no slot.
+        with this call, and a RESPONSE that comes later finds no slot. The
+        bus never delivers a frame to its sender, so a participant that
+        provides the service itself runs its handler in place.
         """
+        if provider == p.participant_id:
+            return p.services[service_name].answer(request)
         with p._lock:
             request_id = p._next_request_id
             p._next_request_id += 1
@@ -705,6 +712,7 @@ class Publisher:
         self.topic = topic
         self.entity_id = entity_id
         self.publisher_id = _publisher_id(participant.participant_id, entity_id)
+        self._qos_flags = _qos_flags(topic.qos)  # the DFP1 flags of its DATA and ANNOUNCE frames
         self.next_seq = 0
         self._arena = arena  # None on the loopback path
         # retained ring: (seq, handle-or-bytes), kept when the transport says
@@ -960,7 +968,7 @@ class Participant:
         }
         self._db.add(("publisher", self.participant_id, pub.entity_id), info, now)
         self._net.broadcast(self, MsgType.ANNOUNCE, info, entity_id=pub.entity_id,
-                            flags=_qos_flags(pub.topic.qos))
+                            flags=pub._qos_flags)
 
     def _announce_subscriber(self, sub: Subscriber) -> None:
         now = self.domain.now_ns()

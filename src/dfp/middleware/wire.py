@@ -13,6 +13,12 @@ Every frame starts with a fixed 32-byte big-endian header::
     seq             u64         sample sequence / request id / 0
     payload_len     u32         number of payload bytes that follow
 
+A ``Frame`` is a tuple of the header fields that vary, msg_type through
+seq, and the payload. Its constructor checks that each field fits its
+slot. ``decode_frame`` checks each header field once, in header order, and
+builds the frame without running those checks a second time, since a
+field unpacked from its slot always fits it.
+
 The framing is DFP-specific. It borrows the header-then-payload shape of
 automotive service middlewares but is not conformant to any of them.
 
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from dfp import DfpError
 
@@ -56,12 +62,14 @@ class MsgType(enum.IntEnum):
     NACK = 6
 
 
+_MSG_TYPES = tuple(MsgType)  # the members in value order: the values run 0, 1, 2, ...
+
+
 class FrameError(DfpError):
     """Malformed frame: bad magic, version, length or field range."""
 
 
-@dataclass(frozen=True)
-class Frame:
+class _FrameFields(NamedTuple):
     msg_type: MsgType
     flags: int
     participant_id: int
@@ -69,37 +77,43 @@ class Frame:
     seq: int
     payload: bytes
 
-    def __post_init__(self):
-        if not 0 <= self.flags <= 0xFF:
-            raise FrameError(f"flags out of range: {self.flags}")
-        if not 0 <= self.participant_id < 2**64:
-            raise FrameError(f"participant_id out of range: {self.participant_id}")
-        if not 0 <= self.entity_id < 2**32:
-            raise FrameError(f"entity_id out of range: {self.entity_id}")
-        if not 0 <= self.seq < 2**64:
-            raise FrameError(f"seq out of range: {self.seq}")
-        if len(self.payload) > MAX_WIRE_PAYLOAD:
+
+class Frame(_FrameFields):
+    """One DFP1 frame: an immutable, hashable tuple of its header fields
+    and payload.
+
+    Constructing a frame checks that each field fits its header slot and
+    raises ``FrameError`` otherwise. Being a tuple, a frame compares equal
+    to a plain tuple of the same fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, msg_type: MsgType, flags: int, participant_id: int, entity_id: int,
+                seq: int, payload: bytes):
+        if not 0 <= flags <= 0xFF:
+            raise FrameError(f"flags out of range: {flags}")
+        if not 0 <= participant_id < 2**64:
+            raise FrameError(f"participant_id out of range: {participant_id}")
+        if not 0 <= entity_id < 2**32:
+            raise FrameError(f"entity_id out of range: {entity_id}")
+        if not 0 <= seq < 2**64:
+            raise FrameError(f"seq out of range: {seq}")
+        if len(payload) > MAX_WIRE_PAYLOAD:
             raise FrameError("payload exceeds u32 length field")
+        return tuple.__new__(cls, (msg_type, flags, participant_id, entity_id, seq, payload))
 
 
 def encode_frame(frame: Frame) -> bytes:
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        int(frame.msg_type),
-        frame.flags,
-        0,
-        frame.participant_id,
-        frame.entity_id,
-        frame.seq,
-        len(frame.payload),
-    )
-    return header + frame.payload
+    msg_type, flags, pid, eid, seq, payload = frame
+    return _HEADER.pack(MAGIC, VERSION, msg_type, flags, 0, pid, eid, seq, len(payload)) + payload
 
 
 def decode_frame(buf: bytes) -> Frame:
-    if len(buf) < HEADER_LEN:
-        raise FrameError(f"frame truncated: {len(buf)} bytes, header needs {HEADER_LEN}")
+    """Parse one frame, or raise ``FrameError`` naming the first bad field."""
+    size = len(buf)
+    if size < HEADER_LEN:
+        raise FrameError(f"frame truncated: {size} bytes, header needs {HEADER_LEN}")
     magic, version, msg_type, flags, reserved, pid, eid, seq, plen = _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise FrameError(f"bad magic {magic!r}")
@@ -109,10 +123,10 @@ def decode_frame(buf: bytes) -> Frame:
         raise FrameError(f"reserved byte must be 0, got {reserved:#x}")
     if flags & ~_KNOWN_FLAGS:
         raise FrameError(f"reserved flag bits set: {flags:#04x}")
-    try:
-        mt = MsgType(msg_type)
-    except ValueError:
-        raise FrameError(f"unknown msg_type {msg_type}") from None
-    if len(buf) != HEADER_LEN + plen:
-        raise FrameError(f"length mismatch: payload_len={plen}, frame has {len(buf) - HEADER_LEN}")
-    return Frame(mt, flags, pid, eid, seq, bytes(buf[HEADER_LEN:]))
+    if msg_type >= len(_MSG_TYPES):
+        raise FrameError(f"unknown msg_type {msg_type}")
+    if size != HEADER_LEN + plen:
+        raise FrameError(f"length mismatch: payload_len={plen}, frame has {size - HEADER_LEN}")
+    # each field fits its slot, so Frame's constructor checks would all pass
+    return tuple.__new__(Frame, (_MSG_TYPES[msg_type], flags, pid, eid, seq,
+                                 bytes(buf[HEADER_LEN:])))

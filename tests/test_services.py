@@ -242,6 +242,24 @@ def test_a_new_provider_gets_the_call_after_the_old_one_leaves(domain, transport
     assert client.call("diag/who", b"", timeout_ms=100) == b"new"
 
 
+def test_a_loopback_participant_that_calls_its_own_service_is_answered_in_place(domain):
+    a = domain.create_participant("a", Loopback(7700))
+
+    def handler(req):
+        if req == b"bad":
+            raise ServiceFault(7, "refused")
+        return b"self:" + req
+
+    a.register_service(ServiceDescriptor("diag/self"), handler)
+    domain.spin()
+    sent = len(domain.bus(7700).frame_log)
+    assert a.call("diag/self", b"x", timeout_ms=20) == b"self:x"
+    with pytest.raises(RemoteError) as err:
+        a.call("diag/self", b"bad", timeout_ms=20)
+    assert err.value.code == 7
+    assert len(domain.bus(7700).frame_log) == sent  # no REQUEST, no RESPONSE
+
+
 class WalkCountingDict(dict):
     """A dict that counts every walk over its keys, values or items."""
 
@@ -321,11 +339,12 @@ def test_service_index_is_a_scan_of_the_records_and_call_reaches_its_first(trans
         for caller in [p for p in parts if p.alive]:
             for name, keys in scanned_services(caller._db).items():
                 first = by_pid[keys[0][1]]
-                if loopback:
-                    # every provider on the port hears the REQUEST, and the
-                    # bus hands no frame back to its sender
-                    answering = [p for p in parts if p.alive and name in p.services]
-                    if answering != [first] or first is caller:
+                if loopback and first is not caller:
+                    # every provider on the port but the caller hears the
+                    # REQUEST; a caller that is the first provider answers itself
+                    answering = [p for p in parts if p.alive and name in p.services
+                                 and p is not caller]
+                    if answering != [first]:
                         continue
                 if first.alive:
                     assert caller.call(name, b"", timeout_ms=50) == first.name.encode()

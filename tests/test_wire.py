@@ -121,6 +121,35 @@ def test_reserved_flag_bits_rejected():
         decode_frame(bytes(raw))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("flags", 0x100),
+    ("participant_id", 2**64),
+    ("entity_id", 2**32),
+    ("seq", -1),
+    ("seq", 2**64),
+])
+def test_frame_constructor_rejects_a_field_outside_its_slot(field, value):
+    fields = dict(msg_type=MsgType.DATA, flags=0, participant_id=1, entity_id=2, seq=0,
+                  payload=b"")
+    fields[field] = value
+    with pytest.raises(FrameError, match=f"{field} out of range"):
+        Frame(**fields)
+
+
+@pytest.mark.parametrize("msg_type", list(MsgType), ids=[m.name for m in MsgType])
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_a_decoded_frame_holds_the_members_and_bytes_it_promises(msg_type, wrap):
+    frame = decode_frame(wrap(golden(msg_type.value, 0x01, 3, 4, 5, b"body")))
+    assert frame.msg_type is msg_type
+    assert type(frame.payload) is bytes and frame.payload == b"body"
+    assert hash(frame) == hash(Frame(msg_type, 0x01, 3, 4, 5, b"body"))
+    with pytest.raises(AttributeError):
+        frame.seq = 6
+    with pytest.raises(AttributeError):
+        frame.extra = 1
+    assert frame == Frame(msg_type, 0x01, 3, 4, 5, b"body")
+
+
 from hypothesis import given, strategies as st  # noqa: E402
 
 
