@@ -34,6 +34,12 @@ append (in-order ingests) or a ``bisect``. Saved ODDs its tags do not match
 cost it nothing. Reading a saved ODD with ``run_odd`` copies its list and
 runs no query.
 
+A record (``EnvRecord``) is an immutable named tuple: its fields read by
+name or position, assigning one raises ``AttributeError``, ``_replace``
+builds the changed copy an ``update`` stores, and records compare as
+tuples. Each record holds its own ``attributes`` dict. An ingested frame
+becomes a record in one positional construction.
+
 The persistent form is a JSON-lines log, one record object per line;
 ``delete`` appends a tombstone line ``{"record_id": ..., "deleted": true}``
 and opening a log replays it in order. A store opens its log in append
@@ -54,8 +60,9 @@ import os
 import re
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from dfp import DfpError
 from dfp.hal import AbstractFrame, DeviceKind
@@ -124,15 +131,33 @@ def _tag_words(value):
     return value
 
 
-@dataclass(frozen=True)
-class EnvRecord:
+class _RecordFields(NamedTuple):
     record_id: int
     record_class: RecordClass
     tags: frozenset
     timestamp_ns: int
-    attributes: dict = field(default_factory=dict)
-    position: tuple | None = None  # (x_m, y_m)
-    source: Source = Source.PERCEPTION
+    attributes: dict
+    position: tuple | None  # (x_m, y_m)
+    source: Source
+
+
+class EnvRecord(_RecordFields):
+    """One environment record: an immutable tuple of its fields.
+
+    The constructor gives each record a dict of its own when
+    ``attributes`` is left out, never one shared default. Construction
+    does not validate; ``create``, ``update`` and mapping ingests call
+    ``validate`` before they store.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, record_id: int, record_class: RecordClass, tags: frozenset,
+                timestamp_ns: int, attributes: dict | None = None,
+                position: tuple | None = None, source: Source = Source.PERCEPTION):
+        return tuple.__new__(cls, (record_id, record_class, tags, timestamp_ns,
+                                   {} if attributes is None else attributes,
+                                   position, source))
 
     def validate(self) -> None:
         if not 0 <= self.record_id < 2**64:
@@ -481,7 +506,7 @@ class EnvStore:
                 raise InvalidRecord("record_id cannot change")
             else:
                 raise InvalidRecord(f"unknown record field {key!r}")
-        updated = replace(current, **fields)
+        updated = current._replace(**fields)
         updated.validate()
         self._put(updated)
         self._log(updated)
@@ -613,15 +638,8 @@ class EnvStore:
         position = None
         if frame.kind == DeviceKind.RADAR:
             position = (frame.normalized["range_m"], 0.0)
-        return EnvRecord(
-            record_id=self._next_id,
-            record_class=record_class,
-            tags=tags,
-            timestamp_ns=frame.timestamp_ns,
-            attributes=dict(frame.normalized),
-            position=position,
-            source=source,
-        )
+        return EnvRecord(self._next_id, record_class, tags, frame.timestamp_ns,
+                         dict(frame.normalized), position, source)
 
     def _record_from_mapping(self, payload: dict) -> EnvRecord:
         try:

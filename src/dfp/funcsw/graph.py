@@ -3,6 +3,13 @@
 A round runs a plan compiled at wiring time: per node, in topological
 order, its input cells, its declared outputs and its consumers' cells.
 ``add_node`` and ``remove_node`` rebuild it; a round only walks it.
+
+The graph counts where things happen: as a round fires a node it adds to
+the node's fired count and keeps the largest simulated ``elapsed_ms`` the
+node has reported, and it counts each topic a fired node produces. These
+counts live for the graph's lifetime and survive rebuilds; the run report
+reads them (``fired_count_of``, ``max_elapsed_ms_of``, ``restart_count_of``,
+``produced_count_of``) instead of recounting the firing reports.
 """
 
 from __future__ import annotations
@@ -32,11 +39,13 @@ from dfp.funcsw.types import (
 
 
 class _NodeState:
-    __slots__ = ("lifecycle", "restart_count", "ports")
+    __slots__ = ("lifecycle", "restart_count", "ports", "fired", "max_elapsed_ms")
 
     def __init__(self, node: TaskNode):
         self.lifecycle = Lifecycle.CREATED
         self.restart_count = 0
+        self.fired = 0
+        self.max_elapsed_ms = 0.0  # the largest simulated cost of a firing
         # port -> [value, fresh]
         self.ports = {topic: [None, False] for topic in node.inputs}
 
@@ -101,6 +110,7 @@ class TaskGraph:
                     f"node {node.node_id!r} names unknown group {node.group_id!r}")
             self._resolve_body(node)
         self._state: dict[str, _NodeState] = {}
+        self._produced_counts: dict[str, int] = {}
         self._validate_wiring()
         self.started = False
         self._round = 0
@@ -175,9 +185,12 @@ class TaskGraph:
         ``[value, fresh]`` list. Bodies are read when a node fires, so
         ``swap_algorithm`` needs no rebuild.
         """
-        # a node keeps its state, and so its port cells, across rebuilds
+        # a node keeps its state, and so its port cells and counters, across
+        # rebuilds; so does a produced topic its count
         self._state = {nid: self._state.get(nid) or _NodeState(node)
                        for nid, node in self.nodes.items()}
+        self._produced_counts = {topic: self._produced_counts.get(topic, 0)
+                                 for node in self.nodes.values() for topic in node.outputs}
         # every consumed topic, so a caller may feed a produced topic too
         self._cells = {topic: tuple(self._state[nid].ports[topic] for nid in nids)
                        for topic, nids in self.consumers.items()}
@@ -208,6 +221,17 @@ class TaskGraph:
 
     def restart_count_of(self, node_id: str) -> int:
         return self._state[node_id].restart_count
+
+    def fired_count_of(self, node_id: str) -> int:
+        return self._state[node_id].fired
+
+    def max_elapsed_ms_of(self, node_id: str) -> float:
+        """The largest simulated ``elapsed_ms`` of the node's firings, 0.0 if none."""
+        return self._state[node_id].max_elapsed_ms
+
+    def produced_count_of(self, topic: str) -> int:
+        """Rounds in which a node produced ``topic``; 0 for a topic no node produces."""
+        return self._produced_counts.get(topic, 0)
 
     def configure_all(self) -> None:
         for nid, st in self._state.items():
@@ -347,7 +371,9 @@ class TaskGraph:
 
         A node fires iff it is RUNNING and every input port holds fresh
         data. Fired nodes execute in topological order and their outputs
-        propagate within the round. Non-firing is not an error.
+        propagate within the round. Non-firing is not an error. The round
+        counts as it goes: each fired node's firings and largest simulated
+        ``elapsed_ms``, and each produced topic's rounds.
         """
         if not self.started:
             raise GraphError("step() before start()")
@@ -364,11 +390,16 @@ class TaskGraph:
                 cell[0] = value
                 cell[1] = True
         fired, elapsed, produced, failures = [], {}, {}, []
+        counts = self._produced_counts
         running = Lifecycle.RUNNING
         for nid, node, state, ports, declared, routes in self._plan:
             if state.lifecycle is not running:
                 continue
-            inputs = {topic: cell[0] for topic, cell in ports if cell[1]}
+            inputs = {}
+            for topic, cell in ports:
+                if not cell[1]:
+                    break
+                inputs[topic] = cell[0]
             if len(inputs) != len(ports):
                 continue
             for _, cell in ports:
@@ -395,8 +426,12 @@ class TaskGraph:
                 continue
             fired.append(nid)
             elapsed[nid] = cost_ms
+            state.fired += 1
+            if cost_ms > state.max_elapsed_ms:
+                state.max_elapsed_ms = cost_ms
             for topic, value in outputs.items():
                 produced[topic] = value
+                counts[topic] += 1
                 for cell in routes[topic]:
                     cell[0] = value
                     cell[1] = True

@@ -165,7 +165,7 @@ class NodeResult:
     elapsed_ms: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class FiringReport:
     round_index: int
     fired: list  # node ids, in execution order

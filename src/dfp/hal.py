@@ -22,6 +22,11 @@ Raw and normalized attribute schemas, per device kind::
 
 Normalization is total over these schemas and idempotent: a frame whose
 attributes are already normalized maps to the same normalized map.
+
+A frame, raw or normalized, is an immutable named tuple: its fields read
+by name or position, assigning one raises ``AttributeError``, and two
+frames with equal fields compare equal (to a plain tuple of them too). A
+drive builds two frames per step, and each is one tuple allocation.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from dfp import DfpError
 from dfp.util import stable_u64, unit_float
@@ -76,8 +82,7 @@ class DeviceDescriptor:
     binding_label: str = "compute-unit"  # affinity hint: ai/compute/control unit
 
 
-@dataclass(frozen=True)
-class SensorFrame:
+class SensorFrame(NamedTuple):
     device_id: str
     kind: DeviceKind
     seq: int
@@ -85,8 +90,7 @@ class SensorFrame:
     raw: dict
 
 
-@dataclass(frozen=True)
-class AbstractFrame:
+class AbstractFrame(NamedTuple):
     source_id: str
     kind: DeviceKind
     seq: int
@@ -264,13 +268,8 @@ def normalize(frame: SensorFrame) -> AbstractFrame:
     normalizer = _NORMALIZERS.get(kind)
     if normalizer is None:
         raise UnsupportedKind(f"no normalization schema for kind {kind!r}")
-    return AbstractFrame(
-        source_id=frame.device_id,
-        kind=kind,
-        seq=frame.seq,
-        timestamp_ns=frame.timestamp_ns,
-        normalized=normalizer(frame.raw),
-    )
+    return AbstractFrame(frame.device_id, kind, frame.seq, frame.timestamp_ns,
+                         normalizer(frame.raw))
 
 
 # -- registry ------------------------------------------------------------------

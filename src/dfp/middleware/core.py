@@ -74,6 +74,12 @@ from dfp.middleware.wire import (
 )
 from dfp.util import MS, ManualClock, stable_u64
 
+# the message types a handler branches on, bound once: each read through the
+# enum class is a lookup, and a decoded frame holds the member itself, so
+# the handlers compare with ``is``
+_DATA, _REQUEST, _RESPONSE, _HEARTBEAT, _NACK = (
+    MsgType.DATA, MsgType.REQUEST, MsgType.RESPONSE, MsgType.HEARTBEAT, MsgType.NACK)
+
 HEARTBEAT_PERIOD_NS = 100 * MS
 LIVELINESS_PERIODS = 3
 LIVELINESS_NS = LIVELINESS_PERIODS * HEARTBEAT_PERIOD_NS
@@ -320,7 +326,7 @@ class _LoopbackBus:
                            json.dumps(payload_obj, sort_keys=True).encode()))
 
     def _send_data(self, pub: Publisher, seq: int, payload: bytes) -> None:
-        frame = Frame(MsgType.DATA, pub._qos_flags, pub.participant.participant_id,
+        frame = Frame(_DATA, pub._qos_flags, pub.participant.participant_id,
                       pub.entity_id, seq, payload)
         self.send(pub.participant, frame)
 
@@ -372,7 +378,7 @@ class _LoopbackBus:
         try:
             name_b = service_name.encode()
             payload = len(name_b).to_bytes(2, "big") + name_b + request
-            self.send(p, Frame(MsgType.REQUEST, 0, p.participant_id, 0, request_id, payload))
+            self.send(p, Frame(_REQUEST, 0, p.participant_id, 0, request_id, payload))
             deadline = self.domain.now_ns() + timeout_ms * MS
             while True:
                 self.domain.spin()
@@ -393,7 +399,7 @@ class _LoopbackBus:
             payload += body
         else:
             payload += code.to_bytes(4, "big") + body
-        self.send(p, Frame(MsgType.RESPONSE, 0, p.participant_id, 0, request_id, payload))
+        self.send(p, Frame(_RESPONSE, 0, p.participant_id, 0, request_id, payload))
 
     def send_nacks(self, p: Participant, sub: Subscriber, now: int) -> None:
         for (pid, eid), state in sub._recv.items():
@@ -445,9 +451,9 @@ class _LoopbackBus:
 
     def _handle_frame(self, p: Participant, frame: Frame) -> None:
         mt = frame.msg_type
-        if mt == MsgType.DATA:
+        if mt is _DATA:
             self._handle_data(p, frame)
-        elif mt == MsgType.REQUEST:
+        elif mt is _REQUEST:
             if len(frame.payload) < 2:
                 return
             name_len = int.from_bytes(frame.payload[:2], "big")
@@ -456,7 +462,7 @@ class _LoopbackBus:
             if ep is not None:
                 self.send_response(p, frame.participant_id, frame.seq,
                                    *ep.answer(frame.payload[2 + name_len:]))
-        elif mt == MsgType.RESPONSE:
+        elif mt is _RESPONSE:
             if len(frame.payload) < 9:
                 return
             caller_pid = int.from_bytes(frame.payload[:8], "big")
@@ -474,7 +480,7 @@ class _LoopbackBus:
                 obj = json.loads(frame.payload.decode())
             except (UnicodeDecodeError, json.JSONDecodeError):
                 return
-            if mt != MsgType.NACK:
+            if mt is not _NACK:
                 p._handle_control(mt, frame.participant_id, frame.entity_id, obj)
             elif obj.get("target_pid") == p.participant_id:
                 pub = p.publishers.get(obj.get("target_eid"))
@@ -1046,7 +1052,7 @@ class Participant:
         now = self.domain.now_ns()
         kind = obj.get("kind")
         self._db.heartbeat(pid, now)
-        if mt == MsgType.HEARTBEAT or kind == "participant":
+        if mt is _HEARTBEAT or kind == "participant":
             # liveliness assertions double as identity for late joiners
             self._db.add(("participant", pid), {"name": obj.get("name", "")}, now)
         elif kind == "publisher":

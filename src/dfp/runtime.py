@@ -10,9 +10,12 @@ integrates the plant. Application nodes only ever touch SDK surfaces.
 The task graph is the data plane. Only the command leaves it, so only the
 declared ``control/*`` topic crosses the middleware. Its payload is the
 commanded acceleration as one little-endian IEEE-754 float64 (8 bytes),
-not JSON. The report counts every other declared topic from the graph's
-firing reports; graph ports are lossless, so such a topic delivers what it
-publishes and drops nothing.
+not JSON. The graph counts what it fires as it fires it: per node the
+firings and the largest simulated ``elapsed_ms``, per topic the rounds
+that produced it. The report reads those counts, so the runner does not
+recount a round. Every declared topic but the command is reported from the
+graph's produced count; graph ports are lossless, so such a topic
+delivers what it publishes and drops nothing.
 
 The graph and the mode coordinator come from ``dfp.config.build_pipeline``,
 the same assembly that validated the config, so a Stack starts only what
@@ -164,13 +167,10 @@ class Stack:
         if command is not None:
             self._command_pub = self.platform.create_publisher(command)
             self._command_sub = self.platform.create_subscriber(command)
-        self._produced = {t.name: 0 for t in config.topics}
         if self.graph is not None:
             managed = self._fsm_managed_groups()
             self.graph.start(groups=[g for g in config.groups if g not in managed])
         self._fsm_dispatches = 0
-        self._fired_counts = {nid: 0 for nid in (self.graph.nodes if self.graph else ())}
-        self._max_elapsed = {nid: 0.0 for nid in self._fired_counts}
 
     def _factory_for(self, descriptor):
         """Bind a builtin entry to this stack; None imports the entry on demand."""
@@ -194,18 +194,11 @@ class Stack:
         return self.coordinator.dispatch(fsm_id, event)
 
     def _bridge_round(self, report) -> None:
-        """Count the declared topics a round produced; publish the command."""
-        for topic, value in report.produced.items():
-            if topic not in self._produced:
-                continue
-            self._produced[topic] += 1
-            if topic == self._command_topic:
-                self._command_pub.publish(COMMAND.pack(value["accel_mps2"]))
-        elapsed_ms = report.elapsed_ms
-        for nid in report.fired:
-            self._fired_counts[nid] += 1
-            if elapsed_ms[nid] > self._max_elapsed[nid]:
-                self._max_elapsed[nid] = elapsed_ms[nid]
+        """Publish the command if the round produced it."""
+        produced = report.produced
+        if self._command_topic in produced:
+            self._command_pub.publish(
+                COMMAND.pack(produced[self._command_topic]["accel_mps2"]))
 
     def _take_command(self):
         if self._command_sub is None:
@@ -285,8 +278,11 @@ class Stack:
 
     def _metrics(self, trajectory=None, fault: str | None = None,
                  min_gap: float = math.inf) -> dict:
-        topics = {name: {"published": n, "delivered": n, "dropped": 0}
-                  for name, n in self._produced.items()}
+        graph = self.graph
+        topics = {}
+        for t in self.config.topics:
+            n = graph.produced_count_of(t.name) if graph else 0
+            topics[t.name] = {"published": n, "delivered": n, "dropped": 0}
         if self._command_sub is not None:
             sub = self._command_sub
             topics[self._command_topic] = {
@@ -295,11 +291,11 @@ class Stack:
                 "dropped": sub.drops_overflow + sub.drops_gap,
             }
         nodes = {}
-        for nid in sorted(self._fired_counts):
+        for nid in sorted(graph.nodes if graph else ()):
             nodes[nid] = {
-                "fired": self._fired_counts[nid],
-                "restarts": self.graph.restart_count_of(nid) if self.graph else 0,
-                "max_elapsed_ms": self._max_elapsed[nid],
+                "fired": graph.fired_count_of(nid),
+                "restarts": graph.restart_count_of(nid),
+                "max_elapsed_ms": graph.max_elapsed_ms_of(nid),
             }
         odds = {name: len(self.env.run_odd(name)) for name, _ in self.config.odds}
         acc_summary = None

@@ -4,7 +4,6 @@ import json
 import os
 import random
 import tempfile
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -387,7 +386,7 @@ def test_posting_index_queries_equal_scan_under_random_crud_and_reopen(ops):
                     patch["timestamp_ns"] = ts
                 if rid in shadow:
                     store.update(rid, patch)
-                    shadow[rid] = replace(shadow[rid], **patch)
+                    shadow[rid] = shadow[rid]._replace(**patch)
                 else:
                     with pytest.raises(NotFound):
                         store.update(rid, patch)
@@ -570,7 +569,7 @@ def test_saved_odds_equal_the_query_and_a_scan_after_every_write(initial, ops):
                     patch["timestamp_ns"] = ts
                 if rid in shadow:
                     store.update(rid, patch)
-                    shadow[rid] = replace(shadow[rid], **patch)
+                    shadow[rid] = shadow[rid]._replace(**patch)
                 else:
                     with pytest.raises(NotFound):
                         store.update(rid, patch)

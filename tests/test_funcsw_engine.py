@@ -246,6 +246,26 @@ def test_dynamic_service_node_add_remove_between_rounds():
         g.add_node(TaskNode("acq", Stage.ACQUISITION, outputs=("q",), body=emit()))
 
 
+def test_counts_are_kept_as_rounds_fire_and_survive_a_rebuild():
+    g = diamond()
+    costs = iter([4.0, 9.0, 2.0])
+    g.nodes["b"].body = lambda inputs, config: NodeResult({"tb": 1}, next(costs))
+    g.start()
+    g.step({"world": 1})
+    g.add_node(TaskNode("z", Stage.SERVICE, inputs=("td",), outputs=("tz",),
+                        body=emit(tz=1), group_id="default"))
+    g.step({"world": 2})
+    g.step({})  # nothing fresh: nothing fires, nothing is counted
+    assert [g.fired_count_of(nid) for nid in "abcdz"] == [2, 2, 2, 2, 1]
+    assert [g.produced_count_of(t) for t in ("ta", "td", "tz", "world")] == [2, 2, 1, 0]
+    assert (g.max_elapsed_ms_of("b"), g.max_elapsed_ms_of("a")) == (9.0, 0.0)
+    g.remove_node("z")
+    g.step({"world": 3})
+    assert [g.fired_count_of(nid) for nid in "abcd"] == [3, 3, 3, 3]
+    assert (g.produced_count_of("td"), g.produced_count_of("tz")) == (3, 0)
+    assert g.max_elapsed_ms_of("b") == 9.0
+
+
 def random_stage_consistent_dag(rng, max_nodes=20):
     n = rng.randint(2, max_nodes)
     nodes = {}
