@@ -37,8 +37,12 @@ runs no query.
 A record (``EnvRecord``) is an immutable named tuple: its fields read by
 name or position, assigning one raises ``AttributeError``, ``_replace``
 builds the changed copy an ``update`` stores, and records compare as
-tuples. Each record holds its own ``attributes`` dict. An ingested frame
-becomes a record in one positional construction.
+tuples. An ingested frame becomes a record in one positional construction.
+The store keeps the dict it is given: an ingested frame's ``normalized``
+dict becomes its record's ``attributes``, not a copy, and so does the
+``attributes`` dict parsed from a replayed line. The rule is the HAL's:
+whoever hands a dict over does not change it afterwards, and nothing in
+the store changes a record's ``attributes``.
 
 The persistent form is a JSON-lines log, one record object per line;
 ``delete`` appends a tombstone line ``{"record_id": ..., "deleted": true}``
@@ -50,6 +54,13 @@ returns, so another ``open`` of the file sees it at once; nothing is
 fsynced. A last line with no newline is the mark of a write cut short;
 ``open`` discards it and truncates the file to its last complete line, so
 the next append, by any store, starts a line of its own.
+
+The replay builds each record once: one shared decoder parses the line,
+the class and source members come from value tables, and the tuple is
+built positionally around the parsed ``attributes`` dict. Tag sets repeat
+(every radar record carries ``{"lead", "vehicle"}``), so the replay checks
+each distinct tag set once and every record with that set holds the one
+checked frozenset.
 """
 
 from __future__ import annotations
@@ -121,6 +132,16 @@ _TAG_RE = re.compile(r"^[a-z0-9_]+$")
 # one encoder for every log line; ``json.dumps(obj, sort_keys=True)`` would
 # build a new one per call and produce the same text
 _encode_line = json.JSONEncoder(sort_keys=True).encode
+# and one decoder: for a str, ``json.loads`` calls this same method on a
+# default decoder, after a check for a leading byte-order mark that only
+# changes the message of the JSONDecodeError such a line raises anyway
+_decode_line = json.JSONDecoder().decode
+
+# member by value, for the replay; a miss still goes through the enum's own
+# call, which raises its ValueError
+_RECORD_CLASSES = {m.value: m for m in RecordClass}
+_SOURCES = {m.value: m for m in Source}
+_RADAR = DeviceKind.RADAR
 
 
 def _tag_words(value):
@@ -129,6 +150,15 @@ def _tag_words(value):
     if isinstance(value, str):
         raise InvalidRecord(f"tags must be a list of words, not the string {value!r}")
     return value
+
+
+def _check_tags(tags) -> None:
+    """The tag rules: at least one tag, each a string of ``[a-z0-9_]+``."""
+    if not tags:
+        raise InvalidRecord("tags must be non-empty")
+    for tag in tags:
+        if not isinstance(tag, str) or not _TAG_RE.match(tag):
+            raise InvalidRecord(f"bad tag {tag!r} (want [a-z0-9_]+)")
 
 
 class _RecordFields(NamedTuple):
@@ -160,13 +190,15 @@ class EnvRecord(_RecordFields):
                                    position, source))
 
     def validate(self) -> None:
+        self._check(True)
+
+    def _check(self, check_tags: bool) -> None:
+        """``validate``'s checks in its order; the tag rules only if
+        ``check_tags``."""
         if not 0 <= self.record_id < 2**64:
             raise InvalidRecord(f"record_id out of u64 range: {self.record_id}")
-        if not self.tags:
-            raise InvalidRecord("tags must be non-empty")
-        for tag in self.tags:
-            if not isinstance(tag, str) or not _TAG_RE.match(tag):
-                raise InvalidRecord(f"bad tag {tag!r} (want [a-z0-9_]+)")
+        if check_tags:
+            _check_tags(self.tags)
         if self.position is not None and len(self.position) != 2:
             raise InvalidRecord("position must be (x_m, y_m)")
 
@@ -182,17 +214,43 @@ class EnvRecord(_RecordFields):
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "EnvRecord":
-        rec = cls(
-            record_id=int(obj["record_id"]),
-            record_class=RecordClass(obj["class"]),
-            tags=frozenset(_tag_words(obj["tags"])),
-            timestamp_ns=int(obj["timestamp_ns"]),
-            attributes=dict(obj.get("attributes", {})),
-            position=tuple(obj["position"]) if obj.get("position") is not None else None,
-            source=Source(obj.get("source", "perception")),
-        )
-        rec.validate()
+    def from_json_obj(cls, obj: dict, tag_sets: dict | None = None) -> "EnvRecord":
+        """The record a log object describes, checked as ``validate`` checks.
+
+        The fields are read in tuple order, then ``validate``'s checks run,
+        so a bad object raises what its first fault raises. The record keeps
+        ``obj["attributes"]`` itself when it is a dict. ``tag_sets`` maps
+        each tag set that passed the tag rules to its one frozenset: a
+        record whose tags are in it holds that frozenset and skips the tag
+        rules, and a new set enters it only once it has passed them.
+        """
+        record_id = int(obj["record_id"])
+        value = obj["class"]
+        try:
+            record_class = _RECORD_CLASSES[value]
+        except (KeyError, TypeError):  # TypeError: a value no dict can hold
+            record_class = RecordClass(value)
+        tags = frozenset(_tag_words(obj["tags"]))
+        timestamp_ns = int(obj["timestamp_ns"])
+        attributes = obj.get("attributes", ())  # missing: dict(()) is a new {}
+        if not isinstance(attributes, dict):
+            attributes = dict(attributes)
+        position = obj.get("position")
+        if position is not None:
+            position = tuple(position)
+        value = obj.get("source", "perception")
+        try:
+            source = _SOURCES[value]
+        except (KeyError, TypeError):
+            source = Source(value)
+        if tag_sets is None:
+            tag_sets = {}
+        shared = tag_sets.get(tags)
+        rec = tuple.__new__(cls, (record_id, record_class, shared or tags, timestamp_ns,
+                                  attributes, position, source))
+        rec._check(shared is None)
+        if shared is None:
+            tag_sets[tags] = tags
         return rec
 
 
@@ -331,19 +389,25 @@ class EnvStore:
     def open(cls, path) -> "EnvStore":
         """Rebuild a store by replaying a JSONL record log.
 
-        The next id is one past the highest id the log names, tombstones
-        included, so a reopened store never re-issues a deleted id. The
-        postings and the order index are built in one pass and one sort
-        after the replay, which costs less than keeping them current line
-        by line. A last line with no newline was cut short mid-write: it is
-        discarded and the file truncated to the end of the line before it.
-        A bad line anywhere else raises: ``json.JSONDecodeError`` if it is
-        not JSON, ``InvalidRecord`` naming its line number if it is JSON but
-        not a record or tombstone (a missing key, a wrong type, a bad tag or
-        an unknown class).
+        Each line is parsed by the one module decoder and becomes a record
+        in ``EnvRecord.from_json_obj``, which keeps the parsed
+        ``attributes`` dict. A table local to the replay holds every tag set
+        that has passed the tag rules, so each distinct set is checked once
+        and all records with equal tags share one frozenset. The next id is
+        one past the highest id the log names, tombstones included, so a
+        reopened store never re-issues a deleted id. The postings and the
+        order index are built in one pass and one sort after the replay,
+        which costs less than keeping them current line by line. A last line
+        with no newline was cut short mid-write: it is discarded and the
+        file truncated to the end of the line before it. A bad line anywhere
+        else raises: ``json.JSONDecodeError`` if it is not JSON,
+        ``InvalidRecord`` naming its line number if it is JSON but not a
+        record or tombstone (a missing key, a wrong type, a bad tag or an
+        unknown class).
         """
         store = cls()
         records = store._records
+        tag_sets = {}  # each tag set that passed the tag rules -> its one frozenset
         dead_high = -1
         torn = ""
         with open(path, "r", encoding="utf-8") as fh:
@@ -354,14 +418,14 @@ class EnvStore:
                 line = line.strip()
                 if not line:
                     continue
-                obj = json.loads(line)
+                obj = _decode_line(line)
                 try:
                     if obj.get("deleted"):
                         rid = int(obj["record_id"])
                         records.pop(rid, None)
                         dead_high = max(dead_high, rid)
                         continue
-                    rec = EnvRecord.from_json_obj(obj)
+                    rec = EnvRecord.from_json_obj(obj, tag_sets)
                 except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
                         InvalidRecord) as exc:
                     why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
@@ -631,15 +695,17 @@ class EnvStore:
         return rec.record_id
 
     def _record_from_frame(self, frame: AbstractFrame) -> EnvRecord:
-        entry = INGEST_TABLE.get(frame.kind)
+        """The record for ``frame``; it keeps ``frame.normalized`` as its
+        ``attributes``, not a copy."""
+        kind = frame.kind
+        entry = INGEST_TABLE.get(kind)
         if entry is None:
-            raise InvalidRecord(f"no ingestion rule for kind {frame.kind!r}")
+            raise InvalidRecord(f"no ingestion rule for kind {kind!r}")
         record_class, tags, source = entry
-        position = None
-        if frame.kind == DeviceKind.RADAR:
-            position = (frame.normalized["range_m"], 0.0)
+        attributes = frame.normalized
+        position = (attributes["range_m"], 0.0) if kind is _RADAR else None
         return EnvRecord(self._next_id, record_class, tags, frame.timestamp_ns,
-                         dict(frame.normalized), position, source)
+                         attributes, position, source)
 
     def _record_from_mapping(self, payload: dict) -> EnvRecord:
         try:

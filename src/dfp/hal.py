@@ -27,6 +27,11 @@ A frame, raw or normalized, is an immutable named tuple: its fields read
 by name or position, assigning one raises ``AttributeError``, and two
 frames with equal fields compare equal (to a plain tuple of them too). A
 drive builds two frames per step, and each is one tuple allocation.
+
+A dict handed to the HAL is kept, not copied: ``DeviceHandle.stamp`` puts
+the caller's ``raw`` dict in its frame, and the environment store keeps a
+normalized frame's dict as its record's ``attributes``. Whoever hands a
+dict over does not change it afterwards.
 """
 
 from __future__ import annotations
@@ -61,6 +66,11 @@ class UnsupportedKind(HalError):
 
 
 class DeviceKind(enum.Enum):
+    # members are singletons compared by identity, so they hash by identity
+    # too: object's hash is a C call, Enum's a Python one, and a kind keys a
+    # table lookup for every frame normalized or ingested
+    __hash__ = object.__hash__
+
     CAMERA = "camera"
     RADAR = "radar"
     LIDAR = "lidar"
@@ -293,12 +303,14 @@ class DeviceHandle:
         """Wrap caller-supplied raw attributes in the next frame slot.
 
         This is the injection point for simulated worlds that feed a device
-        with scenario-derived measurements instead of synthetic ones.
+        with scenario-derived measurements instead of synthetic ones. The
+        frame keeps ``raw`` itself, not a copy: the caller hands the dict
+        over and does not change it afterwards.
         """
         seq = self._next_seq
         self._next_seq += 1
         return SensorFrame(self.descriptor.device_id, self.descriptor.kind,
-                           seq, self._timestamp(seq), dict(raw))
+                           seq, self._timestamp(seq), raw)
 
     def tick(self, n: int = 1) -> list[SensorFrame]:
         """Generate the next ``n`` synthetic frames for this device."""

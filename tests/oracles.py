@@ -4,6 +4,7 @@ Each oracle is deliberately written with a different algorithm or style
 than the code under test, so shared bugs are unlikely.
 """
 
+import json
 from functools import lru_cache
 
 
@@ -113,3 +114,64 @@ class FsmReference:
                 if action[0] == "emit":
                     queue.append((action[1], action[2]))
         return actions, "ok"
+
+
+_TAG_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
+_RECORD_CLASSES = ("object", "lane", "road_feature", "weather", "localization", "v2x_event")
+_SOURCES = ("perception", "localization", "fusion", "v2x", "cloud")
+
+
+def replay_reference(path):
+    """Replay an environment-store log line by line, with explicit checks.
+
+    Every complete line is parsed with ``json.loads`` on its own. A
+    tombstone drops its record; any other line must be a valid record
+    object and replaces the record with its id. A last line with no newline
+    counts as cut short and is ignored. The file is not touched.
+
+    Returns ``(records, postings, order, next_id, kept)``: record id ->
+    ``(class, tags, timestamp_ns, attributes, position, source)`` with the
+    tags a sorted list, the position a tuple or None and the class and
+    source their string values; tag -> set of live ids; every live
+    ``(timestamp_ns, -record_id)`` ascending; one past the highest id any
+    line named; and the file's bytes up to the end of its last complete line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    kept = data[:data.rfind(b"\n") + 1]
+    records, highest = {}, -1
+    for number, line in enumerate(kept.decode("utf-8").split("\n")[:-1], 1):
+        if not line.strip():
+            continue
+        obj = json.loads(line)
+        rid = obj["record_id"]
+        if type(rid) is not int or not 0 <= rid < 2**64:
+            raise ValueError(f"line {number}: bad record_id {rid!r}")
+        highest = max(highest, rid)
+        if obj.get("deleted"):
+            records.pop(rid, None)
+            continue
+        tags = obj["tags"]
+        if type(tags) is not list or not tags:
+            raise ValueError(f"line {number}: tags must be a non-empty list")
+        for tag in tags:
+            if type(tag) is not str or not tag or any(c not in _TAG_CHARS for c in tag):
+                raise ValueError(f"line {number}: bad tag {tag!r}")
+        if obj["class"] not in _RECORD_CLASSES:
+            raise ValueError(f"line {number}: unknown class {obj['class']!r}")
+        source = obj.get("source", "perception")
+        if source not in _SOURCES:
+            raise ValueError(f"line {number}: unknown source {source!r}")
+        position = obj.get("position")
+        if position is not None:
+            if type(position) is not list or len(position) != 2:
+                raise ValueError(f"line {number}: bad position {position!r}")
+            position = tuple(position)
+        records[rid] = (obj["class"], sorted(set(tags)), obj["timestamp_ns"],
+                        obj.get("attributes", {}), position, source)
+    postings = {}
+    for rid, fields in records.items():
+        for tag in fields[1]:
+            postings.setdefault(tag, set()).add(rid)
+    order = sorted((fields[2], -rid) for rid, fields in records.items())
+    return records, postings, order, highest + 1, kept

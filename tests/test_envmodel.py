@@ -29,7 +29,7 @@ from dfp.envmodel import (
 )
 from dfp.hal import AbstractFrame, DeviceDescriptor, DeviceKind, DeviceRegistry, normalize
 
-from oracles import levenshtein_recursive
+from oracles import levenshtein_recursive, replay_reference
 
 
 def rec(rid, tags, ts=0, cls=RecordClass.OBJECT, **kw):
@@ -630,6 +630,17 @@ def test_radar_frame_becomes_lead_vehicle_object():
     assert got.attributes["range_rate_mps"] == -2.0
 
 
+def test_the_hal_and_the_store_keep_the_dicts_they_are_given():
+    handle = DeviceRegistry().register_device(
+        DeviceDescriptor("radar0", DeviceKind.RADAR, 20.0, 3))
+    raw = {"range_km": 0.05, "range_rate_mps": -2.0, "azimuth_rad": 0.0}
+    sensor = handle.stamp(raw)
+    assert sensor.raw is raw
+    frame = normalize(sensor)
+    store = EnvStore()
+    assert store.read(store.ingest(frame)).attributes is frame.normalized
+
+
 def test_weather_mapping_ingest_tags_true_booleans():
     store = EnvStore()
     rid = store.ingest({"class": "weather", "attributes": {"rain": True, "temp_c": 4}})
@@ -742,7 +753,8 @@ def test_open_discards_a_torn_last_line_and_appends_after_it(tmp_path, kept):
 def test_open_still_rejects_a_bad_complete_line(tmp_path):
     path = tmp_path / "env.jsonl"
     good = json.dumps(rec(1, {"rain"}).to_json_obj())
-    for text in (f"{good}\n{{bad\n{good}\n", f"{good}\n{{bad\n", f"{{bad\n{good}"):
+    for text in (f"{good}\n{{bad\n{good}\n", f"{good}\n{{bad\n", f"{{bad\n{good}",
+                 f"\ufeff{good}\n"):  # a byte-order mark is not JSON either
         path.write_text(text)
         with pytest.raises(json.JSONDecodeError):
             EnvStore.open(str(path))
@@ -760,6 +772,18 @@ def test_open_names_the_line_that_is_json_but_not_a_record(tmp_path):
         "not a valid RecordClass": {**rec(2, {"rain"}).to_json_obj(), "class": "cloud"},
         "missing key 'record_id'": {"deleted": True},
         "has no attribute": [2, "rain"],
+        # line 1 brought the valid set {"rain"}; this set adds a bad tag to
+        # it, so it is another set and gets its own check
+        "bad tag 'Rain'": {**rec(2, {"rain"}).to_json_obj(), "tags": ["rain", "Rain"]},
+        r"\['object'\] is not a valid RecordClass":
+            {**rec(2, {"rain"}).to_json_obj(), "class": ["object"]},
+        "'radio' is not a valid Source": {**rec(2, {"rain"}).to_json_obj(), "source": "radio"},
+        r"position must be \(x_m, y_m\)":
+            {**rec(2, {"rain"}).to_json_obj(), "position": [1.0, 2.0, 3.0]},
+        "record_id out of u64 range: 18446744073709551616":
+            {**rec(2, {"rain"}).to_json_obj(), "record_id": 2**64},
+        "cannot convert dictionary update sequence element #0":
+            {**rec(2, {"rain"}).to_json_obj(), "attributes": [1]},
     }
     for why, obj in bad_lines.items():
         text = f"{good}\n{json.dumps(obj)}\n{good}\n"
@@ -776,6 +800,78 @@ def test_open_refuses_a_log_line_with_a_string_for_tags(tmp_path):
     path.write_text(f"{good}\n{bad}\n")
     with pytest.raises(InvalidRecord, match="^line 2: .*'snow'"):
         EnvStore.open(str(path))
+
+
+def test_open_reads_attributes_given_as_a_list_of_pairs(tmp_path):
+    path = tmp_path / "env.jsonl"
+    obj = {**rec(1, {"lane"}).to_json_obj(), "attributes": [["lane_count", 2], ["width_m", 3.5]]}
+    path.write_text(json.dumps(obj) + "\n")
+    assert EnvStore.open(str(path)).read(1).attributes == {"lane_count": 2, "width_m": 3.5}
+
+
+def test_open_shares_one_frozenset_per_tag_set(tmp_path):
+    path = tmp_path / "env.jsonl"
+    lines = [{**rec(1, {"lead"}).to_json_obj(), "tags": ["lead", "vehicle"]},
+             {**rec(2, {"lead"}).to_json_obj(), "tags": ["vehicle", "lead", "lead"]},
+             {**rec(3, {"lead"}).to_json_obj(), "tags": ["rain"]}]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+    with EnvStore.open(str(path)) as store:
+        assert store.read(1).tags is store.read(2).tags
+        assert store.read(3).tags == frozenset({"rain"})
+        store.update(1, {"tags": ["lead", "vehicle", "fog"]})
+        assert store.read(1).tags == frozenset({"lead", "vehicle", "fog"})
+        assert store.read(2).tags == frozenset({"lead", "vehicle"})
+        assert store.query(OddQuery(("fog",))) == [store.read(1)]
+
+
+LOG_TAG_LISTS = [["lead", "vehicle"], ["vehicle", "lead"], ["rain"], ["rain", "rain"],
+                 ["fog", "rain"], ["rain", "fog", "snow"]]
+OPTIONAL_KEYS = ("attributes", "position", "source")
+log_records = st.tuples(
+    st.fixed_dictionaries({
+        "record_id": st.integers(min_value=0, max_value=6),  # few ids, so updates are common
+        "class": st.sampled_from([c.value for c in RecordClass]),
+        "tags": st.sampled_from(LOG_TAG_LISTS)
+        | st.lists(st.sampled_from(INDEX_TAGS), min_size=1, max_size=3),
+        "timestamp_ns": timestamps,
+        "attributes": st.dictionaries(st.sampled_from(["range_m", "confidence"]),
+                                      st.integers(-5, 5) | st.floats(-1e3, 1e3), max_size=2),
+        "position": st.none() | st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+        "source": st.sampled_from([s.value for s in Source]),
+    }),
+    st.sets(st.sampled_from(OPTIONAL_KEYS)),  # the keys this line leaves out
+).map(lambda pair: {k: v for k, v in pair[0].items() if k not in pair[1]})
+log_lines = st.one_of(
+    log_records,
+    st.builds(lambda rid: {"record_id": rid, "deleted": True},
+              st.integers(min_value=0, max_value=8)),
+    st.none(),  # a blank line
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(log_lines, max_size=30),
+       st.none() | st.tuples(log_records, st.integers(min_value=0, max_value=300)))
+def test_open_equals_a_plain_replay_of_a_random_log(entries, torn):
+    text = "".join("\n" if obj is None else json.dumps(obj, sort_keys=True) + "\n"
+                   for obj in entries)
+    if torn is not None:  # a last line cut short, at least by its newline
+        obj, kept = torn
+        text += json.dumps(obj, sort_keys=True)[:kept]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "env.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        records, postings, order, next_id, kept_bytes = replay_reference(path)
+        store = EnvStore.open(path)
+        with open(path, "rb") as fh:
+            assert fh.read() == kept_bytes
+    assert {r.record_id: (r.record_class.value, sorted(r.tags), r.timestamp_ns, r.attributes,
+                          r.position, r.source.value)
+            for r in store.all_records()} == records
+    assert store._postings == postings
+    assert store._order == order
+    assert store._next_id == next_id
 
 
 # -- the log handle -----------------------------------------------------------------
