@@ -46,7 +46,6 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 D5 = "D5: the seeded stack ticks synthetic HAL frames"
 D6 = "D6: calls over the lossy bus"
 D7 = "D7: node faults reach the mode manager"
-D8 = "D8: a run explains itself"
 D13 = "D13: the fault campaign's reference run"
 D16 = "D16: the fallback swaps the control algorithm"
 ORACLE = "test oracle"
@@ -72,7 +71,6 @@ ALLOWED = {
     ("dfp.funcsw.graph", "TaskGraph.stop_group"): D7,
     ("dfp.funcsw.graph", "TaskGraph.on_node_failure"): D7,
     ("dfp.modemgr", "StopGroup.to_json_obj"): D7,
-    ("dfp.funcsw.types", "FiringReport.to_json"): D8,
     ("dfp.runtime", "reference_trajectory"): D13,
     ("dfp.funcsw.graph", "TaskGraph.swap_algorithm"): D16,
     ("dfp.acc", "simulate"): ORACLE,

@@ -46,7 +46,6 @@ class Collision(AccError):
 class VehicleState:
     position: float = 0.0  # m, longitudinal
     speed: float = 0.0  # m/s, clamped at zero
-    accel: float = 0.0  # m/s^2
 
     def __post_init__(self):
         if self.speed < 0:

@@ -142,6 +142,7 @@ _decode_line = json.JSONDecoder().decode
 _RECORD_CLASSES = {m.value: m for m in RecordClass}
 _SOURCES = {m.value: m for m in Source}
 _RADAR = DeviceKind.RADAR
+_NUMBER = (int, float)  # the exact types a position coordinate may have
 
 
 def _tag_words(value):
@@ -150,6 +151,14 @@ def _tag_words(value):
     if isinstance(value, str):
         raise InvalidRecord(f"tags must be a list of words, not the string {value!r}")
     return value
+
+
+def _check_record_id(rid) -> None:
+    """A record id is an ``int`` (a bool is not one) in the u64 range."""
+    if type(rid) is not int:
+        raise InvalidRecord(f"record_id must be an int, not {rid!r}")
+    if not 0 <= rid < 2**64:
+        raise InvalidRecord(f"record_id out of u64 range: {rid}")
 
 
 def _check_tags(tags) -> None:
@@ -194,12 +203,17 @@ class EnvRecord(_RecordFields):
 
     def _check(self, check_tags: bool) -> None:
         """``validate``'s checks in its order; the tag rules only if
-        ``check_tags``."""
-        if not 0 <= self.record_id < 2**64:
-            raise InvalidRecord(f"record_id out of u64 range: {self.record_id}")
+        ``check_tags``. Types are exact: a bool is not an int, and a
+        position holds two ints or floats."""
+        _check_record_id(self.record_id)
         if check_tags:
             _check_tags(self.tags)
-        if self.position is not None and len(self.position) != 2:
+        if type(self.timestamp_ns) is not int:
+            raise InvalidRecord(f"timestamp_ns must be an int, not {self.timestamp_ns!r}")
+        position = self.position
+        if position is not None and (len(position) != 2
+                                     or type(position[0]) not in _NUMBER
+                                     or type(position[1]) not in _NUMBER):
             raise InvalidRecord("position must be (x_m, y_m)")
 
     def to_json_obj(self) -> dict:
@@ -218,20 +232,26 @@ class EnvRecord(_RecordFields):
         """The record a log object describes, checked as ``validate`` checks.
 
         The fields are read in tuple order, then ``validate``'s checks run,
-        so a bad object raises what its first fault raises. The record keeps
-        ``obj["attributes"]`` itself when it is a dict. ``tag_sets`` maps
-        each tag set that passed the tag rules to its one frozenset: a
-        record whose tags are in it holds that frozenset and skips the tag
-        rules, and a new set enters it only once it has passed them.
+        so a bad object raises what its first fault raises. Nothing is
+        coerced: ``tags`` must be a JSON list, and the id, the timestamp
+        and the position's coordinates the types ``_check`` asks for. The
+        record keeps ``obj["attributes"]`` itself when it is a dict (a
+        list of pairs becomes one). ``tag_sets`` maps each tag set that
+        passed the tag rules to its one frozenset: a record whose tags are
+        in it holds that frozenset and skips the tag rules, and a new set
+        enters it only once it has passed them.
         """
-        record_id = int(obj["record_id"])
+        record_id = obj["record_id"]
         value = obj["class"]
         try:
             record_class = _RECORD_CLASSES[value]
         except (KeyError, TypeError):  # TypeError: a value no dict can hold
             record_class = RecordClass(value)
-        tags = frozenset(_tag_words(obj["tags"]))
-        timestamp_ns = int(obj["timestamp_ns"])
+        tags = obj["tags"]
+        if type(tags) is not list:
+            raise InvalidRecord(f"tags must be a list of words, not {tags!r}")
+        tags = frozenset(tags)
+        timestamp_ns = obj["timestamp_ns"]
         attributes = obj.get("attributes", ())  # missing: dict(()) is a new {}
         if not isinstance(attributes, dict):
             attributes = dict(attributes)
@@ -421,7 +441,8 @@ class EnvStore:
                 obj = _decode_line(line)
                 try:
                     if obj.get("deleted"):
-                        rid = int(obj["record_id"])
+                        rid = obj["record_id"]
+                        _check_record_id(rid)
                         records.pop(rid, None)
                         dead_high = max(dead_high, rid)
                         continue

@@ -5,8 +5,12 @@ A ``TaskGraph`` is built from node declarations whose input ports bind to
 topics. A node fires in a round only when every input port holds fresh
 data; fired nodes execute in topological order (ties broken by node id)
 and their outputs propagate within the same round. Firing consumes input
-freshness. Failures (body faults or watchdog overruns) move a node to
-FAILED and the group restart policy decides whether it comes back.
+freshness. ``TaskGraph.step`` returns the values the round produced; the
+graph keeps the rest of the round's record: per-node fired counts and
+largest simulated cost, per-topic produced counts, and the lifecycle
+``trace``. Failures (body faults, watchdog overruns or undeclared outputs)
+move a node to FAILED, logged in the trace with their reason, and the group
+restart policy decides whether it comes back.
 """
 
 from dfp.funcsw.types import (
@@ -16,7 +20,6 @@ from dfp.funcsw.types import (
     CycleDetected,
     DuplicateAlgorithm,
     DuplicateNodeId,
-    FiringReport,
     GraphError,
     GroupPolicy,
     Lifecycle,
@@ -43,7 +46,6 @@ __all__ = [
     "CycleDetected",
     "DuplicateAlgorithm",
     "DuplicateNodeId",
-    "FiringReport",
     "GraphError",
     "GroupPolicy",
     "Lifecycle",

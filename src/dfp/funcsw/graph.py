@@ -4,12 +4,14 @@ A round runs a plan compiled at wiring time: per node, in topological
 order, its input cells, its declared outputs and its consumers' cells.
 ``add_node`` and ``remove_node`` rebuild it; a round only walks it.
 
-The graph counts where things happen: as a round fires a node it adds to
-the node's fired count and keeps the largest simulated ``elapsed_ms`` the
-node has reported, and it counts each topic a fired node produces. These
-counts live for the graph's lifetime and survive rebuilds; the run report
-reads them (``fired_count_of``, ``max_elapsed_ms_of``, ``restart_count_of``,
-``produced_count_of``) instead of recounting the firing reports.
+The graph keeps the one record of what a round did. As a round fires a
+node it adds to the node's fired count and keeps the largest simulated
+``elapsed_ms`` the node has reported, and it counts each topic a fired node
+produces. These counts live for the graph's lifetime and survive rebuilds;
+the run report reads them (``fired_count_of``, ``max_elapsed_ms_of``,
+``restart_count_of``, ``produced_count_of``). A failure is logged once, in
+``trace``, with its node, full reason and round. ``step`` returns only
+the values the round produced.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dfp.funcsw.types import (
     BindingConflict,
     CycleDetected,
     DuplicateNodeId,
-    FiringReport,
     GraphError,
     GroupPolicy,
     Lifecycle,
@@ -366,14 +367,16 @@ class TaskGraph:
 
     # -- the firing engine --------------------------------------------------------
 
-    def step(self, external_inputs: dict | None = None) -> FiringReport:
-        """Run one deterministic scheduling round.
+    def step(self, external_inputs: dict | None = None) -> dict:
+        """Run one deterministic scheduling round; return ``{topic: value}``
+        for every topic a node produced in it.
 
         A node fires iff it is RUNNING and every input port holds fresh
         data. Fired nodes execute in topological order and their outputs
         propagate within the round. Non-firing is not an error. The round
         counts as it goes: each fired node's firings and largest simulated
-        ``elapsed_ms``, and each produced topic's rounds.
+        ``elapsed_ms``, and each produced topic's rounds. A failed node's
+        ``trace`` entry, with ``to == "failed"``, holds the reason.
         """
         if not self.started:
             raise GraphError("step() before start()")
@@ -383,13 +386,13 @@ class TaskGraph:
         finally:
             self._in_round = False
 
-    def _run_round(self, external_inputs: dict) -> FiringReport:
+    def _run_round(self, external_inputs: dict) -> dict:
         cells = self._cells
         for topic, value in external_inputs.items():
             for cell in cells.get(topic, ()):
                 cell[0] = value
                 cell[1] = True
-        fired, elapsed, produced, failures = [], {}, {}, []
+        produced = {}
         counts = self._produced_counts
         running = Lifecycle.RUNNING
         for nid, node, state, ports, declared, routes in self._plan:
@@ -407,7 +410,6 @@ class TaskGraph:
             try:
                 result = node.body(inputs, node.config)
             except Exception as exc:
-                failures.append({"node": nid, "reason": f"fault: {exc}"})
                 self.on_node_failure(nid, f"fault: {exc}")
                 continue
             if isinstance(result, NodeResult):
@@ -415,17 +417,12 @@ class TaskGraph:
             else:
                 outputs, cost_ms = (result or {}), 0.0
             if cost_ms > node.watchdog_ms:
-                failures.append({"node": nid, "reason": "watchdog"})
                 self.on_node_failure(nid, "watchdog")
                 continue
             if not declared.issuperset(outputs):
-                undeclared = set(outputs) - declared
-                failures.append({"node": nid,
-                                 "reason": f"undeclared outputs {sorted(undeclared)}"})
-                self.on_node_failure(nid, "undeclared output")
+                self.on_node_failure(
+                    nid, f"undeclared outputs {sorted(set(outputs) - declared)}")
                 continue
-            fired.append(nid)
-            elapsed[nid] = cost_ms
             state.fired += 1
             if cost_ms > state.max_elapsed_ms:
                 state.max_elapsed_ms = cost_ms
@@ -435,6 +432,5 @@ class TaskGraph:
                 for cell in routes[topic]:
                     cell[0] = value
                     cell[1] = True
-        report = FiringReport(self._round, fired, elapsed, produced, failures)
         self._round += 1
-        return report
+        return produced

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -164,21 +163,3 @@ class NodeResult:
     outputs: dict
     elapsed_ms: float = 0.0
 
-
-@dataclass(slots=True)
-class FiringReport:
-    round_index: int
-    fired: list  # node ids, in execution order
-    elapsed_ms: dict  # node id -> simulated ms
-    produced: dict  # topic -> value
-    failures: list  # {"node":..., "reason":...}
-
-    def to_json(self) -> str:
-        doc = {
-            "round": self.round_index,
-            "fired": list(self.fired),
-            "elapsed_ms": dict(sorted(self.elapsed_ms.items())),
-            "produced": {k: self.produced[k] for k in sorted(self.produced)},
-            "failures": list(self.failures),
-        }
-        return json.dumps(doc, sort_keys=True, default=repr)

@@ -270,11 +270,6 @@ NORMALIZED_SCHEMAS = {
 def normalize(frame: SensorFrame) -> AbstractFrame:
     """Map a raw frame to its device-independent form (total, idempotent)."""
     kind = frame.kind
-    if isinstance(kind, str):
-        try:
-            kind = DeviceKind(kind)
-        except ValueError:
-            raise UnsupportedKind(f"no normalization schema for kind {frame.kind!r}") from None
     normalizer = _NORMALIZERS.get(kind)
     if normalizer is None:
         raise UnsupportedKind(f"no normalization schema for kind {kind!r}")

@@ -10,12 +10,13 @@ integrates the plant. Application nodes only ever touch SDK surfaces.
 The task graph is the data plane. Only the command leaves it, so only the
 declared ``control/*`` topic crosses the middleware. Its payload is the
 commanded acceleration as one little-endian IEEE-754 float64 (8 bytes),
-not JSON. The graph counts what it fires as it fires it: per node the
-firings and the largest simulated ``elapsed_ms``, per topic the rounds
-that produced it. The report reads those counts, so the runner does not
-recount a round. Every declared topic but the command is reported from the
-graph's produced count; graph ports are lossless, so such a topic
-delivers what it publishes and drops nothing.
+not JSON. A round returns only the values it produced, and the runner
+publishes the command from them. The graph counts what it fires as it
+fires it: per node the firings and the largest simulated ``elapsed_ms``,
+per topic the rounds that produced it. The report reads those counts, so
+the runner does not recount a round. Every declared topic but the command
+is reported from the graph's produced count; graph ports are lossless, so
+such a topic delivers what it publishes and drops nothing.
 
 The graph and the mode coordinator come from ``dfp.config.build_pipeline``,
 the same assembly that validated the config, so a Stack starts only what
@@ -193,13 +194,6 @@ class Stack:
         self._fsm_dispatches += 1
         return self.coordinator.dispatch(fsm_id, event)
 
-    def _bridge_round(self, report) -> None:
-        """Publish the command if the round produced it."""
-        produced = report.produced
-        if self._command_topic in produced:
-            self._command_pub.publish(
-                COMMAND.pack(produced[self._command_topic]["accel_mps2"]))
-
     def _take_command(self):
         if self._command_sub is None:
             return None
@@ -228,6 +222,7 @@ class Stack:
         world_topic = next((n.inputs[0] for n in self.config.nodes
                             if n.stage.name == "ACQUISITION" and n.inputs), "world/radar")
 
+        command_topic = self._command_topic
         dt = scenario.dt
         dt_ns = int(round(dt * 1e9))
         steps = round(scenario.duration / dt) if duration is None else round(duration / dt)
@@ -246,11 +241,13 @@ class Stack:
                 raw = {"range_km": gap / 1000.0,
                        "range_rate_mps": v_lead - ego_v,
                        "azimuth_rad": 0.0}
-                report = self.graph.step({
+                produced = self.graph.step({
                     world_topic: raw,
                     "vehicle/odometry": {"speed_mps": ego_v},
                 })
-                self._bridge_round(report)
+                if command_topic in produced:
+                    self._command_pub.publish(
+                        COMMAND.pack(produced[command_topic]["accel_mps2"]))
                 self.domain.clock.advance(dt_ns)
                 accel = self._take_command()
                 if accel is None:

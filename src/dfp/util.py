@@ -5,9 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 
-U64_MASK = 0xFFFFFFFFFFFFFFFF
-
-
 def stable_u64(*parts: object) -> int:
     """Deterministic 64-bit hash of the given parts.
 
@@ -56,4 +53,3 @@ class ManualClock:
 
 
 MS = 1_000_000
-SEC = 1_000_000_000

@@ -126,7 +126,8 @@ def replay_reference(path):
 
     Every complete line is parsed with ``json.loads`` on its own. A
     tombstone drops its record; any other line must be a valid record
-    object and replaces the record with its id. A last line with no newline
+    object and replaces the record with its id. Types are exact: a bool is
+    not an int, and nothing is converted. A last line with no newline
     counts as cut short and is ignored. The file is not touched.
 
     Returns ``(records, postings, order, next_id, kept)``: record id ->
@@ -162,12 +163,16 @@ def replay_reference(path):
         source = obj.get("source", "perception")
         if source not in _SOURCES:
             raise ValueError(f"line {number}: unknown source {source!r}")
+        timestamp = obj["timestamp_ns"]
+        if type(timestamp) is not int:
+            raise ValueError(f"line {number}: bad timestamp_ns {timestamp!r}")
         position = obj.get("position")
         if position is not None:
-            if type(position) is not list or len(position) != 2:
+            if (type(position) is not list or len(position) != 2
+                    or not all(type(v) in (int, float) for v in position)):
                 raise ValueError(f"line {number}: bad position {position!r}")
             position = tuple(position)
-        records[rid] = (obj["class"], sorted(set(tags)), obj["timestamp_ns"],
+        records[rid] = (obj["class"], sorted(set(tags)), timestamp,
                         obj.get("attributes", {}), position, source)
     postings = {}
     for rid, fields in records.items():

@@ -33,6 +33,8 @@ DELETED = [
     ("dfp.middleware.core", "Participant._complete_call"),
     ("dfp.middleware.core", "ServiceHandle"),
     ("dfp.funcsw.graph", "build_graph"),
+    ("dfp.funcsw.types", "FiringReport"),
+    ("dfp.funcsw.types", "FiringReport.to_json"),
     ("dfp.acc", "TrajectoryPoint.as_dict"),
     ("dfp.acc", "trajectory_json"),
     ("dfp.runtime", "RunResult.ok"),

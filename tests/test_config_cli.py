@@ -63,6 +63,11 @@ def test_unresolved_input_topic_named(demo_doc):
     expect_config_error(demo_doc, "vehicle/odometry_typo")
 
 
+def test_vehicle_state_takes_no_accel_key(demo_doc):
+    demo_doc["acc"]["scenario"]["ego"]["accel"] = 0.5
+    expect_config_error(demo_doc, "accel")
+
+
 def test_stage_order_violation_rejected(demo_doc):
     demo_doc["pipeline"]["nodes"][0]["stage"] = "service"
     expect_config_error(demo_doc, "stage order")

@@ -768,7 +768,8 @@ def test_open_names_the_line_that_is_json_but_not_a_record(tmp_path):
         "bad tag": {**rec(2, {"rain"}).to_json_obj(), "tags": ["Bad Tag"]},
         "missing key 'class'": {k: v for k, v in rec(2, {"rain"}).to_json_obj().items()
                                 if k != "class"},
-        "invalid literal": {**rec(2, {"rain"}).to_json_obj(), "record_id": "two"},
+        "record_id must be an int, not 'two'":
+            {**rec(2, {"rain"}).to_json_obj(), "record_id": "two"},
         "not a valid RecordClass": {**rec(2, {"rain"}).to_json_obj(), "class": "cloud"},
         "missing key 'record_id'": {"deleted": True},
         "has no attribute": [2, "rain"],
@@ -791,6 +792,76 @@ def test_open_names_the_line_that_is_json_but_not_a_record(tmp_path):
         with pytest.raises(InvalidRecord, match=f"^line 2: .*{why}"):
             EnvStore.open(str(path))
         assert path.read_text() == text
+
+
+def test_open_refuses_a_value_it_would_have_to_coerce(tmp_path):
+    path = tmp_path / "env.jsonl"
+    coerced = [  # (field, value, the fragment the refusal names)
+        ("record_id", 2.9, "record_id must be an int, not 2.9"),
+        ("record_id", True, "record_id must be an int, not True"),
+        ("timestamp_ns", "7", "timestamp_ns must be an int, not '7'"),
+        ("timestamp_ns", 1.5, "timestamp_ns must be an int, not 1.5"),
+        ("timestamp_ns", False, "timestamp_ns must be an int, not False"),
+        ("position", "ab", r"position must be \(x_m, y_m\)"),
+        ("position", ["a", "b"], r"position must be \(x_m, y_m\)"),
+        ("position", [True, 1.0], r"position must be \(x_m, y_m\)"),
+        ("tags", {"fog": 1}, r"tags must be a list of words, not \{'fog': 1\}"),
+    ]
+    lines = [({**rec(1, {"rain"}).to_json_obj(), field: value}, why)
+             for field, value, why in coerced]
+    lines += [({"record_id": value, "deleted": True}, f"record_id must be an int, not {value}")
+              for value in (True, 1.5)]
+    for obj, why in lines:
+        text = json.dumps(obj) + "\n"
+        path.write_text(text)
+        with pytest.raises(InvalidRecord, match=f"^line 1: {why}$"):
+            EnvStore.open(str(path))
+        with pytest.raises(ValueError, match="^line 1: "):
+            replay_reference(str(path))
+        assert path.read_text() == text
+
+
+def test_a_log_cut_short_opens_as_a_whole_number_of_writes(tmp_path):
+    """A write cut short anywhere leaves the store of the writes before it."""
+    log = tmp_path / "env.jsonl"
+    rng = random.Random(60)
+    with EnvStore(log_path=str(log)) as store:
+        live = []
+        for k in range(60):
+            op = rng.choice(("create", "create", "update", "delete")) if live else "create"
+            if op == "create":
+                tags = rng.sample(["tunnel", "rain", "fog", "lead", "vehicle"], rng.randint(1, 3))
+                position = (rng.uniform(-50, 50), 0.0) if rng.random() < 0.5 else None
+                live.append(store.create(rec(10 + k, tags, ts=rng.randint(0, 999),
+                                             attributes={"range_m": k}, position=position)))
+            elif op == "update":
+                store.update(rng.choice(live), {"tags": ["rain", f"t{k}"], "timestamp_ns": k})
+            else:
+                # the newest half the time, so a tombstone holds the highest id
+                store.delete(live.pop(-1 if rng.random() < 0.5 else rng.randrange(len(live))))
+    data = log.read_bytes()
+    writes = data.split(b"\n")[:-1]
+    assert len(writes) == 60 and data.endswith(b"\n")
+    # the reference state after each whole number of writes
+    after = []
+    for n in range(61):
+        log.write_bytes(b"".join(line + b"\n" for line in writes[:n]))
+        after.append(replay_reference(str(log)))
+    # every third cut, and every cut within a byte of a line's end: a pass
+    # over every cut holds too but takes about 4 s
+    ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    cuts = set(range(0, len(data) + 1, 3)) | {end + d for end in ends for d in (-1, 0, 1)}
+    copy = tmp_path / "copy.jsonl"
+    for size in sorted(cut for cut in cuts if cut <= len(data)):
+        prefix = data[:size]
+        copy.write_bytes(prefix)
+        store = EnvStore.open(str(copy))
+        records, postings, order, next_id, kept = after[prefix.count(b"\n")]
+        assert {r.record_id: (r.record_class.value, sorted(r.tags), r.timestamp_ns,
+                              r.attributes, r.position, r.source.value)
+                for r in store.all_records()} == records, size
+        assert (store._postings, store._order, store._next_id) == (postings, order, next_id)
+        assert copy.read_bytes() == kept, size
 
 
 def test_open_refuses_a_log_line_with_a_string_for_tags(tmp_path):

@@ -1,6 +1,14 @@
-"""Firing rounds, lifecycle management, failure and restart policies."""
+"""Firing rounds, lifecycle management, failure and restart policies.
 
+A round's record is the graph's own: which nodes fired is the change in
+their fired counts, failures are the lifecycle trace entries the round
+appended with ``to == "failed"``, and ``step`` returns what it produced.
+Execution order is what the bodies themselves log as they run.
+"""
+
+import json
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +26,48 @@ from dfp.funcsw import (
 from dfp.funcsw.types import LEGAL_TRANSITIONS
 
 from oracles import firing_round_oracle, toposort_bruteforce
+
+
+class Round(NamedTuple):
+    fired: list  # node ids in the order their bodies ran
+    produced: dict
+    failures: list  # {"node": ..., "reason": ...}, in trace order
+
+
+class Observed:
+    """Steps a graph whose bodies log their own node id when they run."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.ran = []
+        for node in graph.nodes.values():
+            self.wrap(node)
+
+    def wrap(self, node):
+        body, ran, nid = node.body, self.ran, node.node_id
+
+        def logged(inputs, config):
+            ran.append(nid)
+            return body(inputs, config)
+        node.body = logged
+        return node
+
+    def step(self, external_inputs=None):
+        g = self.graph
+        before = {nid: g.fired_count_of(nid) for nid in g.nodes}
+        mark, start = len(g.trace), len(self.ran)
+        produced = g.step(external_inputs)
+        deltas = {nid: g.fired_count_of(nid) - before.get(nid, 0) for nid in g.nodes}
+        assert set(deltas.values()) <= {0, 1}, deltas
+        fired = {nid for nid, d in deltas.items() if d}
+        failures = [{"node": e["node"], "reason": e["reason"]}
+                    for e in g.trace[mark:] if e["to"] == "failed"]
+        ran = self.ran[start:]
+        # each body runs at most once a round, and a body that ran fired or failed
+        assert len(ran) == len(set(ran)), ran
+        assert set(ran) == fired | {f["node"] for f in failures}, (ran, fired, failures)
+        assert fired.isdisjoint(f["node"] for f in failures)
+        return Round([nid for nid in ran if nid in fired], produced, failures)
 
 
 def emit(**outputs):
@@ -55,7 +105,7 @@ def diamond():
 def test_diamond_fires_fully_in_topological_order():
     g = diamond()
     g.start()
-    report = g.step({"world": 10})
+    report = Observed(g).step({"world": 10})
     assert report.fired == ["a", "b", "c", "d"]
     assert report.produced["td"] == (10 + 1) + (10 + 2)
 
@@ -71,7 +121,7 @@ def test_missing_port_blocks_node_and_descendants():
     ]
     g = TaskGraph(nodes, groups())
     g.start()
-    report = g.step({"w1": 1})  # nothing on "other"
+    report = Observed(g).step({"w1": 1})  # nothing on "other"
     assert report.fired == ["a"]
 
 
@@ -86,7 +136,12 @@ def test_identical_inputs_give_byte_identical_reports():
     for _ in range(2):
         g = diamond()
         g.start()
-        out = [g.step({"world": k}).to_json() for k in range(5)]
+        out = []
+        for k in range(5):
+            produced = g.step({"world": k})
+            counts = {nid: (g.fired_count_of(nid), g.max_elapsed_ms_of(nid))
+                      for nid in sorted(g.nodes)}
+            out.append(json.dumps([produced, counts, g.trace], sort_keys=True))
         reports.append(out)
     assert reports[0] == reports[1]
 
@@ -94,16 +149,18 @@ def test_identical_inputs_give_byte_identical_reports():
 def test_freshness_is_consumed_by_firing():
     g = diamond()
     g.start()
-    assert g.step({"world": 1}).fired == ["a", "b", "c", "d"]
-    assert g.step({}).fired == []  # everything was consumed last round
+    obs = Observed(g)
+    assert obs.step({"world": 1}).fired == ["a", "b", "c", "d"]
+    assert obs.step({}).fired == []  # everything was consumed last round
 
 
 def test_zero_input_nodes_fire_every_round():
     g = TaskGraph([TaskNode("tick", Stage.ACQUISITION, outputs=("t",),
                             body=emit(t=1))], groups())
     g.start()
-    assert g.step({}).fired == ["tick"]
-    assert g.step({}).fired == ["tick"]
+    obs = Observed(g)
+    assert obs.step({}).fired == ["tick"]
+    assert obs.step({}).fired == ["tick"]
 
 
 def crashing_body(crash_on_call, **outputs):
@@ -149,10 +206,12 @@ def test_downstream_stops_firing_after_permanent_failure():
     ]
     g = TaskGraph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.never())})
     g.start()
-    assert g.step({"w": 1}).fired == ["a", "d"]
-    g.step({"w": 2})  # a crashes permanently
+    obs = Observed(g)
+    assert obs.step({"w": 1}).fired == ["a", "d"]
+    assert obs.step({"w": 2}).failures == [  # a crashes permanently
+        {"node": "a", "reason": "fault: injected crash"}]
     for k in range(3, 6):
-        assert g.step({"w": k}).fired == []
+        assert obs.step({"w": k}).fired == []
 
 
 def test_watchdog_overrun_is_a_failure():
@@ -163,7 +222,7 @@ def test_watchdog_overrun_is_a_failure():
                       body=slow, watchdog_ms=50.0, group_id="g")]
     g = TaskGraph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.never())})
     g.start()
-    report = g.step({"w": 1})
+    report = Observed(g).step({"w": 1})
     assert report.fired == []
     assert report.failures == [{"node": "a", "reason": "watchdog"}]
     assert g.lifecycle_of("a") == Lifecycle.FAILED
@@ -174,7 +233,7 @@ def test_undeclared_output_is_a_failure():
                       body=emit(x=1, y=2), group_id="g")]
     g = TaskGraph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.never())})
     g.start()
-    report = g.step({"w": 1})
+    report = Observed(g).step({"w": 1})
     assert report.fired == [] and report.produced == {}
     assert report.failures == [{"node": "a", "reason": "undeclared outputs ['y']"}]
     assert g.lifecycle_of("a") == Lifecycle.FAILED
@@ -188,18 +247,21 @@ def test_restart_clears_input_freshness():
     ]
     g = TaskGraph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.up_to(5))})
     g.start()
-    g.step({"w1": 1, "w2": 1})  # fires, crashes, restarts with cleared ports
+    obs = Observed(g)
+    assert obs.step({"w1": 1, "w2": 1}).failures == [  # fires, crashes, restarts
+        {"node": "a", "reason": "fault: injected crash"}]
     assert g.lifecycle_of("a") == Lifecycle.RUNNING
-    report = g.step({"w1": 2})  # only one port refreshed: must not fire
-    assert report.fired == []
+    report = obs.step({"w1": 2})  # only one port refreshed: must not fire
+    assert report.fired == [] and report.failures == []
 
 
 def test_stop_group_halts_firing_within_one_round():
     g = diamond()
     g.start()
-    assert g.step({"world": 1}).fired == ["a", "b", "c", "d"]
+    obs = Observed(g)
+    assert obs.step({"world": 1}).fired == ["a", "b", "c", "d"]
     g.stop_group("default")
-    assert g.step({"world": 2}).fired == []
+    assert obs.step({"world": 2}).fired == []
     assert g.lifecycle_of("a") == Lifecycle.STOPPED
 
 
@@ -212,9 +274,10 @@ def test_group_wise_start():
     ]
     g = TaskGraph(nodes, {"sensors": GroupPolicy(), "control": GroupPolicy()})
     g.start(groups=["sensors"])
-    assert g.step({"w": 1}).fired == ["a"]
+    obs = Observed(g)
+    assert obs.step({"w": 1}).fired == ["a"]
     g.start_group("control")
-    assert g.step({"w": 2}).fired == ["a", "b"]
+    assert obs.step({"w": 2}).fired == ["a", "b"]
 
 
 def test_lifecycle_trace_has_no_illegal_transitions():
@@ -234,11 +297,12 @@ def test_lifecycle_trace_has_no_illegal_transitions():
 def test_dynamic_service_node_add_remove_between_rounds():
     g = diamond()
     g.start()
-    g.step({"world": 1})
+    obs = Observed(g)
+    obs.step({"world": 1})
     extra = TaskNode("z", Stage.SERVICE, inputs=("td",), outputs=(),
                      body=emit(), group_id="default")
-    g.add_node(extra)
-    report = g.step({"world": 2})
+    g.add_node(obs.wrap(extra))
+    report = obs.step({"world": 2})
     assert "z" in report.fired
     g.remove_node("z")
     assert "z" not in g.nodes
@@ -302,7 +366,7 @@ def test_hundred_random_dags_match_firing_oracle():
         g.start()
         assert g.topo_order == toposort_bruteforce(list(g.nodes), g.edges)
         fed = {t: 1 for t, feed in external.items() if feed}
-        report = g.step(fed)
+        report = Observed(g).step(fed)
         spec = {nid: (n.inputs, n.outputs) for nid, n in g.nodes.items()}
         fresh0 = {(nid, t): False for nid, n in g.nodes.items() for t in n.inputs}
         expect_fired, _ = firing_round_oracle(spec, g.edges, set(g.nodes), fresh0, fed)
@@ -315,8 +379,9 @@ def test_stage_monotonicity_within_every_report():
         task_nodes, external = random_stage_consistent_dag(rng)
         g = TaskGraph(task_nodes, groups())
         g.start()
+        obs = Observed(g)
         # a second round lets a node fire on data left fresh by the first
-        for report in (g.step({t: 1 for t in external}), g.step({t: 1 for t in external})):
+        for report in (obs.step({t: 1 for t in external}), obs.step({t: 1 for t in external})):
             for src, dst in g.edges:
                 if src in report.fired and dst in report.fired:
                     assert g.nodes[src].stage <= g.nodes[dst].stage
@@ -403,6 +468,7 @@ def test_compiled_round_matches_oracle_under_lifecycle_operations(seed, ops):
         node.group_id = rng.choice(sorted(policies))
         node.body = body_for(node.node_id, node.outputs)
     g = TaskGraph(task_nodes, policies)
+    obs = Observed(g)
     model = _Model(g, policies)
     g.start(groups=["never", "once"])
     model.start_group("never")
@@ -422,8 +488,8 @@ def test_compiled_round_matches_oracle_under_lifecycle_operations(seed, ops):
             added += 1
             inputs = tuple(rng.sample(topics, k=rng.randint(0, min(3, len(topics)))))
             gid = rng.choice(sorted(policies))
-            g.add_node(TaskNode(nid, Stage.SERVICE, inputs, out, group_id=gid,
-                                body=body_for(nid, out)))
+            g.add_node(obs.wrap(TaskNode(nid, Stage.SERVICE, inputs, out, group_id=gid,
+                                         body=body_for(nid, out))))
             model.add(nid, inputs, out, gid)
         elif op == "add_bad":
             taken = sorted(t for _, outs in model.spec.values() for t in outs)
@@ -439,7 +505,7 @@ def test_compiled_round_matches_oracle_under_lifecycle_operations(seed, ops):
                 g.remove_node(nid)
                 model.remove(nid)
         fed = {t: 1 for t in topics if t.startswith("ext_") and rng.random() < 0.7}
-        report = g.step(fed)
+        report = obs.step(fed)
         expect_fired, expect_failed = model.round(fed, crashing)
         assert report.fired == expect_fired, op
         assert [f["node"] for f in report.failures] == expect_failed, op

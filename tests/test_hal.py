@@ -115,6 +115,9 @@ def test_unsupported_kind_rejected():
     frame = SensorFrame("x", "sonar", 0, 0, {})
     with pytest.raises(UnsupportedKind):
         normalize(frame)
+    # a kind is a DeviceKind member; its value as a string is not one
+    with pytest.raises(UnsupportedKind):
+        normalize(SensorFrame("radar0", "radar", 0, 0, {"range_km": 0.05}))
 
 
 def test_generated_corpus_validates_against_published_schemas():
