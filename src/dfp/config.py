@@ -92,9 +92,19 @@ def _require(obj: dict, key: str, context: str):
 
 
 def _check_keys(obj: dict, allowed: set, context: str) -> None:
+    if not isinstance(obj, dict):
+        _fail(f"{context}: must be an object, not {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         _fail(f"{context}: unknown keys {sorted(unknown)}")
+
+
+def _typed(value, types: tuple, context: str, what: str):
+    """``value`` if its exact type is one of ``types``: a bool is not an int."""
+    if type(value) not in types:
+        _fail(f"{context}: {what} must be {' or '.join(t.__name__ for t in types)}, "
+              f"not {value!r}")
+    return value
 
 
 def _parse_device(obj: dict) -> DeviceDescriptor:
@@ -108,7 +118,8 @@ def _parse_device(obj: dict) -> DeviceDescriptor:
     rate = _require(obj, "rate_hz", f"device {device_id!r}")
     if not isinstance(rate, (int, float)) or not 0 < rate <= MAX_RATE_HZ:
         _fail(f"device {device_id!r}: rate_hz {rate!r} out of (0, {MAX_RATE_HZ}]")
-    return DeviceDescriptor(device_id, kind, float(rate), int(obj.get("seed", 0)),
+    seed = _typed(obj.get("seed", 0), (int,), f"device {device_id!r}", "seed")
+    return DeviceDescriptor(device_id, kind, float(rate), seed,
                             obj.get("binding_label", "compute-unit"))
 
 
@@ -152,6 +163,8 @@ def _parse_node(obj: dict) -> TaskNode:
     algorithm = _require(obj, "algorithm", f"node {node_id!r}")
     if not (isinstance(algorithm, list) and len(algorithm) == 2):
         _fail(f"node {node_id!r}: algorithm must be [name, version]")
+    watchdog_ms = _typed(obj.get("watchdog_ms", 1000.0), (int, float), f"node {node_id!r}",
+                         "watchdog_ms")
     try:
         return TaskNode(
             node_id=node_id,
@@ -162,7 +175,7 @@ def _parse_node(obj: dict) -> TaskNode:
             algorithm=(algorithm[0], algorithm[1]),
             config=dict(obj.get("config", {})),
             config_modes=dict(obj.get("config_modes", {})),
-            watchdog_ms=float(obj.get("watchdog_ms", 1000.0)),
+            watchdog_ms=float(watchdog_ms),
         )
     except DfpError as exc:
         _fail(f"node {node_id!r}: {exc}")
@@ -174,7 +187,8 @@ def _parse_group(name: str, obj: dict) -> GroupPolicy:
     if policy == "never":
         restart = RestartPolicy.never()
     elif isinstance(policy, dict) and set(policy) == {"up_to"}:
-        restart = RestartPolicy.up_to(int(policy["up_to"]))
+        restart = RestartPolicy.up_to(_typed(policy["up_to"], (int,), f"group {name!r}",
+                                             "restart_policy up_to"))
     else:
         _fail(f"group {name!r}: restart_policy must be 'never' or {{'up_to': n}}")
     return GroupPolicy(binding_label=obj.get("binding_label"), restart_policy=restart)
@@ -233,16 +247,22 @@ def _parse_fsm(obj: dict) -> FsmDefinition:
 def _parse_odd(obj: dict):
     _check_keys(obj, {"name", "tokens", "class_filter", "time_range"}, "odd")
     name = _require(obj, "name", "odd")
-    query = OddQuery(
-        tokens=tuple(_require(obj, "tokens", f"odd {name!r}")),
-        class_filter=(RecordClass(obj["class_filter"])
-                      if obj.get("class_filter") else None),
-        time_range=tuple(obj["time_range"]) if obj.get("time_range") else None,
-    )
+    tokens = _typed(_require(obj, "tokens", f"odd {name!r}"), (list,), f"odd {name!r}", "tokens")
+    if not all(isinstance(word, str) for word in tokens):
+        _fail(f"odd {name!r}: tokens must be words, not {tokens!r}")
+    class_filter = obj.get("class_filter")
+    if class_filter is not None:
+        try:
+            class_filter = RecordClass(class_filter)
+        except ValueError:
+            _fail(f"odd {name!r}: unknown class_filter {class_filter!r}")
+    time_range = obj.get("time_range")
     try:
+        query = OddQuery(tuple(tokens), class_filter,
+                         tuple(time_range) if isinstance(time_range, list) else time_range)
         query.effective_tokens()
-    except DfpError:
-        _fail(f"odd {name!r}: query has no searchable tokens")
+    except DfpError as exc:
+        _fail(f"odd {name!r}: {exc}")
     return name, query
 
 
@@ -260,10 +280,18 @@ def _parse_acc(obj: dict) -> AccSetup:
             duration=float(s.get("duration", 120.0)),
         )
         cfg = AccConfig(**obj.get("config", {}))
-    except (DfpError, TypeError) as exc:
+    except (DfpError, TypeError, ValueError) as exc:
         _fail(f"acc: {exc}")
-    events = tuple((e[0], e[1]) for e in obj.get("engage_events", ()))
-    return AccSetup(scenario=scenario, config=cfg, engage_events=events)
+    events = _typed(obj.get("engage_events", []), (list,), "acc", "engage_events")
+    for event in events:
+        if not (isinstance(event, list) and len(event) == 2):
+            _fail(f"acc: engage event must be [fsm, event], not {event!r}")
+    return AccSetup(scenario=scenario, config=cfg, engage_events=tuple(map(tuple, events)))
+
+
+def _parse_list(obj: dict, key: str, context: str, parse) -> list:
+    """``parse`` of each item of the list ``obj[key]``, which may be missing."""
+    return [parse(item) for item in _typed(obj.get(key, []), (list,), context, key)]
 
 
 def _unique(items, what: str):
@@ -280,16 +308,16 @@ def parse_config(doc: dict, sha256: str = "") -> SystemConfig:
     _check_keys(doc, TOP_LEVEL_KEYS, "config")
     pipeline = doc.get("pipeline", {"nodes": [], "groups": {}})
     _check_keys(pipeline, {"nodes", "groups"}, "pipeline")
+    groups = _typed(pipeline.get("groups", {}), (dict,), "pipeline", "groups")
     cfg = SystemConfig(
-        seed=int(doc.get("seed", 0)),
-        devices=[_parse_device(d) for d in doc.get("devices", ())],
-        topics=[_parse_topic(t) for t in doc.get("topics", ())],
-        nodes=[_parse_node(n) for n in pipeline.get("nodes", ())],
-        groups={name: _parse_group(name, g)
-                for name, g in pipeline.get("groups", {}).items()},
-        algorithms=[_parse_algorithm(a) for a in doc.get("algorithms", ())],
-        fsms=[_parse_fsm(f) for f in doc.get("fsms", ())],
-        odds=[_parse_odd(o) for o in doc.get("odds", ())],
+        seed=_typed(doc.get("seed", 0), (int,), "config", "seed"),
+        devices=_parse_list(doc, "devices", "config", _parse_device),
+        topics=_parse_list(doc, "topics", "config", _parse_topic),
+        nodes=_parse_list(pipeline, "nodes", "pipeline", _parse_node),
+        groups={name: _parse_group(name, g) for name, g in groups.items()},
+        algorithms=_parse_list(doc, "algorithms", "config", _parse_algorithm),
+        fsms=_parse_list(doc, "fsms", "config", _parse_fsm),
+        odds=_parse_list(doc, "odds", "config", _parse_odd),
         acc=_parse_acc(doc["acc"]) if doc.get("acc") else None,
         sha256=sha256,
     )

@@ -35,14 +35,25 @@ cost it nothing. Reading a saved ODD with ``run_odd`` copies its list and
 runs no query.
 
 A record (``EnvRecord``) is an immutable named tuple: its fields read by
-name or position, assigning one raises ``AttributeError``, ``_replace``
-builds the changed copy an ``update`` stores, and records compare as
-tuples. An ingested frame becomes a record in one positional construction.
+name or position, assigning one raises ``AttributeError``, and records
+compare as tuples. One reader, ``EnvRecord.from_json_obj``, builds every
+record from outside values, keyed as a log line is: each replayed line,
+a ``create``d record, an ``update``'s current fields with the patch over
+them and an ingested mapping. It coerces nothing. The class and the source
+are members or their values; the tags a list, tuple, set or frozenset (not
+a str, a dict or None) of at least one ``[a-z0-9_]+`` word; the id and the
+timestamp ints, the position None or two ints or floats, where a bool is
+none of these. A value it refuses raises ``InvalidRecord``, and a write
+it refuses leaves the store and its log as they were. Only an ingested
+frame, valid by construction, becomes a record in one positional
+construction of its own.
+
 The store keeps the dict it is given: an ingested frame's ``normalized``
 dict becomes its record's ``attributes``, not a copy, and so does the
-``attributes`` dict parsed from a replayed line. The rule is the HAL's:
-whoever hands a dict over does not change it afterwards, and nothing in
-the store changes a record's ``attributes``.
+``attributes`` dict of a replayed line, a created record, an update's
+patch or an ingested mapping. The rule is the HAL's: whoever hands a dict
+over does not change it afterwards, and nothing in the store changes a
+record's ``attributes``.
 
 The persistent form is a JSON-lines log, one record object per line;
 ``delete`` appends a tombstone line ``{"record_id": ..., "deleted": true}``
@@ -99,6 +110,10 @@ class EmptyQuery(EnvModelError):
     pass
 
 
+class InvalidQuery(EnvModelError):
+    pass
+
+
 class DuplicateOddName(EnvModelError):
     pass
 
@@ -137,20 +152,15 @@ _encode_line = json.JSONEncoder(sort_keys=True).encode
 # changes the message of the JSONDecodeError such a line raises anyway
 _decode_line = json.JSONDecoder().decode
 
-# member by value, for the replay; a miss still goes through the enum's own
-# call, which raises its ValueError
-_RECORD_CLASSES = {m.value: m for m in RecordClass}
-_SOURCES = {m.value: m for m in Source}
+# member by value, or by itself: the two forms a record's class or source
+# may take
+_RECORD_CLASSES = {key: m for m in RecordClass for key in (m.value, m)}
+_SOURCES = {key: m for m in Source for key in (m.value, m)}
+# each field's key in a log object, in tuple order
+_KEYS = ("record_id", "class", "tags", "timestamp_ns", "attributes", "position", "source")
+_TAG_TYPES = (list, tuple, set, frozenset)  # what may hold a record's tag words
 _RADAR = DeviceKind.RADAR
 _NUMBER = (int, float)  # the exact types a position coordinate may have
-
-
-def _tag_words(value):
-    """``value`` as given for a record's tags; a string is refused, because
-    a set built from it would hold its letters, not the word."""
-    if isinstance(value, str):
-        raise InvalidRecord(f"tags must be a list of words, not the string {value!r}")
-    return value
 
 
 def _check_record_id(rid) -> None:
@@ -185,8 +195,9 @@ class EnvRecord(_RecordFields):
 
     The constructor gives each record a dict of its own when
     ``attributes`` is left out, never one shared default. Construction
-    does not validate; ``create``, ``update`` and mapping ingests call
-    ``validate`` before they store.
+    does not check; every store entry builds the record it stores through
+    ``from_json_obj``, which does, except a frame ingest, whose record is
+    valid by construction.
     """
 
     __slots__ = ()
@@ -197,24 +208,6 @@ class EnvRecord(_RecordFields):
         return tuple.__new__(cls, (record_id, record_class, tags, timestamp_ns,
                                    {} if attributes is None else attributes,
                                    position, source))
-
-    def validate(self) -> None:
-        self._check(True)
-
-    def _check(self, check_tags: bool) -> None:
-        """``validate``'s checks in its order; the tag rules only if
-        ``check_tags``. Types are exact: a bool is not an int, and a
-        position holds two ints or floats."""
-        _check_record_id(self.record_id)
-        if check_tags:
-            _check_tags(self.tags)
-        if type(self.timestamp_ns) is not int:
-            raise InvalidRecord(f"timestamp_ns must be an int, not {self.timestamp_ns!r}")
-        position = self.position
-        if position is not None and (len(position) != 2
-                                     or type(position[0]) not in _NUMBER
-                                     or type(position[1]) not in _NUMBER):
-            raise InvalidRecord("position must be (x_m, y_m)")
 
     def to_json_obj(self) -> dict:
         return {
@@ -229,49 +222,65 @@ class EnvRecord(_RecordFields):
 
     @classmethod
     def from_json_obj(cls, obj: dict, tag_sets: dict | None = None) -> "EnvRecord":
-        """The record a log object describes, checked as ``validate`` checks.
+        """The record ``obj`` describes, keyed as a log line is.
 
-        The fields are read in tuple order, then ``validate``'s checks run,
-        so a bad object raises what its first fault raises. Nothing is
-        coerced: ``tags`` must be a JSON list, and the id, the timestamp
-        and the position's coordinates the types ``_check`` asks for. The
-        record keeps ``obj["attributes"]`` itself when it is a dict (a
-        list of pairs becomes one). ``tag_sets`` maps each tag set that
-        passed the tag rules to its one frozenset: a record whose tags are
-        in it holds that frozenset and skips the tag rules, and a new set
-        enters it only once it has passed them.
+        This is the one reader of a record's fields: ``open`` reads each
+        log line with it, ``create`` the record it is given, ``update`` the
+        current fields with the patch over them and a mapping ``ingest``
+        its payload. The fields are read in tuple order, then checked in
+        that order, so a bad object raises what its first fault raises,
+        always as ``InvalidRecord``. Nothing is coerced: the class and the
+        source are members or their values; ``tags`` is a list, tuple, set
+        or frozenset (not a str, a dict or None) of at least one word of
+        ``[a-z0-9_]+``; the id and the timestamp are ints, and the position
+        is None or two ints or floats, where a bool is none of these. The
+        record keeps ``obj["attributes"]`` itself when it is a dict (a list
+        of pairs becomes one). ``tag_sets`` maps each tag set that passed
+        the tag rules to its one frozenset: a record whose tags are in it
+        holds that frozenset and skips the tag rules, and a new set enters
+        it only once it has passed them.
         """
-        record_id = obj["record_id"]
-        value = obj["class"]
         try:
-            record_class = _RECORD_CLASSES[value]
-        except (KeyError, TypeError):  # TypeError: a value no dict can hold
-            record_class = RecordClass(value)
-        tags = obj["tags"]
-        if type(tags) is not list:
-            raise InvalidRecord(f"tags must be a list of words, not {tags!r}")
-        tags = frozenset(tags)
-        timestamp_ns = obj["timestamp_ns"]
-        attributes = obj.get("attributes", ())  # missing: dict(()) is a new {}
-        if not isinstance(attributes, dict):
-            attributes = dict(attributes)
-        position = obj.get("position")
-        if position is not None:
-            position = tuple(position)
-        value = obj.get("source", "perception")
-        try:
-            source = _SOURCES[value]
-        except (KeyError, TypeError):
-            source = Source(value)
+            record_id = obj["record_id"]
+            value = obj["class"]
+            try:
+                record_class = _RECORD_CLASSES[value]
+            except (KeyError, TypeError):  # TypeError: a value no dict can hold
+                raise InvalidRecord(f"{value!r} is not a valid RecordClass") from None
+            tags = obj["tags"]
+            if type(tags) not in _TAG_TYPES:
+                raise InvalidRecord(f"tags must be a list of words, not {tags!r}")
+            tags = frozenset(tags)
+            timestamp_ns = obj["timestamp_ns"]
+            attributes = obj.get("attributes", ())  # missing: dict(()) is a new {}
+            if not isinstance(attributes, dict):
+                attributes = dict(attributes)
+            position = obj.get("position")
+            if position is not None:
+                position = tuple(position)
+            value = obj.get("source", "perception")
+            try:
+                source = _SOURCES[value]
+            except (KeyError, TypeError):
+                raise InvalidRecord(f"{value!r} is not a valid Source") from None
+        except KeyError as exc:
+            raise InvalidRecord(f"missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:  # from frozenset(), dict() or tuple()
+            raise InvalidRecord(str(exc)) from exc
+        _check_record_id(record_id)
         if tag_sets is None:
             tag_sets = {}
         shared = tag_sets.get(tags)
-        rec = tuple.__new__(cls, (record_id, record_class, shared or tags, timestamp_ns,
-                                  attributes, position, source))
-        rec._check(shared is None)
         if shared is None:
-            tag_sets[tags] = tags
-        return rec
+            _check_tags(tags)
+            tag_sets[tags] = shared = tags
+        if type(timestamp_ns) is not int:
+            raise InvalidRecord(f"timestamp_ns must be an int, not {timestamp_ns!r}")
+        if position is not None and (len(position) != 2 or type(position[0]) not in _NUMBER
+                                     or type(position[1]) not in _NUMBER):
+            raise InvalidRecord("position must be (x_m, y_m)")
+        return tuple.__new__(cls, (record_id, record_class, shared, timestamp_ns,
+                                   attributes, position, source))
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -319,6 +328,12 @@ class OddQuery:
     tokens: tuple
     class_filter: RecordClass | None = None
     time_range: tuple | None = None  # (t0_ns, t1_ns) inclusive
+
+    def __post_init__(self):
+        window = self.time_range
+        if window is not None and (type(window) is not tuple or len(window) != 2
+                                   or type(window[0]) is not int or type(window[1]) is not int):
+            raise InvalidQuery(f"time_range must be a tuple of two ints, not {window!r}")
 
     def effective_tokens(self) -> list[str]:
         out = [normalize_token(w) for w in self.tokens]
@@ -422,8 +437,8 @@ class EnvStore:
         file truncated to the end of the line before it. A bad line anywhere
         else raises: ``json.JSONDecodeError`` if it is not JSON,
         ``InvalidRecord`` naming its line number if it is JSON but not a
-        record or tombstone (a missing key, a wrong type, a bad tag or an
-        unknown class).
+        record or tombstone (not an object, or a record ``from_json_obj``
+        refuses).
         """
         store = cls()
         records = store._records
@@ -447,8 +462,7 @@ class EnvStore:
                         dead_high = max(dead_high, rid)
                         continue
                     rec = EnvRecord.from_json_obj(obj, tag_sets)
-                except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
-                        InvalidRecord) as exc:
+                except (AttributeError, KeyError, InvalidRecord) as exc:  # not a dict, no id
                     why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                     raise InvalidRecord(f"line {lineno}: {why}") from exc
                 records[rec.record_id] = rec
@@ -553,7 +567,8 @@ class EnvStore:
         return odds
 
     def create(self, rec: EnvRecord) -> int:
-        rec.validate()
+        """Store ``rec`` as ``EnvRecord.from_json_obj`` reads its fields."""
+        rec = EnvRecord.from_json_obj(dict(zip(_KEYS, rec)))
         if rec.record_id in self._records:
             raise DuplicateId(f"record {rec.record_id} exists")
         self._put(rec)
@@ -568,31 +583,23 @@ class EnvStore:
             raise NotFound(f"no record {record_id}") from None
 
     def update(self, record_id: int, patch: dict) -> EnvRecord:
-        """Apply a field patch; the class is identity-bearing and immutable."""
+        """Store the record's fields with the patch's over them.
+
+        The patch is keyed as a log line is, and ``EnvRecord.from_json_obj``
+        reads the result, so a patched field obeys the replay's rules. The
+        record keeps a patched ``attributes`` dict, not a copy. The class is
+        identity-bearing: a patch may restate it, not change it, and it may
+        name neither ``record_id`` nor an unknown key. A refused patch
+        raises ``InvalidRecord`` and changes neither the store nor the log.
+        """
         current = self.read(record_id)
-        fields = {}
-        for key, value in patch.items():
-            if key in ("class", "record_class"):
-                new_class = value if isinstance(value, RecordClass) else RecordClass(value)
-                if new_class != current.record_class:
-                    raise InvalidRecord("record class cannot change")
-                continue
-            if key == "tags":
-                fields["tags"] = frozenset(_tag_words(value))
-            elif key == "attributes":
-                fields["attributes"] = dict(value)
-            elif key == "position":
-                fields["position"] = tuple(value) if value is not None else None
-            elif key == "timestamp_ns":
-                fields["timestamp_ns"] = int(value)
-            elif key == "source":
-                fields["source"] = value if isinstance(value, Source) else Source(value)
-            elif key == "record_id":
-                raise InvalidRecord("record_id cannot change")
-            else:
-                raise InvalidRecord(f"unknown record field {key!r}")
-        updated = current._replace(**fields)
-        updated.validate()
+        for key in patch:
+            if key not in _KEYS[1:]:
+                raise InvalidRecord("record_id cannot change" if key == "record_id"
+                                    else f"unknown record field {key!r}")
+        updated = EnvRecord.from_json_obj(dict(zip(_KEYS, current), **patch))
+        if updated.record_class is not current.record_class:
+            raise InvalidRecord("record class cannot change")
         self._put(updated)
         self._log(updated)
         return updated
@@ -701,13 +708,27 @@ class EnvStore:
     # -- ingestion -----------------------------------------------------------------
 
     def ingest(self, frame) -> int:
-        """Map an abstract frame or a service-output mapping to a record."""
+        """Map an abstract frame or a service-output mapping to a record.
+
+        ``EnvRecord.from_json_obj`` reads a mapping as a log line, with the
+        store's next id as its ``record_id`` (one the mapping names is
+        ignored), ``source`` ``"fusion"`` and ``timestamp_ns`` 0 unless it
+        names them, and its tags joined by each key of its ``attributes``
+        dict that holds ``True`` and is a tag word: ``{"rain": true}`` adds
+        the tag ``rain``. The record keeps that ``attributes`` dict, not a
+        copy. A refused mapping raises ``InvalidRecord`` and changes neither
+        the store nor the log.
+        """
         if isinstance(frame, AbstractFrame):
             # valid by construction: INGEST_TABLE tags, a store-issued id, (x, y)
             rec = self._record_from_frame(frame)
         elif isinstance(frame, dict):
-            rec = self._record_from_mapping(frame)
-            rec.validate()
+            tags, attributes = frame.get("tags", ()), frame.get("attributes")
+            if type(tags) in _TAG_TYPES and isinstance(attributes, dict):
+                tags = [*tags, *(key for key, value in attributes.items()
+                                 if value is True and isinstance(key, str) and _TAG_RE.match(key))]
+            rec = EnvRecord.from_json_obj({"timestamp_ns": 0, "source": "fusion", **frame,
+                                           "record_id": self._next_id, "tags": tags})
         else:
             raise InvalidRecord(f"cannot ingest {type(frame).__name__}")
         self._put(rec)
@@ -727,26 +748,3 @@ class EnvStore:
         position = (attributes["range_m"], 0.0) if kind is _RADAR else None
         return EnvRecord(self._next_id, record_class, tags, frame.timestamp_ns,
                          attributes, position, source)
-
-    def _record_from_mapping(self, payload: dict) -> EnvRecord:
-        try:
-            record_class = RecordClass(payload["class"])
-        except KeyError:
-            raise InvalidRecord("mapping ingest needs a 'class' field") from None
-        attributes = dict(payload.get("attributes", {}))
-        tags = set(_tag_words(payload.get("tags", ())))
-        # boolean-true attributes double as tags: {"rain": true} -> {"rain"}
-        for key, value in attributes.items():
-            if value is True and _TAG_RE.match(str(key)):
-                tags.add(key)
-        source = Source(payload.get("source", "fusion"))
-        position = payload.get("position")
-        return EnvRecord(
-            record_id=self._next_id,
-            record_class=record_class,
-            tags=frozenset(tags),
-            timestamp_ns=int(payload.get("timestamp_ns", 0)),
-            attributes=attributes,
-            position=tuple(position) if position is not None else None,
-            source=source,
-        )

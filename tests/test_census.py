@@ -38,6 +38,10 @@ DELETED = [
     ("dfp.acc", "TrajectoryPoint.as_dict"),
     ("dfp.acc", "trajectory_json"),
     ("dfp.runtime", "RunResult.ok"),
+    ("dfp.envmodel", "EnvStore._record_from_mapping"),
+    ("dfp.envmodel", "_tag_words"),
+    ("dfp.envmodel", "EnvRecord.validate"),
+    ("dfp.envmodel", "EnvRecord._check"),
 ]
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -173,6 +174,47 @@ def test_cli_assembly_failure_exits_2_with_one_diagnostic(tmp_path, demo_doc, ca
     assert code == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("dfpctl: config error: pipeline: ") and named in line
+    assert not out.exists()
+
+
+def _set(path, value):
+    """A breakage that sets the demo config's value at ``path`` to ``value``."""
+    def breakage(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return breakage
+
+
+MALFORMED_VALUES = [  # (breakage, the section the diagnostic names)
+    (_set(["seed"], "abc"), "config: seed must be int, not 'abc'"),
+    (_set(["devices", 0, "seed"], "abc"), "device 'radar0': seed must be int"),
+    (_set(["pipeline", "groups", "perception", "restart_policy"], {"up_to": "x"}),
+     "group 'perception': restart_policy up_to must be int"),
+    (_set(["pipeline", "nodes", 0, "watchdog_ms"], "fast"),
+     "node 'radar_acq': watchdog_ms must be int or float"),
+    (_set(["acc", "engage_events"], [["ads"]]), r"acc: engage event must be \[fsm, event\]"),
+    (_set(["odds", 0, "class_filter"], "bogus"),
+     "odd 'lead_vehicle': unknown class_filter 'bogus'"),
+    (_set(["topics"], "nope"), "config: topics must be list, not 'nope'"),
+    # a saved ODD's window is two ints: one int made every radar ingest raise
+    (_set(["odds", 0, "time_range"], [1]), "odd 'lead_vehicle': time_range must be"),
+]
+
+
+@pytest.mark.parametrize("breakage,named", MALFORMED_VALUES,
+                         ids=["seed", "device_seed", "up_to", "watchdog", "engage_event",
+                              "class_filter", "topics", "time_range"])
+def test_cli_malformed_value_exits_2_with_one_diagnostic(tmp_path, demo_doc, capsys,
+                                                         breakage, named):
+    breakage(demo_doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(demo_doc))
+    out = tmp_path / "m.json"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert re.match(f"dfpctl: config error: {named}", line), line
     assert not out.exists()
 
 

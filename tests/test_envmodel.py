@@ -18,6 +18,7 @@ from dfp.envmodel import (
     EmptyQuery,
     EnvRecord,
     EnvStore,
+    InvalidQuery,
     InvalidRecord,
     NotFound,
     OddNotFound,
@@ -96,6 +97,32 @@ def test_update_cannot_change_class():
     with pytest.raises(InvalidRecord):
         store.update(1, {"class": "object"})
     store.update(1, {"class": "weather"})  # stating the same class is a no-op
+
+
+def test_update_refuses_a_record_id_and_keys_a_log_line_does_not_have():
+    store = EnvStore()
+    store.create(rec(1, {"rain"}, cls=RecordClass.WEATHER))
+    for patch, why in (({"record_id": 1}, "record_id cannot change"),
+                       ({"record_class": "weather"}, "unknown record field 'record_class'"),
+                       ({"tags": ["fog"], "colour": "red"}, "unknown record field 'colour'")):
+        with pytest.raises(InvalidRecord, match=why):
+            store.update(1, patch)
+    assert store.read(1) == rec(1, {"rain"}, cls=RecordClass.WEATHER)
+
+
+def test_create_reads_its_record_as_the_replay_does():
+    store = EnvStore()
+    store.save_odd("fog", OddQuery(("fog",)))
+    with pytest.raises(InvalidRecord, match="'bogus' is not a valid RecordClass"):
+        store.create(EnvRecord(1, "bogus", frozenset({"fog"}), 0))
+    with pytest.raises(InvalidRecord, match="'radio' is not a valid Source"):
+        store.create(EnvRecord(1, RecordClass.OBJECT, frozenset({"fog"}), 0, source="radio"))
+    assert store.all_records() == [] and store.run_odd("fog") == []
+    # a set of words is a tag collection; the store holds it as a frozenset
+    store.create(EnvRecord(1, RecordClass.OBJECT, {"fog"}, 0, position=[1.0, 2.0]))
+    got = store.read(1)
+    assert type(got.tags) is frozenset and got.position == (1.0, 2.0)
+    assert store.run_odd("fog") == [got]
 
 
 def test_create_delete_leaves_record_set_unchanged():
@@ -605,6 +632,13 @@ def test_run_odd_returns_a_new_list_each_call():
     assert [r.record_id for r in store.run_odd("wet")] == [4, 2, 1]
 
 
+def test_a_query_window_is_two_ints():
+    assert OddQuery(("rain",), time_range=(1, 2)).time_range == (1, 2)
+    for window in ((1,), (1, 2, 3), [1, 2], (1.5, 2), (True, 2), (1, "2"), 5):
+        with pytest.raises(InvalidQuery, match="time_range must be a tuple of two ints"):
+            OddQuery(("rain",), time_range=window)
+
+
 def test_odd_name_collision_and_missing():
     store = seeded_store()
     store.save_odd("x", OddQuery(("tunnel",)))
@@ -672,6 +706,75 @@ def test_mapping_ingest_refuses_a_string_for_tags():
     with pytest.raises(InvalidRecord, match="'fog'"):
         store.ingest({"class": "weather", "tags": "fog"})
     assert store.all_records() == []
+
+
+def test_update_and_mapping_ingest_keep_the_attributes_dict_they_are_given():
+    store = EnvStore()
+    given = {"rain": True}
+    rid = store.ingest({"class": "weather", "attributes": given})
+    assert store.read(rid).attributes is given
+    patched = {"rain": True, "temp_c": 4}
+    assert store.update(rid, {"attributes": patched}).attributes is patched
+    assert store.read(rid).tags == frozenset({"rain"})  # an update adds no tag
+
+
+def _base_fields():
+    return {"class": "weather", "tags": ["fog"], "timestamp_ns": 5, "attributes": {"k": 1},
+            "position": [1.0, 2.0], "source": "fusion"}
+
+
+# (field, value, refused): each value the write paths used to coerce or let
+# escape as a bare TypeError or ValueError, then its good twin
+ONE_READER_CASES = [
+    ("timestamp_ns", "7", True), ("timestamp_ns", 7, False),
+    ("timestamp_ns", "12", True), ("timestamp_ns", 12, False),
+    ("timestamp_ns", 1.9, True), ("timestamp_ns", 2, False),
+    ("timestamp_ns", True, True), ("timestamp_ns", 1, False),
+    ("tags", {"fog": 1}, True), ("tags", ["fog"], False),
+    ("tags", None, True), ("tags", ["fog", "rain"], False),
+    ("tags", "fog", True), ("tags", ["rain"], False),
+    ("attributes", 5, True), ("attributes", {"n": 5}, False),
+    ("class", "bogus", True), ("class", "weather", False),
+    ("source", "radio", True), ("source", "v2x", False),
+]
+
+
+def _write_outcome(store, log, write):
+    """``write()``'s record fields past the id, or "refused" when it raises
+    ``InvalidRecord`` with the store and its log unchanged."""
+    def state():
+        return (dict(store._records), {tag: set(ids) for tag, ids in store._postings.items()},
+                list(store._order), store._next_id, log.read_bytes())
+    before = state()
+    try:
+        return tuple(write())[1:]
+    except InvalidRecord:
+        assert state() == before
+        return "refused"
+
+
+@pytest.mark.parametrize("field, value, refused", ONE_READER_CASES,
+                         ids=[f"{f}={v!r}" for f, v, _ in ONE_READER_CASES])
+def test_update_ingest_and_open_read_a_field_alike(tmp_path, field, value, refused):
+    outcomes = []
+    for name, write in (("update", lambda store: store.update(0, {field: value})),
+                        ("ingest", lambda store: store.read(
+                            store.ingest({**_base_fields(), field: value})))):
+        log = tmp_path / f"{name}.jsonl"
+        with EnvStore(log_path=str(log)) as store:
+            store.ingest(_base_fields())
+            outcomes.append(_write_outcome(store, log, lambda: write(store)))
+    path = tmp_path / "open.jsonl"
+    text = json.dumps({**_base_fields(), "record_id": 0, field: value}) + "\n"
+    path.write_text(text)
+    try:
+        (got,) = EnvStore.open(str(path)).all_records()
+        outcomes.append(tuple(got)[1:])
+    except InvalidRecord:
+        assert path.read_text() == text
+        outcomes.append("refused")
+    assert outcomes == [outcomes[0]] * 3
+    assert (outcomes[0] == "refused") == refused
 
 
 def test_reingesting_same_frame_gives_distinct_ids_equal_content():
