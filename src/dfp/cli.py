@@ -51,6 +51,17 @@ def _parse_samples(text: str) -> int:
     return samples
 
 
+def parse_seed(text: str) -> int:
+    """A run seed: an int in [0, 2**64), as a config's ``seed`` is."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}")
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r} (want an int in [0, 2**64))")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfpctl",
@@ -62,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to the system config JSON")
     run_p.add_argument("--duration", type=float, default=None,
                        help="override the scenario duration, seconds")
-    run_p.add_argument("--seed", type=int, default=None, help="override the run seed")
+    run_p.add_argument("--seed", type=parse_seed, default=None, help="override the run seed")
     run_p.add_argument("--out", default=None, help="write the metrics report here")
 
     bench_p = commands.add_parser("bench", help="transport latency benchmark")

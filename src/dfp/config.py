@@ -11,6 +11,17 @@ Top-level keys (all others are rejected)::
     odds        saved environment queries ({"name", "tokens", ...})
     acc         optional scenario + controller gains + engage event script
 
+Each object section declares its keys once, below: for every allowed key,
+its exact types and either a default, REQUIRED, or NAME (required, and its
+value names the object in later diagnostics). One reader, ``_read``, checks
+an object against its declaration, and nothing is coerced: an unknown key,
+a missing required key or a value of another exact type is one
+``ConfigurationError`` naming the section and the key. A bool is not a
+number, a list of words is a list of str, and a pair is a two-item list.
+``_parse`` builds a section's value from what ``_read`` returns, and a
+``DfpError`` the build raises (a constructor's own check) gets the
+section's name in front, there and nowhere else.
+
 Validation is complete before any layer starts: every dangling
 cross-reference (unknown topic, group, algorithm, fsm, state, device,
 odd) fails with a diagnostic naming the offending reference.
@@ -27,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from dfp import ConfigurationError, DfpError
 from dfp.acc import AccConfig, Scenario, VehicleState
@@ -52,9 +63,6 @@ from dfp.modemgr import (
     StopGroup,
     Transition,
 )
-
-TOP_LEVEL_KEYS = {"seed", "devices", "topics", "pipeline", "algorithms",
-                  "fsms", "odds", "acc"}
 
 
 @dataclass
@@ -85,213 +93,193 @@ def _fail(msg: str):
     raise ConfigurationError(msg)
 
 
-def _require(obj: dict, key: str, context: str):
-    if key not in obj:
-        _fail(f"{context}: missing required key {key!r}")
-    return obj[key]
+class _Shape:
+    """A value more exact than its JSON type, by the name diagnostics give it."""
+
+    def __init__(self, name: str, holds):
+        self.__name__, self.holds = name, holds
 
 
-def _check_keys(obj: dict, allowed: set, context: str) -> None:
-    if not isinstance(obj, dict):
-        _fail(f"{context}: must be an object, not {obj!r}")
-    unknown = set(obj) - allowed
-    if unknown:
-        _fail(f"{context}: unknown keys {sorted(unknown)}")
+def _pair(name: str, items: tuple) -> _Shape:
+    return _Shape(name, lambda v: type(v) is list and len(v) == 2
+                  and type(v[0]) in items and type(v[1]) in items)
+
+
+INT, NUMBER, STR, LIST, DICT = (int,), (int, float), (str,), (list,), (dict,)
+STR_OR_NULL = (str, type(None))
+WORDS = (_Shape("words", lambda v: type(v) is list and all(type(w) is str for w in v)),)
+FSM_EVENT = (_pair("[fsm, event]", STR),)
+LITERAL = (_pair("[fsm, state]", STR),)
+POINT = (_pair("[t, speed]", NUMBER),)
+RESTART = (_Shape("'never' or {'up_to': n}",
+                  lambda v: v == "never" or type(v) is dict and v.keys() == {"up_to"}),)
+
+# defaults of a key that must be present; NAME's value also names the object
+REQUIRED, NAME = object(), object()
+
+CONFIG = {"seed": (INT, 0), "devices": (LIST, []), "topics": (LIST, []),
+          "pipeline": (DICT, {}), "algorithms": (LIST, []), "fsms": (LIST, []),
+          "odds": (LIST, []), "acc": (DICT, None)}
+PIPELINE = {"nodes": (LIST, []), "groups": (DICT, {})}
+DEVICE = {"device_id": (STR, NAME), "kind": (STR, REQUIRED), "rate_hz": (NUMBER, REQUIRED),
+          "seed": (INT, 0), "binding_label": (STR, "compute-unit")}
+TOPIC = {"name": (STR, NAME), "type": (STR, REQUIRED), "qos": (DICT, {})}
+ALGORITHM = {"name": (STR, NAME), "version": (STR, REQUIRED), "entry": (STR, REQUIRED),
+             "inputs": (WORDS, []), "outputs": (WORDS, []),
+             "binding_requirement": (STR_OR_NULL, None)}
+NODE = {"node_id": (STR, NAME), "stage": (STR, REQUIRED), "inputs": (WORDS, []),
+        "outputs": (WORDS, []), "group": (STR, REQUIRED),
+        "algorithm": ((_pair("[name, version]", STR),), REQUIRED),
+        "config": (DICT, {}), "config_modes": (DICT, {}), "watchdog_ms": (NUMBER, 1000.0)}
+GROUP = {"binding_label": (STR_OR_NULL, None), "restart_policy": (RESTART, "never")}
+FSM = {"fsm_id": (STR, NAME), "states": (WORDS, REQUIRED), "initial": (STR, REQUIRED),
+       "transitions": (LIST, [])}
+TRANSITION = {"from": (STR, REQUIRED), "event": (STR, REQUIRED), "to": (STR, REQUIRED),
+              "guard": ((dict, list, type(None)), None), "actions": (LIST, [])}
+ACTIONS = {"start_group": (STR, StartGroup), "stop_group": (STR, StopGroup),
+           "emit": (FSM_EVENT, lambda pair: EmitEvent(*pair))}
+ODD = {"name": (STR, NAME), "tokens": (WORDS, REQUIRED), "class_filter": (STR_OR_NULL, None),
+       "time_range": ((list, type(None)), None)}
+ACC = {"scenario": (DICT, REQUIRED), "config": (DICT, {}), "engage_events": (LIST, [])}
+SCENARIO = {"ego": (DICT, REQUIRED), "lead": (DICT, REQUIRED), "lead_profile": (LIST, REQUIRED),
+            "dt": (NUMBER, 0.05), "duration": (NUMBER, 120.0)}
+VEHICLE = {f.name: (NUMBER, f.default) for f in fields(VehicleState)}
+ACC_CONFIG = {f.name: (NUMBER, f.default) for f in fields(AccConfig)}
 
 
 def _typed(value, types: tuple, context: str, what: str):
-    """``value`` if its exact type is one of ``types``: a bool is not an int."""
-    if type(value) not in types:
+    """``value`` if its exact type, or its shape, is one of ``types``: a bool is not an int."""
+    if not any(t.holds(value) if isinstance(t, _Shape) else type(value) is t for t in types):
         _fail(f"{context}: {what} must be {' or '.join(t.__name__ for t in types)}, "
               f"not {value!r}")
     return value
 
 
-def _parse_device(obj: dict) -> DeviceDescriptor:
-    _check_keys(obj, {"device_id", "kind", "rate_hz", "seed", "binding_label"}, "device")
-    device_id = _require(obj, "device_id", "device")
-    kind_name = _require(obj, "kind", f"device {device_id!r}")
+def _read(obj, context: str, keys: dict) -> tuple[dict, str]:
+    """``obj``'s fields as ``keys`` declares them, every key present, and the
+    context naming ``obj`` (the section, then its NAME key's value)."""
+    if type(obj) is not dict:
+        _fail(f"{context}: must be an object, not {obj!r}")
+    unknown = obj.keys() - keys.keys()
+    if unknown:
+        _fail(f"{context}: unknown keys {sorted(unknown)}")
+    out = {}
+    for key, (types, default) in keys.items():
+        if key in obj:
+            out[key] = _typed(obj[key], types, context, key)
+        elif default is REQUIRED or default is NAME:
+            _fail(f"{context}: missing required key {key!r}")
+        else:
+            out[key] = default
+        if default is NAME:
+            context = f"{context} {out[key]!r}"
+    return out, context
+
+
+def _parse(obj, context: str, keys: dict, build):
+    """``build(fields, context)`` of what ``_read`` reads from ``obj``; a
+    ``DfpError`` the build raises names the object."""
+    values, context = _read(obj, context, keys)
     try:
-        kind = DeviceKind(str(kind_name).lower())
+        return build(values, context)
+    except ConfigurationError:
+        raise
+    except DfpError as exc:
+        _fail(f"{context}: {exc}")
+
+
+def _device(f: dict, context: str) -> DeviceDescriptor:
+    try:
+        kind = DeviceKind(f["kind"].lower())
     except ValueError:
-        _fail(f"device {device_id!r}: unknown kind {kind_name!r}")
-    rate = _require(obj, "rate_hz", f"device {device_id!r}")
-    if not isinstance(rate, (int, float)) or not 0 < rate <= MAX_RATE_HZ:
-        _fail(f"device {device_id!r}: rate_hz {rate!r} out of (0, {MAX_RATE_HZ}]")
-    seed = _typed(obj.get("seed", 0), (int,), f"device {device_id!r}", "seed")
-    return DeviceDescriptor(device_id, kind, float(rate), seed,
-                            obj.get("binding_label", "compute-unit"))
+        _fail(f"{context}: unknown kind {f['kind']!r}")
+    if not 0 < f["rate_hz"] <= MAX_RATE_HZ:
+        _fail(f"{context}: rate_hz {f['rate_hz']!r} out of (0, {MAX_RATE_HZ}]")
+    return DeviceDescriptor(f["device_id"], kind, float(f["rate_hz"]), f["seed"],
+                            f["binding_label"])
 
 
-def _parse_topic(obj: dict) -> TopicDescriptor:
-    _check_keys(obj, {"name", "type", "qos"}, "topic")
-    name = _require(obj, "name", "topic")
-    type_name = _require(obj, "type", f"topic {name!r}")
+def _topic(f: dict, context: str) -> TopicDescriptor:
+    return TopicDescriptor(f["name"], type_hash_of(f["type"]), QoSProfile.from_json(f["qos"]))
+
+
+def _algorithm(f: dict, context: str) -> AlgorithmDescriptor:
+    return AlgorithmDescriptor(f["name"], f["version"], f["entry"], tuple(f["inputs"]),
+                               tuple(f["outputs"]), f["binding_requirement"])
+
+
+def _node(f: dict, context: str) -> TaskNode:
     try:
-        qos = QoSProfile.from_json(obj.get("qos", {}))
-        return TopicDescriptor(name, type_hash_of(str(type_name)), qos)
-    except DfpError as exc:
-        _fail(f"topic {name!r}: {exc}")
-
-
-def _parse_algorithm(obj: dict) -> AlgorithmDescriptor:
-    _check_keys(obj, {"name", "version", "entry", "inputs", "outputs",
-                      "binding_requirement"}, "algorithm")
-    name = _require(obj, "name", "algorithm")
-    try:
-        return AlgorithmDescriptor(
-            name=name,
-            version=_require(obj, "version", f"algorithm {name!r}"),
-            entry=_require(obj, "entry", f"algorithm {name!r}"),
-            required_inputs=tuple(obj.get("inputs", ())),
-            required_outputs=tuple(obj.get("outputs", ())),
-            binding_requirement=obj.get("binding_requirement"),
-        )
-    except DfpError as exc:
-        _fail(f"algorithm {name!r}: {exc}")
-
-
-def _parse_node(obj: dict) -> TaskNode:
-    _check_keys(obj, {"node_id", "stage", "inputs", "outputs", "group",
-                      "algorithm", "config", "config_modes", "watchdog_ms"}, "node")
-    node_id = _require(obj, "node_id", "pipeline node")
-    stage_name = _require(obj, "stage", f"node {node_id!r}")
-    try:
-        stage = Stage[str(stage_name).upper()]
+        stage = Stage[f["stage"].upper()]
     except KeyError:
-        _fail(f"node {node_id!r}: unknown stage {stage_name!r}")
-    algorithm = _require(obj, "algorithm", f"node {node_id!r}")
-    if not (isinstance(algorithm, list) and len(algorithm) == 2):
-        _fail(f"node {node_id!r}: algorithm must be [name, version]")
-    watchdog_ms = _typed(obj.get("watchdog_ms", 1000.0), (int, float), f"node {node_id!r}",
-                         "watchdog_ms")
-    try:
-        return TaskNode(
-            node_id=node_id,
-            stage=stage,
-            inputs=tuple(obj.get("inputs", ())),
-            outputs=tuple(obj.get("outputs", ())),
-            group_id=_require(obj, "group", f"node {node_id!r}"),
-            algorithm=(algorithm[0], algorithm[1]),
-            config=dict(obj.get("config", {})),
-            config_modes=dict(obj.get("config_modes", {})),
-            watchdog_ms=float(watchdog_ms),
-        )
-    except DfpError as exc:
-        _fail(f"node {node_id!r}: {exc}")
+        _fail(f"{context}: unknown stage {f['stage']!r}")
+    if "device_id" in f["config"]:  # the one config key validation cross-checks
+        _typed(f["config"]["device_id"], STR, context, "config device_id")
+    return TaskNode(node_id=f["node_id"], stage=stage, inputs=f["inputs"], outputs=f["outputs"],
+                    group_id=f["group"], algorithm=tuple(f["algorithm"]),
+                    config=dict(f["config"]), config_modes=dict(f["config_modes"]),
+                    watchdog_ms=float(f["watchdog_ms"]))
 
 
-def _parse_group(name: str, obj: dict) -> GroupPolicy:
-    _check_keys(obj, {"binding_label", "restart_policy"}, f"group {name!r}")
-    policy = obj.get("restart_policy", "never")
+def _group(f: dict, context: str) -> GroupPolicy:
+    policy = f["restart_policy"]
     if policy == "never":
         restart = RestartPolicy.never()
-    elif isinstance(policy, dict) and set(policy) == {"up_to"}:
-        restart = RestartPolicy.up_to(_typed(policy["up_to"], (int,), f"group {name!r}",
-                                             "restart_policy up_to"))
     else:
-        _fail(f"group {name!r}: restart_policy must be 'never' or {{'up_to': n}}")
-    return GroupPolicy(binding_label=obj.get("binding_label"), restart_policy=restart)
+        up_to = _typed(policy["up_to"], INT, context, "restart_policy up_to")
+        restart = RestartPolicy.up_to(up_to)
+    return GroupPolicy(binding_label=f["binding_label"], restart_policy=restart)
 
 
-def _parse_action(obj: dict, context: str):
-    if not isinstance(obj, dict) or len(obj) != 1:
+def _action(obj, context: str):
+    if type(obj) is not dict or len(obj) != 1:
         _fail(f"{context}: action must be a single-key object")
-    key, value = next(iter(obj.items()))
-    if key == "start_group":
-        return StartGroup(value)
-    if key == "stop_group":
-        return StopGroup(value)
-    if key == "emit":
-        if not (isinstance(value, list) and len(value) == 2):
-            _fail(f"{context}: emit action must be [fsm, event]")
-        return EmitEvent(value[0], value[1])
-    _fail(f"{context}: unknown action kind {key!r}")
+    ((kind, value),) = obj.items()
+    if kind not in ACTIONS:
+        _fail(f"{context}: unknown action kind {kind!r}")
+    types, make = ACTIONS[kind]
+    return make(_typed(value, types, context, f"{kind} action"))
 
 
-def _parse_fsm(obj: dict) -> FsmDefinition:
-    _check_keys(obj, {"fsm_id", "states", "initial", "transitions"}, "fsm")
-    fsm_id = _require(obj, "fsm_id", "fsm")
+def _fsm(f: dict, context: str) -> FsmDefinition:
     transitions = []
-    for t in obj.get("transitions", ()):
-        _check_keys(t, {"from", "event", "to", "guard", "actions"},
-                    f"fsm {fsm_id!r} transition")
-        guard = None
-        raw_guard = t.get("guard")
-        if raw_guard:
-            if isinstance(raw_guard, dict):
-                literals = tuple(sorted(raw_guard.items()))
-            else:
-                literals = tuple((g[0], g[1]) for g in raw_guard)
-            guard = Guard(literals)
-        actions = tuple(_parse_action(a, f"fsm {fsm_id!r}")
-                        for a in t.get("actions", ()))
-        transitions.append(Transition(
-            source=_require(t, "from", f"fsm {fsm_id!r} transition"),
-            event=_require(t, "event", f"fsm {fsm_id!r} transition"),
-            target=_require(t, "to", f"fsm {fsm_id!r} transition"),
-            guard=guard,
-            actions=actions,
-        ))
-    try:
-        return FsmDefinition(
-            fsm_id=fsm_id,
-            states=frozenset(_require(obj, "states", f"fsm {fsm_id!r}")),
-            initial=_require(obj, "initial", f"fsm {fsm_id!r}"),
-            transitions=tuple(transitions),
-        )
-    except DfpError as exc:
-        _fail(f"fsm {fsm_id!r}: {exc}")
+    for obj in f["transitions"]:
+        t, where = _read(obj, f"{context} transition", TRANSITION)
+        guard = sorted(map(list, t["guard"].items())) if type(t["guard"]) is dict else t["guard"]
+        literals = tuple(tuple(_typed(g, LITERAL, where, "guard literal")) for g in guard or ())
+        transitions.append(Transition(t["from"], t["event"], t["to"],
+                                      Guard(literals) if literals else None,
+                                      tuple(_action(a, context) for a in t["actions"])))
+    return FsmDefinition(f["fsm_id"], frozenset(f["states"]), f["initial"], tuple(transitions))
 
 
-def _parse_odd(obj: dict):
-    _check_keys(obj, {"name", "tokens", "class_filter", "time_range"}, "odd")
-    name = _require(obj, "name", "odd")
-    tokens = _typed(_require(obj, "tokens", f"odd {name!r}"), (list,), f"odd {name!r}", "tokens")
-    if not all(isinstance(word, str) for word in tokens):
-        _fail(f"odd {name!r}: tokens must be words, not {tokens!r}")
-    class_filter = obj.get("class_filter")
+def _odd(f: dict, context: str):
+    class_filter, window = f["class_filter"], f["time_range"]
     if class_filter is not None:
         try:
             class_filter = RecordClass(class_filter)
         except ValueError:
-            _fail(f"odd {name!r}: unknown class_filter {class_filter!r}")
-    time_range = obj.get("time_range")
-    try:
-        query = OddQuery(tuple(tokens), class_filter,
-                         tuple(time_range) if isinstance(time_range, list) else time_range)
-        query.effective_tokens()
-    except DfpError as exc:
-        _fail(f"odd {name!r}: {exc}")
-    return name, query
+            _fail(f"{context}: unknown class_filter {class_filter!r}")
+    query = OddQuery(tuple(f["tokens"]), class_filter, None if window is None else tuple(window))
+    query.effective_tokens()
+    return f["name"], query
 
 
-def _parse_acc(obj: dict) -> AccSetup:
-    _check_keys(obj, {"scenario", "config", "engage_events"}, "acc")
-    s = _require(obj, "scenario", "acc")
-    _check_keys(s, {"ego", "lead", "lead_profile", "dt", "duration"}, "acc scenario")
-    try:
-        scenario = Scenario(
-            ego=VehicleState(**_require(s, "ego", "acc scenario")),
-            lead=VehicleState(**_require(s, "lead", "acc scenario")),
-            lead_profile=tuple((float(t), float(v))
-                               for t, v in _require(s, "lead_profile", "acc scenario")),
-            dt=float(s.get("dt", 0.05)),
-            duration=float(s.get("duration", 120.0)),
-        )
-        cfg = AccConfig(**obj.get("config", {}))
-    except (DfpError, TypeError, ValueError) as exc:
-        _fail(f"acc: {exc}")
-    events = _typed(obj.get("engage_events", []), (list,), "acc", "engage_events")
-    for event in events:
-        if not (isinstance(event, list) and len(event) == 2):
-            _fail(f"acc: engage event must be [fsm, event], not {event!r}")
-    return AccSetup(scenario=scenario, config=cfg, engage_events=tuple(map(tuple, events)))
-
-
-def _parse_list(obj: dict, key: str, context: str, parse) -> list:
-    """``parse`` of each item of the list ``obj[key]``, which may be missing."""
-    return [parse(item) for item in _typed(obj.get(key, []), (list,), context, key)]
+def _acc(f: dict, context: str) -> AccSetup:
+    s, where = _read(f["scenario"], f"{context} scenario", SCENARIO)
+    profile = [_typed(p, POINT, where, "lead_profile point") for p in s["lead_profile"]]
+    return AccSetup(
+        scenario=Scenario(
+            ego=VehicleState(**_read(s["ego"], f"{where} ego", VEHICLE)[0]),
+            lead=VehicleState(**_read(s["lead"], f"{where} lead", VEHICLE)[0]),
+            lead_profile=tuple((float(t), float(v)) for t, v in profile),
+            dt=float(s["dt"]),
+            duration=float(s["duration"]),
+        ),
+        config=AccConfig(**_read(f["config"], f"{context} config", ACC_CONFIG)[0]),
+        engage_events=tuple(tuple(_typed(event, FSM_EVENT, context, "engage event"))
+                            for event in f["engage_events"]),
+    )
 
 
 def _unique(items, what: str):
@@ -303,22 +291,23 @@ def _unique(items, what: str):
 
 
 def parse_config(doc: dict, sha256: str = "") -> SystemConfig:
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         _fail("config root must be a JSON object")
-    _check_keys(doc, TOP_LEVEL_KEYS, "config")
-    pipeline = doc.get("pipeline", {"nodes": [], "groups": {}})
-    _check_keys(pipeline, {"nodes", "groups"}, "pipeline")
-    groups = _typed(pipeline.get("groups", {}), (dict,), "pipeline", "groups")
+    f = _read(doc, "config", CONFIG)[0]
+    if not 0 <= f["seed"] < 2**64:
+        _fail(f"config: seed {f['seed']!r} out of [0, 2**64)")
+    pipeline = _read(f["pipeline"], "pipeline", PIPELINE)[0]
     cfg = SystemConfig(
-        seed=_typed(doc.get("seed", 0), (int,), "config", "seed"),
-        devices=_parse_list(doc, "devices", "config", _parse_device),
-        topics=_parse_list(doc, "topics", "config", _parse_topic),
-        nodes=_parse_list(pipeline, "nodes", "pipeline", _parse_node),
-        groups={name: _parse_group(name, g) for name, g in groups.items()},
-        algorithms=_parse_list(doc, "algorithms", "config", _parse_algorithm),
-        fsms=_parse_list(doc, "fsms", "config", _parse_fsm),
-        odds=_parse_list(doc, "odds", "config", _parse_odd),
-        acc=_parse_acc(doc["acc"]) if doc.get("acc") else None,
+        seed=f["seed"],
+        devices=[_parse(obj, "device", DEVICE, _device) for obj in f["devices"]],
+        topics=[_parse(obj, "topic", TOPIC, _topic) for obj in f["topics"]],
+        nodes=[_parse(obj, "node", NODE, _node) for obj in pipeline["nodes"]],
+        groups={name: _parse(obj, f"group {name!r}", GROUP, _group)
+                for name, obj in pipeline["groups"].items()},
+        algorithms=[_parse(obj, "algorithm", ALGORITHM, _algorithm) for obj in f["algorithms"]],
+        fsms=[_parse(obj, "fsm", FSM, _fsm) for obj in f["fsms"]],
+        odds=[_parse(obj, "odd", ODD, _odd) for obj in f["odds"]],
+        acc=None if f["acc"] is None else _parse(f["acc"], "acc", ACC, _acc),
         sha256=sha256,
     )
     validate_config(cfg)

@@ -45,10 +45,11 @@ class History:
 
     @classmethod
     def from_json(cls, obj: object) -> "History":
+        """``"keep_all"``, or ``{"keep_last": n}`` with ``n`` an int (a bool is not)."""
         if obj == "keep_all":
             return cls.keep_all()
-        if isinstance(obj, dict) and set(obj) == {"keep_last"}:
-            return cls.keep_last(int(obj["keep_last"]))
+        if type(obj) is dict and obj.keys() == {"keep_last"} and type(obj["keep_last"]) is int:
+            return cls.keep_last(obj["keep_last"])
         raise QoSError(f"bad history spec: {obj!r}")
 
 
@@ -73,16 +74,30 @@ class QoSProfile:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QoSProfile":
-        known = {"reliability", "history", "durability", "deadline_ms"}
-        unknown = set(obj) - known
+        """The profile ``to_json`` writes, each key optional and none coerced:
+        ``reliability`` and ``durability`` are member names, ``history`` is
+        read by ``History.from_json``, and ``deadline_ms`` is an int (a bool
+        is not) or None."""
+        unknown = obj.keys() - {"reliability", "history", "durability", "deadline_ms"}
         if unknown:
             raise QoSError(f"unknown qos keys: {sorted(unknown)}")
+        deadline_ms = obj.get("deadline_ms")
+        if deadline_ms is not None and type(deadline_ms) is not int:
+            raise QoSError(f"deadline_ms must be int or None, not {deadline_ms!r}")
         return cls(
-            reliability=Reliability[obj.get("reliability", "best_effort").upper()],
+            reliability=_member(Reliability, obj.get("reliability", "best_effort")),
             history=History.from_json(obj.get("history", {"keep_last": 1})),
-            durability=Durability[obj.get("durability", "volatile").upper()],
-            deadline_ms=obj.get("deadline_ms"),
+            durability=_member(Durability, obj.get("durability", "volatile")),
+            deadline_ms=deadline_ms,
         )
+
+
+def _member(axis: type[enum.IntEnum], name: object):
+    """The member of ``axis`` that ``name`` names, in any case."""
+    if type(name) is str and name.upper() in axis.__members__:
+        return axis[name.upper()]
+    raise QoSError(f"{axis.__name__.lower()} must be one of "
+                   f"{[m.name.lower() for m in axis]}, not {name!r}")
 
 
 def qos_compatible(offered: QoSProfile, requested: QoSProfile) -> bool:

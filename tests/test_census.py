@@ -42,6 +42,9 @@ DELETED = [
     ("dfp.envmodel", "_tag_words"),
     ("dfp.envmodel", "EnvRecord.validate"),
     ("dfp.envmodel", "EnvRecord._check"),
+    ("dfp.config", "_require"),
+    ("dfp.config", "_check_keys"),
+    ("dfp.config", "_parse_list"),
 ]
 
 

@@ -7,6 +7,7 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfp import ConfigurationError
 from dfp.cli import main
@@ -199,12 +200,28 @@ MALFORMED_VALUES = [  # (breakage, the section the diagnostic names)
     (_set(["topics"], "nope"), "config: topics must be list, not 'nope'"),
     # a saved ODD's window is two ints: one int made every radar ingest raise
     (_set(["odds", 0, "time_range"], [1]), "odd 'lead_vehicle': time_range must be"),
+    (_set(["pipeline", "nodes", 0, "inputs"], 5), "node 'radar_acq': inputs must be words, not 5"),
+    (_set(["fsms", 0, "states"], 5), "fsm 'health': states must be words, not 5"),
+    (_set(["fsms", 1, "transitions", 0, "guard"], [["x"]]),
+     r"fsm 'ads' transition: guard literal must be \[fsm, state\], not \['x'\]"),
+    (_set(["topics", 0, "qos"], 5), "topic 'world/radar0': qos must be dict, not 5"),
+    (_set(["topics", 0, "qos", "reliability"], 5),
+     "topic 'world/radar0': reliability must be one of"),
+    (_set(["topics", 0, "qos", "history"], {"keep_last": "3"}),
+     r"topic 'world/radar0': bad history spec: \{'keep_last': '3'\}"),
+    (_set(["algorithms", 0, "entry"], 5), "algorithm 'radar_acquire': entry must be str, not 5"),
+    (_set(["devices", 0, "device_id"], ["r"]), r"device: device_id must be str, not \['r'\]"),
+    # a gain the planner first reads mid-drive: validation must refuse it
+    (_set(["acc", "config", "kp"], "x"), "acc config: kp must be int or float, not 'x'"),
+    (_set(["seed"], -1), r"config: seed -1 out of \[0, 2\*\*64\)"),
 ]
 
 
 @pytest.mark.parametrize("breakage,named", MALFORMED_VALUES,
                          ids=["seed", "device_seed", "up_to", "watchdog", "engage_event",
-                              "class_filter", "topics", "time_range"])
+                              "class_filter", "topics", "time_range", "node_inputs",
+                              "fsm_states", "guard", "topic_qos", "reliability", "keep_last",
+                              "entry", "device_id", "acc_kp", "seed_range"])
 def test_cli_malformed_value_exits_2_with_one_diagnostic(tmp_path, demo_doc, capsys,
                                                          breakage, named):
     breakage(demo_doc)
@@ -216,6 +233,48 @@ def test_cli_malformed_value_exits_2_with_one_diagnostic(tmp_path, demo_doc, cap
     (line,) = capsys.readouterr().err.splitlines()
     assert re.match(f"dfpctl: config error: {named}", line), line
     assert not out.exists()
+
+
+def _json_paths(value, path=()):
+    """``(path, value)`` of every value inside the JSON document ``value``."""
+    items = (value.items() if type(value) is dict
+             else enumerate(value) if type(value) is list else ())
+    for key, item in items:
+        yield path + (key,), item
+        yield from _json_paths(item, path + (key,))
+
+
+with open(DEMO_CONFIG) as _fh:
+    DEMO_TEXT = _fh.read()
+DEMO_VALUES = list(_json_paths(json.loads(DEMO_TEXT)))
+# the fields the README documents as taking two forms
+TWO_FORMS = {"restart_policy", "guard", "binding_requirement", "class_filter", "time_range"}
+
+
+def _json_type(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _may_change_type(path) -> bool:
+    """A two-form field, a group's binding_label, or an algorithm's own node config key."""
+    return (path[-1] in TWO_FORMS
+            or path[:2] == ("pipeline", "groups") and path[-1] == "binding_label"
+            or path[:2] == ("pipeline", "nodes") and len(path) == 5
+            and path[3] == "config" and path[4] != "device_id")
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.sampled_from(DEMO_VALUES),
+       st.sampled_from([5, -1, 1.5, True, None, "x", [], {}, ["x"], [[1]]]))
+def test_no_config_value_escapes_the_reader(leaf, value):
+    path, old = leaf
+    doc = json.loads(DEMO_TEXT)
+    _set(path, value)(doc)
+    try:
+        parse_config(doc)
+    except ConfigurationError:
+        return
+    assert _json_type(value) == _json_type(old) or _may_change_type(path), (path, value)
 
 
 def test_acc_without_pipeline_nodes_is_a_config_error(tmp_path, demo_doc, capsys):
@@ -341,6 +400,17 @@ def test_cli_bench_bad_sample_count_is_a_usage_error(capsys, samples):
     assert out == "" and "Traceback" not in err
     assert err.splitlines()[-1].startswith(
         f"dfpctl bench: error: argument --samples: bad sample count {samples!r}")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70), "many"])
+def test_cli_run_bad_seed_is_a_usage_error(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", DEMO_CONFIG, "--seed", seed])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1].startswith(
+        f"dfpctl run: error: argument --seed: bad seed {seed!r}")
 
 
 def test_bench_accepts_empty_payloads():

@@ -69,3 +69,20 @@ def test_json_round_trip():
 def test_unknown_qos_keys_rejected():
     with pytest.raises(QoSError):
         QoSProfile.from_json({"reliability": "reliable", "latency_budget": 3})
+
+
+@pytest.mark.parametrize("doc", [
+    {"reliability": 5},
+    {"reliability": "bogus"},
+    {"durability": ["volatile"]},
+    {"history": {"keep_last": "3"}},
+    {"history": {"keep_last": 1.5}},
+    {"history": {"keep_last": True}},
+    {"history": {"keep_last": "x"}},
+    {"deadline_ms": True},
+    {"deadline_ms": "x"},
+    {"deadline_ms": 1.5},
+], ids=repr)
+def test_from_json_refuses_what_it_used_to_coerce(doc):
+    with pytest.raises(QoSError):
+        QoSProfile.from_json(doc)
