@@ -6,7 +6,8 @@
 The census drives the product paths in this process under a
 ``sys.setprofile`` hook that records every Python code object it enters:
 
-- ``dfpctl run`` on ``configs/demo.json``, with its own seed given as ``--seed``;
+- ``dfpctl run`` on ``configs/demo.json``, with its own seed and duration
+  given as ``--seed`` and ``--duration``;
 - ``dfpctl query-env`` on ``configs/demo_env.jsonl``;
 - ``dfpctl bench`` at small sizes;
 - ``scripts/run_demo.py`` into a temporary directory;
@@ -148,7 +149,7 @@ def _product_paths(tmp: str) -> None:
 
     demo = os.path.join(ROOT, "configs", "demo.json")
     report = os.path.join(tmp, "report.json")
-    cli.main(["run", "--config", demo, "--seed", "42", "--out", report])
+    cli.main(["run", "--config", demo, "--seed", "42", "--duration", "120", "--out", report])
     cli.main(["query-env", "--store", os.path.join(ROOT, "configs", "demo_env.jsonl"),
               "--tokens", "tunnel", "on", "highway", "in", "rian"])
     cli.main(["bench", "--sizes", "1024,65536", "--samples", "200"])

@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from dfp.cli import parse_seed  # noqa: E402
+from dfp.cli import parse_duration, parse_seed  # noqa: E402
 from dfp.config import load_config  # noqa: E402
 from dfp.runtime import Stack  # noqa: E402
 
@@ -27,7 +27,7 @@ def main() -> int:
                         default=os.path.join(os.path.dirname(__file__), "..",
                                              "configs", "demo.json"))
     parser.add_argument("--seed", type=parse_seed, default=None)
-    parser.add_argument("--duration", type=float, default=None)
+    parser.add_argument("--duration", type=parse_duration, default=None)
     parser.add_argument("--out", default="demo_out")
     args = parser.parse_args()
 

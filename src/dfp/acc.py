@@ -45,11 +45,11 @@ class Collision(AccError):
 @dataclass
 class VehicleState:
     position: float = 0.0  # m, longitudinal
-    speed: float = 0.0  # m/s, clamped at zero
+    speed: float = 0.0  # m/s, non-negative
 
     def __post_init__(self):
         if self.speed < 0:
-            self.speed = 0.0
+            raise AccError(f"vehicle speed must be non-negative, not {self.speed!r}")
 
 
 @dataclass(frozen=True)

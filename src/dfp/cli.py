@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -62,6 +63,17 @@ def parse_seed(text: str) -> int:
     return seed
 
 
+def parse_duration(text: str) -> float:
+    """A run duration in seconds: a finite number > 0, as a config's ``duration`` is."""
+    try:
+        duration = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad duration {text!r}")
+    if not 0 < duration < math.inf:
+        raise argparse.ArgumentTypeError(f"bad duration {text!r} (want a finite number > 0)")
+    return duration
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfpctl",
@@ -71,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = commands.add_parser("run", help="run the configured system")
     run_p.add_argument("--config", required=True, help="path to the system config JSON")
-    run_p.add_argument("--duration", type=float, default=None,
+    run_p.add_argument("--duration", type=parse_duration, default=None,
                        help="override the scenario duration, seconds")
     run_p.add_argument("--seed", type=parse_seed, default=None, help="override the run seed")
     run_p.add_argument("--out", default=None, help="write the metrics report here")

@@ -17,7 +17,9 @@ value names the object in later diagnostics). One reader, ``_read``, checks
 an object against its declaration, and nothing is coerced: an unknown key,
 a missing required key or a value of another exact type is one
 ``ConfigurationError`` naming the section and the key. A bool is not a
-number, a list of words is a list of str, and a pair is a two-item list.
+number, a number is finite (``json`` reads ``NaN``, ``Infinity`` and a
+literal past the float range as floats), a list of words is a list of
+str, and a pair is a two-item list.
 ``_parse`` builds a section's value from what ``_read`` returns, and a
 ``DfpError`` the build raises (a constructor's own check) gets the
 section's name in front, there and nowhere else.
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from dfp import ConfigurationError, DfpError
@@ -100,9 +103,13 @@ class _Shape:
         self.__name__, self.holds = name, holds
 
 
+def _finite(value) -> bool:
+    return type(value) is not float or math.isfinite(value)
+
+
 def _pair(name: str, items: tuple) -> _Shape:
     return _Shape(name, lambda v: type(v) is list and len(v) == 2
-                  and type(v[0]) in items and type(v[1]) in items)
+                  and all(type(x) in items and _finite(x) for x in v))
 
 
 INT, NUMBER, STR, LIST, DICT = (int,), (int, float), (str,), (list,), (dict,)
@@ -152,6 +159,8 @@ def _typed(value, types: tuple, context: str, what: str):
     if not any(t.holds(value) if isinstance(t, _Shape) else type(value) is t for t in types):
         _fail(f"{context}: {what} must be {' or '.join(t.__name__ for t in types)}, "
               f"not {value!r}")
+    if not _finite(value):
+        _fail(f"{context}: {what} must be finite, not {value!r}")
     return value
 
 

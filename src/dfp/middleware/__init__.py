@@ -8,9 +8,10 @@ that differs between the two:
   endpoints when they are created and hands subscribers references into a
   fixed-slot buffer arena; payload bytes are never copied or serialised
 - loopback (``Loopback(port)``): the port's bus serialises every frame
-  with the DFP1 wire format, passes it through an in-memory lossy link and
-  runs the wire protocol, with NACK-driven retransmission for reliable
-  topics
+  with the DFP1 wire format, hands it to each other participant on the
+  port, drawing a seeded drop per (frame, receiver) itself at the
+  probability ``Domain.set_loss`` gives, and runs the wire protocol, with
+  NACK-driven retransmission for reliable topics
 
 Discovery is broker-less: every participant periodically announces its
 endpoints and liveliness; records of a silent peer expire after three

@@ -13,8 +13,9 @@ transport owns every operation that differs between the two:
   duties (receive, NACKs, remote matching, gaps) are no-ops here, and a
   publisher keeps a retained ring only for a transient-local topic.
 - ``Loopback(port)`` joins the ``_LoopbackBus`` that all participants on that
-  port share. ``send`` DFP1-encodes every frame, and the bus may drop it
-  with a seeded probability per receiver. The bus runs the wire protocol
+  port share. ``send`` DFP1-encodes every frame, and the bus itself draws a
+  seeded drop per (frame, receiver) at the port's ``Domain.set_loss``
+  probability. The bus runs the wire protocol
   over each participant's inbox and its subscribers' receive state:
   matching from announcements, NACK-driven retransmission for reliable
   topics, gaps, and transient-local replay, so a publisher keeps a retained
@@ -61,7 +62,7 @@ from dfp.middleware.arena import (
     PayloadTooLarge,
     SlotArena,
 )
-from dfp.middleware.qos import Durability, QoSProfile, Reliability, qos_compatible
+from dfp.middleware.qos import Durability, QoSProfile, Reliability, link
 from dfp.middleware.wire import (
     FLAG_RELIABLE,
     FLAG_TRANSIENT_LOCAL,
@@ -206,6 +207,19 @@ def _publisher_id(participant_id: int, entity_id: int) -> int:
     return ((participant_id << 24) | entity_id) & 0xFFFFFFFFFFFFFFFF
 
 
+def _topic_record(kind: str, topic: TopicDescriptor, **fields) -> dict:
+    """The discovery record of a publisher or subscriber on ``topic``."""
+    return {"kind": kind, "topic": topic.name, "type_hash": topic.type_hash,
+            "qos": topic.qos.to_json(), **fields}
+
+
+def _record_key(pid: int, eid: int, info: dict) -> tuple:
+    """An endpoint record's key in a discovery database: its kind, its
+    participant, and its entity id, or a service's name."""
+    kind = info["kind"]
+    return (kind, pid, info.get("name", "") if kind == "service" else eid)
+
+
 class ServiceFault(MiddlewareError):
     """Raise inside a handler to return a typed fault to the caller."""
 
@@ -271,29 +285,19 @@ class _DiscoveryDb:
 # --------------------------------------------------------------------------
 
 
-class LossModel:
-    """Seeded Bernoulli frame dropper applied per (frame, receiver) edge."""
-
-    def __init__(self, drop_probability: float, seed: int = 0):
-        if not 0.0 <= drop_probability < 1.0:
-            raise ValueError("drop probability must be in [0, 1)")
-        self.drop_probability = drop_probability
-        self._rng = random.Random(seed)
-
-    def drop(self) -> bool:
-        return self._rng.random() < self.drop_probability
-
-
 class _LoopbackBus:
     """One loopback port and the DFP1 wire protocol of its participants.
 
     The bus keeps no per-participant object: a participant's receive state
-    is its ``_inbox`` and its subscribers' ``_recv``.
+    is its ``_inbox`` and its subscribers' ``_recv``. It drops each (frame,
+    receiver) edge with ``drop_probability``, one draw of its seeded
+    generator per edge.
     """
 
-    def __init__(self, domain: "Domain", loss: LossModel | None):
+    def __init__(self, domain: "Domain", drop_probability: float, seed: int):
         self.domain = domain
-        self.loss = loss
+        self.drop_probability = drop_probability
+        self._rng = random.Random(seed)
         self.endpoints: list[Participant] = []
         self.frame_log: list[tuple[int, bytes]] = []  # (sender pid, raw frame)
         self.dropped_frames = 0
@@ -309,10 +313,11 @@ class _LoopbackBus:
     def send(self, sender: Participant, frame: Frame) -> None:
         raw = encode_frame(frame)
         self.frame_log.append((sender.participant_id, raw))
+        loss = self.drop_probability
         for ep in self.endpoints:
             if ep is sender:
                 continue
-            if self.loss is not None and self.loss.drop():
+            if loss and self._rng.random() < loss:
                 self.dropped_frames += 1
                 continue
             ep._inbox.append(raw)
@@ -405,12 +410,11 @@ class _LoopbackBus:
         for (pid, eid), state in sub._recv.items():
             if not state.reliable_path:
                 continue
-            if not state.pending and state.high_water <= state.expected:
-                continue
             if now - state.last_nack_ns < NACK_INTERVAL_NS:
                 continue
-            limit = max(state.high_water, max(state.pending) + 1 if state.pending else 0)
-            missing = [s for s in range(state.expected, limit) if s not in state.pending]
+            # every pending seq is below high_water: what is missing lies in between
+            missing = [s for s in range(state.expected, state.high_water)
+                       if s not in state.pending]
             if not missing:
                 continue
             state.last_nack_ns = now
@@ -491,37 +495,30 @@ class _LoopbackBus:
         pub_qos = QoSProfile.from_json(info["qos"])
         key = (pid, eid)
         for sub in p.subscribers.values():
-            if sub.topic.name != info["topic"]:
+            if sub.topic.name != info["topic"] or sub.topic.type_hash != info["type_hash"]:
                 continue
-            if sub.topic.type_hash != info["type_hash"]:
-                continue
-            if not qos_compatible(pub_qos, sub.topic.qos):
+            linked = link(pub_qos, sub.topic.qos)
+            if linked is None:
                 continue
             state = sub._recv.get(key)
             if state is not None:
                 state.high_water = max(state.high_water, info["next_seq"])
                 continue
-            wants_replay = (sub.topic.qos.durability == Durability.TRANSIENT_LOCAL
-                            and pub_qos.durability == Durability.TRANSIENT_LOCAL)
-            expected = info["retained_first"] if wants_replay else info["next_seq"]
-            reliable_path = (pub_qos.reliability == Reliability.RELIABLE
-                             and sub.topic.qos.reliability == Reliability.RELIABLE)
-            sub._recv[key] = _RecvState(info["topic"], expected, reliable_path,
-                                        info["next_seq"])
+            reliable, replays = linked
+            expected = info["retained_first"] if replays else info["next_seq"]
+            sub._recv[key] = _RecvState(info["topic"], expected, reliable, info["next_seq"])
 
     def court_subscriber(self, p: Participant, info: dict) -> None:
         matched = info.get("matched", ())
         for pub in p.publishers.values():
-            if pub.topic.name != info["topic"] or [p.participant_id, pub.entity_id] in matched:
+            if (pub.topic.name != info["topic"] or pub.topic.type_hash != info["type_hash"]
+                    or [p.participant_id, pub.entity_id] in matched):
                 continue
-            if pub.topic.type_hash != info["type_hash"]:
+            linked = link(pub.topic.qos, QoSProfile.from_json(info["qos"]))
+            if linked is None:
                 continue
-            sub_qos = QoSProfile.from_json(info["qos"])
-            if not qos_compatible(pub.topic.qos, sub_qos):
-                continue
-            p._announce_publisher(pub)
-            if (pub.topic.qos.durability == Durability.TRANSIENT_LOCAL
-                    and sub_qos.durability == Durability.TRANSIENT_LOCAL):
+            p._announce(pub)
+            if linked[1]:  # replays
                 for seq, payload in pub._retained:
                     self._send_data(pub, seq, payload)
 
@@ -631,16 +628,13 @@ class _InProcPlane:
         return state
 
     def _rematch(self, state: _InProcTopic, replay_to: Subscriber | None = None) -> None:
+        # topic_state admits one type hash per topic: every endpoint here shares it
         for pub in state.publishers:
-            matched = tuple(
-                sub for sub in state.subscribers
-                if sub.topic.type_hash == pub.topic.type_hash
-                and qos_compatible(pub.topic.qos, sub.topic.qos)
-            )
-            newly = replay_to is not None and replay_to in matched and replay_to not in pub._matched_subs
+            matched = tuple(sub for sub in state.subscribers
+                            if link(pub.topic.qos, sub.topic.qos) is not None)
+            newly = replay_to in matched and replay_to not in pub._matched_subs
             pub._matched_subs = matched
-            if (newly and pub.topic.qos.durability == Durability.TRANSIENT_LOCAL
-                    and replay_to.topic.qos.durability == Durability.TRANSIENT_LOCAL):
+            if newly and link(pub.topic.qos, replay_to.topic.qos)[1]:  # replays
                 for seq, handle in list(pub._retained):
                     pub._arena.retain(handle.slot)
                     replay_to._enqueue(Sample(pub.topic.name, seq, pub.publisher_id,
@@ -739,6 +733,11 @@ class Publisher:
     def retained_first_seq(self) -> int:
         return self._retained[0][0] if self._retained else self.next_seq
 
+    def _announcement(self) -> tuple[MsgType, int, dict]:
+        return MsgType.ANNOUNCE, self._qos_flags, _topic_record(
+            "publisher", self.topic, next_seq=self.next_seq,
+            retained_first=self.retained_first_seq())
+
     def publish(self, payload: bytes) -> int:
         self.participant._require_alive()
         if not isinstance(payload, (bytes, bytearray, memoryview)):
@@ -816,6 +815,11 @@ class Subscriber:
         with self._qlock:
             return len(self._queue)
 
+    def _announcement(self) -> tuple[MsgType, int, dict]:
+        # publishers already matched need not re-announce or replay
+        return MsgType.SUBSCRIBE, 0, _topic_record("subscriber", self.topic,
+                                                   matched=sorted(self._recv))
+
     def _check_deadline(self, now: int) -> None:
         if self._deadline_ns is None:
             return
@@ -829,6 +833,15 @@ class _ServiceEndpoint:
         self.descriptor = descriptor
         self.entity_id = entity_id
         self.handler = handler
+
+    def _announcement(self) -> tuple[MsgType, int, dict]:
+        return MsgType.ANNOUNCE, 0, {
+            "kind": "service",
+            "name": self.descriptor.service_name,
+            "request_type_hash": self.descriptor.request_type_hash,
+            "response_type_hash": self.descriptor.response_type_hash,
+            "entity_id": self.entity_id,
+        }
 
     def answer(self, request: bytes) -> tuple[int, bytes, int]:
         """Run the handler: ``(status, body, code)`` is ``(0, reply, 0)``, or
@@ -892,7 +905,7 @@ class Participant:
             self._require_alive()
             pub = self._net.new_publisher(self, topic)
             self.publishers[pub.entity_id] = pub
-            self._announce_publisher(pub)
+            self._announce(pub)
             return pub
 
     def create_subscriber(self, topic: TopicDescriptor) -> Subscriber:
@@ -900,7 +913,7 @@ class Participant:
             self._require_alive()
             sub = self._net.new_subscriber(self, topic)
             self.subscribers[sub.entity_id] = sub
-            self._announce_subscriber(sub)
+            self._announce(sub)
             return sub
 
     def register_service(self, descriptor: ServiceDescriptor, handler) -> None:
@@ -912,7 +925,7 @@ class Participant:
                 raise DuplicateService(f"service {name!r} is already registered")
             ep = _ServiceEndpoint(descriptor, self._alloc_entity(), handler)
             self.services[name] = ep
-            self._announce_service(ep)
+            self._announce(ep)
 
     def _alloc_entity(self) -> int:
         eid = self._next_entity
@@ -962,44 +975,13 @@ class Participant:
 
     # -- announcements ---------------------------------------------------------
 
-    def _announce_publisher(self, pub: Publisher) -> None:
-        now = self.domain.now_ns()
-        info = {
-            "kind": "publisher",
-            "topic": pub.topic.name,
-            "type_hash": pub.topic.type_hash,
-            "qos": pub.topic.qos.to_json(),
-            "next_seq": pub.next_seq,
-            "retained_first": pub.retained_first_seq(),
-        }
-        self._db.add(("publisher", self.participant_id, pub.entity_id), info, now)
-        self._net.broadcast(self, MsgType.ANNOUNCE, info, entity_id=pub.entity_id,
-                            flags=pub._qos_flags)
-
-    def _announce_subscriber(self, sub: Subscriber) -> None:
-        now = self.domain.now_ns()
-        info = {
-            "kind": "subscriber",
-            "topic": sub.topic.name,
-            "type_hash": sub.topic.type_hash,
-            "qos": sub.topic.qos.to_json(),
-            # publishers already matched need not re-announce or replay
-            "matched": sorted(sub._recv),
-        }
-        self._db.add(("subscriber", self.participant_id, sub.entity_id), info, now)
-        self._net.broadcast(self, MsgType.SUBSCRIBE, info, entity_id=sub.entity_id)
-
-    def _announce_service(self, ep: _ServiceEndpoint) -> None:
-        now = self.domain.now_ns()
-        info = {
-            "kind": "service",
-            "name": ep.descriptor.service_name,
-            "request_type_hash": ep.descriptor.request_type_hash,
-            "response_type_hash": ep.descriptor.response_type_hash,
-            "entity_id": ep.entity_id,
-        }
-        self._db.add(("service", self.participant_id, ep.descriptor.service_name), info, now)
-        self._net.broadcast(self, MsgType.ANNOUNCE, info, entity_id=ep.entity_id)
+    def _announce(self, ep: Publisher | Subscriber | _ServiceEndpoint) -> None:
+        """State one endpoint: its record enters this participant's own
+        database and goes out to every peer."""
+        msg_type, flags, info = ep._announcement()
+        self._db.add(_record_key(self.participant_id, ep.entity_id, info), info,
+                     self.domain.now_ns())
+        self._net.broadcast(self, msg_type, info, entity_id=ep.entity_id, flags=flags)
 
     # -- client/server ------------------------------------------------------------
 
@@ -1041,12 +1023,9 @@ class Participant:
                             {"kind": "heartbeat", "name": self.name})
         # frames may have been lost, or a peer may have expired our records
         # while we were not spinning: periodically restate every endpoint
-        for pub in self.publishers.values():
-            self._announce_publisher(pub)
-        for ep in self.services.values():
-            self._announce_service(ep)
-        for sub in self.subscribers.values():
-            self._announce_subscriber(sub)
+        for ep in (*self.publishers.values(), *self.services.values(),
+                   *self.subscribers.values()):
+            self._announce(ep)
 
     def _handle_control(self, mt: MsgType, pid: int, eid: int, obj: dict) -> None:
         now = self.domain.now_ns()
@@ -1055,14 +1034,12 @@ class Participant:
         if mt is _HEARTBEAT or kind == "participant":
             # liveliness assertions double as identity for late joiners
             self._db.add(("participant", pid), {"name": obj.get("name", "")}, now)
-        elif kind == "publisher":
-            self._db.add(("publisher", pid, eid), obj, now)
-            self._net.match_publisher(self, pid, eid, obj)
-        elif kind == "subscriber":
-            self._db.add(("subscriber", pid, eid), obj, now)
-            self._net.court_subscriber(self, obj)
-        elif kind == "service":
-            self._db.add(("service", pid, obj.get("name", "")), obj, now)
+        elif kind in ("publisher", "subscriber", "service"):
+            self._db.add(_record_key(pid, eid, obj), obj, now)
+            if kind == "publisher":
+                self._net.match_publisher(self, pid, eid, obj)
+            elif kind == "subscriber":
+                self._net.court_subscriber(self, obj)
         elif kind == "leave":
             gone = self._db.remove_participant(pid)
             self._unmatch(gone)
@@ -1094,7 +1071,7 @@ class Domain:
         self.arena_slot_count = arena_slot_count
         self._inproc = _InProcPlane(self)
         self._buses: dict[int, _LoopbackBus] = {}
-        self._loss_config: dict[int, LossModel] = {}
+        self._loss_config: dict[int, tuple[float, int]] = {}  # port -> (probability, seed)
         self._participants_by_id: dict[int, Participant] = {}
         self._next_pid = 1
         self._lock = threading.RLock()
@@ -1108,11 +1085,14 @@ class Domain:
         return self.clock.now_ns()
 
     def set_loss(self, port: int, drop_probability: float, seed: int = 0) -> None:
-        """Configure the seeded loss model of a loopback port (before use)."""
+        """Set the probability that a loopback port's bus drops a frame on its
+        way to one receiver, drawn from ``seed`` (before the port is used)."""
         with self._lock:
             if port in self._buses:
                 raise MiddlewareError(f"port {port} already has participants")
-            self._loss_config[port] = LossModel(drop_probability, seed)
+            if not 0.0 <= drop_probability < 1.0:
+                raise ValueError("drop probability must be in [0, 1)")
+            self._loss_config[port] = (drop_probability, seed)
 
     def create_participant(self, name: str, transport=InProcess()) -> Participant:
         if not name:
@@ -1128,7 +1108,7 @@ class Domain:
                     raise TransportUnavailable(f"cannot bind loopback port {transport.port}")
                 net = self._buses.get(transport.port)
                 if net is None:
-                    net = _LoopbackBus(self, self._loss_config.get(transport.port))
+                    net = _LoopbackBus(self, *self._loss_config.get(transport.port, (0.0, 0)))
                     self._buses[transport.port] = net
             else:
                 raise TransportUnavailable(f"unknown transport {transport!r}")

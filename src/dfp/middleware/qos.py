@@ -112,3 +112,17 @@ def qos_compatible(offered: QoSProfile, requested: QoSProfile) -> bool:
         offered.reliability >= requested.reliability
         and offered.durability >= requested.durability
     )
+
+
+def link(offered: QoSProfile, requested: QoSProfile) -> tuple[bool, bool] | None:
+    """How a writer offering ``offered`` serves a reader requesting ``requested``.
+
+    None when ``qos_compatible`` fails; otherwise ``(reliable, replays)``:
+    the pair takes the reliable path when both sides are RELIABLE, and the
+    writer's retained ring replays to the reader when both are
+    TRANSIENT_LOCAL.
+    """
+    if not qos_compatible(offered, requested):
+        return None
+    return (offered.reliability == requested.reliability == Reliability.RELIABLE,
+            offered.durability == requested.durability == Durability.TRANSIENT_LOCAL)

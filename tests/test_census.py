@@ -1,4 +1,5 @@
-"""The census's allow-list names live functions, and deleted names stay gone.
+"""The census's allow-list names live functions, deleted names stay gone,
+and ``scripts/codelines.py`` counts code lines as its docstring says.
 
 The census itself (``python scripts/census.py``) is not run here: its
 profile hook would share this process with the timing criteria.
@@ -15,6 +16,7 @@ import dfp.middleware
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts"))
 
 import census  # noqa: E402
+import codelines  # noqa: E402
 
 DELETED = [
     ("dfp.bench", "BenchRow.as_dict"),
@@ -45,6 +47,10 @@ DELETED = [
     ("dfp.config", "_require"),
     ("dfp.config", "_check_keys"),
     ("dfp.config", "_parse_list"),
+    ("dfp.middleware.core", "LossModel"),
+    ("dfp.middleware.core", "Participant._announce_publisher"),
+    ("dfp.middleware.core", "Participant._announce_subscriber"),
+    ("dfp.middleware.core", "Participant._announce_service"),
 ]
 
 
@@ -76,3 +82,32 @@ def test_no_deleted_name_is_exported_from_the_packages():
     for package in (dfp.funcsw, dfp.middleware):
         assert not names & set(package.__all__)
         assert not any(hasattr(package, name) for name in names)
+
+
+CODELINES_FIXTURE = '''"""A module docstring
+over two lines."""
+
+# a comment-only line
+x = 1  # code, with a comment
+
+def f():
+    """A function docstring."""
+
+    return (1,
+            2)
+
+
+class C:
+    """A class docstring."""
+    s = """a string
+over three
+lines"""
+'''
+
+
+def test_codelines_counts_code_not_docstrings_comments_or_blanks(tmp_path, capsys):
+    # x; def f; the bracket's 2 lines; class C; the string's 3 lines
+    (tmp_path / "fixture.py").write_text(CODELINES_FIXTURE)
+    assert codelines.code_lines(str(tmp_path / "fixture.py")) == 8
+    assert codelines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["     8  fixture.py", "     8  total"]

@@ -214,6 +214,15 @@ MALFORMED_VALUES = [  # (breakage, the section the diagnostic names)
     # a gain the planner first reads mid-drive: validation must refuse it
     (_set(["acc", "config", "kp"], "x"), "acc config: kp must be int or float, not 'x'"),
     (_set(["seed"], -1), r"config: seed -1 out of \[0, 2\*\*64\)"),
+    # json reads NaN and Infinity as floats: the drive collided, or escaped as a traceback
+    (_set(["acc", "config", "kp"], float("nan")), "acc config: kp must be finite, not nan"),
+    (_set(["acc", "scenario", "duration"], float("inf")),
+     "acc scenario: duration must be finite, not inf"),
+    (_set(["acc", "scenario", "lead_profile", 1], [10.0, float("-inf")]),
+     r"acc scenario: lead_profile point must be \[t, speed\], not \[10.0, -inf\]"),
+    # a negative speed drove from rest
+    (_set(["acc", "scenario", "ego", "speed"], -5),
+     "acc: vehicle speed must be non-negative, not -5"),
 ]
 
 
@@ -221,7 +230,8 @@ MALFORMED_VALUES = [  # (breakage, the section the diagnostic names)
                          ids=["seed", "device_seed", "up_to", "watchdog", "engage_event",
                               "class_filter", "topics", "time_range", "node_inputs",
                               "fsm_states", "guard", "topic_qos", "reliability", "keep_last",
-                              "entry", "device_id", "acc_kp", "seed_range"])
+                              "entry", "device_id", "acc_kp", "seed_range", "kp_nan",
+                              "duration_inf", "point_inf", "ego_speed"])
 def test_cli_malformed_value_exits_2_with_one_diagnostic(tmp_path, demo_doc, capsys,
                                                          breakage, named):
     breakage(demo_doc)
@@ -411,6 +421,17 @@ def test_cli_run_bad_seed_is_a_usage_error(capsys, seed):
     assert out == "" and "Traceback" not in err
     assert err.splitlines()[-1].startswith(
         f"dfpctl run: error: argument --seed: bad seed {seed!r}")
+
+
+@pytest.mark.parametrize("duration", ["inf", "nan", "-1", "0", "soon"])
+def test_cli_run_bad_duration_is_a_usage_error(capsys, duration):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", DEMO_CONFIG, "--duration", duration])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1].startswith(
+        f"dfpctl run: error: argument --duration: bad duration {duration!r}")
 
 
 def test_bench_accepts_empty_payloads():

@@ -8,6 +8,7 @@ from dfp.middleware.qos import (
     QoSError,
     QoSProfile,
     Reliability,
+    link,
     qos_compatible,
 )
 
@@ -40,6 +41,34 @@ def test_lattice_has_exactly_nine_compatible_pairs():
             assert got == expect
             compatible += got
     assert compatible == 9
+
+
+BE, REL = Reliability.BEST_EFFORT, Reliability.RELIABLE
+VOL, TL = Durability.VOLATILE, Durability.TRANSIENT_LOCAL
+
+
+@pytest.mark.parametrize("offered,requested,linked", [
+    # (reliability, durability) offered, requested -> (reliable, replays), or None
+    ((BE, VOL), (BE, VOL), (False, False)),
+    ((BE, VOL), (BE, TL), None),
+    ((BE, VOL), (REL, VOL), None),
+    ((BE, VOL), (REL, TL), None),
+    ((BE, TL), (BE, VOL), (False, False)),
+    ((BE, TL), (BE, TL), (False, True)),
+    ((BE, TL), (REL, VOL), None),
+    ((BE, TL), (REL, TL), None),
+    ((REL, VOL), (BE, VOL), (False, False)),
+    ((REL, VOL), (BE, TL), None),
+    ((REL, VOL), (REL, VOL), (True, False)),
+    ((REL, VOL), (REL, TL), None),
+    ((REL, TL), (BE, VOL), (False, False)),
+    ((REL, TL), (BE, TL), (False, True)),
+    ((REL, TL), (REL, VOL), (True, False)),
+    ((REL, TL), (REL, TL), (True, True)),
+], ids=lambda v: "-".join(getattr(x, "name", str(x)) for x in v) if v else str(v))
+def test_link_truth_table(offered, requested, linked):
+    assert link(profile(*offered), profile(*requested)) == linked
+    assert qos_compatible(profile(*offered), profile(*requested)) == (linked is not None)
 
 
 def test_history_and_deadline_never_block_matching():
