@@ -6,22 +6,26 @@ at least one tag of a record for it to qualify (exact match, or edit
 distance <= 1 for tokens of length >= 4). Results order by newest first,
 then ascending record id, so result lists are stable for golden tests.
 
-The store keeps two indexes that ``_put`` and ``_drop`` keep in step with
+The store keeps three indexes that ``_put`` and ``_drop`` keep in step with
 every write and ``open`` builds after its replay: postings, tag -> set of
-record ids, and the order index, every ``(timestamp_ns, -record_id)`` in
-ascending order, which read backwards is the result order. A query makes
-one ``fuzzy_match`` pass over the tag vocabulary per token, then takes the
-cheaper of two plans. The pass runs the edit distance only on tags one
-edit could reach: an edit changes the length by at most one and the
-character set by at most two characters (a substitution drops one and
-brings in another), so a tag that differs from the token by more than that
-in either is skipped without the call. When the time window holds no more
-order entries than the smallest token's postings, it walks the window
-newest first and keeps the records every token's postings contain, already
-in result order. Otherwise it unions each token's postings, intersects
-across tokens, filters and sorts the survivors. So a query costs the
-vocabulary plus the smaller of its window and its rarest token's postings,
-not the store size.
+record ids; the order index, every ``(timestamp_ns, -record_id)`` in
+ascending order, which read backwards is the result order; and ``_near``,
+each string made by deleting one character of a live tag -> the live tags
+that give it (a tag enters it with its first posting and leaves it with its
+last). A query finds each token's tags through ``_near`` and the postings,
+the deletion-neighbourhood lookup for single-error matching (Mor and
+Fraenkel, CACM 25(12), 1982). A tag one edit from the token is one
+character longer, and deleting one of its characters gives the token; or
+one shorter, and it is the token with one character deleted; or of the
+same length, and deleting the one position where the two differ gives the
+same string. No edit distance runs, and the lookup costs the token's
+length, not the vocabulary. Then the query takes the cheaper of two plans.
+When the time window holds no more order entries than the smallest token's
+postings, it walks the window newest first and keeps the records every
+token's postings contain, already in result order. Otherwise it unions
+each token's postings, intersects across tokens, filters and sorts the
+survivors. So a query costs its tokens' lengths plus the smaller
+of its window and its rarest token's postings, not the store size.
 
 A saved ODD is a standing result: ``save_odd`` seeds its matches with one
 ``query``, and every write after that tests only the record it adds,
@@ -323,6 +327,11 @@ def fuzzy_match(token: str, tag: str) -> bool:
     return levenshtein(token, tag) <= 1
 
 
+def _deletions(word: str) -> set[str]:
+    """Every string made by deleting one character of ``word``."""
+    return {word[:i] + word[i + 1:] for i in range(len(word))}
+
+
 @dataclass(frozen=True)
 class OddQuery:
     tokens: tuple
@@ -330,6 +339,12 @@ class OddQuery:
     time_range: tuple | None = None  # (t0_ns, t1_ns) inclusive
 
     def __post_init__(self):
+        tokens = self.tokens
+        if type(tokens) is not tuple or not all(type(w) is str for w in tokens):
+            raise InvalidQuery(f"tokens must be a tuple of str, not {tokens!r}")
+        if self.class_filter is not None and type(self.class_filter) is not RecordClass:
+            raise InvalidQuery(
+                f"class_filter must be None or a RecordClass, not {self.class_filter!r}")
         window = self.time_range
         if window is not None and (type(window) is not tuple or len(window) != 2
                                    or type(window[0]) is not int or type(window[1]) is not int):
@@ -410,6 +425,8 @@ class EnvStore:
     def __init__(self, log_path=None):
         self._records: dict[int, EnvRecord] = {}
         self._postings: defaultdict[str, set[int]] = defaultdict(set)  # no empty sets
+        # each one-deletion string of a live tag -> the live tags that give it
+        self._near: dict[str, set[str]] = {}
         self._order: list[tuple[int, int]] = []  # (timestamp_ns, -record_id), ascending
         self._odds: dict[str, _StandingOdd] = {}
         # tags -> the saved ODDs whose every token matches one of them
@@ -472,6 +489,8 @@ class EnvStore:
         for rid, rec in records.items():
             for tag in rec.tags:
                 postings[tag].add(rid)
+        for tag in postings:
+            store._index_tag(tag)
         store._order = sorted((rec.timestamp_ns, -rid) for rid, rec in records.items())
         # every id a log creates is either live at the end or has a tombstone
         store._next_id = max(dead_high, max(records, default=-1)) + 1
@@ -521,8 +540,11 @@ class EnvStore:
         if old is not None:
             self._unpost(old)
         self._records[rid] = rec
+        postings = self._postings
         for tag in rec.tags:
-            self._postings[tag].add(rid)
+            if tag not in postings:  # the tag's first posting
+                self._index_tag(tag)
+            postings[tag].add(rid)
         for odd in self._tag_odds(rec.tags):
             if odd.admits(rec):
                 odd.add(rec)
@@ -549,14 +571,36 @@ class EnvStore:
         """Take a record out of its tags' postings, where a tag left with
         no postings goes too, and out of the saved ODDs it matches."""
         rid = rec.record_id
+        postings = self._postings
         for tag in rec.tags:
-            ids = self._postings[tag]
+            ids = postings[tag]
             ids.discard(rid)
             if not ids:
-                del self._postings[tag]
+                del postings[tag]
+                self._unindex_tag(tag)
         for odd in self._tag_odds(rec.tags):
             if odd.admits(rec):
                 odd.remove(rec)
+
+    def _index_tag(self, tag: str) -> None:
+        """Enter a tag that has just gained its first posting in ``_near``."""
+        near = self._near
+        for key in _deletions(tag):
+            tags = near.get(key)
+            if tags is None:
+                near[key] = {tag}
+            else:
+                tags.add(tag)
+
+    def _unindex_tag(self, tag: str) -> None:
+        """Take a tag that has just lost its last posting out of ``_near``;
+        a key left with no tags goes too."""
+        near = self._near
+        for key in _deletions(tag):
+            tags = near[key]
+            tags.discard(tag)
+            if not tags:
+                del near[key]
 
     def _tag_odds(self, tags: frozenset) -> tuple:
         """The saved ODDs whose tag test ``tags`` passes, memoised."""
@@ -618,16 +662,18 @@ class EnvStore:
     def query(self, q: OddQuery) -> list[EnvRecord]:
         """Records matching every token, newest first, ties by ascending id.
 
-        Each token's matching postings come from one ``fuzzy_match`` pass
-        over the tag vocabulary. Then the cheaper plan runs: the time window
-        of the order index (all of it when there is no ``time_range``) if it
-        holds no more entries than the smallest token's postings, else the
-        postings join. Either way the work follows the smaller of the two,
+        Each token's tags come from ``_fuzzy_tags``, a lookup in ``_near``
+        and the postings that runs no edit distance and does not walk the
+        vocabulary. Then the cheaper plan runs: the time window of the order
+        index (all of it when there is no ``time_range``) if it holds no
+        more entries than the smallest token's postings, else the postings
+        join. Either way the work follows the smaller of the two,
         not the store size.
         """
+        postings = self._postings
         matched = []  # per token, the postings of the tags it matches
         for tok in q.effective_tokens():
-            sets = [ids for tag, ids in self._postings.items() if fuzzy_match(tok, tag)]
+            sets = [postings[tag] for tag in self._fuzzy_tags(tok)]
             if not sets:
                 return []
             matched.append(sets)
@@ -642,6 +688,33 @@ class EnvStore:
         if hi - lo <= min(sum(map(len, sets)) for sets in matched):
             return self._walk_window(order[lo:hi], matched, q.class_filter)
         return self._join_postings(matched, q)
+
+    def _fuzzy_tags(self, tok: str) -> set[str]:
+        """The live tags ``tok`` fuzzy-matches, found without an edit distance.
+
+        A token shorter than ``FUZZY_MIN_LEN`` matches only itself. A longer
+        one matches the tags one character longer that ``_near`` files under
+        it, each one-deletion string of it that is a tag, and the tags of its
+        own length that share its deletion at ``i`` and agree with it
+        everywhere but at ``i``: a substitution, or the token itself. Each
+        case is exact, a transposition (two edits) is refused, and the work
+        follows the token's length, not the vocabulary. The postings are
+        only tested with ``in`` here, so no lookup adds an empty set.
+        """
+        postings = self._postings
+        if len(tok) < FUZZY_MIN_LEN:
+            return {tok} if tok in postings else set()
+        near = self._near
+        tags = set(near.get(tok, ()))
+        for i in range(len(tok)):
+            head, tail = tok[:i], tok[i + 1:]
+            shorter = head + tail
+            if shorter in postings:
+                tags.add(shorter)
+            for tag in near.get(shorter, ()):
+                if tag[:i] == head and tag[i + 1:] == tail:
+                    tags.add(tag)
+        return tags
 
     def _walk_window(self, window, matched, class_filter) -> list[EnvRecord]:
         """Keep the window's ids that every token's postings hold; the window
@@ -661,8 +734,8 @@ class EnvStore:
         """Union each token's postings, intersect across tokens, then filter
         and sort the survivors."""
         ids = None
-        for sets in matched:
-            hits = set().union(*sets)
+        for sets in matched:  # a posting set is read here, never changed
+            hits = sets[0] if len(sets) == 1 else set().union(*sets)
             ids = hits if ids is None else ids & hits
             if not ids:
                 return []

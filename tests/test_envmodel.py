@@ -232,10 +232,50 @@ def test_levenshtein_runs_only_on_tags_one_edit_could_reach(monkeypatch):
     assert calls == [("tunnvl", "tunnel"), ("tunnnel", "tunnel"), ("tunel", "tunnel"),
                      ("tnunel", "tunnel")]
     calls.clear()
-    # the vocabulary pass: only "tunnel" of the seeded store's seven tags is close enough
+    # the query finds "tunnel" through the one-deletion index: no edit distance
     got = seeded_store().query(OddQuery(("tunnvl",)))
     assert [r.record_id for r in got] == [3, 2, 1]
-    assert calls == [("tunnvl", "tunnel")]
+    assert calls == []
+
+
+def one_edit_variants(word, alphabet):
+    """Every substitution, insertion, deletion and adjacent transposition of
+    ``word`` over ``alphabet``."""
+    out = set()
+    for i in range(len(word) + 1):
+        for c in alphabet:
+            out.add(word[:i] + c + word[i:])
+            if i < len(word):
+                out.add(word[:i] + c + word[i + 1:])
+        if i < len(word):
+            out.add(word[:i] + word[i + 1:])
+        if i + 1 < len(word):
+            out.add(word[:i] + word[i + 1] + word[i] + word[i + 2:])
+    return out
+
+
+def test_a_query_over_a_thousand_tags_calls_no_fuzzy_match(monkeypatch):
+    rng = random.Random(25)
+    vocabulary = set()
+    while len(vocabulary) < 1000:  # a dense vocabulary: many tags one edit apart
+        vocabulary.add("".join(rng.choice("abcdef") for _ in range(rng.randint(3, 6))))
+    vocabulary = sorted(vocabulary)
+    store = EnvStore()
+    for rid, tag in enumerate(vocabulary):
+        store.create(rec(rid, {tag, rng.choice(vocabulary)}, ts=rng.randint(0, 99)))
+    records = store.all_records()
+    calls = []
+
+    def counting(tok, tag):
+        calls.append((tok, tag))
+        return fuzzy_match(tok, tag)
+
+    monkeypatch.setattr(dfp.envmodel, "fuzzy_match", counting)
+    words = rng.sample(vocabulary, 8)
+    words += rng.sample(sorted(one_edit_variants(words[0], "abcdefg")), 12)
+    for word in words:
+        assert store.query(OddQuery((word,))) == brute_force_query(records, [word]), word
+    assert calls == []
 
 
 def test_paper_style_query_with_connector_words():
@@ -443,6 +483,86 @@ def test_posting_index_queries_equal_scan_under_random_crud_and_reopen(ops):
         assert store._order == sorted((r.timestamp_ns, -r.record_id) for r in shadow.values())
 
 
+def near_index(vocabulary):
+    """The one-deletion index of ``vocabulary``, rebuilt from scratch."""
+    near = {}
+    for tag in vocabulary:
+        for i in range(len(tag)):
+            near.setdefault(tag[:i] + tag[i + 1:], set()).add(tag)
+    return near
+
+
+NEAR_ALPHABET = "abc"
+
+
+@st.composite
+def near_tokens(draw, pool):
+    """A token for the index oracle: a tag of ``pool`` (live or dead), one
+    edit or a transposition away from one, a free token of length 3 or 4,
+    or a stopword."""
+    kind = draw(st.sampled_from(("tag", "substitute", "insert", "delete", "transpose",
+                                 "free", "stopword")))
+    if kind == "stopword":
+        return draw(st.sampled_from(sorted(STOPWORDS)))
+    if kind == "free":
+        return draw(st.text(alphabet=NEAR_ALPHABET + "d", min_size=3, max_size=4))
+    tag = draw(st.sampled_from(pool))
+    i = draw(st.integers(0, len(tag) - 1))
+    c = draw(st.sampled_from(NEAR_ALPHABET + "d"))
+    if kind == "substitute":
+        return tag[:i] + c + tag[i + 1:]
+    if kind == "insert":
+        return tag[:i] + c + tag[i:]
+    if kind == "delete":
+        return tag[:i] + tag[i + 1:]
+    if kind == "transpose" and i + 1 < len(tag):
+        return tag[:i] + tag[i + 1] + tag[i] + tag[i + 2:]
+    return tag
+
+
+def check_near(store, tokens):
+    """``_near`` is the index of the live vocabulary, no stale key and no
+    empty set, and each token's tags are those ``fuzzy_match`` picks."""
+    assert store._near == near_index(store._postings)
+    for tok in tokens:
+        want = {tag for tag in store._postings if fuzzy_match(tok, tag)}
+        assert store._fuzzy_tags(tok) == want, tok
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_near_index_equals_the_fuzzy_scan_under_random_writes_and_reopen(data):
+    # a few short tags over three letters, so that tags lie one edit apart,
+    # lose their last posting and come back
+    pool = data.draw(st.lists(st.text(alphabet=NEAR_ALPHABET, min_size=2, max_size=6),
+                              min_size=1, max_size=8, unique=True))
+    tag_set = st.frozensets(st.sampled_from(pool), min_size=1, max_size=3)
+    rid = st.integers(min_value=0, max_value=5)
+    write = st.one_of(st.tuples(st.just("create"), rid, tag_set),
+                      st.tuples(st.just("ingest"), tag_set),
+                      st.tuples(st.just("update"), rid, tag_set),
+                      st.tuples(st.just("delete"), rid))
+    tokens = st.lists(near_tokens(pool), min_size=1, max_size=6)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "env.jsonl")
+        open(path, "w").close()  # the drawn writes may all be skipped
+        with EnvStore(log_path=path) as store:
+            for op in data.draw(st.lists(write, min_size=1, max_size=20)):
+                kind = op[0]
+                if kind == "create" and op[1] not in store._records:
+                    store.create(rec(op[1], op[2]))
+                elif kind == "ingest":
+                    store.ingest({"class": "object", "tags": sorted(op[1])})
+                elif kind == "update" and op[1] in store._records:
+                    store.update(op[1], {"tags": op[2]})
+                elif kind == "delete" and op[1] in store._records:
+                    store.delete(op[1])
+                check_near(store, data.draw(tokens))
+        reopened = EnvStore.open(path)
+        assert reopened._postings == store._postings
+        check_near(reopened, data.draw(tokens))
+
+
 def test_tags_only_update_keeps_its_order_entry():
     store, _ = corpus_store(random.Random(5))
     before = list(store._order)
@@ -630,6 +750,22 @@ def test_run_odd_returns_a_new_list_each_call():
     first = store.run_odd("wet")
     first.clear()
     assert [r.record_id for r in store.run_odd("wet")] == [4, 2, 1]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tokens": "rain"},  # a str would split into one-letter tokens
+    {"tokens": ["rain"]},
+    {"tokens": None},
+    {"tokens": ("rain", 5)},
+    {"tokens": ("rain", b"fog")},
+    {"tokens": ("rain",), "class_filter": "weather"},  # a value, not a member
+    {"tokens": ("rain",), "class_filter": Source.V2X},
+    {"tokens": ("rain",), "class_filter": 3},
+], ids=["str", "list", "none", "int_token", "bytes_token", "class_value", "other_enum",
+        "class_int"])
+def test_a_query_refuses_tokens_and_a_class_filter_it_cannot_answer(kwargs):
+    with pytest.raises(InvalidQuery, match="^(tokens|class_filter) must be"):
+        OddQuery(**kwargs)
 
 
 def test_a_query_window_is_two_ints():
@@ -964,6 +1100,7 @@ def test_a_log_cut_short_opens_as_a_whole_number_of_writes(tmp_path):
                               r.attributes, r.position, r.source.value)
                 for r in store.all_records()} == records, size
         assert (store._postings, store._order, store._next_id) == (postings, order, next_id)
+        assert store._near == near_index(postings)
         assert copy.read_bytes() == kept, size
 
 
@@ -1046,6 +1183,7 @@ def test_open_equals_a_plain_replay_of_a_random_log(entries, torn):
     assert store._postings == postings
     assert store._order == order
     assert store._next_id == next_id
+    assert store._near == near_index(postings)
 
 
 # -- the log handle -----------------------------------------------------------------
