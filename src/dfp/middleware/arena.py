@@ -7,11 +7,13 @@ ring on a transient-local topic; the publisher keeps no reference of its
 own. The slot returns to the free list only when every reference has been
 released. Slot bookkeeping is explicit so the recycling contract is
 observable in tests.
+
+An arena takes no lock. Like the domain whose plane holds it, it belongs to
+one thread at a time, so calls into one arena must not overlap (see
+``dfp.middleware.core``).
 """
 
 from __future__ import annotations
-
-import threading
 
 from dfp import DfpError
 
@@ -31,8 +33,8 @@ class BufferHandle:
     """Reference to one immutable payload occupying an arena slot.
 
     ``release()`` drops one reference; callers release once per occurrence
-    they received (each queued delivery holds exactly one reference, and a
-    ``Sample`` releases no more references than it was delivered with).
+    they received (each queued delivery holds exactly one reference, and
+    each delivery is its own ``Sample``).
     Detached handles (no arena) wrap wire-received payloads and ignore
     release entirely.
     """
@@ -57,7 +59,6 @@ class SlotArena:
         self.slot_count = slot_count
         self._refs = [0] * slot_count
         self._free = list(range(slot_count - 1, -1, -1))
-        self._lock = threading.Lock()
 
     def acquire(self, payload: bytes, holders: int = 1) -> BufferHandle:
         """Place a payload in a free slot with one reference per holder;
@@ -66,34 +67,29 @@ class SlotArena:
             raise PayloadTooLarge(
                 f"payload of {len(payload)} bytes exceeds slot size {self.slot_size}"
             )
-        with self._lock:
-            if not self._free:
-                raise ArenaExhausted(f"all {self.slot_count} slots are held by readers")
-            if holders < 1:
-                return BufferHandle(payload)
-            slot = self._free.pop()
-            self._refs[slot] = holders
+        if not self._free:
+            raise ArenaExhausted(f"all {self.slot_count} slots are held by readers")
+        if holders < 1:
+            return BufferHandle(payload)
+        slot = self._free.pop()
+        self._refs[slot] = holders
         return BufferHandle(payload, self, slot)
 
     def retain(self, slot: int) -> None:
-        with self._lock:
-            if self._refs[slot] <= 0:
-                raise ValueError(f"retain on free slot {slot}")
-            self._refs[slot] += 1
+        if self._refs[slot] <= 0:
+            raise ValueError(f"retain on free slot {slot}")
+        self._refs[slot] += 1
 
     def release(self, slot: int) -> None:
-        with self._lock:
-            if self._refs[slot] <= 0:
-                return  # over-release is a no-op; the slot is already free
-            self._refs[slot] -= 1
-            if self._refs[slot] == 0:
-                self._free.append(slot)
+        if self._refs[slot] <= 0:
+            return  # over-release is a no-op; the slot is already free
+        self._refs[slot] -= 1
+        if self._refs[slot] == 0:
+            self._free.append(slot)
 
     def refcount(self, slot: int) -> int:
-        with self._lock:
-            return self._refs[slot]
+        return self._refs[slot]
 
     @property
     def free_count(self) -> int:
-        with self._lock:
-            return len(self._free)
+        return len(self._free)

@@ -43,6 +43,13 @@ and no participant created since, returns at once, so an in-process ``call``
 at an unchanged clock costs its handler, not a round per participant.
 Heartbeats restate every endpoint, any ``close`` leaves the data plane at
 once, and tests step the manual clock, so every outcome is reproducible.
+
+Threads: a domain and everything it creates (participants, endpoints,
+samples, arenas) belong to one thread at a time, the way an event loop owns
+its objects. Nothing here takes a lock, so calls into one domain must not
+overlap; a program that shares a domain across threads serializes its own
+calls. A handler that calls from inside a spin is not an overlap: it runs
+on the spinning thread and gets a full nested round.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ from __future__ import annotations
 import json
 import random
 import re
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -178,28 +184,27 @@ class Sample:
     __slots__ = ("topic", "seq", "publisher_id", "timestamp_ns", "payload", "_held")
 
     def __init__(self, topic: str, seq: int, publisher_id: int, timestamp_ns: int,
-                 payload: BufferHandle, deliveries: int = 1):
+                 payload: BufferHandle):
         self.topic = topic
         self.seq = seq
         self.publisher_id = publisher_id
         self.timestamp_ns = timestamp_ns
         self.payload = payload
-        self._held = deliveries  # deliveries whose reference is still held
+        self._held = True  # the delivery's reference is still held
 
     @property
     def data(self) -> bytes:
         return self.payload.data
 
     def release(self) -> None:
-        """Drop one delivery's reference so the arena slot can recycle.
+        """Drop the delivery's reference so the arena slot can recycle.
 
-        A sample releases at most as many references as it was delivered
-        with: a second release of a sample that one reader took does
-        nothing, and no over-release reaches the retained ring's reference
-        or a later sample in the same slot.
+        Each delivery is its own sample: a second release does nothing, so
+        no over-release reaches a sibling reader's reference, the retained
+        ring's, or a later sample in the same slot.
         """
         if self._held:
-            self._held -= 1
+            self._held = False
             self.payload.release()
 
 
@@ -375,11 +380,10 @@ class _LoopbackBus:
         """
         if provider == p.participant_id:
             return p.services[service_name].answer(request)
-        with p._lock:
-            request_id = p._next_request_id
-            p._next_request_id += 1
-            slot: list = []
-            p._pending_calls[request_id] = slot
+        request_id = p._next_request_id
+        p._next_request_id += 1
+        slot: list = []
+        p._pending_calls[request_id] = slot
         try:
             name_b = service_name.encode()
             payload = len(name_b).to_bytes(2, "big") + name_b + request
@@ -394,8 +398,7 @@ class _LoopbackBus:
                     raise Timeout(f"no response from {service_name!r} within {timeout_ms} ms")
                 self.domain.clock.advance(min(CALL_QUANTUM_NS, deadline - now))
         finally:
-            with p._lock:
-                p._pending_calls.pop(request_id, None)
+            p._pending_calls.pop(request_id, None)
 
     def send_response(self, p: Participant, caller_pid: int, request_id: int, status: int,
                       body: bytes, code: int) -> None:
@@ -670,11 +673,10 @@ class _InProcPlane:
             evicted = pub._retain(seq, handle)
             if evicted is not None:
                 evicted.release()
-        # one sample object for every subscriber, carrying one delivery each
-        sample = Sample(pub.topic.name, seq, pub.publisher_id,
-                        self.domain.now_ns(), handle, len(subs))
+        # one sample per delivery, every one on the same handle: no copy
+        name, pid, now = pub.topic.name, pub.publisher_id, self.domain.now_ns()
         for sub in subs:
-            sub._enqueue(sample)
+            sub._enqueue(Sample(name, seq, pid, now, handle))
 
     def call(self, p: Participant, provider: int, service_name: str, request: bytes,
              timeout_ms: int) -> tuple[int, bytes, int]:
@@ -778,7 +780,6 @@ class Subscriber:
         self.entity_id = entity_id
         self._depth = topic.qos.history.depth  # None = keep all
         self._queue: deque[Sample] = deque()
-        self._qlock = threading.Lock()
         # loopback receive protocol state, keyed by (pid, eid)
         self._recv: dict[tuple[int, int], _RecvState] = {}
         self.delivered_count = 0
@@ -790,14 +791,13 @@ class Subscriber:
         self._last_activity_ns = participant.domain.now_ns()
 
     def _enqueue(self, sample: Sample) -> None:
-        with self._qlock:
-            if self._depth is not None and len(self._queue) >= self._depth:
-                old = self._queue.popleft()
-                old.release()
-                self.drops_overflow += 1
-            self._queue.append(sample)
-            self.delivered_count += 1
-            self._last_activity_ns = sample.timestamp_ns
+        if self._depth is not None and len(self._queue) >= self._depth:
+            old = self._queue.popleft()
+            old.release()
+            self.drops_overflow += 1
+        self._queue.append(sample)
+        self.delivered_count += 1
+        self._last_activity_ns = sample.timestamp_ns
 
     def take(self, max_n: int | None = None) -> list[Sample]:
         """Remove and return up to ``max_n`` samples, oldest first.
@@ -806,14 +806,12 @@ class Subscriber:
         caller; call ``sample.release()`` when done with the payload.
         """
         out: list[Sample] = []
-        with self._qlock:
-            while self._queue and (max_n is None or len(out) < max_n):
-                out.append(self._queue.popleft())
+        while self._queue and (max_n is None or len(out) < max_n):
+            out.append(self._queue.popleft())
         return out
 
     def queued(self) -> int:
-        with self._qlock:
-            return len(self._queue)
+        return len(self._queue)
 
     def _announcement(self) -> tuple[MsgType, int, dict]:
         # publishers already matched need not re-announce or replay
@@ -878,7 +876,6 @@ class Participant:
         self._next_request_id = 1
         self._next_hb_ns = domain.now_ns()  # first heartbeat due immediately
         self._net = net  # _InProcPlane or _LoopbackBus: owns every operation that differs
-        self._lock = domain._lock  # one reentrant lock orders all control paths
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -886,13 +883,12 @@ class Participant:
         """Leave the domain. Endpoints leave the data plane at once; a graceful
         close also withdraws records immediately, otherwise peers expire them
         after the liveliness window."""
-        with self._lock:
-            if not self.alive:
-                return
-            if graceful:
-                self._net.broadcast(self, MsgType.ANNOUNCE, {"kind": "leave"})
-            self._net.detach(self)
-            self.alive = False
+        if not self.alive:
+            return
+        if graceful:
+            self._net.broadcast(self, MsgType.ANNOUNCE, {"kind": "leave"})
+        self._net.detach(self)
+        self.alive = False
 
     def _require_alive(self) -> None:
         if not self.alive:
@@ -901,31 +897,28 @@ class Participant:
     # -- endpoint creation ---------------------------------------------------
 
     def create_publisher(self, topic: TopicDescriptor) -> Publisher:
-        with self._lock:
-            self._require_alive()
-            pub = self._net.new_publisher(self, topic)
-            self.publishers[pub.entity_id] = pub
-            self._announce(pub)
-            return pub
+        self._require_alive()
+        pub = self._net.new_publisher(self, topic)
+        self.publishers[pub.entity_id] = pub
+        self._announce(pub)
+        return pub
 
     def create_subscriber(self, topic: TopicDescriptor) -> Subscriber:
-        with self._lock:
-            self._require_alive()
-            sub = self._net.new_subscriber(self, topic)
-            self.subscribers[sub.entity_id] = sub
-            self._announce(sub)
-            return sub
+        self._require_alive()
+        sub = self._net.new_subscriber(self, topic)
+        self.subscribers[sub.entity_id] = sub
+        self._announce(sub)
+        return sub
 
     def register_service(self, descriptor: ServiceDescriptor, handler) -> None:
-        with self._lock:
-            self._require_alive()
-            self._prune_db()
-            name = descriptor.service_name
-            if name in self._db.services:
-                raise DuplicateService(f"service {name!r} is already registered")
-            ep = _ServiceEndpoint(descriptor, self._alloc_entity(), handler)
-            self.services[name] = ep
-            self._announce(ep)
+        self._require_alive()
+        self._prune_db()
+        name = descriptor.service_name
+        if name in self._db.services:
+            raise DuplicateService(f"service {name!r} is already registered")
+        ep = _ServiceEndpoint(descriptor, self._alloc_entity(), handler)
+        self.services[name] = ep
+        self._announce(ep)
 
     def _alloc_entity(self) -> int:
         eid = self._next_entity
@@ -938,28 +931,27 @@ class Participant:
         """Snapshot of live records: 'topics', 'services' or 'all'."""
         if filter not in ("topics", "services", "all"):
             raise MiddlewareError(f"bad discover filter {filter!r}")
-        with self._lock:
-            self._prune_db()
-            now = self.domain.now_ns()
-            out: list[DiscoveryRecord] = []
-            for key, info in sorted(self._db.records.items(), key=lambda kv: repr(kv[0])):
-                kind = key[0]
-                if filter == "topics" and kind not in ("publisher", "subscriber"):
-                    continue
-                if filter == "services" and kind != "service":
-                    continue
-                pid = key[1]
-                deadline = self._db.deadline_for(pid, now)
-                if kind in ("publisher", "subscriber"):
-                    desc = TopicDescriptor(info["topic"], info["type_hash"],
-                                           QoSProfile.from_json(info["qos"]))
-                elif kind == "service":
-                    desc = ServiceDescriptor(key[2], info.get("request_type_hash", 0),
-                                             info.get("response_type_hash", 0))
-                else:
-                    desc = info.get("name", "")
-                out.append(DiscoveryRecord(kind, pid, desc, deadline))
-            return out
+        self._prune_db()
+        now = self.domain.now_ns()
+        out: list[DiscoveryRecord] = []
+        for key, info in sorted(self._db.records.items(), key=lambda kv: repr(kv[0])):
+            kind = key[0]
+            if filter == "topics" and kind not in ("publisher", "subscriber"):
+                continue
+            if filter == "services" and kind != "service":
+                continue
+            pid = key[1]
+            deadline = self._db.deadline_for(pid, now)
+            if kind in ("publisher", "subscriber"):
+                desc = TopicDescriptor(info["topic"], info["type_hash"],
+                                       QoSProfile.from_json(info["qos"]))
+            elif kind == "service":
+                desc = ServiceDescriptor(key[2], info.get("request_type_hash", 0),
+                                         info.get("response_type_hash", 0))
+            else:
+                desc = info.get("name", "")
+            out.append(DiscoveryRecord(kind, pid, desc, deadline))
+        return out
 
     def _prune_db(self) -> None:
         gone = self._db.prune(self.domain.now_ns())
@@ -990,11 +982,10 @@ class Participant:
         # the round prunes this participant at this instant, or a round at
         # this instant already did and nothing has happened since
         self.domain.spin()
-        with self._lock:
-            providers = self._db.services.get(service_name)
-            if providers is None:
-                raise ServiceNotFound(f"no live provider for service {service_name!r}")
-            provider = providers[0][1]
+        providers = self._db.services.get(service_name)
+        if providers is None:
+            raise ServiceNotFound(f"no live provider for service {service_name!r}")
+        provider = providers[0][1]
         status, body, code = self._net.call(self, provider, service_name, request, timeout_ms)
         if status == 0:
             return body
@@ -1004,18 +995,17 @@ class Participant:
 
     def spin(self) -> None:
         """Process queued frames and run periodic protocol duties."""
-        with self._lock:
-            if not self.alive:
-                return
-            self._net.receive(self)
-            now = self.domain.now_ns()
-            if now >= self._next_hb_ns:
-                self._heartbeat(now)
-                self._next_hb_ns = now + HEARTBEAT_PERIOD_NS
-            self._prune_db()
-            for sub in self.subscribers.values():
-                self._net.send_nacks(self, sub, now)
-                sub._check_deadline(now)
+        if not self.alive:
+            return
+        self._net.receive(self)
+        now = self.domain.now_ns()
+        if now >= self._next_hb_ns:
+            self._heartbeat(now)
+            self._next_hb_ns = now + HEARTBEAT_PERIOD_NS
+        self._prune_db()
+        for sub in self.subscribers.values():
+            self._net.send_nacks(self, sub, now)
+            sub._check_deadline(now)
 
     def _heartbeat(self, now: int) -> None:
         self._db.heartbeat(self.participant_id, now)
@@ -1074,7 +1064,6 @@ class Domain:
         self._loss_config: dict[int, tuple[float, int]] = {}  # port -> (probability, seed)
         self._participants_by_id: dict[int, Participant] = {}
         self._next_pid = 1
-        self._lock = threading.RLock()
         # the instant of the last full spin; until the clock moves or the
         # domain is stirred, another spin has nothing to do
         self._quiet_ns: int | None = None
@@ -1087,37 +1076,35 @@ class Domain:
     def set_loss(self, port: int, drop_probability: float, seed: int = 0) -> None:
         """Set the probability that a loopback port's bus drops a frame on its
         way to one receiver, drawn from ``seed`` (before the port is used)."""
-        with self._lock:
-            if port in self._buses:
-                raise MiddlewareError(f"port {port} already has participants")
-            if not 0.0 <= drop_probability < 1.0:
-                raise ValueError("drop probability must be in [0, 1)")
-            self._loss_config[port] = (drop_probability, seed)
+        if port in self._buses:
+            raise MiddlewareError(f"port {port} already has participants")
+        if not 0.0 <= drop_probability < 1.0:
+            raise ValueError("drop probability must be in [0, 1)")
+        self._loss_config[port] = (drop_probability, seed)
 
     def create_participant(self, name: str, transport=InProcess()) -> Participant:
         if not name:
             raise MiddlewareError("participant name must be non-empty")
-        with self._lock:
-            self._stirred = True
-            pid = self._next_pid
-            self._next_pid += 1
-            if isinstance(transport, InProcess):
-                net = self._inproc
-            elif isinstance(transport, Loopback):
-                if not 1 <= transport.port <= 65535:
-                    raise TransportUnavailable(f"cannot bind loopback port {transport.port}")
-                net = self._buses.get(transport.port)
-                if net is None:
-                    net = _LoopbackBus(self, *self._loss_config.get(transport.port, (0.0, 0)))
-                    self._buses[transport.port] = net
-            else:
-                raise TransportUnavailable(f"unknown transport {transport!r}")
-            p = Participant(self, pid, name, net)
-            net.join(p)
-            self._participants_by_id[pid] = p
-            p._db.add(("participant", pid), {"name": name}, self.now_ns())
-            net.broadcast(p, MsgType.ANNOUNCE, {"kind": "participant", "name": name})
-            return p
+        self._stirred = True
+        pid = self._next_pid
+        self._next_pid += 1
+        if isinstance(transport, InProcess):
+            net = self._inproc
+        elif isinstance(transport, Loopback):
+            if not 1 <= transport.port <= 65535:
+                raise TransportUnavailable(f"cannot bind loopback port {transport.port}")
+            net = self._buses.get(transport.port)
+            if net is None:
+                net = _LoopbackBus(self, *self._loss_config.get(transport.port, (0.0, 0)))
+                self._buses[transport.port] = net
+        else:
+            raise TransportUnavailable(f"unknown transport {transport!r}")
+        p = Participant(self, pid, name, net)
+        net.join(p)
+        self._participants_by_id[pid] = p
+        p._db.add(("participant", pid), {"name": name}, self.now_ns())
+        net.broadcast(p, MsgType.ANNOUNCE, {"kind": "participant", "name": name})
+        return p
 
     def bus(self, port: int) -> _LoopbackBus:
         return self._buses[port]
@@ -1132,15 +1119,14 @@ class Domain:
         done. (A round whose clock moved under it leaves a stale instant that
         the clock, which never goes back, does not read again.)
         """
-        with self._lock:
-            now = self.clock.now_ns()
-            if now == self._quiet_ns and not self._stirred:
-                return
-            # a spin nested in this round (a handler that calls) runs in full
-            self._quiet_ns, self._stirred = None, False
-            for p in list(self._participants_by_id.values()):
-                p.spin()
-            self._quiet_ns = now
+        now = self.clock.now_ns()
+        if now == self._quiet_ns and not self._stirred:
+            return
+        # a spin nested in this round (a handler that calls) runs in full
+        self._quiet_ns, self._stirred = None, False
+        for p in list(self._participants_by_id.values()):
+            p.spin()
+        self._quiet_ns = now
 
     def advance(self, ns: int, quantum_ns: int | None = None) -> None:
         """Step the manual clock by ``ns``, spinning at each quantum."""

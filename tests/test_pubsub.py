@@ -265,12 +265,27 @@ def test_over_release_by_one_reader_never_reaches_the_rings_reference():
     slot = mine.payload.slot
     for _ in range(3):
         mine.release()
-    assert arena.refcount(slot) == 1  # the sample's two deliveries are spent
+    assert arena.refcount(slot) == 2  # only its own delivery is spent: theirs and the ring
     theirs.release()
     assert arena.refcount(slot) == 1  # the ring still holds "a"
     late = r.create_subscriber(tl)
     (replayed,) = late.take()
     assert replayed.data == b"a" and arena.refcount(slot) == 2
+
+
+def test_a_second_release_never_spends_a_sibling_readers_reference():
+    domain = Domain(arena_slot_size=64, arena_slot_count=1)
+    w = domain.create_participant("w")
+    r = domain.create_participant("r")
+    pub = w.create_publisher(topic())
+    first, second = r.create_subscriber(topic()), r.create_subscriber(topic())
+    pub.publish(b"a")
+    (mine,), (theirs,) = first.take(), second.take()
+    mine.release()
+    mine.release()
+    with pytest.raises(ArenaExhausted):  # the one slot still holds reader 2's "a"
+        pub.publish(b"b")
+    assert theirs.data == b"a"
 
 
 def test_publish_too_large_for_arena_slot():
@@ -350,12 +365,16 @@ def test_concurrent_publishers_and_taker(domain):
     sub = r.create_subscriber(topic(hist=History.keep_all()))
     n = 2000
     taken = []
+    # a domain belongs to one thread at a time: threads that share it
+    # serialize their calls, here with one lock the program owns
+    domain_lock = threading.Lock()
 
     def writer(pub):
         for i in range(n):
             while True:  # a full arena is backpressure, not an error
                 try:
-                    pub.publish(i.to_bytes(4, "big"))
+                    with domain_lock:
+                        pub.publish(i.to_bytes(4, "big"))
                     break
                 except ArenaExhausted:
                     time.sleep(0.0005)
@@ -363,9 +382,10 @@ def test_concurrent_publishers_and_taker(domain):
     def taker():
         # consuming promptly releases slots; writers never hit backpressure
         while len(taken) < 2 * n:
-            for sample in sub.take():
-                taken.append((sample.publisher_id, sample.seq))
-                sample.release()
+            with domain_lock:
+                for sample in sub.take():
+                    taken.append((sample.publisher_id, sample.seq))
+                    sample.release()
 
     threads = [threading.Thread(target=writer, args=(pub1,)),
                threading.Thread(target=writer, args=(pub2,)),

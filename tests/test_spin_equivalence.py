@@ -40,9 +40,8 @@ class AlwaysSpinDomain(Domain):
     """The reference: every spin runs every participant's protocol round."""
 
     def spin(self) -> None:
-        with self._lock:
-            for p in list(self._participants_by_id.values()):
-                p.spin()
+        for p in list(self._participants_by_id.values()):
+            p.spin()
 
 
 def handler(service: str, owner):
