@@ -180,3 +180,134 @@ def replay_reference(path):
             postings.setdefault(tag, set()).add(rid)
     order = sorted((fields[2], -rid) for rid, fields in records.items())
     return records, postings, order, highest + 1, kept
+
+
+class InProcArenaModel:
+    """Reference counts of the in-process plane's arena slots, from its
+    documented contract alone.
+
+    Each topic has one arena. A publish takes a free slot with one reference
+    per holder known at that moment: every matched live subscriber (one
+    delivery each) plus the publisher's ring on a transient-local topic. A
+    publish with no holder still needs a free slot but leaves it free. A
+    writer matches a reader on the same topic unless the reader asks for
+    transient-local and the writer is volatile. A queue or a ring at its
+    depth drops its oldest entry, spending that entry's reference. A new
+    transient-local reader gets the ring of every matched transient-local
+    writer, one more reference per entry. A taken delivery keeps its
+    reference until its first release; a second release spends nothing. A
+    closed participant's endpoints leave the plane at once and its queues and
+    rings give their references back; deliveries already taken stay held.
+
+    Items are the published payloads that hold a slot: item id ->
+    ``[topic, slot, references]``. The slot is what the arena reports, set
+    by the caller through ``place``; the model only counts.
+    """
+
+    def __init__(self, slot_count):
+        self.slot_count = slot_count
+        self.alive = []  # participant index -> alive
+        self.pubs = []  # [participant, topic, transient_local, depth, next_seq, ring]
+        self.subs = []  # [participant, topic, transient_local, depth, queue]
+        self.items = {}
+        self.next_item = 0
+        self.released = set()  # delivery ids released at least once
+        self.next_delivery = 0
+
+    # -- helpers ---------------------------------------------------------------
+
+    def _matches(self, pub, sub):
+        return (pub[1] == sub[1] and self.alive[pub[0]] and self.alive[sub[0]]
+                and (pub[2] or not sub[2]))
+
+    def _spend(self, item):
+        entry = self.items[item]
+        entry[2] -= 1
+        if entry[2] == 0:
+            del self.items[item]
+
+    def _deliver(self, sub, pub_index, seq, item):
+        """Queue one delivery on ``sub``; a full queue spends its oldest."""
+        if sub[3] is not None and len(sub[4]) == sub[3]:
+            self._spend(sub[4].pop(0)[3])
+        sub[4].append((self.next_delivery, pub_index, seq, item))
+        self.next_delivery += 1
+
+    def held(self, topic):
+        """Slot -> references, for every slot the topic's arena should hold."""
+        return {slot: refs for t, slot, refs in self.items.values() if t == topic}
+
+    def place(self, item, slot):
+        self.items[item][1] = slot
+
+    # -- the operations ----------------------------------------------------------
+
+    def add_participant(self):
+        self.alive.append(True)
+        return len(self.alive) - 1
+
+    def add_publisher(self, part, topic, transient_local, depth):
+        self.pubs.append([part, topic, transient_local, depth, 0, []])
+        return len(self.pubs) - 1
+
+    def add_subscriber(self, part, topic, transient_local, depth):
+        sub = [part, topic, transient_local, depth, []]
+        self.subs.append(sub)
+        if transient_local:
+            for index, pub in enumerate(self.pubs):
+                if self._matches(pub, sub):
+                    for seq, item in pub[5]:
+                        self.items[item][2] += 1
+                        self._deliver(sub, index, seq, item)
+        return len(self.subs) - 1
+
+    def publish(self, pub_index):
+        """``"closed"``, ``"exhausted"``, or ``(seq, item)`` with ``item``
+        None when nothing holds the payload."""
+        pub = self.pubs[pub_index]
+        if not self.alive[pub[0]]:
+            return "closed"
+        if len(self.held(pub[1])) == self.slot_count:
+            return "exhausted"
+        seq = pub[4]
+        pub[4] += 1
+        readers = [sub for sub in self.subs if self._matches(pub, sub)]
+        holders = len(readers) + (1 if pub[2] else 0)
+        if not holders:
+            return seq, None
+        item = self.next_item
+        self.next_item += 1
+        self.items[item] = [pub[1], None, holders]
+        if pub[2]:
+            pub[5].append((seq, item))
+            if pub[3] is not None and len(pub[5]) > pub[3]:
+                self._spend(pub[5].pop(0)[1])
+        for sub in readers:
+            self._deliver(sub, pub_index, seq, item)
+        return seq, item
+
+    def take(self, sub_index):
+        """Every queued delivery, oldest first: ``(delivery, pub, seq, item)``."""
+        queue = self.subs[sub_index][4]
+        taken, queue[:] = list(queue), []
+        return taken
+
+    def release(self, delivery):
+        delivery_id, _, _, item = delivery
+        if delivery_id not in self.released:
+            self.released.add(delivery_id)
+            self._spend(item)
+
+    def close(self, part):
+        if not self.alive[part]:
+            return
+        self.alive[part] = False
+        for index, sub in enumerate(self.subs):
+            if sub[0] == part:
+                for delivery in self.take(index):
+                    self.release(delivery)
+        for pub in self.pubs:
+            if pub[0] == part:
+                for _, item in pub[5]:
+                    self._spend(item)
+                pub[5] = []
