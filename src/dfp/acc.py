@@ -25,7 +25,7 @@ whose scenario loop drives the same plant through ``plant_step``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from dfp import RuntimeFault
 from dfp.util import clamp
@@ -42,18 +42,24 @@ class Collision(AccError):
         self.gap = gap
 
 
-@dataclass
-class VehicleState:
+class _VehicleFields(NamedTuple):
     position: float = 0.0  # m, longitudinal
     speed: float = 0.0  # m/s, non-negative
 
-    def __post_init__(self):
+
+class VehicleState(_VehicleFields):
+    """A named tuple; constructing one raises ``AccError`` for a negative speed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.speed < 0:
             raise AccError(f"vehicle speed must be non-negative, not {self.speed!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class AccConfig:
+class _AccConfigFields(NamedTuple):
     standstill_gap: float = 2.0  # m
     time_headway: float = 1.5  # s
     kp: float = 0.18  # 1/s^2
@@ -61,24 +67,41 @@ class AccConfig:
     accel_min: float = -3.5  # m/s^2
     accel_max: float = 2.0  # m/s^2
 
-    def __post_init__(self):
+
+class AccConfig(_AccConfigFields):
+    """A named tuple; constructing one raises ``AccError`` for a gap or
+    headway that is not positive, or an envelope without 0 inside it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.standstill_gap <= 0:
             raise AccError("standstill_gap must be positive")
         if self.time_headway <= 0:
             raise AccError("time_headway must be positive")
         if not self.accel_min < 0 < self.accel_max:
             raise AccError("need accel_min < 0 < accel_max")
+        return self
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _ScenarioFields(NamedTuple):
     ego: VehicleState
     lead: VehicleState
     lead_profile: tuple  # ((t_start_s, speed_mps), ...) piecewise constant
     dt: float = 0.05
     duration: float = 120.0
 
-    def __post_init__(self):
+
+class Scenario(_ScenarioFields):
+    """A named tuple; constructing one raises ``AccError`` for a step or
+    duration that is not positive, a lead not ahead of ego, or a lead
+    profile that is empty, out of order or negative."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.dt <= 0:
             raise AccError("dt must be positive")
         if self.duration <= 0:
@@ -92,6 +115,7 @@ class Scenario:
             raise AccError("lead profile must be ordered by t_start")
         if any(v < 0 for _, v in self.lead_profile):
             raise AccError("lead speeds must be non-negative")
+        return self
 
 
 def desired_gap(cfg: AccConfig, ego_speed: float) -> float:
@@ -133,8 +157,7 @@ def plant_step(position: float, speed: float, accel: float, dt: float) -> tuple[
     return position + speed * t_stop + 0.5 * accel * t_stop * t_stop, 0.0
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     t: float
     ego_position: float
     ego_speed: float

@@ -12,7 +12,7 @@ scale with the payload size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from dfp.middleware import (
     Domain,
@@ -27,8 +27,7 @@ DEFAULT_SIZES = (1024, 64 * 1024, 1024 * 1024, 4 * 1024 * 1024)
 WARMUP = 200
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     path: str  # "zero_copy" | "copying"
     size: int
     median_us: float

@@ -41,7 +41,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from dfp import ConfigurationError, DfpError
 from dfp.acc import AccConfig, Scenario, VehicleState
@@ -68,13 +69,14 @@ from dfp.modemgr import (
 )
 
 
-@dataclass
-class AccSetup:
+class AccSetup(NamedTuple):
     scenario: Scenario
     config: AccConfig
     engage_events: tuple = ()  # ((fsm_id, event), ...) dispatched at run start
 
 
+# not a named tuple: each list and dict field defaults to a fresh one, and
+# variants come from dataclasses.replace
 @dataclass
 class SystemConfig:
     seed: int = 0
@@ -150,8 +152,8 @@ ODD = {"name": (STR, NAME), "tokens": (WORDS, REQUIRED), "class_filter": (STR_OR
 ACC = {"scenario": (DICT, REQUIRED), "config": (DICT, {}), "engage_events": (LIST, [])}
 SCENARIO = {"ego": (DICT, REQUIRED), "lead": (DICT, REQUIRED), "lead_profile": (LIST, REQUIRED),
             "dt": (NUMBER, 0.05), "duration": (NUMBER, 120.0)}
-VEHICLE = {f.name: (NUMBER, f.default) for f in fields(VehicleState)}
-ACC_CONFIG = {f.name: (NUMBER, f.default) for f in fields(AccConfig)}
+VEHICLE = {name: (NUMBER, default) for name, default in VehicleState._field_defaults.items()}
+ACC_CONFIG = {name: (NUMBER, default) for name, default in AccConfig._field_defaults.items()}
 
 
 def _typed(value, types: tuple, context: str, what: str):

@@ -86,7 +86,6 @@ import os
 import re
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -332,13 +331,21 @@ def _deletions(word: str) -> set[str]:
     return {word[:i] + word[i + 1:] for i in range(len(word))}
 
 
-@dataclass(frozen=True)
-class OddQuery:
+class _OddQueryFields(NamedTuple):
     tokens: tuple
     class_filter: RecordClass | None = None
     time_range: tuple | None = None  # (t0_ns, t1_ns) inclusive
 
-    def __post_init__(self):
+
+class OddQuery(_OddQueryFields):
+    """A named tuple; constructing one raises ``InvalidQuery`` for tokens
+    that are not a tuple of str, a filter that is not a ``RecordClass``
+    member, or a window that is not a tuple of two ints."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         tokens = self.tokens
         if type(tokens) is not tuple or not all(type(w) is str for w in tokens):
             raise InvalidQuery(f"tokens must be a tuple of str, not {tokens!r}")
@@ -349,6 +356,7 @@ class OddQuery:
         if window is not None and (type(window) is not tuple or len(window) != 2
                                    or type(window[0]) is not int or type(window[1]) is not int):
             raise InvalidQuery(f"time_range must be a tuple of two ints, not {window!r}")
+        return self
 
     def effective_tokens(self) -> list[str]:
         out = [normalize_token(w) for w in self.tokens]

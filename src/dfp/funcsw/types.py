@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from dfp import DfpError
 
@@ -90,8 +91,7 @@ LEGAL_TRANSITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class RestartPolicy:
+class RestartPolicy(NamedTuple):
     limit: int  # restarts allowed before a failure becomes permanent
 
     @classmethod
@@ -105,7 +105,7 @@ class RestartPolicy:
         return cls(n)
 
 
-@dataclass
+@dataclass  # not a named tuple: the graph sets binding_label
 class GroupPolicy:
     binding_label: str | None = None
     restart_policy: RestartPolicy = field(default_factory=RestartPolicy.never)
@@ -114,8 +114,7 @@ class GroupPolicy:
 _SEMVER_RE = re.compile(r"^\d+\.\d+\.\d+$")
 
 
-@dataclass(frozen=True)
-class AlgorithmDescriptor:
+class _AlgorithmFields(NamedTuple):
     name: str
     version: str
     entry: str  # loader identifier, "module:attribute" form
@@ -123,12 +122,20 @@ class AlgorithmDescriptor:
     required_outputs: tuple[str, ...] = ()
     binding_requirement: str | None = None
 
-    def __post_init__(self):
+
+class AlgorithmDescriptor(_AlgorithmFields):
+    """A named tuple; constructing one raises ``GraphError`` for a version that is not semver."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not _SEMVER_RE.match(self.version):
             raise GraphError(f"version must be semver (x.y.z), got {self.version!r}")
+        return self
 
 
-@dataclass
+@dataclass  # not a named tuple: the graph binds a node's body after construction
 class TaskNode:
     node_id: str
     stage: Stage
@@ -156,8 +163,7 @@ class TaskNode:
         return self.config_modes.get(key, "static")
 
 
-@dataclass
-class NodeResult:
+class NodeResult(NamedTuple):
     """Body return value carrying outputs plus simulated execution time."""
 
     outputs: dict

@@ -23,10 +23,11 @@ Raw and normalized attribute schemas, per device kind::
 Normalization is total over these schemas and idempotent: a frame whose
 attributes are already normalized maps to the same normalized map.
 
-A frame, raw or normalized, is an immutable named tuple: its fields read
-by name or position, assigning one raises ``AttributeError``, and two
-frames with equal fields compare equal (to a plain tuple of them too). A
-drive builds two frames per step, and each is one tuple allocation.
+A device descriptor and a frame, raw or normalized, are immutable named
+tuples: their fields read by name or position, assigning one raises
+``AttributeError``, and two with equal fields compare equal (to a plain
+tuple of them too). A drive builds two frames per step, and each is one
+tuple allocation.
 
 A dict handed to the HAL is kept, not copied: ``DeviceHandle.stamp`` puts
 the caller's ``raw`` dict in its frame, and the environment store keeps a
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from dfp import DfpError
@@ -83,8 +83,7 @@ class DeviceKind(enum.Enum):
 MAX_RATE_HZ = 1000.0
 
 
-@dataclass(frozen=True)
-class DeviceDescriptor:
+class DeviceDescriptor(NamedTuple):
     device_id: str
     kind: DeviceKind
     rate_hz: float

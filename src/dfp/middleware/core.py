@@ -58,7 +58,7 @@ import json
 import random
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from dfp import DfpError
 from dfp.middleware.arena import (
@@ -136,42 +136,54 @@ def type_hash_of(schema: str | bytes) -> int:
     return stable_u64(b"type", schema if isinstance(schema, bytes) else schema.encode())
 
 
-@dataclass(frozen=True)
-class TopicDescriptor:
+class _TopicFields(NamedTuple):
     name: str
     type_hash: int
-    qos: QoSProfile = field(default_factory=QoSProfile)
+    qos: QoSProfile = QoSProfile()
 
-    def __post_init__(self):
+
+class TopicDescriptor(_TopicFields):
+    """A named tuple; constructing one raises ``MiddlewareError`` for a bad
+    name or a type hash outside u64."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not _TOPIC_NAME_RE.match(self.name):
             raise MiddlewareError(f"bad topic name {self.name!r} (want [a-z0-9_/]+)")
         if not 0 <= self.type_hash < 2**64:
             raise MiddlewareError(f"type_hash out of u64 range: {self.type_hash}")
+        return self
 
 
-@dataclass(frozen=True)
-class ServiceDescriptor:
+class _ServiceFields(NamedTuple):
     service_name: str
     request_type_hash: int = 0
     response_type_hash: int = 0
 
-    def __post_init__(self):
+
+class ServiceDescriptor(_ServiceFields):
+    """A named tuple; constructing one raises ``MiddlewareError`` for an empty name."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.service_name:
             raise MiddlewareError("service_name must be non-empty")
+        return self
 
 
-@dataclass(frozen=True)
-class InProcess:
+class InProcess(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Loopback:
+class Loopback(NamedTuple):
     port: int
 
 
-@dataclass(frozen=True)
-class DiscoveryRecord:
+class DiscoveryRecord(NamedTuple):
     entity: str  # participant | publisher | subscriber | service
     participant_id: int
     descriptor: object
@@ -487,6 +499,8 @@ class _LoopbackBus:
                 obj = json.loads(frame.payload.decode())
             except (UnicodeDecodeError, json.JSONDecodeError):
                 return
+            if type(obj) is not dict:
+                return  # JSON, but not the object every control document is
             if mt is not _NACK:
                 p._handle_control(mt, frame.participant_id, frame.entity_id, obj)
             elif obj.get("target_pid") == p.participant_id:

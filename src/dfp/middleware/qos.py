@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from dfp import DfpError
 
@@ -22,11 +22,23 @@ class Durability(enum.IntEnum):
     TRANSIENT_LOCAL = 1
 
 
-@dataclass(frozen=True)
-class History:
-    """Retention depth: keep the last ``depth`` samples, or all when None."""
-
+class _HistoryFields(NamedTuple):
     depth: int | None
+
+
+class History(_HistoryFields):
+    """Retention depth: keep the last ``depth`` samples, or all when None.
+
+    A named tuple; constructing one raises ``QoSError`` for a depth below 1.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.depth is not None and self.depth < 1:
+            raise QoSError(f"keep_last depth must be >= 1, got {self.depth}")
+        return self
 
     @classmethod
     def keep_last(cls, depth: int) -> "History":
@@ -35,10 +47,6 @@ class History:
     @classmethod
     def keep_all(cls) -> "History":
         return cls(depth=None)
-
-    def __post_init__(self):
-        if self.depth is not None and self.depth < 1:
-            raise QoSError(f"keep_last depth must be >= 1, got {self.depth}")
 
     def to_json(self) -> object:
         return "keep_all" if self.depth is None else {"keep_last": self.depth}
@@ -53,16 +61,23 @@ class History:
         raise QoSError(f"bad history spec: {obj!r}")
 
 
-@dataclass(frozen=True)
-class QoSProfile:
+class _QoSProfileFields(NamedTuple):
     reliability: Reliability = Reliability.BEST_EFFORT
     history: History = History.keep_last(1)
     durability: Durability = Durability.VOLATILE
     deadline_ms: int | None = None
 
-    def __post_init__(self):
+
+class QoSProfile(_QoSProfileFields):
+    """A named tuple; constructing one raises ``QoSError`` for a deadline that is not positive."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise QoSError(f"deadline_ms must be positive, got {self.deadline_ms}")
+        return self
 
     def to_json(self) -> dict:
         return {

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from dfp import DfpError, RuntimeFault
 
@@ -51,6 +52,8 @@ class CascadeOverflow(ModeManagerError, RuntimeFault):
         self.depth = depth
 
 
+# The three actions stay dataclasses: as tuples, StartGroup("g") would
+# equal StopGroup("g"), and an action would equal a plain tuple of its fields.
 @dataclass(frozen=True)
 class StartGroup:
     group_id: str
@@ -76,8 +79,7 @@ class EmitEvent:
         return {"emit": [self.target_fsm, self.event]}
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(NamedTuple):
     """Conjunction of (fsm_id, expected_state) literals."""
 
     literals: tuple
@@ -86,8 +88,7 @@ class Guard:
         return all(snapshot.get(fsm) == state for fsm, state in self.literals)
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: str
     event: str
     target: str
@@ -95,14 +96,21 @@ class Transition:
     actions: tuple = ()
 
 
-@dataclass(frozen=True)
-class FsmDefinition:
+class _FsmFields(NamedTuple):
     fsm_id: str
     states: frozenset
     initial: str
     transitions: tuple
 
-    def __post_init__(self):
+
+class FsmDefinition(_FsmFields):
+    """A named tuple; constructing one raises ``UnknownStateRef`` for no
+    states, or for an initial state or a transition end outside them."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.states:
             raise UnknownStateRef(f"fsm {self.fsm_id!r} has no states")
         if self.initial not in self.states:
@@ -113,6 +121,7 @@ class FsmDefinition:
                 if s not in self.states:
                     raise UnknownStateRef(
                         f"fsm {self.fsm_id!r}: transition {what} {s!r} not in states")
+        return self
 
 
 class Coordinator:

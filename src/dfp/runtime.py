@@ -34,7 +34,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from dfp import ConfigurationError, DfpError, RuntimeFault
 from dfp.acc import Collision, desired_gap, lead_speed_at, plant_step, simulate
@@ -93,6 +93,7 @@ def _builtin_acc_planner(stack: "Stack", node):
             f"node {node.node_id!r} needs the acc config section")
     lead_topic, odom_topic = node.inputs
     out_topic = node.outputs[0]
+    kp, kv = cfg.kp, cfg.kv  # read once: a named tuple's field costs more than a local
 
     def body(inputs, config):
         record = stack.env.read(inputs[lead_topic]["record_id"])
@@ -100,7 +101,7 @@ def _builtin_acc_planner(stack: "Stack", node):
         closing = record.attributes["range_rate_mps"]  # v_lead - v_ego
         v_ego = inputs[odom_topic]["speed_mps"]
         target = desired_gap(cfg, v_ego)
-        accel_raw = cfg.kp * (gap - target) + cfg.kv * closing
+        accel_raw = kp * (gap - target) + kv * closing
         return {out_topic: {"gap_m": gap, "desired_gap_m": target,
                             "accel_raw": accel_raw}}
 
@@ -114,9 +115,10 @@ def _builtin_acc_controller(stack: "Stack", node):
             f"node {node.node_id!r} needs the acc config section")
     in_topic = node.inputs[0]
     out_topic = node.outputs[0]
+    accel_min, accel_max = cfg.accel_min, cfg.accel_max
 
     def body(inputs, config):
-        accel = clamp(inputs[in_topic]["accel_raw"], cfg.accel_min, cfg.accel_max)
+        accel = clamp(inputs[in_topic]["accel_raw"], accel_min, accel_max)
         return {out_topic: {"accel_mps2": accel}}
 
     return body
@@ -131,10 +133,9 @@ BUILTIN_BODIES = {
 }
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     metrics: dict
-    trajectory: list = field(default_factory=list)
+    trajectory: list
     fault: str | None = None
 
     def metrics_json(self) -> str:
@@ -213,7 +214,7 @@ class Stack:
         """
         setup = self.config.acc
         if setup is None:
-            return RunResult(metrics=self._metrics(trajectory=None))
+            return RunResult(self._metrics(trajectory=None), [])
         scenario = setup.scenario
         schedule = {k: list(v) for k, v in (event_schedule or {}).items()}
         schedule[0] = list(setup.engage_events) + schedule.get(0, [])
@@ -228,6 +229,7 @@ class Stack:
         steps = round(scenario.duration / dt) if duration is None else round(duration / dt)
         ego_x, ego_v = scenario.ego.position, scenario.ego.speed
         lead_x = scenario.lead.position
+        lead_profile = scenario.lead_profile
         trajectory = []
         min_gap = math.inf
         fault = None
@@ -236,7 +238,7 @@ class Stack:
                 t = k * dt
                 for fsm_id, event in schedule.get(k, ()):
                     self.dispatch(fsm_id, event)
-                v_lead = lead_speed_at(scenario.lead_profile, t)
+                v_lead = lead_speed_at(lead_profile, t)
                 gap = lead_x - ego_x
                 raw = {"range_km": gap / 1000.0,
                        "range_rate_mps": v_lead - ego_v,

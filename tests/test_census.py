@@ -51,6 +51,17 @@ DELETED = [
     ("dfp.middleware.core", "Participant._announce_publisher"),
     ("dfp.middleware.core", "Participant._announce_subscriber"),
     ("dfp.middleware.core", "Participant._announce_service"),
+    # value types are named tuples whose checks run in ``__new__``
+    ("dfp.acc", "VehicleState.__post_init__"),
+    ("dfp.acc", "AccConfig.__post_init__"),
+    ("dfp.acc", "Scenario.__post_init__"),
+    ("dfp.envmodel", "OddQuery.__post_init__"),
+    ("dfp.funcsw.types", "AlgorithmDescriptor.__post_init__"),
+    ("dfp.middleware.core", "TopicDescriptor.__post_init__"),
+    ("dfp.middleware.core", "ServiceDescriptor.__post_init__"),
+    ("dfp.middleware.qos", "History.__post_init__"),
+    ("dfp.middleware.qos", "QoSProfile.__post_init__"),
+    ("dfp.modemgr", "FsmDefinition.__post_init__"),
 ]
 
 

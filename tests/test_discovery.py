@@ -6,6 +6,7 @@ import pytest
 
 from dfp.middleware import (
     Domain,
+    Frame,
     Loopback,
     MiddlewareError,
     MsgType,
@@ -188,3 +189,25 @@ def test_expired_inprocess_records_return_with_the_next_heartbeat():
     kinds = {r.entity for r in client.discover("all") if r.participant_id == server.participant_id}
     assert kinds == {"participant", "publisher", "service"}
     assert client.call("diag/echo", b"x", timeout_ms=10) == b"x"
+
+
+@pytest.mark.parametrize("msg_type, payload", [
+    (MsgType.HEARTBEAT, b"[1]"),
+    (MsgType.HEARTBEAT, b'"x"'),
+    (MsgType.HEARTBEAT, b"null"),
+    (MsgType.NACK, b"[2]"),
+], ids=["heartbeat_list", "heartbeat_str", "heartbeat_null", "nack_list"])
+def test_a_control_document_that_is_not_an_object_is_dropped(msg_type, payload):
+    def discovered(bad_frame: bool):
+        d = Domain()
+        a = d.create_participant("a", Loopback(7300))
+        b = d.create_participant("b", Loopback(7300))
+        a.create_publisher(topic("sensors/x"))
+        b.create_subscriber(topic("sensors/x"))
+        d.spin()
+        if bad_frame:
+            d.bus(7300).send(a, Frame(msg_type, 0, a.participant_id, 0, 0, payload))
+        d.advance(2 * HEARTBEAT_PERIOD_NS)
+        return a.discover("all"), b.discover("all")
+
+    assert discovered(bad_frame=True) == discovered(bad_frame=False)
