@@ -78,9 +78,7 @@ ALLOWED = {
     ("dfp.acc", "acc_command"): ORACLE,
     ("dfp.funcsw.registry", "AlgorithmRegistry._load_entry"): ERROR_PATH,
     ("dfp.funcsw.graph", "_find_cycle"): ERROR_PATH,
-    ("dfp.envmodel", "_StandingOdd.remove"): ERROR_PATH,
     ("dfp.envmodel", "EnvStore._unindex_tag"): ERROR_PATH,
-    ("dfp.envmodel", "_order_key"): ERROR_PATH,
     ("dfp.envmodel", "EnvStore.close"): ERROR_PATH,
     ("dfp.envmodel", "EnvStore.__enter__"): ERROR_PATH,
     ("dfp.envmodel", "EnvStore.__exit__"): ERROR_PATH,

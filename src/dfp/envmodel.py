@@ -6,26 +6,26 @@ at least one tag of a record for it to qualify (exact match, or edit
 distance <= 1 for tokens of length >= 4). Results order by newest first,
 then ascending record id, so result lists are stable for golden tests.
 
-The store keeps three indexes that ``_put`` and ``_drop`` keep in step with
-every write and ``open`` builds after its replay: postings, tag -> set of
-record ids; the order index, every ``(timestamp_ns, -record_id)`` in
-ascending order, which read backwards is the result order; and ``_near``,
-each string made by deleting one character of a live tag -> the live tags
-that give it (a tag enters it with its first posting and leaves it with its
-last). A query finds each token's tags through ``_near`` and the postings,
-the deletion-neighbourhood lookup for single-error matching (Mor and
-Fraenkel, CACM 25(12), 1982). A tag one edit from the token is one
-character longer, and deleting one of its characters gives the token; or
-one shorter, and it is the token with one character deleted; or of the
-same length, and deleting the one position where the two differ gives the
-same string. No edit distance runs, and the lookup costs the token's
-length, not the vocabulary. Then the query takes the cheaper of two plans.
-When the time window holds no more order entries than the smallest token's
-postings, it walks the window newest first and keeps the records every
-token's postings contain, already in result order. Otherwise it unions
-each token's postings, intersects across tokens, filters and sorts the
-survivors. So a query costs its tokens' lengths plus the smaller
-of its window and its rarest token's postings, not the store size.
+The store keeps two indexes that ``_put`` and ``_unpost`` keep in step
+with every write and ``open`` builds after its replay. The postings map
+each tag to its live records ascending by ``(timestamp_ns, -record_id)``,
+which read backwards is the result order: postings kept in reading order,
+so no answer needs a sort (Zobel and Moffat, ACM Computing Surveys 38(2),
+2006). ``_near`` maps each string made by deleting one character of a
+live tag to the live tags that give it (a tag enters it with its first
+posting and leaves it with its last). A query finds each token's tags
+through ``_near`` and the postings, the deletion-neighbourhood lookup for
+single-error matching (Mor and Fraenkel, CACM 25(12), 1982). A tag one
+edit from the token is one character longer, and deleting one of its
+characters gives the token; or one shorter, and it is the token with one
+character deleted; or of the same length, and deleting the one position
+where the two differ gives the same string. No edit distance runs, and the
+lookup costs the token's length, not the vocabulary. Then the query
+bisects the time window in each of those tags' postings, walks the
+in-window run of the token with the fewest postings there newest first,
+and keeps the records whose class passes and whose tags meet every other
+token's tags. So a query costs its tokens' lengths, two bisects per
+matched tag and its rarest token's in-window postings, not the store size.
 
 A saved ODD is a standing result: ``save_odd`` seeds its matches with one
 ``query``, and every write after that tests only the record it adds,
@@ -84,8 +84,9 @@ import enum
 import json
 import os
 import re
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from heapq import merge
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -379,8 +380,28 @@ INGEST_TABLE = {
 }
 
 
-def _order_key(rec: EnvRecord) -> tuple:
-    return rec.timestamp_ns, -rec.record_id
+# the bisect key: a C-level call, so a probe runs no Python code
+_timestamp = attrgetter("timestamp_ns")
+
+
+def _position(run: list, rec: EnvRecord) -> int:
+    """Where ``rec`` stands, or would stand, in ``run``, a list ascending by
+    ``(timestamp_ns, -record_id)``: a bisect on the timestamp, then a scan
+    past the records that share it and have a higher id."""
+    ts, rid = rec.timestamp_ns, rec.record_id
+    i = bisect_left(run, ts, key=_timestamp)
+    end = len(run)
+    while i < end and run[i].timestamp_ns == ts and run[i].record_id > rid:
+        i += 1
+    return i
+
+
+def _insert(run: list, rec: EnvRecord) -> None:
+    """Put ``rec`` in its place in ``run``."""
+    if not run or run[-1].timestamp_ns < rec.timestamp_ns:
+        run.append(rec)  # a drive's ingests arrive in order
+    else:
+        run.insert(_position(run, rec), rec)
 
 
 class _StandingOdd:
@@ -410,16 +431,6 @@ class _StandingOdd:
         t0, t1 = self.time_range
         return t0 <= rec.timestamp_ns <= t1
 
-    def add(self, rec: EnvRecord) -> None:
-        matches = self.matches
-        if not matches or matches[-1].timestamp_ns < rec.timestamp_ns:
-            matches.append(rec)  # a drive's ingests arrive in order
-        else:
-            insort(matches, rec, key=_order_key)
-
-    def remove(self, rec: EnvRecord) -> None:
-        del self.matches[bisect_left(self.matches, _order_key(rec), key=_order_key)]
-
 
 class EnvStore:
     """In-memory record store with an optional append-only JSONL log.
@@ -432,10 +443,10 @@ class EnvStore:
 
     def __init__(self, log_path=None):
         self._records: dict[int, EnvRecord] = {}
-        self._postings: defaultdict[str, set[int]] = defaultdict(set)  # no empty sets
+        # tag -> its live records ascending by (timestamp_ns, -record_id); no empty list
+        self._postings: dict[str, list[EnvRecord]] = {}
         # each one-deletion string of a live tag -> the live tags that give it
         self._near: dict[str, set[str]] = {}
-        self._order: list[tuple[int, int]] = []  # (timestamp_ns, -record_id), ascending
         self._odds: dict[str, _StandingOdd] = {}
         # tags -> the saved ODDs whose every token matches one of them
         self._odds_by_tags: dict[frozenset, tuple] = {}
@@ -455,12 +466,13 @@ class EnvStore:
         that has passed the tag rules, so each distinct set is checked once
         and all records with equal tags share one frozenset. The next id is
         one past the highest id the log names, tombstones included, so a
-        reopened store never re-issues a deleted id. The postings and the
-        order index are built in one pass and one sort after the replay,
-        which costs less than keeping them current line by line. A last line
-        with no newline was cut short mid-write: it is discarded and the
-        file truncated to the end of the line before it. A bad line anywhere
-        else raises: ``json.JSONDecodeError`` if it is not JSON,
+        reopened store never re-issues a deleted id. The postings are built
+        after the replay by one sort of the live records and one pass that
+        appends each to its tags' lists, which costs less than keeping them
+        current line by line. A last line with no newline was cut short
+        mid-write: it is discarded and the file truncated to the end of the
+        line before it. A bad line anywhere else raises:
+        ``json.JSONDecodeError`` if it is not JSON,
         ``InvalidRecord`` naming its line number if it is JSON but not a
         record or tombstone (not an object, or a record ``from_json_obj``
         refuses).
@@ -493,13 +505,16 @@ class EnvStore:
                 records[rec.record_id] = rec
         if torn:
             os.truncate(path, os.path.getsize(path) - len(torn.encode("utf-8")))
-        postings = store._postings
-        for rid, rec in records.items():
+        # two stable sorts on C-level keys: ascending by (timestamp_ns, -record_id)
+        live = sorted(records.values(), key=attrgetter("record_id"), reverse=True)
+        live.sort(key=_timestamp)
+        postings = defaultdict(list)
+        for rec in live:
             for tag in rec.tags:
-                postings[tag].add(rid)
+                postings[tag].append(rec)
+        store._postings = dict(postings)
         for tag in postings:
             store._index_tag(tag)
-        store._order = sorted((rec.timestamp_ns, -rid) for rid, rec in records.items())
         # every id a log creates is either live at the end or has a tombstone
         store._next_id = max(dead_high, max(records, default=-1)) + 1
         store._log_path = path
@@ -540,55 +555,52 @@ class EnvStore:
     # -- CRUD -------------------------------------------------------------------
 
     def _put(self, rec: EnvRecord) -> None:
-        """Store or replace a record, post its tags, enter it in every saved
-        ODD it matches and in the order; a replacement with the same
-        timestamp keeps its order entry."""
+        """Store or replace a record, post it under its tags and enter it in
+        every saved ODD it matches. A replacement with the same timestamp
+        takes its old place in the postings of every tag it keeps."""
         rid = rec.record_id
-        old = self._records.pop(rid, None)
-        if old is not None:
-            self._unpost(old)
+        old = self._records.get(rid)
         self._records[rid] = rec
-        postings = self._postings
-        for tag in rec.tags:
-            if tag not in postings:  # the tag's first posting
-                self._index_tag(tag)
-            postings[tag].add(rid)
-        for odd in self._tag_odds(rec.tags):
-            if odd.admits(rec):
-                odd.add(rec)
-        order = self._order
+        kept = ()
         if old is not None:
             if old.timestamp_ns == rec.timestamp_ns:
-                return
-            del order[bisect_left(order, (old.timestamp_ns, -rid))]
-        key = (rec.timestamp_ns, -rid)
-        if not order or order[-1] < key:  # a drive's ingests arrive in order
-            order.append(key)
-        else:
-            insort(order, key)
-
-    def _drop(self, rid: int) -> None:
-        """Remove a record, its postings, its saved-ODD entries and its
-        order entry."""
-        rec = self._records.pop(rid)
-        self._unpost(rec)
-        order = self._order
-        del order[bisect_left(order, (rec.timestamp_ns, -rid))]
-
-    def _unpost(self, rec: EnvRecord) -> None:
-        """Take a record out of its tags' postings, where a tag left with
-        no postings goes too, and out of the saved ODDs it matches."""
-        rid = rec.record_id
+                kept = old.tags
+                self._unpost(old, rec)
+            else:
+                self._unpost(old)
         postings = self._postings
         for tag in rec.tags:
-            ids = postings[tag]
-            ids.discard(rid)
-            if not ids:
+            if tag in kept:
+                continue
+            run = postings.get(tag)
+            if run is None:  # the tag's first posting
+                postings[tag] = [rec]
+                self._index_tag(tag)
+            else:
+                _insert(run, rec)
+        for odd in self._tag_odds(rec.tags):
+            if odd.admits(rec):
+                _insert(odd.matches, rec)
+
+    def _unpost(self, rec: EnvRecord, successor: EnvRecord | None = None) -> None:
+        """Take a record out of its tags' postings, where a tag left with
+        no postings goes too, and out of the saved ODDs it matches. Under
+        each tag that ``successor``, a replacement with the same timestamp,
+        also carries, the successor takes the record's place instead."""
+        postings = self._postings
+        for tag in rec.tags:
+            run = postings[tag]
+            i = _position(run, rec)
+            if successor is not None and tag in successor.tags:
+                run[i] = successor
+                continue
+            del run[i]
+            if not run:
                 del postings[tag]
                 self._unindex_tag(tag)
         for odd in self._tag_odds(rec.tags):
             if odd.admits(rec):
-                odd.remove(rec)
+                del odd.matches[_position(odd.matches, rec)]
 
     def _index_tag(self, tag: str) -> None:
         """Enter a tag that has just gained its first posting in ``_near``."""
@@ -659,7 +671,7 @@ class EnvStore:
     def delete(self, record_id: int) -> None:
         if record_id not in self._records:
             raise NotFound(f"no record {record_id}")
-        self._drop(record_id)
+        self._unpost(self._records.pop(record_id))
         self._log({"record_id": record_id, "deleted": True})
 
     def all_records(self) -> list[EnvRecord]:
@@ -672,30 +684,54 @@ class EnvStore:
 
         Each token's tags come from ``_fuzzy_tags``, a lookup in ``_near``
         and the postings that runs no edit distance and does not walk the
-        vocabulary. Then the cheaper plan runs: the time window of the order
-        index (all of it when there is no ``time_range``) if it holds no
-        more entries than the smallest token's postings, else the postings
-        join. Either way the work follows the smaller of the two,
-        not the store size.
+        vocabulary. Two bisects find the time window (all of it when there
+        is no ``time_range``) in each of those tags' postings. The token
+        with the fewest postings in the window drives: its run, read
+        backwards, is already in result order; when it matched several
+        tags their runs are merged and a record they share is kept once.
+        The class filter and each other token's tags, which must meet the
+        record's, then thin that run. Nothing is sorted, and the work
+        follows the driver's postings, not the store size.
         """
-        postings = self._postings
-        matched = []  # per token, the postings of the tags it matches
+        postings, window = self._postings, q.time_range
+        driver, others = None, []  # the driving token's runs; each other token's tags
         for tok in q.effective_tokens():
-            sets = [postings[tag] for tag in self._fuzzy_tags(tok)]
-            if not sets:
+            tags = self._fuzzy_tags(tok)
+            if not tags:
                 return []
-            matched.append(sets)
-        order = self._order
-        if q.time_range is None:
-            lo, hi = 0, len(order)
-        else:
-            t0, t1 = q.time_range
-            # -record_id lies in (-2**64, 0], so these keys bracket every id
-            lo = bisect_left(order, (t0, -2**64))
-            hi = bisect_right(order, (t1, 1))
-        if hi - lo <= min(sum(map(len, sets)) for sets in matched):
-            return self._walk_window(order[lo:hi], matched, q.class_filter)
-        return self._join_postings(matched, q)
+            runs, size = [], 0
+            for tag in tags:
+                run = postings[tag]
+                if window is None:
+                    lo, hi = 0, len(run)
+                else:
+                    lo = bisect_left(run, window[0], key=_timestamp)
+                    hi = bisect_right(run, window[1], lo, key=_timestamp)
+                runs.append((run, lo, hi))
+                size += hi - lo
+            if driver is None or size < least:
+                if driver is not None:
+                    others.append(driver_tags)
+                driver, least, driver_tags = runs, size, tags
+            else:
+                others.append(tags)
+        if len(driver) == 1:
+            run, lo, hi = driver[0]
+            out = run[lo:hi]
+            out.reverse()
+        else:  # a record two of the runs hold comes out of the merge twice in a row
+            out, last = [], None
+            for rec in merge(*(reversed(run[lo:hi]) for run, lo, hi in driver), reverse=True,
+                             key=lambda rec: (rec.timestamp_ns, -rec.record_id)):
+                if rec is not last:
+                    out.append(rec)
+                    last = rec
+        class_filter = q.class_filter
+        if class_filter is not None:
+            out = [rec for rec in out if rec.record_class is class_filter]
+        for tags in others:
+            out = [rec for rec in out if not tags.isdisjoint(rec.tags)]
+        return out
 
     def _fuzzy_tags(self, tok: str) -> set[str]:
         """The live tags ``tok`` fuzzy-matches, found without an edit distance.
@@ -706,8 +742,7 @@ class EnvStore:
         own length that share its deletion at ``i`` and agree with it
         everywhere but at ``i``: a substitution, or the token itself. Each
         case is exact, a transposition (two edits) is refused, and the work
-        follows the token's length, not the vocabulary. The postings are
-        only tested with ``in`` here, so no lookup adds an empty set.
+        follows the token's length, not the vocabulary.
         """
         postings = self._postings
         if len(tok) < FUZZY_MIN_LEN:
@@ -723,40 +758,6 @@ class EnvStore:
                 if tag[:i] == head and tag[i + 1:] == tail:
                     tags.add(tag)
         return tags
-
-    def _walk_window(self, window, matched, class_filter) -> list[EnvRecord]:
-        """Keep the window's ids that every token's postings hold; the window
-        read backwards is newest first, ties by ascending id, so no sort."""
-        rids = [-neg_rid for _, neg_rid in reversed(window)]
-        keep = rids
-        for sets in matched:  # ``intersection`` walks the list, or the smaller set
-            hits = [ids.intersection(keep) for ids in sets]
-            keep = hits[0] if len(hits) == 1 else set().union(*hits)
-        records = self._records
-        out = [records[rid] for rid in rids if rid in keep]
-        if class_filter is not None:
-            out = [rec for rec in out if rec.record_class == class_filter]
-        return out
-
-    def _join_postings(self, matched, q: OddQuery) -> list[EnvRecord]:
-        """Union each token's postings, intersect across tokens, then filter
-        and sort the survivors."""
-        ids = None
-        for sets in matched:  # a posting set is read here, never changed
-            hits = sets[0] if len(sets) == 1 else set().union(*sets)
-            ids = hits if ids is None else ids & hits
-            if not ids:
-                return []
-        out = [self._records[rid] for rid in ids]
-        if q.class_filter is not None:
-            out = [rec for rec in out if rec.record_class == q.class_filter]
-        if q.time_range is not None:
-            t0, t1 = q.time_range
-            out = [rec for rec in out if t0 <= rec.timestamp_ns <= t1]
-        # two stable sorts: newest first, ties by ascending id
-        out.sort(key=attrgetter("record_id"))
-        out.sort(key=attrgetter("timestamp_ns"), reverse=True)
-        return out
 
     # -- saved ODDs ----------------------------------------------------------------
 
@@ -779,7 +780,7 @@ class EnvStore:
         """What ``query`` would return for the saved ODD, as a new list.
 
         It costs one reversed copy of the standing result: no fuzzy pass,
-        no postings join and no per-record Python work.
+        no postings walk and no per-record Python work.
         """
         try:
             return self._odds[name].matches[::-1]

@@ -503,10 +503,14 @@ class _LoopbackBus:
                 return  # JSON, but not the object every control document is
             if mt is not _NACK:
                 p._handle_control(mt, frame.participant_id, frame.entity_id, obj)
-            elif obj.get("target_pid") == p.participant_id:
-                pub = p.publishers.get(obj.get("target_eid"))
+                return
+            # a NACK names ints only, and a bool is not one
+            pid, eid, missing = obj.get("target_pid"), obj.get("target_eid"), obj.get("missing")
+            if (type(pid) is int and pid == p.participant_id and type(eid) is int
+                    and type(missing) is list and all(type(s) is int for s in missing)):
+                pub = p.publishers.get(eid)
                 if pub is not None:
-                    self._resend(pub, [int(s) for s in obj.get("missing", [])])
+                    self._resend(pub, missing)
 
     def match_publisher(self, p: Participant, pid: int, eid: int, info: dict) -> None:
         pub_qos = QoSProfile.from_json(info["qos"])

@@ -130,12 +130,12 @@ def replay_reference(path):
     not an int, and nothing is converted. A last line with no newline
     counts as cut short and is ignored. The file is not touched.
 
-    Returns ``(records, postings, order, next_id, kept)``: record id ->
+    Returns ``(records, postings, next_id, kept)``: record id ->
     ``(class, tags, timestamp_ns, attributes, position, source)`` with the
     tags a sorted list, the position a tuple or None and the class and
-    source their string values; tag -> set of live ids; every live
-    ``(timestamp_ns, -record_id)`` ascending; one past the highest id any
-    line named; and the file's bytes up to the end of its last complete line.
+    source their string values; tag -> the live ids carrying it, ascending
+    by ``(timestamp_ns, -record_id)``; one past the highest id any line
+    named; and the file's bytes up to the end of its last complete line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -175,11 +175,10 @@ def replay_reference(path):
         records[rid] = (obj["class"], sorted(set(tags)), timestamp,
                         obj.get("attributes", {}), position, source)
     postings = {}
-    for rid, fields in records.items():
-        for tag in fields[1]:
-            postings.setdefault(tag, set()).add(rid)
-    order = sorted((fields[2], -rid) for rid, fields in records.items())
-    return records, postings, order, highest + 1, kept
+    for rid in sorted(records, key=lambda rid: (records[rid][2], -rid)):
+        for tag in records[rid][1]:
+            postings.setdefault(tag, []).append(rid)
+    return records, postings, highest + 1, kept
 
 
 class InProcArenaModel:

@@ -44,6 +44,12 @@ DELETED = [
     ("dfp.envmodel", "_tag_words"),
     ("dfp.envmodel", "EnvRecord.validate"),
     ("dfp.envmodel", "EnvRecord._check"),
+    ("dfp.envmodel", "EnvStore._walk_window"),
+    ("dfp.envmodel", "EnvStore._join_postings"),
+    ("dfp.envmodel", "EnvStore._drop"),
+    ("dfp.envmodel", "_StandingOdd.add"),
+    ("dfp.envmodel", "_StandingOdd.remove"),
+    ("dfp.envmodel", "_order_key"),
     ("dfp.config", "_require"),
     ("dfp.config", "_check_keys"),
     ("dfp.config", "_parse_list"),

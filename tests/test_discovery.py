@@ -7,10 +7,12 @@ import pytest
 from dfp.middleware import (
     Domain,
     Frame,
+    History,
     Loopback,
     MiddlewareError,
     MsgType,
     QoSProfile,
+    Reliability,
     ServiceDescriptor,
     TopicDescriptor,
     TransportUnavailable,
@@ -211,3 +213,57 @@ def test_a_control_document_that_is_not_an_object_is_dropped(msg_type, payload):
         return a.discover("all"), b.discover("all")
 
     assert discovered(bad_frame=True) == discovered(bad_frame=False)
+
+
+# fields laid over a valid NACK for a live publisher's seq 1
+BAD_NACKS = {
+    "missing_str": {"missing": ["z"]},
+    "missing_int": {"missing": 5},
+    "missing_null": {"missing": None},
+    "missing_bool": {"missing": [True]},
+    "missing_digit_str": {"missing": ["1"]},
+    "missing_float": {"missing": [1.0]},
+    "eid_list": {"target_eid": [1]},
+    "eid_bool": {"target_eid": True},
+    "pid_float": {"target_pid": 1.0},
+    "pid_bool": {"target_pid": True},
+}
+
+
+def _nack_run(fields):
+    """A two-participant loopback run in which the reader sends the writer a
+    NACK for seq 1 with ``fields`` laid over it (no NACK for None): what
+    each side discovers, and every frame the bus carried after the NACK."""
+    d = Domain()
+    writer = d.create_participant("writer", Loopback(7400))
+    reader = d.create_participant("reader", Loopback(7400))
+    kept = TopicDescriptor("sensors/x", type_hash_of("t"),
+                           QoSProfile(Reliability.RELIABLE, History.keep_all()))
+    pub = writer.create_publisher(kept)
+    reader.create_subscriber(kept)
+    d.spin()
+    pub.publish(b"zero")
+    pub.publish(b"one")
+    d.spin()
+    bus = d.bus(7400)
+    logged = len(bus.frame_log)
+    if fields is not None:
+        nack = {"target_pid": writer.participant_id, "target_eid": pub.entity_id,
+                "topic": "sensors/x", "missing": [1], **fields}
+        bus.send(reader, Frame(MsgType.NACK, 0, reader.participant_id, 0, 0,
+                               json.dumps(nack).encode()))
+        logged += 1
+    d.advance(2 * HEARTBEAT_PERIOD_NS)
+    return writer.discover("all"), reader.discover("all"), bus.frame_log[logged:]
+
+
+@pytest.mark.parametrize("fields", BAD_NACKS.values(), ids=BAD_NACKS.keys())
+def test_a_nack_with_fields_of_the_wrong_type_is_dropped(fields):
+    assert _nack_run(fields) == _nack_run(None)
+
+
+def test_a_well_typed_nack_resends_what_it_names():
+    clean, nacked = _nack_run(None), _nack_run({})
+    assert nacked[:2] == clean[:2]
+    resent = [decode_frame(raw) for _, raw in nacked[2] if (_, raw) not in clean[2]]
+    assert [(f.msg_type, f.seq, f.payload) for f in resent] == [(MsgType.DATA, 1, b"one")]

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -475,12 +476,65 @@ def test_posting_index_queries_equal_scan_under_random_crud_and_reopen(ops):
         for word in QUERY_WORDS:
             for window in (None, (1, 2), (-1, 4)):
                 check_query(store, shadow, [word], None, window)
-        postings = {}
-        for r in shadow.values():
-            for tag in r.tags:
-                postings.setdefault(tag, set()).add(r.record_id)
-        assert store._postings == postings  # no stale ids, no tags left unused
-        assert store._order == sorted((r.timestamp_ns, -r.record_id) for r in shadow.values())
+        # no stale ids, no tags left unused, each list in result order read backwards
+        assert posting_ids(store) == expected_postings(shadow.values())
+
+
+def expected_postings(records):
+    """Tag -> the ids of ``records`` that carry it, ascending by
+    ``(timestamp_ns, -record_id)``, rebuilt from scratch."""
+    postings = {}
+    for r in sorted(records, key=lambda r: (r.timestamp_ns, -r.record_id)):
+        for tag in r.tags:
+            postings.setdefault(tag, []).append(r.record_id)
+    return postings
+
+
+def posting_ids(store):
+    """Tag -> the ids its postings hold, in order; every posted record is
+    the one the store holds under its id, not a stale copy."""
+    out = {}
+    for tag, run in store._postings.items():
+        assert all(store._records[r.record_id] is r for r in run), tag
+        out[tag] = [r.record_id for r in run]
+    return out
+
+
+def check_postings(store):
+    """The postings equal a rebuild from ``all_records()``, and every list
+    is strictly ascending by ``(timestamp_ns, -record_id)``."""
+    assert posting_ids(store) == expected_postings(store.all_records())
+    for tag, run in store._postings.items():
+        keys = [(r.timestamp_ns, -r.record_id) for r in run]
+        assert run and all(a < b for a, b in zip(keys, keys[1:])), tag
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(store_ops, max_size=25))
+def test_postings_equal_a_rebuild_under_random_writes_and_reopen(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "env.jsonl")
+        open(path, "w").close()
+        store = EnvStore(log_path=path)
+        for op in ops:
+            kind, live = op[0], store._records
+            if kind == "create" and op[1] not in live:
+                store.create(rec(op[1], op[2], ts=op[3], cls=op[4]))
+            elif kind == "ingest":
+                store.ingest({"class": op[3].value, "tags": sorted(op[1]), "timestamp_ns": op[2]})
+            elif kind == "update" and op[1] in live:
+                patch = {"tags": op[2], "timestamp_ns": op[3]}
+                store.update(op[1], {k: v for k, v in patch.items() if v is not None})
+            elif kind == "delete" and op[1] in live:
+                store.delete(op[1])
+            elif kind == "reopen":
+                store.close()
+                store = EnvStore.open(path)
+            check_postings(store)
+        store.close()
+        reopened = EnvStore.open(path)
+        check_postings(reopened)
+        assert posting_ids(reopened) == posting_ids(store)
 
 
 def near_index(vocabulary):
@@ -563,15 +617,61 @@ def test_near_index_equals_the_fuzzy_scan_under_random_writes_and_reopen(data):
         check_near(reopened, data.draw(tokens))
 
 
+class _LoggedRun(list):
+    """A postings list that logs each change made to it as ``(tag, how)``."""
+
+    def __init__(self, tag, run, log):
+        super().__init__(run)
+        self.tag, self.log = tag, log
+
+    def __setitem__(self, index, value):
+        self.log.append((self.tag, "set"))
+        super().__setitem__(index, value)
+
+    def __delitem__(self, index):
+        self.log.append((self.tag, "del"))
+        super().__delitem__(index)
+
+    def insert(self, index, value):
+        self.log.append((self.tag, "insert"))
+        super().insert(index, value)
+
+    def append(self, value):
+        self.log.append((self.tag, "append"))
+        super().append(value)
+
+
 def test_tags_only_update_keeps_its_order_entry():
+    """An update that keeps the timestamp puts the new record in the old
+    one's place in the postings of every tag both carry: the same list, the
+    same index, the same length, by one assignment and no delete or insert.
+    A tag it drops loses the id, a tag it adds gains it."""
     store, _ = corpus_store(random.Random(5))
-    before = list(store._order)
-    for rid in range(0, 50, 7):
-        store.update(rid, {"tags": {"snow", "ramp"}})
-    store.update(3, {"tags": {"fog"}, "timestamp_ns": store.read(3).timestamp_ns})
-    assert store._order == before
-    # the same tuple objects: no entry was deleted and re-inserted
-    assert all(now is was for now, was in zip(store._order, before))
+    log = []
+    store._postings = {tag: _LoggedRun(tag, run, log) for tag, run in store._postings.items()}
+    patches = [(rid, lambda old: {"tags": {"snow", "ramp"}}) for rid in range(0, 50, 7)]
+    patches.append((3, lambda old: {"tags": {"fog"}, "timestamp_ns": old.timestamp_ns}))
+    # keep every tag but the first, add one
+    patches += [(rid, lambda old: {"tags": sorted(old.tags)[1:] + ["ice"]})
+                for rid in range(1, 50, 5)]
+    kept = 0
+    for rid, patch in patches:
+        old = store.read(rid)
+        places = {tag: (store._postings[tag], store._postings[tag].index(old),
+                        len(store._postings[tag])) for tag in old.tags}
+        log.clear()
+        new = store.update(rid, patch(old))
+        for tag, (run, i, size) in places.items():
+            if tag in new.tags:
+                assert store._postings[tag] is run and run[i] is new and len(run) == size
+                assert [entry for entry in log if entry[0] == tag] == [(tag, "set")]
+                kept += 1
+            else:
+                assert rid not in [r.record_id for r in store._postings.get(tag, ())]
+        for tag in new.tags - old.tags:
+            assert new in store._postings[tag]
+        check_postings(store)
+    assert kept >= 10  # the cases above keep some tags
     records = store.all_records()
     window = (2000, 8000)
     for words in (["snow"], ["ramp", "snw"], ["fog"], ["tunnel", "ramp"], ["highway"]):
@@ -580,31 +680,65 @@ def test_tags_only_update_keeps_its_order_entry():
                 == brute_force_query(records, words, time_range=window))
 
 
+class _SlicedRun(list):
+    """A postings list that logs the id of each record a slice of it hands out."""
+
+    def __init__(self, run, examined):
+        super().__init__(run)
+        self.examined = examined
+
+    def __getitem__(self, index):
+        got = super().__getitem__(index)
+        if isinstance(index, slice):
+            self.examined.extend(r.record_id for r in got)
+        return got
+
+
+def driver_postings(records, words, window):
+    """By scan: the in-window postings, as ids with repeats, of the first
+    token with the fewest of them."""
+    best = None
+    tokens = [w.strip().lower() for w in words]
+    for tok in [w for w in tokens if w and w not in STOPWORDS]:
+        hits = [r.record_id for r in records for t in r.tags
+                if (tok == t or (len(tok) >= 4 and levenshtein_recursive(tok, t) <= 1))
+                and (window is None or window[0] <= r.timestamp_ns <= window[1])]
+        if best is None or len(hits) < len(best):
+            best = hits
+    return Counter(best)
+
+
 def test_query_plan_follows_the_window_and_the_rarest_token():
-    """A window no larger than the rarest token's postings is walked; a
-    larger one goes through the postings join. Both give the scan's answer."""
+    """A query reads exactly the in-window postings of the token with the
+    fewest of them, and nothing else; when that token matches two tags it
+    reads both runs and returns a record they share once, ties in order."""
     store = EnvStore()
     for rid in range(40):  # "lead" on every record, "rain" on every tenth
         tags = {"lead", "rain"} if rid % 10 == 0 else {"lead"}
         store.create(rec(rid, tags, ts=rid // 3))
-    plans = []
-    for name in ("_walk_window", "_join_postings"):
-        def spy(*args, _name=name, _plan=getattr(store, name)):
-            plans.append(_name)
-            return _plan(*args)
-        setattr(store, name, spy)
+    # at one timestamp: "rain" matches "rail" too, and some records carry both
+    for rid, tags in ((40, {"rail", "rain"}), (41, {"rail"}), (42, {"rain", "rail"}),
+                      (43, {"rain"}), (44, {"rail", "rain"}), (45, {"lead", "rail"})):
+        store.create(rec(rid, tags, ts=20))
+    examined = []
+    store._postings = {tag: _SlicedRun(run, examined) for tag, run in store._postings.items()}
     shadow = {r.record_id: r for r in store.all_records()}
-    cases = [
-        (["lead"], None, "_walk_window"),            # the whole order is the postings
-        (["lead", "rain"], None, "_join_postings"),  # 4 postings against 40 entries
-        (["rain"], (3, 3), "_walk_window"),          # 3 entries against 4 postings
-        (["rain"], (0, 12), "_join_postings"),       # 39 entries against 4 postings
-        (["lead"], (5, 5), "_walk_window"),          # three ids tie at one timestamp
+    cases = [  # words, window, how many postings the driver has there
+        (["lead"], None, 41),           # one token: all of its postings
+        (["lead", "rain"], None, 13),   # "rain" + "rail" postings against 41
+        (["rain"], (3, 3), 1),          # the window inside the postings
+        (["rain", "lead"], (0, 12), 4),  # 4 against 39: the driver need not come first
+        (["lead"], (5, 5), 3),          # three ids tie at one timestamp
+        (["rain"], (20, 20), 9),        # two runs, three records in both, all tied
+        (["rail", "lead"], (19, 21), 1),  # 9 against 1
     ]
-    for words, window, plan in cases:
-        plans.clear()
+    for words, window, size in cases:
+        examined.clear()
         check_query(store, shadow, words, None, window)
-        assert plans == [plan], (words, window)
+        assert Counter(examined) == driver_postings(shadow.values(), words, window), words
+        assert len(examined) == size, (words, window)
+    got = store.query(OddQuery(("rain",), time_range=(20, 20)))
+    assert [r.record_id for r in got] == [40, 41, 42, 43, 44, 45]
 
 
 # -- saved ODDs ---------------------------------------------------------------------
@@ -829,7 +963,7 @@ def test_invalid_mapping_ingest_is_rejected_and_changes_nothing():
     store = EnvStore()
     store.ingest({"class": "weather", "tags": ["rain"]})
     records = store.all_records()
-    postings = {tag: set(ids) for tag, ids in store._postings.items()}
+    postings = {tag: list(run) for tag, run in store._postings.items()}
     with pytest.raises(InvalidRecord):
         store.ingest({"class": "weather", "tags": ["Bad Tag"]})
     assert store.all_records() == records
@@ -879,8 +1013,8 @@ def _write_outcome(store, log, write):
     """``write()``'s record fields past the id, or "refused" when it raises
     ``InvalidRecord`` with the store and its log unchanged."""
     def state():
-        return (dict(store._records), {tag: set(ids) for tag, ids in store._postings.items()},
-                list(store._order), store._next_id, log.read_bytes())
+        return (dict(store._records), {tag: list(run) for tag, run in store._postings.items()},
+                store._next_id, log.read_bytes())
     before = state()
     try:
         return tuple(write())[1:]
@@ -1095,11 +1229,11 @@ def test_a_log_cut_short_opens_as_a_whole_number_of_writes(tmp_path):
         prefix = data[:size]
         copy.write_bytes(prefix)
         store = EnvStore.open(str(copy))
-        records, postings, order, next_id, kept = after[prefix.count(b"\n")]
+        records, postings, next_id, kept = after[prefix.count(b"\n")]
         assert {r.record_id: (r.record_class.value, sorted(r.tags), r.timestamp_ns,
                               r.attributes, r.position, r.source.value)
                 for r in store.all_records()} == records, size
-        assert (store._postings, store._order, store._next_id) == (postings, order, next_id)
+        assert (posting_ids(store), store._next_id) == (postings, next_id)
         assert store._near == near_index(postings)
         assert copy.read_bytes() == kept, size
 
@@ -1173,15 +1307,15 @@ def test_open_equals_a_plain_replay_of_a_random_log(entries, torn):
         path = os.path.join(tmp, "env.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        records, postings, order, next_id, kept_bytes = replay_reference(path)
+        records, postings, next_id, kept_bytes = replay_reference(path)
         store = EnvStore.open(path)
         with open(path, "rb") as fh:
             assert fh.read() == kept_bytes
     assert {r.record_id: (r.record_class.value, sorted(r.tags), r.timestamp_ns, r.attributes,
                           r.position, r.source.value)
             for r in store.all_records()} == records
-    assert store._postings == postings
-    assert store._order == order
+    assert posting_ids(store) == postings
+    check_postings(store)
     assert store._next_id == next_id
     assert store._near == near_index(postings)
 

@@ -63,8 +63,7 @@ def test_env_record_round_trips_through_its_json_object():
 
 def _snapshot(store):
     return (dict(store._records),
-            {tag: set(ids) for tag, ids in store._postings.items()},
-            list(store._order),
+            {tag: list(run) for tag, run in store._postings.items()},
             {name: list(odd.matches) for name, odd in store._odds.items()},
             dict(store._odds_by_tags),
             store._next_id)
