@@ -93,6 +93,7 @@ ALLOWED = {
     ("dfp.middleware.arena", "SlotArena.refcount"): OBSERVED,
     ("dfp.middleware.arena", "SlotArena.free_count"): OBSERVED,
     ("dfp.middleware.core", "Subscriber.queued"): OBSERVED,
+    ("dfp.middleware.core", "Subscriber._check_deadline"): PAPER,
     ("dfp.funcsw.graph", "TaskGraph.lifecycle_of"): OBSERVED,
     ("dfp.funcsw.graph", "TaskGraph.add_node"): PAPER,
     ("dfp.funcsw.graph", "TaskGraph.remove_node"): PAPER,

@@ -9,9 +9,10 @@ transport owns every operation that differs between the two:
 - ``InProcess()`` joins the domain's ``_InProcPlane``. Endpoints match
   synchronously through per-topic state, samples are references into the
   topic's slot arena (no payload copies), and announcements and calls
-  reach peers as direct calls, so nothing is ever serialised. The wire
-  duties (receive, NACKs, remote matching, gaps) are no-ops here, and a
-  publisher keeps a retained ring only for a transient-local topic.
+  reach peers as direct calls, so nothing is ever serialised and the
+  inbox stays empty. The other wire duties (NACKs, remote matching) are
+  no-ops here, and a publisher keeps a retained ring only for a
+  transient-local topic.
 - ``Loopback(port)`` joins the ``_LoopbackBus`` that all participants on that
   port share. ``send`` DFP1-encodes every frame, and the bus itself draws a
   seeded drop per (frame, receiver) at the port's ``Domain.set_loss``
@@ -19,7 +20,12 @@ transport owns every operation that differs between the two:
   over each participant's inbox and its subscribers' receive state:
   matching from announcements, NACK-driven retransmission for reliable
   topics, gaps, and transient-local replay, so a publisher keeps a retained
-  ring for a reliable or a transient-local topic.
+  ring for a reliable or a transient-local topic. Each participant keeps a
+  route table from a matched publisher's ``(pid, eid)`` to its readers'
+  receive states: matching fills it, unmatching empties it, and a DATA
+  frame goes through it to those readers alone. A publisher's participant
+  id, entity id and flags pass ``Frame``'s checks once, in its ANNOUNCE at
+  creation, so its DATA frames are built with only the seq checked.
 
 Services (``register_service`` / ``call``): each participant's discovery
 database indexes its service records by name, so ``call`` finds the
@@ -38,6 +44,10 @@ frame ends the call in ``Timeout``.
 
 Only ``spin`` (``Domain.spin``/``advance``, a waiting ``call``) handles
 frames, heartbeats, NACKs and deadlines; ``take`` returns what it delivered.
+A participant's spin receives only when its inbox holds a frame, walks its
+peers only once the clock reaches the earliest instant one of them could
+expire, asks again only for a receive state with a gap before its high
+water mark, and checks deadlines only on a topic that has one.
 A ``Domain.spin`` at the instant of the last full round, with no frame sent
 and no participant created since, returns at once, so an in-process ``call``
 at an unchanged clock costs its handler, not a round per participant.
@@ -68,7 +78,7 @@ from dfp.middleware.arena import (
     PayloadTooLarge,
     SlotArena,
 )
-from dfp.middleware.qos import Durability, QoSProfile, Reliability, link
+from dfp.middleware.qos import Durability, QoSError, QoSProfile, Reliability, link
 from dfp.middleware.wire import (
     FLAG_RELIABLE,
     FLAG_TRANSIENT_LOCAL,
@@ -94,6 +104,11 @@ NACK_INTERVAL_NS = 5 * MS
 CALL_QUANTUM_NS = 1 * MS
 
 _TOPIC_NAME_RE = re.compile(r"^[a-z0-9_/]+$")
+
+# one encoder and one decoder for every control document: ``json.dumps(obj,
+# sort_keys=True)`` and ``json.loads`` would give the same text and objects
+_encode_json = json.JSONEncoder(sort_keys=True).encode
+_decode_json = json.JSONDecoder().decode
 
 
 class MiddlewareError(DfpError):
@@ -230,6 +245,22 @@ def _topic_record(kind: str, topic: TopicDescriptor, **fields) -> dict:
             "qos": topic.qos.to_json(), **fields}
 
 
+def _announced_topic(info: dict) -> TopicDescriptor | None:
+    """The topic of a peer's publisher record, or None when a field is
+    malformed: ``topic`` must pass the topic-name rule, ``type_hash`` fit
+    u64, ``QoSProfile.from_json`` accept ``qos``, and ``next_seq`` and
+    ``retained_first`` be ints (a bool is not one)."""
+    name, type_hash, qos = info.get("topic"), info.get("type_hash"), info.get("qos")
+    if (type(name) is not str or type(type_hash) is not int or type(qos) is not dict
+            or type(info.get("next_seq")) is not int
+            or type(info.get("retained_first")) is not int):
+        return None
+    try:
+        return TopicDescriptor(name, type_hash, QoSProfile.from_json(qos))
+    except (MiddlewareError, QoSError):
+        return None
+
+
 def _record_key(pid: int, eid: int, info: dict) -> tuple:
     """An endpoint record's key in a discovery database: its kind, its
     participant, and its entity id, or a service's name."""
@@ -261,6 +292,10 @@ class _DiscoveryDb:
         # service name -> its keys in ``records``, in ``records`` order, so
         # the first is the provider a scan of ``records`` would find first
         self.services: dict[str, list[tuple]] = {}
+        # no peer can expire before this instant: a heartbeat only moves a
+        # peer's expiry later, and a peer first heard at or after the last
+        # walk expires no earlier than this bound
+        self._prune_at = 0
 
     def heartbeat(self, pid: int, now: int) -> None:
         self.peer_last_hb[pid] = now
@@ -284,11 +319,16 @@ class _DiscoveryDb:
         return gone
 
     def prune(self, now: int) -> list[tuple]:
+        if now < self._prune_at:
+            return []
         dead = [pid for pid, last in self.peer_last_hb.items()
                 if pid != self.self_id and now - last >= LIVELINESS_NS]
         gone: list[tuple] = []
         for pid in dead:
             gone.extend(self.remove_participant(pid))
+        # a peer heard from now on has its last heartbeat at ``now`` or later
+        self._prune_at = min((last for pid, last in self.peer_last_hb.items()
+                              if pid != self.self_id), default=now) + LIVELINESS_NS
         return gone
 
     def deadline_for(self, pid: int, now: int) -> int:
@@ -306,7 +346,8 @@ class _LoopbackBus:
     """One loopback port and the DFP1 wire protocol of its participants.
 
     The bus keeps no per-participant object: a participant's receive state
-    is its ``_inbox`` and its subscribers' ``_recv``. It drops each (frame,
+    is its ``_inbox``, its subscribers' ``_recv`` and the ``_routes`` that
+    index those by publisher. It drops each (frame,
     receiver) edge with ``drop_probability``, one draw of its seeded
     generator per edge.
     """
@@ -345,12 +386,16 @@ class _LoopbackBus:
     def broadcast(self, p: Participant, msg_type: MsgType, payload_obj: dict,
                   entity_id: int = 0, flags: int = 0) -> None:
         self.send(p, Frame(msg_type, flags, p.participant_id, entity_id, 0,
-                           json.dumps(payload_obj, sort_keys=True).encode()))
+                           _encode_json(payload_obj).encode()))
 
     def _send_data(self, pub: Publisher, seq: int, payload: bytes) -> None:
-        frame = Frame(_DATA, pub._qos_flags, pub.participant.participant_id,
-                      pub.entity_id, seq, payload)
-        self.send(pub.participant, frame)
+        # the publisher's participant id, entity id and flags passed Frame's
+        # checks in its ANNOUNCE at creation; only the seq moves since
+        if not 0 <= seq < 2**64:
+            raise FrameError(f"seq out of range: {seq}")
+        participant = pub.participant
+        self.send(participant, tuple.__new__(Frame, (
+            _DATA, pub._qos_flags, participant.participant_id, pub.entity_id, seq, payload)))
 
     def _check_known_topic(self, p: Participant, desc: TopicDescriptor) -> None:
         for key, info in p._db.records.items():
@@ -376,9 +421,10 @@ class _LoopbackBus:
     def publish(self, pub: Publisher, seq: int, payload: bytes) -> None:
         if len(payload) > MAX_WIRE_PAYLOAD:
             raise PayloadTooLarge("payload exceeds the u32 wire length field")
+        # sent first: a seq out of range raises before the ring takes it
+        self._send_data(pub, seq, payload)
         if pub._retains:
             pub._retain(seq, payload)
-        self._send_data(pub, seq, payload)
 
     def call(self, p: Participant, provider: int, service_name: str, request: bytes,
              timeout_ms: int) -> tuple[int, bytes, int]:
@@ -423,7 +469,8 @@ class _LoopbackBus:
 
     def send_nacks(self, p: Participant, sub: Subscriber, now: int) -> None:
         for (pid, eid), state in sub._recv.items():
-            if not state.reliable_path:
+            # with no seq between expected and high_water, nothing is missing
+            if state.expected >= state.high_water or not state.reliable_path:
                 continue
             if now - state.last_nack_ns < NACK_INTERVAL_NS:
                 continue
@@ -460,19 +507,24 @@ class _LoopbackBus:
     # -- receiving (from ``Participant.spin``) ----------------------------
 
     def receive(self, p: Participant) -> None:
-        while p._inbox:
-            raw = p._inbox.popleft()
+        inbox, routes = p._inbox, p._routes
+        while inbox:
+            raw = inbox.popleft()
             try:
                 frame = decode_frame(raw)
             except FrameError:
                 continue  # a corrupt frame is dropped, not fatal
-            self._handle_frame(p, frame)
+            if frame.msg_type is _DATA:
+                # a DATA frame goes to the readers matched with its publisher
+                route = routes.get((frame.participant_id, frame.entity_id))
+                if route is not None:
+                    self._handle_data(route, frame.seq, frame.payload, self.domain.clock.now_ns())
+            else:
+                self._handle_frame(p, frame)
 
     def _handle_frame(self, p: Participant, frame: Frame) -> None:
         mt = frame.msg_type
-        if mt is _DATA:
-            self._handle_data(p, frame)
-        elif mt is _REQUEST:
+        if mt is _REQUEST:
             if len(frame.payload) < 2:
                 return
             name_len = int.from_bytes(frame.payload[:2], "big")
@@ -496,7 +548,7 @@ class _LoopbackBus:
                 slot.append((1, frame.payload[13:], code))
         else:  # ANNOUNCE, SUBSCRIBE, HEARTBEAT and NACK carry one JSON document
             try:
-                obj = json.loads(frame.payload.decode())
+                obj = _decode_json(frame.payload.decode())
             except (UnicodeDecodeError, json.JSONDecodeError):
                 return
             if type(obj) is not dict:
@@ -512,22 +564,30 @@ class _LoopbackBus:
                 if pub is not None:
                     self._resend(pub, missing)
 
-    def match_publisher(self, p: Participant, pid: int, eid: int, info: dict) -> None:
-        pub_qos = QoSProfile.from_json(info["qos"])
+    def match_publisher(self, p: Participant, pid: int, eid: int, info: dict) -> bool:
+        """Match a peer's publisher record with this participant's readers,
+        or return False, matching nothing, when a field is malformed."""
+        topic = _announced_topic(info)
+        if topic is None:
+            return False
         key = (pid, eid)
+        next_seq = info["next_seq"]
         for sub in p.subscribers.values():
-            if sub.topic.name != info["topic"] or sub.topic.type_hash != info["type_hash"]:
+            if sub.topic.name != topic.name or sub.topic.type_hash != topic.type_hash:
                 continue
-            linked = link(pub_qos, sub.topic.qos)
+            linked = link(topic.qos, sub.topic.qos)
             if linked is None:
                 continue
             state = sub._recv.get(key)
             if state is not None:
-                state.high_water = max(state.high_water, info["next_seq"])
+                state.high_water = max(state.high_water, next_seq)
                 continue
             reliable, replays = linked
-            expected = info["retained_first"] if replays else info["next_seq"]
-            sub._recv[key] = _RecvState(info["topic"], expected, reliable, info["next_seq"])
+            expected = info["retained_first"] if replays else next_seq
+            state = _RecvState(topic.name, expected, reliable, next_seq, _publisher_id(pid, eid))
+            sub._recv[key] = state
+            p._routes.setdefault(key, []).append((sub, state))
+        return True
 
     def court_subscriber(self, p: Participant, info: dict) -> None:
         matched = info.get("matched", ())
@@ -544,54 +604,47 @@ class _LoopbackBus:
                     self._send_data(pub, seq, payload)
 
     def apply_gap(self, p: Participant, pid: int, eid: int, obj: dict) -> None:
-        key = (pid, eid)
-        first = int(obj.get("first_available", 0))
-        for sub in p.subscribers.values():
-            state = sub._recv.get(key)
-            if state is None or first <= state.expected:
+        first = obj.get("first_available")
+        route = p._routes.get((pid, eid))
+        if type(first) is not int or route is None:
+            return  # a gap names an int, and a bool is not one
+        now = self.domain.clock.now_ns()
+        for sub, state in route:
+            if first <= state.expected:
                 continue
             sub.drops_gap += first - state.expected
             state.expected = first
-            self._drain_pending(sub, key, state)
+            pending = state.pending
+            for stale in [s for s in pending if s < first]:
+                del pending[stale]
+            if first in pending:
+                self._deliver(sub, state, first, pending.pop(first), now)
 
-    def _handle_data(self, p: Participant, frame: Frame) -> None:
-        key = (frame.participant_id, frame.entity_id)
-        for sub in p.subscribers.values():
-            state = sub._recv.get(key)
-            if state is None:
-                continue
-            seq = frame.seq
+    def _handle_data(self, route: list, seq: int, payload: bytes, now: int) -> None:
+        for sub, state in route:
             if seq >= state.high_water:
                 state.high_water = seq + 1
-            if seq < state.expected or seq in state.pending:
+            expected = state.expected
+            if seq < expected or seq in state.pending:
                 continue  # duplicate or already-superseded sample
-            if state.reliable_path:
-                if seq == state.expected:
-                    self._deliver_wire(sub, state, key, seq, frame.payload)
-                    state.expected = seq + 1
-                    self._drain_pending(sub, key, state)
-                else:
-                    state.pending[seq] = frame.payload
-            else:
-                sub.drops_gap += seq - state.expected
-                self._deliver_wire(sub, state, key, seq, frame.payload)
-                state.expected = seq + 1
+            if seq != expected:
+                if state.reliable_path:
+                    state.pending[seq] = payload  # held until the seqs before it arrive
+                    continue
+                sub.drops_gap += seq - expected
+            self._deliver(sub, state, seq, payload, now)
 
-    def _drain_pending(self, sub: Subscriber, key: tuple[int, int],
-                       state: _RecvState) -> None:
-        while state.expected in state.pending:
-            payload = state.pending.pop(state.expected)
-            self._deliver_wire(sub, state, key, state.expected, payload)
-            state.expected += 1
-        if state.pending and min(state.pending) < state.expected:
-            for stale in [s for s in state.pending if s < state.expected]:
-                del state.pending[stale]
-
-    def _deliver_wire(self, sub: Subscriber, state: _RecvState, key: tuple[int, int],
-                      seq: int, payload: bytes) -> None:
-        sample = Sample(state.topic, seq, _publisher_id(*key),
-                        self.domain.now_ns(), BufferHandle(payload))
-        sub._enqueue(sample)
+    def _deliver(self, sub: Subscriber, state: _RecvState, seq: int, payload: bytes,
+                 now: int) -> None:
+        """Hand ``seq`` to ``sub``, then each pending seq that follows it in order."""
+        pending = state.pending
+        while True:
+            sub._enqueue(Sample(state.topic, seq, state.publisher_id, now, BufferHandle(payload)))
+            seq += 1
+            if seq not in pending:
+                break
+            payload = pending.pop(seq)
+        state.expected = seq
 
 
 class _InProcTopic:
@@ -705,16 +758,17 @@ class _InProcPlane:
             raise ServiceNotFound(f"provider of {service_name!r} is gone")
         return peer.services[service_name].answer(request)
 
-    # the wire duties have nothing to do on the plane
-
-    def receive(self, p: Participant) -> None:
-        """An in-process peer's inbox stays empty: control arrives as calls."""
+    # the wire duties have nothing to do on the plane; an in-process
+    # participant's inbox stays empty, since control arrives as calls, so
+    # spin never asks the plane to receive
 
     def send_nacks(self, p: Participant, sub: Subscriber, now: int) -> None:
         """Nothing is lost on the plane, so nothing is asked for again."""
 
-    def match_publisher(self, p: Participant, pid: int, eid: int, info: dict) -> None:
-        """The plane matched its endpoints when they were created."""
+    def match_publisher(self, p: Participant, pid: int, eid: int, info: dict) -> bool:
+        """The plane matched its endpoints when they were created, from
+        records it built itself."""
+        return True
 
     def court_subscriber(self, p: Participant, info: dict) -> None:
         """The plane matched, and replayed to, a subscriber when it was created."""
@@ -729,6 +783,7 @@ class Publisher:
     def __init__(self, participant: "Participant", topic: TopicDescriptor, entity_id: int,
                  arena: SlotArena | None, retains: bool):
         self.participant = participant
+        self._net = participant._net
         self.topic = topic
         self.entity_id = entity_id
         self.publisher_id = _publisher_id(participant.participant_id, entity_id)
@@ -760,12 +815,12 @@ class Publisher:
 
     def publish(self, payload: bytes) -> int:
         self.participant._require_alive()
-        if not isinstance(payload, (bytes, bytearray, memoryview)):
-            raise MiddlewareError("payload must be bytes-like")
-        if not isinstance(payload, bytes):
+        if type(payload) is not bytes and not isinstance(payload, bytes):
+            if not isinstance(payload, (bytearray, memoryview)):
+                raise MiddlewareError("payload must be bytes-like")
             payload = bytes(payload)
         seq = self.next_seq
-        self.participant._net.publish(self, seq, payload)
+        self._net.publish(self, seq, payload)
         self.next_seq = seq + 1
         self.published_count += 1
         return seq
@@ -778,9 +833,10 @@ class _RecvState:
     """Per matched remote publisher, on the subscriber side (loopback)."""
 
     __slots__ = ("topic", "expected", "pending", "last_nack_ns", "reliable_path",
-                 "high_water")
+                 "high_water", "publisher_id")
 
-    def __init__(self, topic: str, expected: int, reliable_path: bool, high_water: int):
+    def __init__(self, topic: str, expected: int, reliable_path: bool, high_water: int,
+                 publisher_id: int):
         self.topic = topic
         self.expected = expected
         self.pending: dict[int, bytes] = {}
@@ -789,6 +845,7 @@ class _RecvState:
         # highest next_seq the publisher has announced; lets the reader
         # notice trailing losses that no later data frame would reveal
         self.high_water = high_water
+        self.publisher_id = publisher_id  # stamped on every sample delivered from it
 
 
 class Subscriber:
@@ -837,8 +894,8 @@ class Subscriber:
                                                    matched=sorted(self._recv))
 
     def _check_deadline(self, now: int) -> None:
-        if self._deadline_ns is None:
-            return
+        """Count the deadlines missed by ``now``; spin calls this only when
+        the topic has a deadline."""
         while now - self._last_activity_ns >= self._deadline_ns:
             self.deadline_misses += 1
             self._last_activity_ns += self._deadline_ns
@@ -890,6 +947,9 @@ class Participant:
         self.services: dict[str, _ServiceEndpoint] = {}  # by service name
         self._db = _DiscoveryDb(participant_id)
         self._inbox: deque[bytes] = deque()  # loopback frames waiting for spin
+        # loopback route table: (pid, eid) of a matched remote publisher ->
+        # [(subscriber, its receive state)], one entry per subscriber's ``_recv``
+        self._routes: dict[tuple[int, int], list[tuple[Subscriber, _RecvState]]] = {}
         self._pending_calls: dict[int, list] = {}  # loopback calls awaiting a RESPONSE
         self._next_request_id = 1
         self._next_hb_ns = domain.now_ns()  # first heartbeat due immediately
@@ -980,8 +1040,8 @@ class Participant:
             if key[0] != "publisher":
                 continue
             pub_key = (key[1], key[2])
-            for sub in self.subscribers.values():
-                sub._recv.pop(pub_key, None)
+            for sub, _ in self._routes.pop(pub_key, ()):
+                del sub._recv[pub_key]
 
     # -- announcements ---------------------------------------------------------
 
@@ -1015,7 +1075,8 @@ class Participant:
         """Process queued frames and run periodic protocol duties."""
         if not self.alive:
             return
-        self._net.receive(self)
+        if self._inbox:
+            self._net.receive(self)
         now = self.domain.now_ns()
         if now >= self._next_hb_ns:
             self._heartbeat(now)
@@ -1023,7 +1084,8 @@ class Participant:
         self._prune_db()
         for sub in self.subscribers.values():
             self._net.send_nacks(self, sub, now)
-            sub._check_deadline(now)
+            if sub._deadline_ns is not None:
+                sub._check_deadline(now)
 
     def _heartbeat(self, now: int) -> None:
         self._db.heartbeat(self.participant_id, now)
@@ -1043,10 +1105,10 @@ class Participant:
             # liveliness assertions double as identity for late joiners
             self._db.add(("participant", pid), {"name": obj.get("name", "")}, now)
         elif kind in ("publisher", "subscriber", "service"):
+            if kind == "publisher" and not self._net.match_publisher(self, pid, eid, obj):
+                return  # a publisher record with a malformed field is dropped
             self._db.add(_record_key(pid, eid, obj), obj, now)
-            if kind == "publisher":
-                self._net.match_publisher(self, pid, eid, obj)
-            elif kind == "subscriber":
+            if kind == "subscriber":
                 self._net.court_subscriber(self, obj)
         elif kind == "leave":
             gone = self._db.remove_participant(pid)

@@ -30,6 +30,9 @@ DELETED = [
     ("dfp.middleware.core", "_InProcPlane.apply_gap"),
     ("dfp.middleware.core", "_InProcPlane.send_request"),
     ("dfp.middleware.core", "_InProcPlane.send_response"),
+    ("dfp.middleware.core", "_InProcPlane.receive"),
+    ("dfp.middleware.core", "_LoopbackBus._deliver_wire"),
+    ("dfp.middleware.core", "_LoopbackBus._drain_pending"),
     ("dfp.middleware.core", "_LoopbackBus.send_request"),
     ("dfp.middleware.core", "_ServiceEndpoint.handle"),
     ("dfp.middleware.core", "Participant._complete_call"),

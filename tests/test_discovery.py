@@ -1,6 +1,7 @@
 """Dynamic discovery: announcements, liveliness expiry, loopback planes."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -267,3 +268,105 @@ def test_a_well_typed_nack_resends_what_it_names():
     assert nacked[:2] == clean[:2]
     resent = [decode_frame(raw) for _, raw in nacked[2] if (_, raw) not in clean[2]]
     assert [(f.msg_type, f.seq, f.payload) for f in resent] == [(MsgType.DATA, 1, b"one")]
+
+
+def _gap_run(first_available):
+    """A two-participant loopback run in which the reader is told, before
+    seqs 0-2 reach it, that the writer keeps only seqs from
+    ``first_available`` on (no such gap for None): what each side
+    discovers, the samples the reader takes, the seqs it counts as skipped,
+    and every frame the bus carried after the gap."""
+    d = Domain()
+    writer = d.create_participant("writer", Loopback(7500))
+    reader = d.create_participant("reader", Loopback(7500))
+    kept = TopicDescriptor("sensors/x", type_hash_of("t"),
+                           QoSProfile(Reliability.RELIABLE, History.keep_all()))
+    pub = writer.create_publisher(kept)
+    sub = reader.create_subscriber(kept)
+    d.spin()
+    bus = d.bus(7500)
+    logged = len(bus.frame_log)
+    if first_available is not None:
+        gap = {"kind": "gap", "topic": "sensors/x", "first_available": first_available}
+        bus.send(writer, Frame(MsgType.ANNOUNCE, 0, writer.participant_id, pub.entity_id, 0,
+                               json.dumps(gap).encode()))
+        logged += 1
+    for payload in (b"zero", b"one", b"two"):
+        pub.publish(payload)
+    d.advance(2 * HEARTBEAT_PERIOD_NS)
+    taken = [(s.seq, s.data) for s in sub.take()]
+    return (writer.discover("all"), reader.discover("all"), taken, sub.drops_gap,
+            bus.frame_log[logged:])
+
+
+# a gap names an int; a bool, a str, a float or a list is none
+BAD_GAPS = {"digit_str": "2", "bool": True, "float": 2.5, "list": [1]}
+
+
+@pytest.mark.parametrize("first_available", BAD_GAPS.values(), ids=BAD_GAPS.keys())
+def test_a_gap_whose_first_available_is_not_an_int_is_dropped(first_available):
+    assert _gap_run(first_available) == _gap_run(None)
+
+
+def test_a_well_typed_gap_skips_the_reader_ahead():
+    clean, gapped = _gap_run(None), _gap_run(2)
+    assert clean[2:4] == ([(0, b"zero"), (1, b"one"), (2, b"two")], 0)
+    assert gapped[:2] == clean[:2]
+    assert gapped[2:4] == ([(2, b"two")], 2)
+
+
+_ABSENT = object()
+# fields laid over a valid publisher record, one at a time (_ABSENT drops the key)
+BAD_PUBLISHER_RECORDS = {
+    "no_qos": {"qos": _ABSENT},
+    "qos_list": {"qos": [1]},
+    "qos_unknown_key": {"qos": {"speed": 1}},
+    "qos_bad_reliability": {"qos": {"reliability": "sometimes"}},
+    "topic_bad_name": {"topic": "Sensors X"},
+    "topic_int": {"topic": 5},
+    "no_topic": {"topic": _ABSENT},
+    "type_hash_str": {"type_hash": "1"},
+    "type_hash_bool": {"type_hash": True},
+    "type_hash_negative": {"type_hash": -1},
+    "next_seq_str": {"next_seq": "0"},
+    "next_seq_float": {"next_seq": 0.0},
+    "no_retained_first": {"retained_first": _ABSENT},
+    "retained_first_bool": {"retained_first": False},
+}
+
+
+def _publisher_record_run(fields):
+    """A two-participant loopback run in which the writer's participant id
+    announces one more publisher on the reader's topic, with ``fields``
+    laid over its record (no such record for None): what each side
+    discovers, and the samples the reader takes from the real publisher."""
+    d = Domain()
+    writer = d.create_participant("writer", Loopback(7600))
+    reader = d.create_participant("reader", Loopback(7600))
+    t = topic("sensors/x")
+    pub = writer.create_publisher(t)
+    sub = reader.create_subscriber(t)
+    d.spin()
+    if fields is not None:
+        record = {"kind": "publisher", "topic": t.name, "type_hash": t.type_hash,
+                  "qos": t.qos.to_json(), "next_seq": 0, "retained_first": 0}
+        record.update(fields)
+        record = {k: v for k, v in record.items() if v is not _ABSENT}
+        d.bus(7600).send(writer, Frame(MsgType.ANNOUNCE, 0, writer.participant_id, 99, 0,
+                                       json.dumps(record).encode()))
+    pub.publish(b"x")
+    d.advance(2 * HEARTBEAT_PERIOD_NS)
+    return writer.discover("all"), reader.discover("all"), [s.data for s in sub.take()]
+
+
+@pytest.mark.parametrize("fields", BAD_PUBLISHER_RECORDS.values(),
+                         ids=BAD_PUBLISHER_RECORDS.keys())
+def test_a_publisher_record_with_a_malformed_field_is_dropped(fields):
+    assert _publisher_record_run(fields) == _publisher_record_run(None)
+
+
+def test_a_well_formed_publisher_record_is_listed():
+    clean, announced = _publisher_record_run(None), _publisher_record_run({})
+    extra = Counter(announced[1]) - Counter(clean[1])
+    assert [(r.entity, r.descriptor.name) for r in extra.elements()] == [("publisher", "sensors/x")]
+    assert announced[2] == clean[2] == [b"x"]

@@ -2,8 +2,13 @@
 
 Each seeded script runs twice: once on a ``Domain``, whose spin returns at
 once when nothing can be due, and once on a reference domain that spins
-every participant on every call. Everything a user can observe must match.
+every participant on every call. The reference's participants also prune
+their peers and scan for NACKs by a full walk on every round, so the
+bounds by which a round skips those walks are checked against it.
+Everything a user can observe must match.
 """
+
+from functools import partial
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,13 +19,14 @@ from dfp.middleware import (
     InProcess,
     Loopback,
     MiddlewareError,
+    MsgType,
     QoSProfile,
     Reliability,
     ServiceDescriptor,
     TopicDescriptor,
     type_hash_of,
 )
-from dfp.middleware.core import ServiceFault
+from dfp.middleware.core import LIVELINESS_NS, NACK_INTERVAL_NS, ServiceFault
 from dfp.util import MS
 
 PORTS = (9301, 9302)
@@ -36,8 +42,41 @@ TOPICS = (
 SERVICES = ("svc/echo", "svc/fail", "svc/relay")
 
 
+def full_walk_prune(db, now: int) -> list:
+    """The reference prune: every peer's last heartbeat, on every call."""
+    dead = [pid for pid, last in db.peer_last_hb.items()
+            if pid != db.self_id and now - last >= LIVELINESS_NS]
+    gone: list = []
+    for pid in dead:
+        gone.extend(db.remove_participant(pid))
+    return gone
+
+
+def full_scan_nacks(bus, p, sub, now: int) -> None:
+    """The reference NACK scan: every receive state, on every call."""
+    for (pid, eid), state in sub._recv.items():
+        if not state.reliable_path or now - state.last_nack_ns < NACK_INTERVAL_NS:
+            continue
+        missing = [s for s in range(state.expected, state.high_water) if s not in state.pending]
+        if not missing:
+            continue
+        state.last_nack_ns = now
+        bus.broadcast(p, MsgType.NACK, {"target_pid": pid, "target_eid": eid,
+                                        "topic": state.topic, "missing": missing[:64]},
+                      entity_id=sub.entity_id)
+
+
 class AlwaysSpinDomain(Domain):
-    """The reference: every spin runs every participant's protocol round."""
+    """The reference: every spin runs every participant's protocol round, in
+    which each participant prunes and scans for NACKs by a full walk."""
+
+    def create_participant(self, name: str, transport=InProcess()):
+        p = super().create_participant(name, transport)
+        p._db.prune = partial(full_walk_prune, p._db)
+        if isinstance(transport, Loopback):
+            bus = self.bus(transport.port)
+            bus.send_nacks = partial(full_scan_nacks, bus)
+        return p
 
     def spin(self) -> None:
         for p in list(self._participants_by_id.values()):
@@ -148,6 +187,12 @@ def run_script(domain: Domain, script) -> list:
 # a participant created between them must still send its first heartbeat then
 @example([("create", None), ("create", None), ("spin",), ("create", None), ("spin",),
           ("clock", 5), ("spin",), ("discover", 0)])
+# a peer that went silent expires at exactly its last heartbeat plus the window
+@example([("create", None), ("create", None), ("clock", 1), ("spin",), ("clock", 300)])
+# a reader matched by a restated announcement, its replay not yet sent, NACKs
+# seqs it holds no later sample of
+@example([("create", PORTS[0]), ("create", PORTS[0]), ("publisher", 1, 2), ("publish", 0, b"a"),
+          ("spin",), ("subscriber", 0, 2), ("spin",)])
 def test_quiet_spin_is_observably_a_full_spin(script):
     assert run_script(Domain(), script) == run_script(AlwaysSpinDomain(), script)
 

@@ -9,10 +9,12 @@ import pytest
 import dfp.middleware.core as core
 from dfp.middleware import (
     Domain,
+    History,
     Loopback,
     QoSProfile,
     Reliability,
     ServiceDescriptor,
+    Timeout,
     TopicDescriptor,
     type_hash_of,
 )
@@ -24,6 +26,7 @@ from dfp.middleware.wire import (
     decode_frame,
     encode_frame,
 )
+from dfp.util import MS
 
 
 def u8(x):
@@ -168,6 +171,22 @@ def test_any_frame_round_trips(msg_type, flags, pid, eid, seq, payload):
     assert decode_frame(raw) == frame
 
 
+def _loopback_traffic(d: Domain, w, r, topic: TopicDescriptor) -> list:
+    """Two loopback participants exchange data, heartbeats and a call."""
+    sub, pub = r.create_subscriber(topic), w.create_publisher(topic)
+    w.register_service(ServiceDescriptor("codec/echo"), lambda req: req)
+    d.spin()
+    for i in range(40):
+        pub.publish(b"y%d" % i)
+    d.advance(300 * MS, MS)
+    try:
+        r.call("codec/echo", b"q", timeout_ms=20)
+    except Timeout:
+        pass  # a lost REQUEST or RESPONSE is not retransmitted
+    d.advance(300 * MS, MS)
+    return [s.data for s in sub.take()]
+
+
 def test_only_the_loopback_path_calls_the_codec_bound_in_core(monkeypatch):
     # the benchmark's tracer times the wire by wrapping these two module names
     calls = {"encode": 0, "decode": 0}
@@ -180,7 +199,8 @@ def test_only_the_loopback_path_calls_the_codec_bound_in_core(monkeypatch):
 
     monkeypatch.setattr(core, "encode_frame", counting("encode", core.encode_frame))
     monkeypatch.setattr(core, "decode_frame", counting("decode", core.decode_frame))
-    t = TopicDescriptor("codec/probe", type_hash_of("c"), QoSProfile(Reliability.RELIABLE))
+    t = TopicDescriptor("codec/probe", type_hash_of("c"),
+                        QoSProfile(Reliability.RELIABLE, History.keep_all()))
 
     d = Domain()
     w, r = d.create_participant("w"), d.create_participant("r")
@@ -191,12 +211,51 @@ def test_only_the_loopback_path_calls_the_codec_bound_in_core(monkeypatch):
     assert r.call("codec/echo", b"q") == b"q"
     assert calls == {"encode": 0, "decode": 0}  # the in-process plane never serialises
 
+    # on the loopback path every frame logged was encoded through the seam,
+    # and every frame taken from an inbox was decoded through it: each
+    # logged frame enters every other inbox unless the bus drops it
+    for port, loss in ((7301, 0.0), (7302, 0.2)):
+        d = Domain()
+        d.set_loss(port, loss, seed=11)
+        w, r = d.create_participant("w", Loopback(port)), d.create_participant("r", Loopback(port))
+        bus = d.bus(port)
+
+        def tally():
+            return (calls["encode"], calls["decode"], len(bus.frame_log), bus.dropped_frames,
+                    len(w._inbox) + len(r._inbox))
+
+        before = tally()
+        taken = _loopback_traffic(d, w, r, t)
+        encoded, decoded, logged, dropped, queued = (
+            after - first for after, first in zip(tally(), before))
+        assert taken == [b"y%d" % i for i in range(40)]  # NACKs recovered every loss
+        assert encoded == logged
+        assert decoded == logged - dropped - queued
+        assert decoded > 40 and (loss > 0) == (dropped > 0)
+
+
+def test_a_publish_whose_seq_leaves_u64_raises_and_sends_nothing():
     d = Domain()
-    w, r = d.create_participant("w", Loopback(7301)), d.create_participant("r", Loopback(7301))
+    w, r = d.create_participant("w", Loopback(7303)), d.create_participant("r", Loopback(7303))
+    t = TopicDescriptor("codec/seq", type_hash_of("c"),
+                        QoSProfile(Reliability.RELIABLE, History.keep_all()))
     sub, pub = r.create_subscriber(t), w.create_publisher(t)
     d.spin()
-    before = dict(calls)
-    pub.publish(b"y")
+    pub.publish(b"last")
+    bus = d.bus(7303)
+    logged, retained = list(bus.frame_log), list(pub._retained)
+    pub.next_seq = 2**64
+    with pytest.raises(FrameError, match=r"^seq out of range: 18446744073709551616$"):
+        pub.publish(b"x")
+    assert bus.frame_log == logged and list(pub._retained) == retained
+    assert pub.next_seq == 2**64 and pub.published_count == 1
     d.spin()
-    assert [s.data for s in sub.take()] == [b"y"]
-    assert calls["encode"] > before["encode"] and calls["decode"] > before["decode"]
+    assert [(s.seq, s.data) for s in sub.take()] == [(0, b"last")]
+
+
+def test_a_publisher_whose_entity_id_leaves_u32_raises_at_creation():
+    d = Domain()
+    w = d.create_participant("w", Loopback(7304))
+    w._next_entity = 2**32
+    with pytest.raises(FrameError, match=r"^entity_id out of range: 4294967296$"):
+        w.create_publisher(TopicDescriptor("codec/eid", type_hash_of("c")))
