@@ -68,7 +68,7 @@ ALLOWED = {
     ("dfp.hal", "_gen_v2x"): D5,
     ("dfp.middleware.core", "_LoopbackBus.call"): D6,
     ("dfp.middleware.core", "_LoopbackBus.send_response"): D6,
-    ("dfp.middleware.core", "_LoopbackBus.apply_gap"): D6,
+    ("dfp.middleware.core", "_LoopbackBus._apply_gap"): D6,
     ("dfp.funcsw.graph", "TaskGraph.stop_group"): D7,
     ("dfp.funcsw.graph", "TaskGraph.on_node_failure"): D7,
     ("dfp.modemgr", "StopGroup.to_json_obj"): D7,

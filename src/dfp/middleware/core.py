@@ -10,9 +10,9 @@ transport owns every operation that differs between the two:
   synchronously through per-topic state, samples are references into the
   topic's slot arena (no payload copies), and announcements and calls
   reach peers as direct calls, so nothing is ever serialised and the
-  inbox stays empty. The other wire duties (NACKs, remote matching) are
-  no-ops here, and a publisher keeps a retained ring only for a
-  transient-local topic.
+  inbox stays empty: a record reaches a peer as the typed value its
+  announcer built. Nothing is lost, so nothing is asked for again, and a
+  publisher keeps a retained ring only for a transient-local topic.
 - ``Loopback(port)`` joins the ``_LoopbackBus`` that all participants on that
   port share. ``send`` DFP1-encodes every frame, and the bus itself draws a
   seeded drop per (frame, receiver) at the port's ``Domain.set_loss``
@@ -23,9 +23,20 @@ transport owns every operation that differs between the two:
   ring for a reliable or a transient-local topic. Each participant keeps a
   route table from a matched publisher's ``(pid, eid)`` to its readers'
   receive states: matching fills it, unmatching empties it, and a DATA
-  frame goes through it to those readers alone. A publisher's participant
-  id, entity id and flags pass ``Frame``'s checks once, in its ANNOUNCE at
-  creation, so its DATA frames are built with only the seq checked.
+  frame goes through it to those readers alone. A publisher's entity id
+  fits u32 from its allocation, which refuses an id past u32 on either
+  transport before anything is registered; its participant id and flags
+  pass ``Frame``'s checks once, in its ANNOUNCE at creation, so its DATA
+  frames are built with only the seq checked.
+
+Discovery records are typed values (the control documents below): a peer's
+record crosses into a participant once, through ``_read_document`` on the
+loopback bus, which turns each ANNOUNCE, SUBSCRIBE, HEARTBEAT or NACK
+payload into its value or refuses it, and a refused frame is dropped.
+Nothing after the reader checks or parses the record again. The bus does
+the wire's duties with the value (matching a publisher, courting a
+subscriber, applying a gap, answering a NACK); the participant keeps only
+its discovery database.
 
 Services (``register_service`` / ``call``): each participant's discovery
 database indexes its service records by name, so ``call`` finds the
@@ -68,7 +79,8 @@ import json
 import random
 import re
 from collections import deque
-from typing import NamedTuple
+from itertools import islice
+from typing import NamedTuple, get_type_hints
 
 from dfp import DfpError
 from dfp.middleware.arena import (
@@ -94,8 +106,7 @@ from dfp.util import MS, ManualClock, stable_u64
 # the message types a handler branches on, bound once: each read through the
 # enum class is a lookup, and a decoded frame holds the member itself, so
 # the handlers compare with ``is``
-_DATA, _REQUEST, _RESPONSE, _HEARTBEAT, _NACK = (
-    MsgType.DATA, MsgType.REQUEST, MsgType.RESPONSE, MsgType.HEARTBEAT, MsgType.NACK)
+_DATA, _REQUEST, _RESPONSE, _NACK = MsgType.DATA, MsgType.REQUEST, MsgType.RESPONSE, MsgType.NACK
 
 HEARTBEAT_PERIOD_NS = 100 * MS
 LIVELINESS_PERIODS = 3
@@ -103,7 +114,7 @@ LIVELINESS_NS = LIVELINESS_PERIODS * HEARTBEAT_PERIOD_NS
 NACK_INTERVAL_NS = 5 * MS
 CALL_QUANTUM_NS = 1 * MS
 
-_TOPIC_NAME_RE = re.compile(r"^[a-z0-9_/]+$")
+_TOPIC_NAME_RE = re.compile(r"[a-z0-9_/]+")  # a whole name: ``fullmatch``, no trailing newline
 
 # one encoder and one decoder for every control document: ``json.dumps(obj,
 # sort_keys=True)`` and ``json.loads`` would give the same text and objects
@@ -165,7 +176,7 @@ class TopicDescriptor(_TopicFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not _TOPIC_NAME_RE.match(self.name):
+        if not _TOPIC_NAME_RE.fullmatch(self.name):
             raise MiddlewareError(f"bad topic name {self.name!r} (want [a-z0-9_/]+)")
         if not 0 <= self.type_hash < 2**64:
             raise MiddlewareError(f"type_hash out of u64 range: {self.type_hash}")
@@ -196,6 +207,11 @@ class InProcess(NamedTuple):
 
 class Loopback(NamedTuple):
     port: int
+
+
+# ``discover``'s filter -> the entities it lists
+_LISTED = {"topics": ("publisher", "subscriber"), "services": ("service",),
+           "all": ("participant", "publisher", "subscriber", "service")}
 
 
 class DiscoveryRecord(NamedTuple):
@@ -239,33 +255,166 @@ def _publisher_id(participant_id: int, entity_id: int) -> int:
     return ((participant_id << 24) | entity_id) & 0xFFFFFFFFFFFFFFFF
 
 
-def _topic_record(kind: str, topic: TopicDescriptor, **fields) -> dict:
-    """The discovery record of a publisher or subscriber on ``topic``."""
-    return {"kind": kind, "topic": topic.name, "type_hash": topic.type_hash,
-            "qos": topic.qos.to_json(), **fields}
+# --------------------------------------------------------------------------
+# control documents: a typed value each, declared once, read by one reader
+# --------------------------------------------------------------------------
+#
+# Each control document a peer sends is a named tuple below. Its fields are
+# the document's keys, and each field's annotation is a value type: the
+# exact check ``_read_document`` applies, a predicate named as the type of
+# JSON value it admits. (A plain function, not ``typing.Annotated``, whose
+# process-wide cache would keep each import of this module alive.)
+# ``_DOCUMENTS`` names the message type and "kind" that carry each
+# document. README "Wire format (DFP1)"
+# tabulates the same. A participant, publisher, subscriber or service
+# record's ``entry`` is its key in a discovery database and the descriptor
+# stored there, which ``discover`` lists. The in-process plane hands these
+# values to its peers as they are; the loopback bus sends each as its
+# document.
 
 
-def _announced_topic(info: dict) -> TopicDescriptor | None:
-    """The topic of a peer's publisher record, or None when a field is
-    malformed: ``topic`` must pass the topic-name rule, ``type_hash`` fit
-    u64, ``QoSProfile.from_json`` accept ``qos``, and ``next_seq`` and
-    ``retained_first`` be ints (a bool is not one)."""
-    name, type_hash, qos = info.get("topic"), info.get("type_hash"), info.get("qos")
-    if (type(name) is not str or type(type_hash) is not int or type(qos) is not dict
-            or type(info.get("next_seq")) is not int
-            or type(info.get("retained_first")) is not int):
+def Name(v) -> bool:
+    return type(v) is str and v != ""
+
+
+def TopicName(v) -> bool:
+    return type(v) is str and _TOPIC_NAME_RE.fullmatch(v) is not None
+
+
+def U64(v) -> bool:
+    return type(v) is int and 0 <= v < 2**64  # a bool is not an int
+
+
+def U32(v) -> bool:
+    return type(v) is int and 0 <= v < 2**32
+
+
+def QoS(v) -> bool:
+    return type(v) is dict  # which the reader then hands to ``QoSProfile.from_json``
+
+
+def SeqList(v) -> bool:
+    return type(v) is list and all(map(U64, v))
+
+
+def PairList(v) -> bool:  # of [pid, eid]
+    return type(v) is list and all(type(m) is list and len(m) == 2 and U64(m[0]) and U32(m[1])
+                                   for m in v)
+
+
+class _ParticipantRecord(NamedTuple):
+    """A participant's record, stated when it joins."""
+
+    name: Name
+
+    def entry(self, pid: int, eid: int) -> tuple:
+        return ("participant", pid), self.name
+
+
+class _Heartbeat(_ParticipantRecord):
+    """A liveliness assertion; it restates the participant's record to a late joiner."""
+
+    __slots__ = ()
+
+
+class _PublisherRecord(NamedTuple):
+    """A publisher's record: its topic, the seq it publishes next, and the
+    first seq its ring still holds."""
+
+    topic: TopicName
+    type_hash: U64
+    qos: QoS
+    next_seq: U64
+    retained_first: U64
+
+    def entry(self, pid: int, eid: int) -> tuple:
+        # the fields passed TopicDescriptor's checks: its own, or the reader's
+        return ("publisher", pid, eid), TopicDescriptor._make(self[:3])
+
+
+class _SubscriberRecord(NamedTuple):
+    """A subscriber's record: its topic, and the ``[pid, eid]`` of each
+    publisher it has matched, which need not announce or replay again."""
+
+    topic: TopicName
+    type_hash: U64
+    qos: QoS
+    matched: PairList
+
+    def entry(self, pid: int, eid: int) -> tuple:
+        return ("subscriber", pid, eid), TopicDescriptor._make(self[:3])
+
+
+class _ServiceRecord(NamedTuple):
+    """A service's record, keyed by its name."""
+
+    name: Name
+    request_type_hash: U64
+    response_type_hash: U64
+    entity_id: U32
+
+    def entry(self, pid: int, eid: int) -> tuple:
+        return ("service", pid, self.name), ServiceDescriptor._make(self[:3])
+
+
+class _Leave(NamedTuple):
+    """A graceful close: peers withdraw the sender's records at once."""
+
+
+class _Gap(NamedTuple):
+    """A publisher's ring no longer holds the seqs before ``first_available``."""
+
+    topic: TopicName
+    first_available: U64
+
+
+class _Nack(NamedTuple):
+    """A reader asks publisher ``(target_pid, target_eid)`` to resend ``missing``."""
+
+    target_pid: U64
+    target_eid: U32
+    topic: TopicName
+    missing: SeqList
+
+
+# (message type, "kind") -> the value its document reads into; a NACK has no kind
+_DOCUMENTS = {
+    (MsgType.ANNOUNCE, "participant"): _ParticipantRecord,
+    (MsgType.HEARTBEAT, "heartbeat"): _Heartbeat,
+    (MsgType.ANNOUNCE, "publisher"): _PublisherRecord,
+    (MsgType.SUBSCRIBE, "subscriber"): _SubscriberRecord,
+    (MsgType.ANNOUNCE, "service"): _ServiceRecord,
+    (MsgType.ANNOUNCE, "leave"): _Leave,
+    (MsgType.ANNOUNCE, "gap"): _Gap,
+    (MsgType.NACK, None): _Nack,
+}
+_SENT_AS = {cls: frame for frame, cls in _DOCUMENTS.items()}
+# (message type, "kind") -> each of its value's keys, with the key's value type
+_CHECKS = {frame: get_type_hints(cls) for frame, cls in _DOCUMENTS.items()}
+
+
+def _read_document(mt: MsgType, payload: bytes):
+    """The typed value of a peer's control document, or None to drop it.
+
+    The payload must be a UTF-8 JSON object that ``_DOCUMENTS`` declares
+    for ``mt`` and its "kind", with exactly its value's keys, each value of
+    its declared type. Nothing that reads the value checks it again.
+    """
+    try:  # a ValueError: not UTF-8 JSON; a RecursionError: nested past the parser
+        doc = _decode_json(payload.decode())
+        if type(doc) is not dict:
+            return None
+        # a NACK's "kind" stays in ``doc`` and fails the key check
+        kind = None if mt is _NACK else doc.pop("kind", None)
+        checks = _CHECKS.get((mt, kind)) if kind is None or type(kind) is str else None
+        if (checks is None or doc.keys() != checks.keys()
+                or not all(check(doc[key]) for key, check in checks.items())):
+            return None
+        if "qos" in doc:
+            doc["qos"] = QoSProfile.from_json(doc["qos"])
+    except (ValueError, RecursionError, QoSError):
         return None
-    try:
-        return TopicDescriptor(name, type_hash, QoSProfile.from_json(qos))
-    except (MiddlewareError, QoSError):
-        return None
-
-
-def _record_key(pid: int, eid: int, info: dict) -> tuple:
-    """An endpoint record's key in a discovery database: its kind, its
-    participant, and its entity id, or a service's name."""
-    kind = info["kind"]
-    return (kind, pid, info.get("name", "") if kind == "service" else eid)
+    return _DOCUMENTS[mt, kind](**doc)
 
 
 class ServiceFault(MiddlewareError):
@@ -286,9 +435,10 @@ class _DiscoveryDb:
     def __init__(self, self_id: int):
         self.self_id = self_id
         self.peer_last_hb: dict[int, int] = {}
-        # key -> ("publisher"|"subscriber", pid, eid) or ("service", pid, name)
-        # or ("participant", pid)
-        self.records: dict[tuple, dict] = {}
+        # ("publisher"|"subscriber", pid, eid), ("service", pid, name) or
+        # ("participant", pid) -> what ``discover`` lists: a TopicDescriptor,
+        # a ServiceDescriptor or the participant's name
+        self.records: dict[tuple, object] = {}
         # service name -> its keys in ``records``, in ``records`` order, so
         # the first is the provider a scan of ``records`` would find first
         self.services: dict[str, list[tuple]] = {}
@@ -300,10 +450,10 @@ class _DiscoveryDb:
     def heartbeat(self, pid: int, now: int) -> None:
         self.peer_last_hb[pid] = now
 
-    def add(self, key: tuple, info: dict, now: int) -> None:
+    def add(self, key: tuple, descriptor, now: int) -> None:
         if key[0] == "service" and key not in self.records:
             self.services.setdefault(key[2], []).append(key)
-        self.records[key] = info
+        self.records[key] = descriptor
         self.heartbeat(key[1], now)
 
     def remove_participant(self, pid: int) -> list[tuple]:
@@ -388,9 +538,21 @@ class _LoopbackBus:
         self.send(p, Frame(msg_type, flags, p.participant_id, entity_id, 0,
                            _encode_json(payload_obj).encode()))
 
+    def send_control(self, p: Participant, doc, entity_id: int = 0) -> None:
+        """Send a control value as its JSON document: its fields, its kind,
+        and a qos as ``to_json`` writes it. A publisher's ANNOUNCE carries
+        the flags of its DATA frames."""
+        msg_type, kind = _SENT_AS[type(doc)]
+        obj = doc._asdict() if kind is None else {"kind": kind, **doc._asdict()}
+        if "qos" in obj:
+            obj["qos"] = doc.qos.to_json()
+        flags = _qos_flags(doc.qos) if kind == "publisher" else 0
+        self.broadcast(p, msg_type, obj, entity_id, flags)
+
     def _send_data(self, pub: Publisher, seq: int, payload: bytes) -> None:
-        # the publisher's participant id, entity id and flags passed Frame's
-        # checks in its ANNOUNCE at creation; only the seq moves since
+        # the publisher's entity id fit u32 when it was allocated, and its
+        # participant id and flags passed Frame's checks in its ANNOUNCE at
+        # creation; only the seq moves since
         if not 0 <= seq < 2**64:
             raise FrameError(f"seq out of range: {seq}")
         participant = pub.participant
@@ -398,13 +560,11 @@ class _LoopbackBus:
             _DATA, pub._qos_flags, participant.participant_id, pub.entity_id, seq, payload)))
 
     def _check_known_topic(self, p: Participant, desc: TopicDescriptor) -> None:
-        for key, info in p._db.records.items():
-            if key[0] in ("publisher", "subscriber") and info["topic"] == desc.name:
-                if info["type_hash"] != desc.type_hash:
-                    raise TypeHashMismatch(
-                        f"topic {desc.name!r} is announced with type_hash "
-                        f"{info['type_hash']:#x}, got {desc.type_hash:#x}"
-                    )
+        for key, known in p._db.records.items():
+            if (key[0] in ("publisher", "subscriber") and known.name == desc.name
+                    and known.type_hash != desc.type_hash):
+                raise TypeHashMismatch(f"topic {desc.name!r} is announced with type_hash "
+                                       f"{known.type_hash:#x}, got {desc.type_hash:#x}")
 
     def new_publisher(self, p: Participant, topic: TopicDescriptor) -> Publisher:
         self._check_known_topic(p, topic)
@@ -461,11 +621,9 @@ class _LoopbackBus:
     def send_response(self, p: Participant, caller_pid: int, request_id: int, status: int,
                       body: bytes, code: int) -> None:
         payload = caller_pid.to_bytes(8, "big") + bytes([status])
-        if status == 0:
-            payload += body
-        else:
-            payload += code.to_bytes(4, "big") + body
-        self.send(p, Frame(_RESPONSE, 0, p.participant_id, 0, request_id, payload))
+        if status != 0:  # a fault carries its code before the message
+            payload += code.to_bytes(4, "big")
+        self.send(p, Frame(_RESPONSE, 0, p.participant_id, 0, request_id, payload + body))
 
     def send_nacks(self, p: Participant, sub: Subscriber, now: int) -> None:
         for (pid, eid), state in sub._recv.items():
@@ -474,35 +632,24 @@ class _LoopbackBus:
                 continue
             if now - state.last_nack_ns < NACK_INTERVAL_NS:
                 continue
-            # every pending seq is below high_water: what is missing lies in between
-            missing = [s for s in range(state.expected, state.high_water)
-                       if s not in state.pending]
+            # every pending seq is below high_water: what is missing lies in
+            # between; the first 64 are found without walking a wider gap
+            missing = list(islice((s for s in range(state.expected, state.high_water)
+                                   if s not in state.pending), 64))
             if not missing:
                 continue
             state.last_nack_ns = now
-            self.broadcast(p, MsgType.NACK, {
-                "target_pid": pid, "target_eid": eid,
-                "topic": state.topic, "missing": missing[:64],
-            }, entity_id=sub.entity_id)
+            self.send_control(p, _Nack(pid, eid, state.topic, missing), sub.entity_id)
 
     def _resend(self, pub: Publisher, seqs: list[int]) -> None:
         # the ring holds contiguous seqs from retained_first_seq() to next_seq
-        first = pub.retained_first_seq()
-        missing_evicted = False
+        held = range(pub.retained_first_seq(), pub.next_seq)
         for seq in seqs:
-            if not first <= seq < pub.next_seq:
-                missing_evicted = True
-                continue
-            payload = pub._retained[seq - first][1]
-            self._send_data(pub, seq, payload)
-        if missing_evicted:
+            if seq in held:
+                self._send_data(pub, seq, pub._retained[seq - held.start][1])
+        if not all(seq in held for seq in seqs):
             # retention window moved past the request; tell readers to skip ahead
-            self.broadcast(
-                pub.participant, MsgType.ANNOUNCE,
-                {"kind": "gap", "topic": pub.topic.name,
-                 "first_available": pub.retained_first_seq()},
-                entity_id=pub.entity_id,
-            )
+            self.send_control(pub.participant, _Gap(pub.topic.name, held.start), pub.entity_id)
 
     # -- receiving (from ``Participant.spin``) ----------------------------
 
@@ -544,38 +691,32 @@ class _LoopbackBus:
             if frame.payload[8] == 0:
                 slot.append((0, frame.payload[9:], 0))
             else:
-                code = int.from_bytes(frame.payload[9:13], "big")
-                slot.append((1, frame.payload[13:], code))
+                slot.append((1, frame.payload[13:], int.from_bytes(frame.payload[9:13], "big")))
         else:  # ANNOUNCE, SUBSCRIBE, HEARTBEAT and NACK carry one JSON document
-            try:
-                obj = _decode_json(frame.payload.decode())
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return
-            if type(obj) is not dict:
-                return  # JSON, but not the object every control document is
-            if mt is not _NACK:
-                p._handle_control(mt, frame.participant_id, frame.entity_id, obj)
-                return
-            # a NACK names ints only, and a bool is not one
-            pid, eid, missing = obj.get("target_pid"), obj.get("target_eid"), obj.get("missing")
-            if (type(pid) is int and pid == p.participant_id and type(eid) is int
-                    and type(missing) is list and all(type(s) is int for s in missing)):
-                pub = p.publishers.get(eid)
-                if pub is not None:
-                    self._resend(pub, missing)
+            doc = _read_document(mt, frame.payload)
+            kind = type(doc)
+            if kind is _Nack:
+                pub = p.publishers.get(doc.target_eid)
+                if pub is not None and doc.target_pid == p.participant_id:
+                    self._resend(pub, doc.missing)
+            elif doc is not None:  # a refused document is dropped here
+                pid, eid = frame.participant_id, frame.entity_id
+                if kind is _PublisherRecord:
+                    self._match_publisher(p, pid, eid, doc)
+                p._handle_control(pid, eid, doc)
+                if kind is _SubscriberRecord:
+                    self._court_subscriber(p, doc)
+                elif kind is _Gap:
+                    self._apply_gap(p, pid, eid, doc.first_available)
 
-    def match_publisher(self, p: Participant, pid: int, eid: int, info: dict) -> bool:
-        """Match a peer's publisher record with this participant's readers,
-        or return False, matching nothing, when a field is malformed."""
-        topic = _announced_topic(info)
-        if topic is None:
-            return False
-        key = (pid, eid)
-        next_seq = info["next_seq"]
+    def _match_publisher(self, p: Participant, pid: int, eid: int,
+                         record: _PublisherRecord) -> None:
+        """Match a peer's publisher record with this participant's readers."""
+        next_seq, key = record.next_seq, (pid, eid)
         for sub in p.subscribers.values():
-            if sub.topic.name != topic.name or sub.topic.type_hash != topic.type_hash:
+            if sub.topic.name != record.topic or sub.topic.type_hash != record.type_hash:
                 continue
-            linked = link(topic.qos, sub.topic.qos)
+            linked = link(record.qos, sub.topic.qos)
             if linked is None:
                 continue
             state = sub._recv.get(key)
@@ -583,31 +724,31 @@ class _LoopbackBus:
                 state.high_water = max(state.high_water, next_seq)
                 continue
             reliable, replays = linked
-            expected = info["retained_first"] if replays else next_seq
-            state = _RecvState(topic.name, expected, reliable, next_seq, _publisher_id(pid, eid))
+            expected = record.retained_first if replays else next_seq
+            state = _RecvState(record.topic, expected, reliable, next_seq, _publisher_id(*key))
             sub._recv[key] = state
             p._routes.setdefault(key, []).append((sub, state))
-        return True
 
-    def court_subscriber(self, p: Participant, info: dict) -> None:
-        matched = info.get("matched", ())
+    def _court_subscriber(self, p: Participant, record: _SubscriberRecord) -> None:
+        """Announce, and replay, each of this participant's publishers that
+        serves a peer's subscriber which has not matched it yet."""
         for pub in p.publishers.values():
-            if (pub.topic.name != info["topic"] or pub.topic.type_hash != info["type_hash"]
-                    or [p.participant_id, pub.entity_id] in matched):
+            if (pub.topic.name != record.topic or pub.topic.type_hash != record.type_hash
+                    or [p.participant_id, pub.entity_id] in record.matched):
                 continue
-            linked = link(pub.topic.qos, QoSProfile.from_json(info["qos"]))
+            linked = link(pub.topic.qos, record.qos)
             if linked is None:
                 continue
-            p._announce(pub)
+            p._announce(pub._record(), pub.entity_id)
             if linked[1]:  # replays
                 for seq, payload in pub._retained:
                     self._send_data(pub, seq, payload)
 
-    def apply_gap(self, p: Participant, pid: int, eid: int, obj: dict) -> None:
-        first = obj.get("first_available")
+    def _apply_gap(self, p: Participant, pid: int, eid: int, first: int) -> None:
+        """Skip the readers of publisher ``(pid, eid)`` ahead to ``first``."""
         route = p._routes.get((pid, eid))
-        if type(first) is not int or route is None:
-            return  # a gap names an int, and a bool is not one
+        if route is None:
+            return
         now = self.domain.clock.now_ns()
         for sub, state in route:
             if first <= state.expected:
@@ -668,9 +809,9 @@ class _InProcPlane:
         # synchronous plane: existing records are visible immediately
         now = self.domain.now_ns()
         for peer in self.participants:
-            for key, info in peer._db.records.items():
+            for key, desc in peer._db.records.items():
                 if key[1] == peer.participant_id:
-                    p._db.add(key, info, now)
+                    p._db.add(key, desc, now)
         self.participants.append(p)
 
     def detach(self, p: Participant) -> None:
@@ -689,16 +830,11 @@ class _InProcPlane:
     def topic_state(self, desc: TopicDescriptor) -> _InProcTopic:
         state = self.topics.get(desc.name)
         if state is None:
-            state = _InProcTopic(
-                desc.type_hash,
-                SlotArena(self.domain.arena_slot_size, self.domain.arena_slot_count),
-            )
-            self.topics[desc.name] = state
+            arena = SlotArena(self.domain.arena_slot_size, self.domain.arena_slot_count)
+            state = self.topics[desc.name] = _InProcTopic(desc.type_hash, arena)
         elif state.type_hash != desc.type_hash:
-            raise TypeHashMismatch(
-                f"topic {desc.name!r} already exists with type_hash "
-                f"{state.type_hash:#x}, got {desc.type_hash:#x}"
-            )
+            raise TypeHashMismatch(f"topic {desc.name!r} already exists with type_hash "
+                                   f"{state.type_hash:#x}, got {desc.type_hash:#x}")
         return state
 
     def _rematch(self, state: _InProcTopic, replay_to: Subscriber | None = None) -> None:
@@ -730,11 +866,11 @@ class _InProcPlane:
         self._rematch(state, replay_to=sub)
         return sub
 
-    def broadcast(self, p: Participant, msg_type: MsgType, payload_obj: dict,
-                  entity_id: int = 0, flags: int = 0) -> None:
+    def send_control(self, p: Participant, doc, entity_id: int = 0) -> None:
+        """Hand the typed value itself to every peer: nothing is serialised."""
         for peer in self.participants:
             if peer is not p:
-                peer._handle_control(msg_type, p.participant_id, entity_id, payload_obj)
+                peer._handle_control(p.participant_id, entity_id, doc)
 
     def publish(self, pub: Publisher, seq: int, payload: bytes) -> None:
         # one reference per holder: each matched subscriber, plus the ring
@@ -758,20 +894,12 @@ class _InProcPlane:
             raise ServiceNotFound(f"provider of {service_name!r} is gone")
         return peer.services[service_name].answer(request)
 
-    # the wire duties have nothing to do on the plane; an in-process
-    # participant's inbox stays empty, since control arrives as calls, so
-    # spin never asks the plane to receive
+    # an in-process participant's inbox stays empty, since control arrives
+    # as calls, so spin never asks the plane to receive; the plane matched,
+    # and replayed to, every endpoint when it was created
 
     def send_nacks(self, p: Participant, sub: Subscriber, now: int) -> None:
         """Nothing is lost on the plane, so nothing is asked for again."""
-
-    def match_publisher(self, p: Participant, pid: int, eid: int, info: dict) -> bool:
-        """The plane matched its endpoints when they were created, from
-        records it built itself."""
-        return True
-
-    def court_subscriber(self, p: Participant, info: dict) -> None:
-        """The plane matched, and replayed to, a subscriber when it was created."""
 
 
 # --------------------------------------------------------------------------
@@ -808,10 +936,8 @@ class Publisher:
     def retained_first_seq(self) -> int:
         return self._retained[0][0] if self._retained else self.next_seq
 
-    def _announcement(self) -> tuple[MsgType, int, dict]:
-        return MsgType.ANNOUNCE, self._qos_flags, _topic_record(
-            "publisher", self.topic, next_seq=self.next_seq,
-            retained_first=self.retained_first_seq())
+    def _record(self) -> _PublisherRecord:
+        return _PublisherRecord(*self.topic, self.next_seq, self.retained_first_seq())
 
     def publish(self, payload: bytes) -> int:
         self.participant._require_alive()
@@ -888,10 +1014,8 @@ class Subscriber:
     def queued(self) -> int:
         return len(self._queue)
 
-    def _announcement(self) -> tuple[MsgType, int, dict]:
-        # publishers already matched need not re-announce or replay
-        return MsgType.SUBSCRIBE, 0, _topic_record("subscriber", self.topic,
-                                                   matched=sorted(self._recv))
+    def _record(self) -> _SubscriberRecord:
+        return _SubscriberRecord(*self.topic, [[pid, eid] for pid, eid in sorted(self._recv)])
 
     def _check_deadline(self, now: int) -> None:
         """Count the deadlines missed by ``now``; spin calls this only when
@@ -907,14 +1031,8 @@ class _ServiceEndpoint:
         self.entity_id = entity_id
         self.handler = handler
 
-    def _announcement(self) -> tuple[MsgType, int, dict]:
-        return MsgType.ANNOUNCE, 0, {
-            "kind": "service",
-            "name": self.descriptor.service_name,
-            "request_type_hash": self.descriptor.request_type_hash,
-            "response_type_hash": self.descriptor.response_type_hash,
-            "entity_id": self.entity_id,
-        }
+    def _record(self) -> _ServiceRecord:
+        return _ServiceRecord(*self.descriptor, self.entity_id)
 
     def answer(self, request: bytes) -> tuple[int, bytes, int]:
         """Run the handler: ``(status, body, code)`` is ``(0, reply, 0)``, or
@@ -964,7 +1082,7 @@ class Participant:
         if not self.alive:
             return
         if graceful:
-            self._net.broadcast(self, MsgType.ANNOUNCE, {"kind": "leave"})
+            self._net.send_control(self, _Leave())
         self._net.detach(self)
         self.alive = False
 
@@ -976,17 +1094,11 @@ class Participant:
 
     def create_publisher(self, topic: TopicDescriptor) -> Publisher:
         self._require_alive()
-        pub = self._net.new_publisher(self, topic)
-        self.publishers[pub.entity_id] = pub
-        self._announce(pub)
-        return pub
+        return self._open(self.publishers, self._net.new_publisher(self, topic))
 
     def create_subscriber(self, topic: TopicDescriptor) -> Subscriber:
         self._require_alive()
-        sub = self._net.new_subscriber(self, topic)
-        self.subscribers[sub.entity_id] = sub
-        self._announce(sub)
-        return sub
+        return self._open(self.subscribers, self._net.new_subscriber(self, topic))
 
     def register_service(self, descriptor: ServiceDescriptor, handler) -> None:
         self._require_alive()
@@ -994,42 +1106,36 @@ class Participant:
         name = descriptor.service_name
         if name in self._db.services:
             raise DuplicateService(f"service {name!r} is already registered")
-        ep = _ServiceEndpoint(descriptor, self._alloc_entity(), handler)
-        self.services[name] = ep
-        self._announce(ep)
+        self._open(self.services, _ServiceEndpoint(descriptor, self._alloc_entity(), handler), name)
+
+    def _open(self, endpoints: dict, ep, key=None):
+        """Register a new endpoint under ``key``, by default its entity id,
+        and announce it."""
+        endpoints[ep.entity_id if key is None else key] = ep
+        self._announce(ep._record(), ep.entity_id)
+        return ep
 
     def _alloc_entity(self) -> int:
+        """The next entity id; every transport calls this before it registers
+        anything, so an id past u32 leaves the participant as it was."""
         eid = self._next_entity
-        self._next_entity += 1
+        if eid >= 2**32:
+            raise MiddlewareError(f"entity_id out of range: {eid}")
+        self._next_entity = eid + 1
         return eid
 
     # -- discovery ------------------------------------------------------------
 
     def discover(self, filter: str = "all") -> list[DiscoveryRecord]:
         """Snapshot of live records: 'topics', 'services' or 'all'."""
-        if filter not in ("topics", "services", "all"):
+        if filter not in _LISTED:
             raise MiddlewareError(f"bad discover filter {filter!r}")
         self._prune_db()
-        now = self.domain.now_ns()
-        out: list[DiscoveryRecord] = []
-        for key, info in sorted(self._db.records.items(), key=lambda kv: repr(kv[0])):
-            kind = key[0]
-            if filter == "topics" and kind not in ("publisher", "subscriber"):
-                continue
-            if filter == "services" and kind != "service":
-                continue
-            pid = key[1]
-            deadline = self._db.deadline_for(pid, now)
-            if kind in ("publisher", "subscriber"):
-                desc = TopicDescriptor(info["topic"], info["type_hash"],
-                                       QoSProfile.from_json(info["qos"]))
-            elif kind == "service":
-                desc = ServiceDescriptor(key[2], info.get("request_type_hash", 0),
-                                         info.get("response_type_hash", 0))
-            else:
-                desc = info.get("name", "")
-            out.append(DiscoveryRecord(kind, pid, desc, deadline))
-        return out
+        now, listed = self.domain.now_ns(), _LISTED[filter]
+        return [DiscoveryRecord(kind, pid, desc, self._db.deadline_for(pid, now))
+                for (kind, pid, *_), desc in sorted(self._db.records.items(),
+                                                    key=lambda kv: repr(kv[0]))
+                if kind in listed]
 
     def _prune_db(self) -> None:
         gone = self._db.prune(self.domain.now_ns())
@@ -1045,13 +1151,11 @@ class Participant:
 
     # -- announcements ---------------------------------------------------------
 
-    def _announce(self, ep: Publisher | Subscriber | _ServiceEndpoint) -> None:
-        """State one endpoint: its record enters this participant's own
-        database and goes out to every peer."""
-        msg_type, flags, info = ep._announcement()
-        self._db.add(_record_key(self.participant_id, ep.entity_id, info), info,
-                     self.domain.now_ns())
-        self._net.broadcast(self, msg_type, info, entity_id=ep.entity_id, flags=flags)
+    def _announce(self, record, entity_id: int = 0) -> None:
+        """State one of this participant's records, its own or an endpoint's:
+        it enters this participant's own database and goes out to every peer."""
+        self._db.add(*record.entry(self.participant_id, entity_id), self.domain.now_ns())
+        self._net.send_control(self, record, entity_id)
 
     # -- client/server ------------------------------------------------------------
 
@@ -1079,7 +1183,7 @@ class Participant:
             self._net.receive(self)
         now = self.domain.now_ns()
         if now >= self._next_hb_ns:
-            self._heartbeat(now)
+            self._heartbeat()
             self._next_hb_ns = now + HEARTBEAT_PERIOD_NS
         self._prune_db()
         for sub in self.subscribers.values():
@@ -1087,34 +1191,25 @@ class Participant:
             if sub._deadline_ns is not None:
                 sub._check_deadline(now)
 
-    def _heartbeat(self, now: int) -> None:
-        self._db.heartbeat(self.participant_id, now)
-        self._net.broadcast(self, MsgType.HEARTBEAT,
-                            {"kind": "heartbeat", "name": self.name})
+    def _heartbeat(self) -> None:
+        self._announce(_Heartbeat(self.name))  # which also asserts this participant's liveliness
         # frames may have been lost, or a peer may have expired our records
         # while we were not spinning: periodically restate every endpoint
         for ep in (*self.publishers.values(), *self.services.values(),
                    *self.subscribers.values()):
-            self._announce(ep)
+            self._announce(ep._record(), ep.entity_id)
 
-    def _handle_control(self, mt: MsgType, pid: int, eid: int, obj: dict) -> None:
+    def _handle_control(self, pid: int, eid: int, doc) -> None:
+        """Enter a peer's control value, already typed by its transport, in
+        the discovery database: a record is stored, a leave withdraws the
+        peer's records, and a gap only asserts the peer's liveliness. A NACK
+        never comes here. The transport does any wire duty itself."""
         now = self.domain.now_ns()
-        kind = obj.get("kind")
         self._db.heartbeat(pid, now)
-        if mt is _HEARTBEAT or kind == "participant":
-            # liveliness assertions double as identity for late joiners
-            self._db.add(("participant", pid), {"name": obj.get("name", "")}, now)
-        elif kind in ("publisher", "subscriber", "service"):
-            if kind == "publisher" and not self._net.match_publisher(self, pid, eid, obj):
-                return  # a publisher record with a malformed field is dropped
-            self._db.add(_record_key(pid, eid, obj), obj, now)
-            if kind == "subscriber":
-                self._net.court_subscriber(self, obj)
-        elif kind == "leave":
-            gone = self._db.remove_participant(pid)
-            self._unmatch(gone)
-        elif kind == "gap":
-            self._net.apply_gap(self, pid, eid, obj)
+        if type(doc) is _Leave:
+            self._unmatch(self._db.remove_participant(pid))
+        elif type(doc) is not _Gap:
+            self._db.add(*doc.entry(pid, eid), now)
 
 
 def _qos_flags(qos: QoSProfile) -> int:
@@ -1182,8 +1277,7 @@ class Domain:
         p = Participant(self, pid, name, net)
         net.join(p)
         self._participants_by_id[pid] = p
-        p._db.add(("participant", pid), {"name": name}, self.now_ns())
-        net.broadcast(p, MsgType.ANNOUNCE, {"kind": "participant", "name": name})
+        p._announce(_ParticipantRecord(name))
         return p
 
     def bus(self, port: int) -> _LoopbackBus:

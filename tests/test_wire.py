@@ -10,7 +10,9 @@ import dfp.middleware.core as core
 from dfp.middleware import (
     Domain,
     History,
+    InProcess,
     Loopback,
+    MiddlewareError,
     QoSProfile,
     Reliability,
     ServiceDescriptor,
@@ -257,5 +259,27 @@ def test_a_publisher_whose_entity_id_leaves_u32_raises_at_creation():
     d = Domain()
     w = d.create_participant("w", Loopback(7304))
     w._next_entity = 2**32
-    with pytest.raises(FrameError, match=r"^entity_id out of range: 4294967296$"):
+    with pytest.raises(MiddlewareError, match=r"^entity_id out of range: 4294967296$"):
         w.create_publisher(TopicDescriptor("codec/eid", type_hash_of("c")))
+
+
+@pytest.mark.parametrize("transport", [InProcess(), Loopback(7305)], ids=["inproc", "loopback"])
+def test_an_entity_id_past_u32_is_refused_before_anything_is_registered(transport):
+    # the id is allocated before the endpoint is registered or announced, so
+    # a refused creation leaves nothing that a later heartbeat would restate
+    d = Domain()
+    w = d.create_participant("w", transport)
+    r = d.create_participant("r", transport)
+    t = TopicDescriptor("codec/eid", type_hash_of("c"))
+    pub = w.create_publisher(t)
+    d.spin()
+    seen = r.discover("all")
+    w._next_entity = 2**32
+    for create in (lambda: w.create_publisher(t), lambda: w.create_subscriber(t),
+                   lambda: w.register_service(ServiceDescriptor("codec/svc"), bytes)):
+        with pytest.raises(MiddlewareError, match=r"^entity_id out of range: 4294967296$"):
+            create()
+    assert (w.publishers, w.subscribers, w.services) == ({pub.entity_id: pub}, {}, {})
+    d.advance(3 * core.HEARTBEAT_PERIOD_NS)  # the heartbeats restate only what exists
+    assert [(x.entity, x.descriptor) for x in r.discover("all")] == [
+        (x.entity, x.descriptor) for x in seen]
