@@ -22,18 +22,18 @@ literal past the float range as floats), a list of words is a list of
 str, and a pair is a two-item list.
 ``_parse`` builds a section's value from what ``_read`` returns, and a
 ``DfpError`` the build raises (a constructor's own check) gets the
-section's name in front, there and nowhere else.
+section's name in front.
 
-Validation is complete before any layer starts: every dangling
-cross-reference (unknown topic, group, algorithm, fsm, state, device,
-odd) fails with a diagnostic naming the offending reference.
-
-``build_pipeline`` is the one assembly of the task graph and the mode
-coordinator. Validation runs it with stub bodies, so everything the graph
-checks when it is built (wiring, stage order, cycles, port counts against
-each algorithm's descriptor, group binding against binding requirements)
-fails here as a ``ConfigurationError``; the runtime's ``Stack`` runs it
-with the real bodies.
+Validation is assembly, complete before a Stack starts: ``validate_config``
+runs ``dfp.runtime.assemble``, the one assembly the runtime's ``Stack``
+runs too, with the builtin bodies and a stub for each imported entry. So a
+dangling cross-reference (unknown topic, group, algorithm, fsm, state,
+device, odd) and every check a layer makes when it is built (a device's id
+and rate, an ODD's searchable tokens, wiring, stage order, cycles, port
+counts against each algorithm's descriptor, group binding against binding
+requirements, a builtin body's device, the modes' references) fail here as
+one ``ConfigurationError`` naming what is wrong, and each check is written
+only in its layer.
 """
 
 from __future__ import annotations
@@ -41,32 +41,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from dfp import ConfigurationError, DfpError
 from dfp.acc import AccConfig, Scenario, VehicleState
 from dfp.envmodel import OddQuery, RecordClass
-from dfp.funcsw import (
-    AlgorithmDescriptor,
-    AlgorithmRegistry,
-    GroupPolicy,
-    RestartPolicy,
-    Stage,
-    TaskGraph,
-    TaskNode,
-)
-from dfp.hal import MAX_RATE_HZ, DeviceDescriptor, DeviceKind
+from dfp.funcsw import AlgorithmDescriptor, GroupPolicy, RestartPolicy, Stage, TaskNode
+from dfp.hal import DeviceDescriptor, DeviceKind
 from dfp.middleware import QoSProfile, TopicDescriptor, type_hash_of
-from dfp.modemgr import (
-    Coordinator,
-    EmitEvent,
-    FsmDefinition,
-    Guard,
-    StartGroup,
-    StopGroup,
-    Transition,
-)
+from dfp.modemgr import EmitEvent, FsmDefinition, Guard, StartGroup, StopGroup, Transition
+from dfp.runtime import assemble
 
 
 class AccSetup(NamedTuple):
@@ -204,8 +189,6 @@ def _device(f: dict, context: str) -> DeviceDescriptor:
         kind = DeviceKind(f["kind"].lower())
     except ValueError:
         _fail(f"{context}: unknown kind {f['kind']!r}")
-    if not 0 < f["rate_hz"] <= MAX_RATE_HZ:
-        _fail(f"{context}: rate_hz {f['rate_hz']!r} out of (0, {MAX_RATE_HZ}]")
     return DeviceDescriptor(f["device_id"], kind, float(f["rate_hz"]), f["seed"],
                             f["binding_label"])
 
@@ -224,8 +207,6 @@ def _node(f: dict, context: str) -> TaskNode:
         stage = Stage[f["stage"].upper()]
     except KeyError:
         _fail(f"{context}: unknown stage {f['stage']!r}")
-    if "device_id" in f["config"]:  # the one config key validation cross-checks
-        _typed(f["config"]["device_id"], STR, context, "config device_id")
     return TaskNode(node_id=f["node_id"], stage=stage, inputs=f["inputs"], outputs=f["outputs"],
                     group_id=f["group"], algorithm=tuple(f["algorithm"]),
                     config=dict(f["config"]), config_modes=dict(f["config_modes"]),
@@ -271,9 +252,8 @@ def _odd(f: dict, context: str):
             class_filter = RecordClass(class_filter)
         except ValueError:
             _fail(f"{context}: unknown class_filter {class_filter!r}")
-    query = OddQuery(tuple(f["tokens"]), class_filter, None if window is None else tuple(window))
-    query.effective_tokens()
-    return f["name"], query
+    return f["name"], OddQuery(tuple(f["tokens"]), class_filter,
+                               None if window is None else tuple(window))
 
 
 def _acc(f: dict, context: str) -> AccSetup:
@@ -326,66 +306,14 @@ def parse_config(doc: dict, sha256: str = "") -> SystemConfig:
 
 
 def validate_config(cfg: SystemConfig) -> None:
-    """Resolve every cross-reference; raise with the failing name if not."""
-    _unique([d.device_id for d in cfg.devices], "device")
+    """Assemble every layer, imported entries stubbed; raise naming what one refuses."""
     _unique([t.name for t in cfg.topics], "topic")
-    _unique([(a.name, a.version) for a in cfg.algorithms], "algorithm")
-    _unique([f.fsm_id for f in cfg.fsms], "fsm")
-    _unique([name for name, _ in cfg.odds], "odd")
-
-    known_algorithms = {(a.name, a.version) for a in cfg.algorithms}
-    device_ids = {d.device_id for d in cfg.devices}
-    for node in cfg.nodes:
-        if node.algorithm not in known_algorithms:
-            _fail(f"node {node.node_id!r} references unknown algorithm "
-                  f"{node.algorithm[0]}@{node.algorithm[1]}")
-        dev = node.config.get("device_id")
-        if dev is not None and dev not in device_ids:
-            _fail(f"node {node.node_id!r} references unknown device {dev!r}")
-
-    try:
-        build_pipeline(cfg, lambda descriptor: _stub_factory)
-    except DfpError as exc:
-        _fail(f"pipeline: {exc}")
-
+    assemble(cfg, stub_imports=True)
     if cfg.acc is not None:
         fsm_ids = {f.fsm_id for f in cfg.fsms}
         for fsm_id, event in cfg.acc.engage_events:
             if fsm_id not in fsm_ids:
                 _fail(f"acc engage event references unknown fsm {fsm_id!r}")
-
-
-def _stub_factory(node):
-    return lambda inputs, config: {}
-
-
-def build_pipeline(cfg: SystemConfig, factory_for):
-    """Assemble the task graph and the mode coordinator ``cfg`` declares.
-
-    ``factory_for(descriptor)`` gives the body factory each algorithm is
-    registered with, or None to import its ``entry`` when a node resolves
-    it. The graph gets copies of the node declarations, since resolving a
-    node sets its body, so graphs built from one config share no node.
-    Returns ``(graph, coordinator)``; the graph is None when the config
-    declares no nodes, which an ``acc`` section, a plant for the graph to
-    drive, does not allow.
-    """
-    registry = AlgorithmRegistry()
-    for descriptor in cfg.algorithms:
-        registry.register(descriptor, factory_for(descriptor))
-    graph = None
-    if cfg.nodes:
-        graph = TaskGraph([replace(n, config=dict(n.config)) for n in cfg.nodes],
-                          cfg.groups, registry=registry,
-                          external_topics=cfg.topic_names())
-        for gid, policy in cfg.groups.items():
-            if policy.binding_label:
-                graph.bind(gid, policy.binding_label)
-    elif cfg.acc is not None:
-        raise ConfigurationError("the acc section needs pipeline nodes to drive its plant")
-    coordinator = Coordinator(groups=set(cfg.groups), group_controller=graph)
-    coordinator.load(cfg.fsms)
-    return graph, coordinator
 
 
 def load_config(path) -> SystemConfig:

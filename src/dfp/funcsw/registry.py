@@ -33,7 +33,7 @@ class AlgorithmRegistry:
         try:
             descriptor, factory = self._algorithms[key]
         except KeyError:
-            raise AlgorithmNotFound(f"no algorithm {name!r} at version {version!r}") from None
+            raise AlgorithmNotFound(f"no algorithm {name}@{version}") from None
         if factory is None:
             factory = self._load_entry(descriptor.entry)
             self._algorithms[key] = (descriptor, factory)

@@ -18,15 +18,18 @@ the runner does not recount a round. Every declared topic but the command
 is reported from the graph's produced count; graph ports are lossless, so
 such a topic delivers what it publishes and drops nothing.
 
-The graph and the mode coordinator come from ``dfp.config.build_pipeline``,
-the same assembly that validated the config, so a Stack starts only what
+``assemble`` is the one assembly of every layer a config declares: the
+HAL's devices, the store's saved ODDs, the task graph and the mode
+coordinator. ``dfp.config`` validates a config by assembling it, and a
+Stack takes its layers from the same function, so a Stack starts only what
 validation built. Node bodies resolve through the algorithm registry.
-Entries of the form ``builtin:<name>`` bind to the builders below;
-anything else is imported as ``module:attribute`` and called with the node
-to produce a body. An entry that does not import, or any other assembly
-failure, raises ``ConfigurationError``. Each Stack builds from copies of
-the config's node declarations, so two Stacks from one config drive
-independently.
+Entries of the form ``builtin:<name>`` bind to the builders below, over the
+assembly's HAL, store and acc section; anything else is imported as
+``module:attribute`` and called with the node to produce a body. Any
+``DfpError`` a layer raises, an entry that does not import included,
+becomes one ``ConfigurationError`` naming the device, the ODD or the
+pipeline. Each assembly builds from copies of the config's node
+declarations, so two Stacks from one config drive independently.
 """
 
 from __future__ import annotations
@@ -34,15 +37,17 @@ from __future__ import annotations
 import logging
 import math
 import struct
+from dataclasses import replace
+from functools import partial
 from typing import NamedTuple
 
 from dfp import ConfigurationError, DfpError, RuntimeFault
 from dfp.acc import Collision, desired_gap, lead_speed_at, plant_step, simulate
-from dfp.config import SystemConfig, build_pipeline
 from dfp.envmodel import EnvStore
-from dfp.hal import DeviceRegistry, normalize
+from dfp.funcsw import AlgorithmRegistry, TaskGraph
+from dfp.hal import DeviceKind, DeviceRegistry, normalize
 from dfp.middleware import Domain
-from dfp.modemgr import StartGroup, StopGroup
+from dfp.modemgr import Coordinator, StartGroup, StopGroup
 from dfp.util import canonical_json, clamp
 
 log = logging.getLogger("dfp.runtime")
@@ -51,11 +56,17 @@ log = logging.getLogger("dfp.runtime")
 COMMAND = struct.Struct("<d")
 
 
-# -- builtin node bodies --------------------------------------------------------
+# -- builtin node bodies: each builder takes (hal, env, acc, node) ---------------
 
 
-def _builtin_radar_acquire(stack: "Stack", node):
-    handle = stack.hal.handle(node.config["device_id"])
+def _builtin_radar_acquire(hal, env, acc, node):
+    device_id = node.config.get("device_id")
+    if type(device_id) is not str:
+        raise ConfigurationError(
+            f"node {node.node_id!r}: config device_id must be str, not {device_id!r}")
+    handle = hal.handle(device_id)
+    if handle.descriptor.kind is not DeviceKind.RADAR:
+        raise ConfigurationError(f"node {node.node_id!r}: device {device_id!r} is not a radar")
     out_topic = node.outputs[0]
     in_topic = node.inputs[0]
 
@@ -65,7 +76,7 @@ def _builtin_radar_acquire(stack: "Stack", node):
     return body
 
 
-def _builtin_normalize(stack: "Stack", node):
+def _builtin_normalize(hal, env, acc, node):
     out_topic = node.outputs[0]
     in_topic = node.inputs[0]
 
@@ -75,28 +86,32 @@ def _builtin_normalize(stack: "Stack", node):
     return body
 
 
-def _builtin_env_ingest(stack: "Stack", node):
+def _builtin_env_ingest(hal, env, acc, node):
     out_topic = node.outputs[0]
     in_topic = node.inputs[0]
 
     def body(inputs, config):
-        record_id = stack.env.ingest(inputs[in_topic])
+        record_id = env.ingest(inputs[in_topic])
         return {out_topic: {"record_id": record_id}}
 
     return body
 
 
-def _builtin_acc_planner(stack: "Stack", node):
-    cfg = stack.config.acc.config if stack.config.acc else None
-    if cfg is None:
-        raise ConfigurationError(
-            f"node {node.node_id!r} needs the acc config section")
+def _gains(acc, node):
+    """The acc section's controller gains, which an ACC node cannot do without."""
+    if acc is None:
+        raise ConfigurationError(f"node {node.node_id!r} needs the acc config section")
+    return acc.config
+
+
+def _builtin_acc_planner(hal, env, acc, node):
+    cfg = _gains(acc, node)
     lead_topic, odom_topic = node.inputs
     out_topic = node.outputs[0]
     kp, kv = cfg.kp, cfg.kv  # read once: a named tuple's field costs more than a local
 
     def body(inputs, config):
-        record = stack.env.read(inputs[lead_topic]["record_id"])
+        record = env.read(inputs[lead_topic]["record_id"])
         gap = record.attributes["range_m"]
         closing = record.attributes["range_rate_mps"]  # v_lead - v_ego
         v_ego = inputs[odom_topic]["speed_mps"]
@@ -108,11 +123,8 @@ def _builtin_acc_planner(stack: "Stack", node):
     return body
 
 
-def _builtin_acc_controller(stack: "Stack", node):
-    cfg = stack.config.acc.config if stack.config.acc else None
-    if cfg is None:
-        raise ConfigurationError(
-            f"node {node.node_id!r} needs the acc config section")
+def _builtin_acc_controller(hal, env, acc, node):
+    cfg = _gains(acc, node)
     in_topic = node.inputs[0]
     out_topic = node.outputs[0]
     accel_min, accel_max = cfg.accel_min, cfg.accel_max
@@ -133,6 +145,52 @@ BUILTIN_BODIES = {
 }
 
 
+def assemble(cfg, stub_imports: bool = False):
+    """Every layer the system config ``cfg`` declares, built by its own constructor.
+
+    Returns ``(hal, env, graph, coordinator)``; the graph is None when the
+    config declares no nodes. An ``acc`` section, a plant for the graph to
+    drive, needs nodes and a ``control/*`` topic for its command. The graph
+    gets copies of the node declarations, since resolving a node sets its
+    body. With ``stub_imports``, an entry that is not builtin gets a body
+    that produces nothing instead of being imported, so validating imports
+    nothing.
+    """
+    hal, env, registry = DeviceRegistry(), EnvStore(), AlgorithmRegistry()
+    try:
+        for descriptor in cfg.devices:
+            where = f"device {descriptor.device_id!r}"
+            hal.register_device(descriptor)
+        for name, query in cfg.odds:
+            where = f"odd {name!r}"
+            env.save_odd(name, query)
+        where = "pipeline"
+        for descriptor in cfg.algorithms:
+            builder = BUILTIN_BODIES.get(descriptor.entry)
+            if builder is not None:
+                factory = partial(builder, hal, env, cfg.acc)
+            else:  # None: the registry imports the entry when a node resolves it
+                factory = (lambda node: lambda inputs, config: {}) if stub_imports else None
+            registry.register(descriptor, factory)
+        graph = None
+        if cfg.nodes:
+            graph = TaskGraph([replace(n, config=dict(n.config)) for n in cfg.nodes],
+                              cfg.groups, registry=registry,
+                              external_topics=cfg.topic_names())
+            for gid, policy in cfg.groups.items():
+                if policy.binding_label:
+                    graph.bind(gid, policy.binding_label)
+        elif cfg.acc is not None:
+            raise ConfigurationError("the acc section needs pipeline nodes to drive its plant")
+        if cfg.acc is not None and not any(t.name.startswith("control/") for t in cfg.topics):
+            raise ConfigurationError("the acc section needs a control/* topic for its command")
+        coordinator = Coordinator(groups=set(cfg.groups), group_controller=graph)
+        coordinator.load(cfg.fsms)
+    except DfpError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+    return hal, env, graph, coordinator
+
+
 class RunResult(NamedTuple):
     metrics: dict
     trajectory: list
@@ -145,21 +203,12 @@ class RunResult(NamedTuple):
 class Stack:
     """Every layer assembled from one validated system config."""
 
-    def __init__(self, config: SystemConfig, seed: int | None = None):
+    def __init__(self, config, seed: int | None = None):
         self.config = config
         self.seed = config.seed if seed is None else seed
         self.domain = Domain()
         self.platform = self.domain.create_participant("platform")
-        self.hal = DeviceRegistry()
-        for descriptor in config.devices:
-            self.hal.register_device(descriptor)
-        self.env = EnvStore()
-        for name, query in config.odds:
-            self.env.save_odd(name, query)
-        try:
-            self.graph, coordinator = build_pipeline(config, self._factory_for)
-        except DfpError as exc:  # an entry that does not import, say
-            raise ConfigurationError(f"pipeline: {exc}") from exc
+        self.hal, self.env, self.graph, coordinator = assemble(config)
         # without a graph there is nothing for modes to drive: none are reported
         self.coordinator = coordinator if self.graph is not None else None
         # the command topic is the declared control/* topic (README, "System configuration")
@@ -173,11 +222,6 @@ class Stack:
             managed = self._fsm_managed_groups()
             self.graph.start(groups=[g for g in config.groups if g not in managed])
         self._fsm_dispatches = 0
-
-    def _factory_for(self, descriptor):
-        """Bind a builtin entry to this stack; None imports the entry on demand."""
-        builder = BUILTIN_BODIES.get(descriptor.entry)
-        return None if builder is None else (lambda node: builder(self, node))
 
     def _fsm_managed_groups(self) -> set:
         """Groups any FSM action references; their start/stop is mode-driven."""
@@ -195,9 +239,7 @@ class Stack:
         self._fsm_dispatches += 1
         return self.coordinator.dispatch(fsm_id, event)
 
-    def _take_command(self):
-        if self._command_sub is None:
-            return None
+    def _take_command(self):  # a drive has a command topic: assemble checks it
         accel = None
         for sample in self._command_sub.take():
             (accel,) = COMMAND.unpack(sample.data)
@@ -324,7 +366,7 @@ class Stack:
         }
 
 
-def reference_trajectory(config: SystemConfig, dt: float | None = None):
+def reference_trajectory(config, dt: float | None = None):
     """Direct closed-loop re-integration of the configured scenario.
 
     Independent of the stack path: no devices, transport, store or graph,
