@@ -86,7 +86,6 @@ ALLOWED = {
     ("dfp.config", "_fail"): ERROR_PATH,
     ("dfp.acc", "Collision.__init__"): ERROR_PATH,
     ("dfp.funcsw.types", "CycleDetected.__init__"): ERROR_PATH,
-    ("dfp.funcsw.types", "StaticKeyWhileRunning.__init__"): ERROR_PATH,
     ("dfp.middleware.core", "RemoteError.__init__"): ERROR_PATH,
     ("dfp.middleware.core", "ServiceFault.__init__"): ERROR_PATH,
     ("dfp.modemgr", "CascadeOverflow.__init__"): ERROR_PATH,
@@ -95,11 +94,6 @@ ALLOWED = {
     ("dfp.middleware.core", "Subscriber.queued"): OBSERVED,
     ("dfp.middleware.core", "Subscriber._check_deadline"): PAPER,
     ("dfp.funcsw.graph", "TaskGraph.lifecycle_of"): OBSERVED,
-    ("dfp.funcsw.graph", "TaskGraph.add_node"): PAPER,
-    ("dfp.funcsw.graph", "TaskGraph.remove_node"): PAPER,
-    ("dfp.funcsw.graph", "TaskGraph.configure"): PAPER,
-    ("dfp.funcsw.graph", "TaskGraph.binding_of"): PAPER,
-    ("dfp.funcsw.types", "TaskNode.mode_of"): PAPER,
     ("dfp.modemgr", "EmitEvent.to_json_obj"): PAPER,
     ("dfp.middleware.arena", "SlotArena.retain"): PAPER,
     ("dfp.hal", "_norm_camera"): PAPER,

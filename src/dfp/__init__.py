@@ -5,7 +5,7 @@ Layers, bottom up:
 - ``dfp.hal``        simulated hardware abstraction (devices, frames, normalization)
 - ``dfp.middleware`` pub/sub + client/server with QoS, zero-copy in-process
   transport, DFP1-framed lossy loopback transport, and dynamic discovery
-- ``dfp.funcsw``     data-flow task graphs: grouping, binding, configuration,
+- ``dfp.funcsw``     data-flow task graphs wired once: grouping, binding,
   deterministic scheduling rounds, lifecycle management
 - ``dfp.envmodel``   classified environment records with CRUD, fuzzy token
   queries and saved ODD definitions

@@ -33,7 +33,9 @@ and rate, an ODD's searchable tokens, wiring, stage order, cycles, port
 counts against each algorithm's descriptor, group binding against binding
 requirements, a builtin body's device, the modes' references) fail here as
 one ``ConfigurationError`` naming what is wrong, and each check is written
-only in its layer.
+only in its layer. ``validate_config`` itself checks what no layer builds:
+topic names are unique, and each acc engage event names an fsm and an
+event one of that fsm's transitions takes.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ ALGORITHM = {"name": (STR, NAME), "version": (STR, REQUIRED), "entry": (STR, REQ
 NODE = {"node_id": (STR, NAME), "stage": (STR, REQUIRED), "inputs": (WORDS, []),
         "outputs": (WORDS, []), "group": (STR, REQUIRED),
         "algorithm": ((_pair("[name, version]", STR),), REQUIRED),
-        "config": (DICT, {}), "config_modes": (DICT, {}), "watchdog_ms": (NUMBER, 1000.0)}
+        "config": (DICT, {}), "watchdog_ms": (NUMBER, 1000.0)}
 GROUP = {"binding_label": (STR_OR_NULL, None), "restart_policy": (RESTART, "never")}
 FSM = {"fsm_id": (STR, NAME), "states": (WORDS, REQUIRED), "initial": (STR, REQUIRED),
        "transitions": (LIST, [])}
@@ -156,9 +158,6 @@ def _read(obj, context: str, keys: dict) -> tuple[dict, str]:
     context naming ``obj`` (the section, then its NAME key's value)."""
     if type(obj) is not dict:
         _fail(f"{context}: must be an object, not {obj!r}")
-    unknown = obj.keys() - keys.keys()
-    if unknown:
-        _fail(f"{context}: unknown keys {sorted(unknown)}")
     out = {}
     for key, (types, default) in keys.items():
         if key in obj:
@@ -169,6 +168,9 @@ def _read(obj, context: str, keys: dict) -> tuple[dict, str]:
             out[key] = default
         if default is NAME:
             context = f"{context} {out[key]!r}"
+    unknown = obj.keys() - keys.keys()
+    if unknown:
+        _fail(f"{context}: unknown keys {sorted(unknown)}")
     return out, context
 
 
@@ -209,8 +211,7 @@ def _node(f: dict, context: str) -> TaskNode:
         _fail(f"{context}: unknown stage {f['stage']!r}")
     return TaskNode(node_id=f["node_id"], stage=stage, inputs=f["inputs"], outputs=f["outputs"],
                     group_id=f["group"], algorithm=tuple(f["algorithm"]),
-                    config=dict(f["config"]), config_modes=dict(f["config_modes"]),
-                    watchdog_ms=float(f["watchdog_ms"]))
+                    config=dict(f["config"]), watchdog_ms=float(f["watchdog_ms"]))
 
 
 def _group(f: dict, context: str) -> GroupPolicy:
@@ -310,10 +311,13 @@ def validate_config(cfg: SystemConfig) -> None:
     _unique([t.name for t in cfg.topics], "topic")
     assemble(cfg, stub_imports=True)
     if cfg.acc is not None:
-        fsm_ids = {f.fsm_id for f in cfg.fsms}
+        events = {f.fsm_id: {t.event for t in f.transitions} for f in cfg.fsms}
         for fsm_id, event in cfg.acc.engage_events:
-            if fsm_id not in fsm_ids:
+            if fsm_id not in events:
                 _fail(f"acc engage event references unknown fsm {fsm_id!r}")
+            if event not in events[fsm_id]:
+                _fail(f"acc engage event {[fsm_id, event]!r}: "
+                      f"no transition of fsm {fsm_id!r} takes it")
 
 
 def load_config(path) -> SystemConfig:

@@ -1,8 +1,8 @@
-"""Data-flow task orchestration: grouping, binding, configuration,
-deterministic scheduling rounds and lifecycle management.
+"""Data-flow task orchestration: grouping, binding, deterministic
+scheduling rounds and lifecycle management.
 
-A ``TaskGraph`` is built from node declarations whose input ports bind to
-topics. A node fires in a round only when every input port holds fresh
+A ``TaskGraph`` is built once from node declarations whose input ports
+bind to topics; its wiring does not change after that. A node fires in a round only when every input port holds fresh
 data; fired nodes execute in topological order (ties broken by node id)
 and their outputs propagate within the same round. Firing consumes input
 freshness. ``TaskGraph.step`` returns the values the round produced; the
@@ -28,9 +28,7 @@ from dfp.funcsw.types import (
     RestartPolicy,
     Stage,
     StageOrderViolation,
-    StaticKeyWhileRunning,
     TaskNode,
-    UnknownConfigKey,
     UnknownGroup,
     UnknownNode,
     UnresolvedInput,
@@ -54,10 +52,8 @@ __all__ = [
     "RestartPolicy",
     "Stage",
     "StageOrderViolation",
-    "StaticKeyWhileRunning",
     "TaskGraph",
     "TaskNode",
-    "UnknownConfigKey",
     "UnknownGroup",
     "UnknownNode",
     "UnresolvedInput",

@@ -2,13 +2,13 @@
 
 A round runs a plan compiled at wiring time: per node, in topological
 order, its input cells, its declared outputs and its consumers' cells.
-``add_node`` and ``remove_node`` rebuild it; a round only walks it.
+The wiring is fixed once the graph is built; a round only walks the plan.
 
 The graph keeps the one record of what a round did. As a round fires a
 node it adds to the node's fired count and keeps the largest simulated
 ``elapsed_ms`` the node has reported, and it counts each topic a fired node
-produces. These counts live for the graph's lifetime and survive rebuilds;
-the run report reads them (``fired_count_of``, ``max_elapsed_ms_of``,
+produces. These counts live for the graph's lifetime; the run report
+reads them (``fired_count_of``, ``max_elapsed_ms_of``,
 ``restart_count_of``, ``produced_count_of``). A failure is logged once, in
 ``trace``, with its node, full reason and round. ``step`` returns only
 the values the round produced.
@@ -28,11 +28,8 @@ from dfp.funcsw.types import (
     LEGAL_TRANSITIONS,
     NodeResult,
     PortSchemaMismatch,
-    Stage,
     StageOrderViolation,
-    StaticKeyWhileRunning,
     TaskNode,
-    UnknownConfigKey,
     UnknownGroup,
     UnknownNode,
     UnresolvedInput,
@@ -110,12 +107,13 @@ class TaskGraph:
                 raise UnknownGroup(
                     f"node {node.node_id!r} names unknown group {node.group_id!r}")
             self._resolve_body(node)
-        self._state: dict[str, _NodeState] = {}
-        self._produced_counts: dict[str, int] = {}
         self._validate_wiring()
+        self._state = {nid: _NodeState(node) for nid, node in self.nodes.items()}
+        self._produced_counts = {topic: 0 for node in self.nodes.values()
+                                 for topic in node.outputs}
+        self._compile()
         self.started = False
         self._round = 0
-        self._in_round = False
         self.trace: list[dict] = []  # lifecycle transition log
 
     # -- construction helpers -------------------------------------------------
@@ -173,25 +171,17 @@ class TaskGraph:
         self.consumers = consumers
         self.edges = edges
         self.topo_order = _toposort(list(self.nodes), edges)
-        self._compile()
 
     def _compile(self) -> None:
-        """Give every node a state and compile the firing plan.
+        """Compile the firing plan over the nodes' states.
 
-        Ports have rate 1 and the topological order is fixed, so the
-        round's schedule is computed once here, as in static scheduling of
-        synchronous data flow, and rebuilt only when the wiring changes.
-        A plan entry is ``(node id, node, state, (topic, cell) input pairs,
-        declared outputs, {output: consumers' cells})``; a cell is a port's
-        ``[value, fresh]`` list. Bodies are read when a node fires, so
-        ``swap_algorithm`` needs no rebuild.
+        Ports have rate 1 and the wiring is fixed, so the round's schedule
+        is computed once here, as in static scheduling of synchronous data
+        flow. A plan entry is ``(node id, node, state, (topic, cell) input
+        pairs, declared outputs, {output: consumers' cells})``; a cell is a
+        port's ``[value, fresh]`` list. Bodies are read when a node fires, so
+        ``swap_algorithm`` needs no new plan.
         """
-        # a node keeps its state, and so its port cells and counters, across
-        # rebuilds; so does a produced topic its count
-        self._state = {nid: self._state.get(nid) or _NodeState(node)
-                       for nid, node in self.nodes.items()}
-        self._produced_counts = {topic: self._produced_counts.get(topic, 0)
-                                 for node in self.nodes.values() for topic in node.outputs}
         # every consumed topic, so a caller may feed a produced topic too
         self._cells = {topic: tuple(self._state[nid].ports[topic] for nid in nids)
                        for topic, nids in self.consumers.items()}
@@ -277,7 +267,7 @@ class TaskGraph:
                              f"restart {state.restart_count}/{policy.limit}")
         return state.lifecycle
 
-    # -- binding and configuration ------------------------------------------------
+    # -- binding and algorithm swap -----------------------------------------------
 
     def bind(self, group_id: str, compute_label: str) -> None:
         """Pin a group to a compute unit label; static once started."""
@@ -296,25 +286,6 @@ class TaskGraph:
                     f"{compute_label!r}")
         self.groups[group_id].binding_label = compute_label
 
-    def binding_of(self, node_id: str) -> str | None:
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise UnknownNode(f"no node {node_id!r}")
-        return self.groups[node.group_id].binding_label
-
-    def configure(self, node_id: str, patch: dict) -> None:
-        """Patch node config; static keys are sealed once the graph starts."""
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise UnknownNode(f"no node {node_id!r}")
-        for key in patch:
-            if key not in node.config:
-                raise UnknownConfigKey(
-                    f"node {node_id!r} has no config key {key!r}")
-            if self.started and node.mode_of(key) == "static":
-                raise StaticKeyWhileRunning(key)
-        node.config.update(patch)
-
     def swap_algorithm(self, node_id: str, version: str) -> None:
         """Swap a node to another registered version with compatible ports."""
         node = self.nodes.get(node_id)
@@ -328,42 +299,6 @@ class TaskGraph:
         node.algorithm = (name, version)
         self._descriptors[node_id] = descriptor
         node.body = factory(node)
-
-    # -- dynamic service nodes -------------------------------------------------
-
-    def add_node(self, node: TaskNode) -> None:
-        """Add a SERVICE-stage node between rounds and revalidate the graph."""
-        if self._in_round:
-            raise GraphError("cannot mutate the graph during a round")
-        if node.stage != Stage.SERVICE:
-            raise GraphError("only service-stage nodes may be added dynamically")
-        if node.node_id in self.nodes:
-            raise DuplicateNodeId(f"duplicate node id {node.node_id!r}")
-        if node.group_id not in self.groups:
-            raise UnknownGroup(f"node {node.node_id!r} names unknown group "
-                               f"{node.group_id!r}")
-        self._resolve_body(node)
-        self.nodes[node.node_id] = node
-        try:
-            self._validate_wiring()
-        except GraphError:
-            del self.nodes[node.node_id]
-            self._validate_wiring()
-            raise
-        if self.started:
-            self._transition(node.node_id, Lifecycle.CONFIGURED, "configure")
-            self._transition(node.node_id, Lifecycle.RUNNING, "start_group")
-
-    def remove_node(self, node_id: str) -> None:
-        if self._in_round:
-            raise GraphError("cannot mutate the graph during a round")
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise UnknownNode(f"no node {node_id!r}")
-        if node.stage != Stage.SERVICE:
-            raise GraphError("only service-stage nodes may be removed dynamically")
-        del self.nodes[node_id]
-        self._validate_wiring()
 
     # -- the firing engine --------------------------------------------------------
 
@@ -380,15 +315,8 @@ class TaskGraph:
         """
         if not self.started:
             raise GraphError("step() before start()")
-        self._in_round = True
-        try:
-            return self._run_round(external_inputs or {})
-        finally:
-            self._in_round = False
-
-    def _run_round(self, external_inputs: dict) -> dict:
         cells = self._cells
-        for topic, value in external_inputs.items():
+        for topic, value in (external_inputs or {}).items():
             for cell in cells.get(topic, ()):
                 cell[0] = value
                 cell[1] = True

@@ -8,7 +8,6 @@ from dfp.funcsw.types import (
     AlgorithmDescriptor,
     AlgorithmNotFound,
     DuplicateAlgorithm,
-    GraphError,
 )
 
 
@@ -41,9 +40,7 @@ class AlgorithmRegistry:
 
     @staticmethod
     def _load_entry(entry: str):
-        module_name, sep, attr = entry.partition(":")
-        if not sep or not module_name or not attr:
-            raise GraphError(f"entry must look like 'module:attribute', got {entry!r}")
+        module_name, _, attr = entry.partition(":")
         try:
             module = importlib.import_module(module_name)
             return getattr(module, attr)

@@ -44,16 +44,6 @@ class BindingConflict(GraphError):
     pass
 
 
-class StaticKeyWhileRunning(GraphError):
-    def __init__(self, key: str):
-        super().__init__(f"config key {key!r} is static and the graph is running")
-        self.key = key
-
-
-class UnknownConfigKey(GraphError):
-    pass
-
-
 class DuplicateAlgorithm(GraphError):
     pass
 
@@ -124,7 +114,8 @@ class _AlgorithmFields(NamedTuple):
 
 
 class AlgorithmDescriptor(_AlgorithmFields):
-    """A named tuple; constructing one raises ``GraphError`` for a version that is not semver."""
+    """A named tuple; constructing one raises ``GraphError`` for a version that
+    is not semver or an entry that is not of the ``module:attribute`` form."""
 
     __slots__ = ()
 
@@ -132,6 +123,9 @@ class AlgorithmDescriptor(_AlgorithmFields):
         self = super().__new__(cls, *args, **kwargs)
         if not _SEMVER_RE.match(self.version):
             raise GraphError(f"version must be semver (x.y.z), got {self.version!r}")
+        module_name, sep, attr = self.entry.partition(":")
+        if not sep or not module_name or not attr:
+            raise GraphError(f"entry must look like 'module:attribute', got {self.entry!r}")
         return self
 
 
@@ -145,7 +139,6 @@ class TaskNode:
     algorithm: tuple[str, str] | None = None  # (name, version) in the registry
     body: object = None  # step callable; resolved from the registry when None
     config: dict = field(default_factory=dict)
-    config_modes: dict = field(default_factory=dict)  # key -> "static"|"dynamic"
     watchdog_ms: float = 1000.0
 
     def __post_init__(self):
@@ -153,14 +146,6 @@ class TaskNode:
         self.outputs = tuple(self.outputs)
         if self.watchdog_ms <= 0:
             raise GraphError(f"watchdog_ms must be positive, got {self.watchdog_ms}")
-        for key, mode in self.config_modes.items():
-            if mode not in ("static", "dynamic"):
-                raise GraphError(f"config mode for {key!r} must be static|dynamic")
-            if key not in self.config:
-                raise UnknownConfigKey(f"mode declared for unknown config key {key!r}")
-
-    def mode_of(self, key: str) -> str:
-        return self.config_modes.get(key, "static")
 
 
 class NodeResult(NamedTuple):

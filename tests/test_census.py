@@ -60,6 +60,16 @@ DELETED = [
     ("dfp.middleware.core", "Participant._announce_publisher"),
     ("dfp.middleware.core", "Participant._announce_subscriber"),
     ("dfp.middleware.core", "Participant._announce_service"),
+    # the task graph is wired once, from the config
+    ("dfp.funcsw.graph", "TaskGraph.add_node"),
+    ("dfp.funcsw.graph", "TaskGraph.remove_node"),
+    ("dfp.funcsw.graph", "TaskGraph.configure"),
+    ("dfp.funcsw.graph", "TaskGraph.binding_of"),
+    ("dfp.funcsw.graph", "TaskGraph._run_round"),
+    ("dfp.funcsw.types", "TaskNode.mode_of"),
+    ("dfp.funcsw.types", "StaticKeyWhileRunning"),
+    ("dfp.funcsw.types", "StaticKeyWhileRunning.__init__"),
+    ("dfp.funcsw.types", "UnknownConfigKey"),
     # value types are named tuples whose checks run in ``__new__``
     ("dfp.acc", "VehicleState.__post_init__"),
     ("dfp.acc", "AccConfig.__post_init__"),
