@@ -76,8 +76,11 @@ ALLOWED = {
     ("dfp.funcsw.graph", "TaskGraph.swap_algorithm"): D16,
     ("dfp.acc", "simulate"): ORACLE,
     ("dfp.acc", "acc_command"): ORACLE,
+    ("dfp.util", "clamp"): ORACLE,
     ("dfp.funcsw.registry", "AlgorithmRegistry._load_entry"): ERROR_PATH,
     ("dfp.funcsw.graph", "_find_cycle"): ERROR_PATH,
+    ("dfp.funcsw.graph", "TaskGraph._settle"): ERROR_PATH,
+    ("dfp.middleware.arena", "BufferHandle.release"): ERROR_PATH,
     ("dfp.envmodel", "EnvStore._unindex_tag"): ERROR_PATH,
     ("dfp.envmodel", "EnvStore.close"): ERROR_PATH,
     ("dfp.envmodel", "EnvStore.__enter__"): ERROR_PATH,
@@ -96,6 +99,7 @@ ALLOWED = {
     ("dfp.funcsw.graph", "TaskGraph.lifecycle_of"): OBSERVED,
     ("dfp.modemgr", "EmitEvent.to_json_obj"): PAPER,
     ("dfp.middleware.arena", "SlotArena.retain"): PAPER,
+    ("dfp.hal", "_pick"): PAPER,
     ("dfp.hal", "_norm_camera"): PAPER,
     ("dfp.hal", "_norm_gps"): PAPER,
     ("dfp.hal", "_norm_hdmap"): PAPER,

@@ -558,26 +558,25 @@ class EnvStore:
         """Store or replace a record, post it under its tags and enter it in
         every saved ODD it matches. A replacement with the same timestamp
         takes its old place in the postings of every tag it keeps."""
-        rid = rec.record_id
+        rid, tags, ts = rec.record_id, rec.tags, rec.timestamp_ns
         old = self._records.get(rid)
         self._records[rid] = rec
-        kept = ()
         if old is not None:
-            if old.timestamp_ns == rec.timestamp_ns:
-                kept = old.tags
+            if old.timestamp_ns == ts:
+                tags = tags - old.tags  # a kept tag's posting was replaced in place
                 self._unpost(old, rec)
             else:
                 self._unpost(old)
         postings = self._postings
-        for tag in rec.tags:
-            if tag in kept:
-                continue
+        for tag in tags:
             run = postings.get(tag)
             if run is None:  # the tag's first posting
                 postings[tag] = [rec]
                 self._index_tag(tag)
+            elif run[-1].timestamp_ns < ts:
+                run.append(rec)  # a drive's ingests arrive in order
             else:
-                _insert(run, rec)
+                run.insert(_position(run, rec), rec)
         for odd in self._tag_odds(rec.tags):
             if odd.admits(rec):
                 _insert(odd.matches, rec)

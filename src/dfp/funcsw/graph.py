@@ -1,8 +1,12 @@
 """Graph construction, validation and the deterministic firing engine.
 
 A round runs a plan compiled at wiring time: per node, in topological
-order, its input cells, its declared outputs and its consumers' cells.
-The wiring is fixed once the graph is built; a round only walks the plan.
+order, its held input values, its declared outputs and, per output, the
+consumers it feeds. A node's freshness is a bitmask, one bit per input
+port, and the node fires when it equals the node's ``need`` mask (every
+port's bit while RUNNING, -1 otherwise): one comparison per node. A firing
+body gets a copy of the node's held values as its ``inputs``. The wiring is
+fixed once the graph is built; a round only walks the plan.
 
 The graph keeps the one record of what a round did. As a round fires a
 node it adds to the node's fired count and keeps the largest simulated
@@ -37,15 +41,18 @@ from dfp.funcsw.types import (
 
 
 class _NodeState:
-    __slots__ = ("lifecycle", "restart_count", "ports", "fired", "max_elapsed_ms")
+    __slots__ = ("lifecycle", "restart_count", "held", "fresh", "full", "need",
+                 "fired", "max_elapsed_ms")
 
     def __init__(self, node: TaskNode):
         self.lifecycle = Lifecycle.CREATED
         self.restart_count = 0
         self.fired = 0
         self.max_elapsed_ms = 0.0  # the largest simulated cost of a firing
-        # port -> [value, fresh]
-        self.ports = {topic: [None, False] for topic in node.inputs}
+        self.held = dict.fromkeys(node.inputs)  # port -> its last value, in port order
+        self.fresh = 0  # bit i set: port i holds data no firing has consumed
+        self.full = (1 << len(self.held)) - 1  # every port's bit
+        self.need = -1  # the fresh mask the node fires at: full while RUNNING, else none
 
 
 def _toposort(node_ids, edges) -> list[str]:
@@ -177,20 +184,24 @@ class TaskGraph:
 
         Ports have rate 1 and the wiring is fixed, so the round's schedule
         is computed once here, as in static scheduling of synchronous data
-        flow. A plan entry is ``(node id, node, state, (topic, cell) input
-        pairs, declared outputs, {output: consumers' cells})``; a cell is a
-        port's ``[value, fresh]`` list. Bodies are read when a node fires, so
-        ``swap_algorithm`` needs no new plan.
+        flow. A plan entry is ``(node, state, held values, declared
+        outputs, {output: its consumers})``. A consumer is ``(state, held
+        values, port bit)``; port ``i`` of a node has bit ``1 << i``. A node
+        fires when its ``fresh`` mask equals its ``need`` mask, which
+        ``_transition`` keeps at every port's bit while the node is RUNNING
+        and at -1, which no mask equals, otherwise. Bodies are read when a
+        node fires, so ``swap_algorithm`` needs no new plan.
         """
         # every consumed topic, so a caller may feed a produced topic too
-        self._cells = {topic: tuple(self._state[nid].ports[topic] for nid in nids)
-                       for topic, nids in self.consumers.items()}
+        self._consumers = {
+            topic: tuple((self._state[nid], self._state[nid].held,
+                          1 << list(self._state[nid].held).index(topic)) for nid in nids)
+            for topic, nids in self.consumers.items()}
         plan = []
         for nid in self.topo_order:
             node, state = self.nodes[nid], self._state[nid]
-            routes = {topic: self._cells.get(topic, ()) for topic in node.outputs}
-            plan.append((nid, node, state, tuple(state.ports.items()),
-                         frozenset(node.outputs), routes))
+            routes = {topic: self._consumers.get(topic, ()) for topic in node.outputs}
+            plan.append((node, state, state.held, frozenset(node.outputs), routes))
         self._plan = tuple(plan)
 
     # -- lifecycle --------------------------------------------------------------
@@ -202,6 +213,7 @@ class TaskGraph:
             raise GraphError(f"illegal lifecycle transition {frm.value} -> {to.value} "
                              f"for node {node_id!r}")
         state.lifecycle = to
+        state.need = state.full if to is Lifecycle.RUNNING else -1
         self.trace.append({"node": node_id, "from": frm.value, "to": to.value,
                            "reason": reason, "round": self._round})
 
@@ -261,8 +273,7 @@ class TaskGraph:
         policy = self.groups[self.nodes[node_id].group_id].restart_policy
         if state.restart_count < policy.limit:
             state.restart_count += 1
-            for port in state.ports.values():
-                port[1] = False  # a restarted node never replays a half round
+            state.fresh = 0  # a restarted node never replays a half round
             self._transition(node_id, Lifecycle.RUNNING,
                              f"restart {state.restart_count}/{policy.limit}")
         return state.lifecycle
@@ -307,58 +318,73 @@ class TaskGraph:
         for every topic a node produced in it.
 
         A node fires iff it is RUNNING and every input port holds fresh
-        data. Fired nodes execute in topological order and their outputs
-        propagate within the round. Non-firing is not an error. The round
-        counts as it goes: each fired node's firings and largest simulated
-        ``elapsed_ms``, and each produced topic's rounds. A failed node's
-        ``trace`` entry, with ``to == "failed"``, holds the reason.
+        data; firing consumes that freshness. Its body gets a dict of its
+        own: keeping or changing it changes nothing the node sees later.
+        Fired nodes execute in topological order and their outputs
+        propagate within the round. Non-firing is not an error. A body
+        returns a dict of outputs, a ``NodeResult``, or None for nothing;
+        anything else, like a raised exception, a watchdog overrun or an
+        undeclared output, fails the node. The round counts as it goes:
+        each fired node's firings and largest simulated ``elapsed_ms``, and
+        each produced topic's rounds. A failed node's ``trace`` entry, with
+        ``to == "failed"``, holds the reason.
         """
         if not self.started:
             raise GraphError("step() before start()")
-        cells = self._cells
-        for topic, value in (external_inputs or {}).items():
-            for cell in cells.get(topic, ()):
-                cell[0] = value
-                cell[1] = True
+        if external_inputs:
+            consumers = self._consumers
+            for topic, value in external_inputs.items():
+                for state, held, bit in consumers.get(topic, ()):
+                    held[topic] = value
+                    state.fresh |= bit
         produced = {}
         counts = self._produced_counts
-        running = Lifecycle.RUNNING
-        for nid, node, state, ports, declared, routes in self._plan:
-            if state.lifecycle is not running:
+        for node, state, held, declared, routes in self._plan:
+            if state.fresh != state.need:
                 continue
-            inputs = {}
-            for topic, cell in ports:
-                if not cell[1]:
-                    break
-                inputs[topic] = cell[0]
-            if len(inputs) != len(ports):
-                continue
-            for _, cell in ports:
-                cell[1] = False  # consume-on-fire
+            state.fresh = 0  # consume-on-fire
             try:
-                result = node.body(inputs, node.config)
+                outputs = node.body(held.copy(), node.config)
             except Exception as exc:
-                self.on_node_failure(nid, f"fault: {exc}")
+                self.on_node_failure(node.node_id, f"fault: {exc}")
                 continue
-            if isinstance(result, NodeResult):
-                outputs, cost_ms = result.outputs, result.elapsed_ms
-            else:
-                outputs, cost_ms = (result or {}), 0.0
-            if cost_ms > node.watchdog_ms:
-                self.on_node_failure(nid, "watchdog")
-                continue
-            if not declared.issuperset(outputs):
-                self.on_node_failure(
-                    nid, f"undeclared outputs {sorted(set(outputs) - declared)}")
-                continue
+            if type(outputs) is not dict or not declared.issuperset(outputs):
+                outputs = self._settle(node, state, declared, outputs)
+                if outputs is None:
+                    continue
             state.fired += 1
-            if cost_ms > state.max_elapsed_ms:
-                state.max_elapsed_ms = cost_ms
             for topic, value in outputs.items():
                 produced[topic] = value
                 counts[topic] += 1
-                for cell in routes[topic]:
-                    cell[0] = value
-                    cell[1] = True
+                for consumer, consumer_held, bit in routes[topic]:
+                    consumer_held[topic] = value
+                    consumer.fresh |= bit
         self._round += 1
         return produced
+
+    def _settle(self, node: TaskNode, state: _NodeState, declared: frozenset, result):
+        """The outputs of a body result that is not a dict of declared
+        outputs, or None once the node has failed with it.
+
+        None is no outputs. A ``NodeResult`` gives its outputs, and its
+        ``elapsed_ms`` becomes the node's largest cost if the node fires
+        with it. Any other result, a cost that is not a number or is over
+        the watchdog, or an undeclared output fails the node.
+        """
+        if result is None:
+            return {}  # the body produced nothing
+        outputs, cost_ms = result if isinstance(result, NodeResult) else (result, 0.0)
+        if not isinstance(cost_ms, (int, float)):
+            reason = f"elapsed_ms must be a number, not {type(cost_ms).__name__}"
+        elif cost_ms > node.watchdog_ms:
+            reason = "watchdog"
+        elif not isinstance(outputs, dict):
+            reason = f"outputs must be a dict, not {type(outputs).__name__}"
+        elif not declared.issuperset(outputs):
+            reason = f"undeclared outputs {sorted(set(outputs) - declared)}"
+        else:
+            if cost_ms > state.max_elapsed_ms:
+                state.max_elapsed_ms = cost_ms
+            return outputs
+        self.on_node_failure(node.node_id, reason)
+        return None

@@ -199,8 +199,13 @@ def _norm_camera(raw):
 
 
 def _norm_radar(raw):
+    # the raw form inline, not through _pick: a drive normalizes a radar frame every step
+    if "range_km" in raw:
+        range_m = raw["range_km"] * 1000.0
+    else:
+        range_m = _pick(raw, "range_km", "range_m", None)  # never converts: no range_km
     return {
-        "range_m": _pick(raw, "range_km", "range_m", lambda v: v * 1000.0),
+        "range_m": range_m,
         "range_rate_mps": float(raw["range_rate_mps"]),
         "azimuth_rad": float(raw.get("azimuth_rad", 0.0)),
     }
@@ -290,9 +295,6 @@ class DeviceHandle:
         self.descriptor = descriptor
         self._next_seq = 0
 
-    def _timestamp(self, seq: int) -> int:
-        return round(seq * 1e9 / self.descriptor.rate_hz)
-
     def stamp(self, raw: dict) -> SensorFrame:
         """Wrap caller-supplied raw attributes in the next frame slot.
 
@@ -302,19 +304,20 @@ class DeviceHandle:
         over and does not change it afterwards.
         """
         seq = self._next_seq
-        self._next_seq += 1
-        return SensorFrame(self.descriptor.device_id, self.descriptor.kind,
-                           seq, self._timestamp(seq), raw)
+        self._next_seq = seq + 1
+        desc = self.descriptor
+        return SensorFrame(desc.device_id, desc.kind, seq, round(seq * 1e9 / desc.rate_hz), raw)
 
     def tick(self, n: int = 1) -> list[SensorFrame]:
         """Generate the next ``n`` synthetic frames for this device."""
-        gen = _GENERATORS[self.descriptor.kind]
+        desc = self.descriptor
+        gen = _GENERATORS[desc.kind]
         frames = []
         for _ in range(n):
             seq = self._next_seq
-            self._next_seq += 1
-            frames.append(SensorFrame(self.descriptor.device_id, self.descriptor.kind,
-                                      seq, self._timestamp(seq), gen(self.descriptor, seq)))
+            self._next_seq = seq + 1
+            frames.append(SensorFrame(desc.device_id, desc.kind, seq,
+                                      round(seq * 1e9 / desc.rate_hz), gen(desc, seq)))
         return frames
 
 

@@ -248,7 +248,10 @@ class Sample:
         """
         if self._held:
             self._held = False
-            self.payload.release()
+            handle = self.payload
+            arena = handle._arena  # None for a wire-received payload
+            if arena is not None:
+                arena.release(handle.slot)
 
 
 def _publisher_id(participant_id: int, entity_id: int) -> int:
@@ -584,7 +587,7 @@ class _LoopbackBus:
         # sent first: a seq out of range raises before the ring takes it
         self._send_data(pub, seq, payload)
         if pub._retains:
-            pub._retain(seq, payload)
+            pub._retained.append((seq, payload))
 
     def call(self, p: Participant, provider: int, service_name: str, request: bytes,
              timeout_ms: int) -> tuple[int, bytes, int]:
@@ -665,7 +668,7 @@ class _LoopbackBus:
                 # a DATA frame goes to the readers matched with its publisher
                 route = routes.get((frame.participant_id, frame.entity_id))
                 if route is not None:
-                    self._handle_data(route, frame.seq, frame.payload, self.domain.clock.now_ns())
+                    self._handle_data(route, frame.seq, frame.payload, self.domain.clock.now)
             else:
                 self._handle_frame(p, frame)
 
@@ -749,7 +752,7 @@ class _LoopbackBus:
         route = p._routes.get((pid, eid))
         if route is None:
             return
-        now = self.domain.clock.now_ns()
+        now = self.domain.clock.now
         for sub, state in route:
             if first <= state.expected:
                 continue
@@ -874,14 +877,15 @@ class _InProcPlane:
 
     def publish(self, pub: Publisher, seq: int, payload: bytes) -> None:
         # one reference per holder: each matched subscriber, plus the ring
-        subs = pub._matched_subs
-        handle = pub._arena.acquire(payload, len(subs) + pub._retains)
+        subs, arena = pub._matched_subs, pub._arena
+        handle = arena.acquire(payload, len(subs) + pub._retains)
         if pub._retains:
-            evicted = pub._retain(seq, handle)
-            if evicted is not None:
-                evicted.release()
+            ring = pub._retained
+            if len(ring) == ring.maxlen:  # the append drops the oldest: release its slot
+                arena.release(ring[0][1].slot)
+            ring.append((seq, handle))
         # one sample per delivery, every one on the same handle: no copy
-        name, pid, now = pub.topic.name, pub.publisher_id, self.domain.now_ns()
+        name, pid, now = pub.topic.name, pub.publisher_id, self.domain.clock.now
         for sub in subs:
             sub._enqueue(Sample(name, seq, pid, now, handle))
 
@@ -919,19 +923,12 @@ class Publisher:
         self.next_seq = 0
         self._arena = arena  # None on the loopback path
         # retained ring: (seq, handle-or-bytes), kept when the transport says
-        # so; serves transient-local replay and reliable retransmission
-        self._retained: deque = deque()
-        self._retain_depth = topic.qos.history.depth  # None = unbounded
+        # so; serves transient-local replay and reliable retransmission. An
+        # append past the history depth drops the oldest (no depth: keep all)
+        self._retained: deque = deque(maxlen=topic.qos.history.depth)
         self._retains = retains
         self._matched_subs: tuple = ()
         self.published_count = 0
-
-    def _retain(self, seq: int, item):
-        """Ring ``item``; return the item it evicts, or None."""
-        self._retained.append((seq, item))
-        if self._retain_depth is not None and len(self._retained) > self._retain_depth:
-            return self._retained.popleft()[1]
-        return None
 
     def retained_first_seq(self) -> int:
         return self._retained[0][0] if self._retained else self.next_seq
@@ -940,7 +937,8 @@ class Publisher:
         return _PublisherRecord(*self.topic, self.next_seq, self.retained_first_seq())
 
     def publish(self, payload: bytes) -> int:
-        self.participant._require_alive()
+        if not self.participant.alive:  # checked inline: publish is a hot path
+            self.participant._require_alive()
         if type(payload) is not bytes and not isinstance(payload, bytes):
             if not isinstance(payload, (bytearray, memoryview)):
                 raise MiddlewareError("payload must be bytes-like")
@@ -979,8 +977,8 @@ class Subscriber:
         self.participant = participant
         self.topic = topic
         self.entity_id = entity_id
-        self._depth = topic.qos.history.depth  # None = keep all
-        self._queue: deque[Sample] = deque()
+        # an append past the history depth drops the oldest (no depth: keep all)
+        self._queue: deque[Sample] = deque(maxlen=topic.qos.history.depth)
         # loopback receive protocol state, keyed by (pid, eid)
         self._recv: dict[tuple[int, int], _RecvState] = {}
         self.delivered_count = 0
@@ -992,11 +990,11 @@ class Subscriber:
         self._last_activity_ns = participant.domain.now_ns()
 
     def _enqueue(self, sample: Sample) -> None:
-        if self._depth is not None and len(self._queue) >= self._depth:
-            old = self._queue.popleft()
-            old.release()
+        queue = self._queue
+        if len(queue) == queue.maxlen:  # the append drops the oldest: release it
+            queue[0].release()
             self.drops_overflow += 1
-        self._queue.append(sample)
+        queue.append(sample)
         self.delivered_count += 1
         self._last_activity_ns = sample.timestamp_ns
 
@@ -1246,7 +1244,7 @@ class Domain:
         self._stirred = False
 
     def now_ns(self) -> int:
-        return self.clock.now_ns()
+        return self.clock.now
 
     def set_loss(self, port: int, drop_probability: float, seed: int = 0) -> None:
         """Set the probability that a loopback port's bus drops a frame on its
@@ -1293,7 +1291,7 @@ class Domain:
         done. (A round whose clock moved under it leaves a stale instant that
         the clock, which never goes back, does not read again.)
         """
-        now = self.clock.now_ns()
+        now = self.clock.now
         if now == self._quiet_ns and not self._stirred:
             return
         # a spin nested in this round (a handler that calls) runs in full

@@ -42,6 +42,10 @@ class UnknownGroupRef(ModeManagerError):
     pass
 
 
+class UnknownEventRef(ModeManagerError):
+    pass
+
+
 class UnknownFsm(ModeManagerError):
     pass
 
@@ -180,10 +184,15 @@ class Coordinator:
                         f"fsm {d.fsm_id!r}: action names unknown group "
                         f"{action.group_id!r}")
             elif isinstance(action, EmitEvent):
-                if action.target_fsm not in known:
+                target = action.target_fsm
+                if target not in known:
                     raise UnknownFsmRef(
-                        f"fsm {d.fsm_id!r}: emit targets unloaded fsm "
-                        f"{action.target_fsm!r}")
+                        f"fsm {d.fsm_id!r}: emit targets unloaded fsm {target!r}")
+                ref = incoming.get(target) or self._defs[target]
+                if all(rt.event != action.event for rt in ref.transitions):
+                    raise UnknownEventRef(
+                        f"fsm {d.fsm_id!r}: emit {[target, action.event]!r}: "
+                        f"no transition of fsm {target!r} takes it")
             else:
                 raise ModeManagerError(f"unknown action {action!r}")
 

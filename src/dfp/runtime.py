@@ -48,7 +48,7 @@ from dfp.funcsw import AlgorithmRegistry, TaskGraph
 from dfp.hal import DeviceKind, DeviceRegistry, normalize
 from dfp.middleware import Domain
 from dfp.modemgr import Coordinator, StartGroup, StopGroup
-from dfp.util import canonical_json, clamp
+from dfp.util import canonical_json
 
 log = logging.getLogger("dfp.runtime")
 
@@ -108,14 +108,15 @@ def _builtin_acc_planner(hal, env, acc, node):
     cfg = _gains(acc, node)
     lead_topic, odom_topic = node.inputs
     out_topic = node.outputs[0]
-    kp, kv = cfg.kp, cfg.kv  # read once: a named tuple's field costs more than a local
+    # read once: a named tuple's field costs more than a local
+    kp, kv, standstill, headway = cfg.kp, cfg.kv, cfg.standstill_gap, cfg.time_headway
 
     def body(inputs, config):
         record = env.read(inputs[lead_topic]["record_id"])
         gap = record.attributes["range_m"]
         closing = record.attributes["range_rate_mps"]  # v_lead - v_ego
         v_ego = inputs[odom_topic]["speed_mps"]
-        target = desired_gap(cfg, v_ego)
+        target = standstill + headway * v_ego  # desired_gap(cfg, v_ego)
         accel_raw = kp * (gap - target) + kv * closing
         return {out_topic: {"gap_m": gap, "desired_gap_m": target,
                             "accel_raw": accel_raw}}
@@ -130,7 +131,7 @@ def _builtin_acc_controller(hal, env, acc, node):
     accel_min, accel_max = cfg.accel_min, cfg.accel_max
 
     def body(inputs, config):
-        accel = clamp(inputs[in_topic]["accel_raw"], accel_min, accel_max)
+        accel = max(accel_min, min(accel_max, inputs[in_topic]["accel_raw"]))  # clamp
         return {out_topic: {"accel_mps2": accel}}
 
     return body
@@ -239,13 +240,6 @@ class Stack:
         self._fsm_dispatches += 1
         return self.coordinator.dispatch(fsm_id, event)
 
-    def _take_command(self):  # a drive has a command topic: assemble checks it
-        accel = None
-        for sample in self._command_sub.take():
-            (accel,) = COMMAND.unpack(sample.data)
-            sample.release()
-        return accel
-
     def run_scenario(self, duration: float | None = None,
                      event_schedule: dict | None = None) -> RunResult:
         """Drive the plant through the full stack, one round per dt step.
@@ -275,28 +269,36 @@ class Stack:
         trajectory = []
         min_gap = math.inf
         fault = None
+        # bound once per drive, not once per step; the graph's step is read
+        # here, so a step the caller put on the graph instance is the one run
+        graph_step = self.graph.step
+        publish, take = self._command_pub.publish, self._command_sub.take
+        advance = self.domain.clock.advance
+        pack, unpack = COMMAND.pack, COMMAND.unpack
+        step_plant, append = plant_step, trajectory.append
         try:
             for k in range(steps + 1):
                 t = k * dt
-                for fsm_id, event in schedule.get(k, ()):
-                    self.dispatch(fsm_id, event)
+                if k in schedule:
+                    for fsm_id, event in schedule[k]:
+                        self.dispatch(fsm_id, event)
                 v_lead = lead_speed_at(lead_profile, t)
                 gap = lead_x - ego_x
                 raw = {"range_km": gap / 1000.0,
                        "range_rate_mps": v_lead - ego_v,
                        "azimuth_rad": 0.0}
-                produced = self.graph.step({
+                produced = graph_step({
                     world_topic: raw,
                     "vehicle/odometry": {"speed_mps": ego_v},
                 })
                 if command_topic in produced:
-                    self._command_pub.publish(
-                        COMMAND.pack(produced[command_topic]["accel_mps2"]))
-                self.domain.clock.advance(dt_ns)
-                accel = self._take_command()
-                if accel is None:
-                    accel = 0.0  # control group silent: coast
-                trajectory.append({
+                    publish(pack(produced[command_topic]["accel_mps2"]))
+                advance(dt_ns)
+                accel = 0.0  # control group silent: coast
+                for sample in take():  # a drive has a command topic: assemble checks it
+                    (accel,) = unpack(sample.payload.data)
+                    sample.release()
+                append({
                     "t": t, "ego_position": ego_x, "ego_speed": ego_v,
                     "lead_position": lead_x, "lead_speed": v_lead,
                     "gap": gap, "command": accel,
@@ -307,7 +309,7 @@ class Stack:
                     raise Collision(t, gap)
                 if k == steps:
                     break
-                ego_x, ego_v = plant_step(ego_x, ego_v, accel, dt)
+                ego_x, ego_v = step_plant(ego_x, ego_v, accel, dt)
                 lead_x = lead_x + v_lead * dt
         except RuntimeFault as exc:
             fault = f"{type(exc).__name__}: {exc}"

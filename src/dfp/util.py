@@ -37,19 +37,22 @@ def canonical_json(obj: object) -> str:
 
 
 class ManualClock:
-    """Simulated nanosecond clock stepped explicitly by the harness."""
+    """Simulated nanosecond clock stepped explicitly by the harness.
+
+    ``now`` is the reading in ns, an attribute, so a hot path reads it
+    without a call; only ``advance`` changes it.
+    """
+
+    __slots__ = ("now",)
 
     def __init__(self, start_ns: int = 0):
-        self._now = int(start_ns)
-
-    def now_ns(self) -> int:
-        return self._now
+        self.now = int(start_ns)
 
     def advance(self, ns: int) -> int:
         if ns < 0:
             raise ValueError("clock cannot go backwards")
-        self._now += int(ns)
-        return self._now
+        self.now += int(ns)
+        return self.now
 
 
 MS = 1_000_000

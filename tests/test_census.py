@@ -81,6 +81,11 @@ DELETED = [
     ("dfp.middleware.qos", "History.__post_init__"),
     ("dfp.middleware.qos", "QoSProfile.__post_init__"),
     ("dfp.modemgr", "FsmDefinition.__post_init__"),
+    # a drive step calls its layers' work directly, not one-line helpers
+    ("dfp.runtime", "Stack._take_command"),
+    ("dfp.hal", "DeviceHandle._timestamp"),
+    ("dfp.middleware.core", "Publisher._retain"),
+    ("dfp.util", "ManualClock.now_ns"),
 ]
 
 

@@ -239,6 +239,10 @@ MALFORMED_VALUES = [  # (breakage, the section the diagnostic names)
     # a typo no transition takes: the modes stayed in standby and no command was published
     (_set(["acc", "engage_events", 1, 1], "actvate"),
      r"acc engage event \['ads', 'actvate'\]: no transition of fsm 'ads' takes it"),
+    # an emitted typo no transition takes: the modes stayed in standby, no command
+    (_set(["fsms", 1, "transitions", 0, "actions"],
+          [{"start_group": "perception"}, {"emit": ["ads", "actvate"]}]),
+     r"pipeline: fsm 'ads': emit \['ads', 'actvate'\]: no transition of fsm 'ads' takes it"),
     # the descriptor refuses the form; only the Stack refused it before
     (_set(["algorithms", 0, "entry"], "x"),
      "algorithm 'radar_acquire': entry must look like 'module:attribute', got 'x'"),
@@ -252,7 +256,7 @@ MALFORMED_VALUES = [  # (breakage, the section the diagnostic names)
                               "entry", "device_id", "acc_kp", "seed_range", "kp_nan",
                               "duration_inf", "point_inf", "ego_speed", "empty_device_id",
                               "node_config_empty", "device_not_radar", "no_control_topic",
-                              "config_modes", "engage_typo", "entry_form"])
+                              "config_modes", "engage_typo", "emit_typo", "entry_form"])
 def test_cli_malformed_value_exits_2_with_one_diagnostic(tmp_path, demo_doc, capsys,
                                                          breakage, named):
     breakage(demo_doc)

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfp.funcsw import (
+    AlgorithmDescriptor,
+    AlgorithmRegistry,
     GraphError,
     GroupPolicy,
     Lifecycle,
@@ -236,6 +238,74 @@ def test_undeclared_output_is_a_failure():
     assert report.fired == [] and report.produced == {}
     assert report.failures == [{"node": "a", "reason": "undeclared outputs ['y']"}]
     assert g.lifecycle_of("a") == Lifecycle.FAILED
+
+
+@pytest.mark.parametrize("result,reason", [
+    (5, "outputs must be a dict, not int"),
+    (1.5, "outputs must be a dict, not float"),
+    (["t"], "outputs must be a dict, not list"),
+    ({"t"}, "outputs must be a dict, not set"),
+    ("ab", "outputs must be a dict, not str"),
+    (NodeResult(["t"]), "outputs must be a dict, not list"),
+    (NodeResult({"t": 1}, "slow"), "elapsed_ms must be a number, not str"),
+], ids=["int", "float", "list", "set", "str", "node_result_list", "node_result_cost_str"])
+def test_result_that_is_not_a_dict_fails_the_node(result, reason):
+    # each escaped step as a TypeError or AttributeError, or ("ab") named outputs 'a', 'b'
+    nodes = [TaskNode("a", Stage.SERVICE, inputs=("w",), outputs=("t",),
+                      body=lambda inputs, config: result, group_id="g")]
+    g = TaskGraph(nodes, {"g": GroupPolicy(restart_policy=RestartPolicy.never())})
+    g.start()
+    report = Observed(g).step({"w": 1})
+    assert report.fired == [] and report.produced == {}
+    assert report.failures == [{"node": "a", "reason": reason}]
+    assert g.lifecycle_of("a") == Lifecycle.FAILED
+    assert (g.produced_count_of("t"), g.max_elapsed_ms_of("a")) == (0, 0.0)
+
+
+def test_none_result_fires_and_produces_nothing():
+    nodes = [TaskNode("a", Stage.SERVICE, inputs=("w",), outputs=("t",),
+                      body=lambda inputs, config: None)]
+    g = TaskGraph(nodes, groups())
+    g.start()
+    report = Observed(g).step({"w": 1})
+    assert (report.fired, report.produced, report.failures) == (["a"], {}, [])
+
+
+def test_body_keeping_and_changing_its_inputs_changes_nothing_later():
+    kept, seen = [], []
+
+    def body(inputs, config):
+        kept.append(inputs)
+        seen.append(list(inputs.items()))
+        inputs["w1"] = "changed"
+        inputs["extra"] = True
+        del inputs["w2"]
+        return {}
+
+    g = TaskGraph([TaskNode("a", Stage.SERVICE, inputs=("w1", "w2"), outputs=(),
+                            body=body)], groups())
+    g.start()
+    g.step({"w1": 1, "w2": 1})
+    g.step({"w2": 2})  # w1 is not fresh: no firing
+    g.step({"w1": 3})
+    assert seen == [[("w1", 1), ("w2", 1)], [("w1", 3), ("w2", 2)]]
+    assert kept[0] is not kept[1]
+    assert kept[0] == {"w1": "changed", "extra": True}  # the later round wrote nothing into it
+
+
+def test_swap_algorithm_between_rounds_takes_effect_without_a_new_plan():
+    reg = AlgorithmRegistry()
+    for version in ("1.0.0", "2.0.0"):
+        reg.register(AlgorithmDescriptor("alg", version, "x:y", ("i0",), ("o0",)),
+                     factory=lambda node, version=version: emit(u=version))
+    g = TaskGraph([TaskNode("n", Stage.SERVICE, inputs=("t",), outputs=("u",),
+                            algorithm=("alg", "1.0.0"))], groups(), registry=reg)
+    g.start()
+    plan = g._plan
+    assert g.step({"t": 1}) == {"u": "1.0.0"}
+    g.swap_algorithm("n", "2.0.0")
+    assert g.step({"t": 2}) == {"u": "2.0.0"}
+    assert g._plan is plan and g.fired_count_of("n") == 2
 
 
 def test_restart_clears_input_freshness():

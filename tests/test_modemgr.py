@@ -15,6 +15,7 @@ from dfp.modemgr import (
     StartGroup,
     StopGroup,
     Transition,
+    UnknownEventRef,
     UnknownFsm,
     UnknownFsmRef,
     UnknownGroupRef,
@@ -110,6 +111,23 @@ def test_unknown_group_ref_rejected():
         c.load([FsmDefinition("x", frozenset({"a"}), "a",
                               (Transition("a", "e", "a",
                                           actions=(StartGroup("ghost"),)),))])
+
+
+def test_emit_of_an_event_no_transition_takes_rejected():
+    # a typo in an emitted event: the target ignored it at every dispatch
+    emitter = FsmDefinition("x", frozenset({"a"}), "a",
+                            (Transition("a", "e", "a", actions=(EmitEvent("y", "actvate"),)),))
+    target = FsmDefinition("y", frozenset({"s"}), "s", (Transition("s", "activate", "s"),))
+    c = Coordinator(groups=set())
+    with pytest.raises(UnknownEventRef, match=r"emit \['y', 'actvate'\]: no transition of fsm 'y'"):
+        c.load([emitter, target])
+    assert c.snapshot() == {}  # nothing loaded
+    # an event loaded earlier counts, and one of the emitter's own machine too
+    c.load([target])
+    c.load([FsmDefinition("z", frozenset({"a"}), "a",
+                          (Transition("a", "e", "a", actions=(EmitEvent("y", "activate"),
+                                                               EmitEvent("z", "e"))),))])
+    assert c.snapshot() == {"y": "s", "z": "a"}
 
 
 # -- dispatch ---------------------------------------------------------------
@@ -243,32 +261,33 @@ def test_snapshot_is_linearizable_with_dispatch():
 # -- reference interpreter equivalence ---------------------------------------
 
 def random_fsm_pair(rng):
-    defs = {}
-    built = []
     ids = ["m0", "m1"]
+    drafts = {}  # fid -> (states, [(src, event, dst, reference guard)])
     for fid in ids:
-        n_states = rng.randint(2, 5)
-        states = [f"s{k}" for k in range(n_states)]
-        transitions = []
-        ref_transitions = []
+        other = ids[1 - ids.index(fid)]
+        states = [f"s{k}" for k in range(rng.randint(2, 5))]
+        rows = []
         for _ in range(rng.randint(1, 8)):
             src = rng.choice(states)
             dst = rng.choice(states)
             event = rng.choice(["e0", "e1", "e2"])
-            guard = None
             ref_guard = None
             if rng.random() < 0.4:
-                other = ids[1 - ids.index(fid)]
-                g_state = f"s{rng.randint(0, 1)}"
-                guard = Guard(((other, g_state),))
-                ref_guard = [(other, g_state)]
-            actions = ()
+                ref_guard = [(other, f"s{rng.randint(0, 1)}")]
+            rows.append((src, event, dst, ref_guard))
+        drafts[fid] = (states, rows)
+    # an emitted event is one a transition of its target takes: load refuses others
+    taken = {fid: sorted({event for _, event, _, _ in rows}) for fid, (_, rows) in drafts.items()}
+    built, defs = [], {}
+    for fid, (states, rows) in drafts.items():
+        other = ids[1 - ids.index(fid)]
+        transitions, ref_transitions = [], []
+        for src, event, dst, ref_guard in rows:
             ref_actions = []
             if rng.random() < 0.35:
-                other = ids[1 - ids.index(fid)]
-                ev = rng.choice(["e0", "e1"])
-                actions = (EmitEvent(other, ev),)
-                ref_actions = [("emit", other, ev)]
+                ref_actions = [("emit", other, rng.choice(taken[other]))]
+            guard = Guard(tuple(ref_guard)) if ref_guard else None
+            actions = tuple(EmitEvent(target, ev) for _, target, ev in ref_actions)
             transitions.append(Transition(src, event, dst, guard, actions))
             ref_transitions.append({"from": src, "event": event, "to": dst,
                                     "guard": ref_guard, "actions": ref_actions})

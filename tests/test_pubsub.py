@@ -53,6 +53,19 @@ def test_take_on_empty_queue_returns_nothing(pair):
     assert sub.take() == []
 
 
+def test_take_with_a_limit_returns_the_oldest_and_keeps_the_rest_in_order(pair):
+    w, r = pair
+    pub = w.create_publisher(topic())
+    sub = r.create_subscriber(topic())
+    for i in range(5):
+        pub.publish(bytes([i]))
+    assert sub.take(0) == [] and sub.queued() == 5
+    assert [s.seq for s in sub.take(2)] == [0, 1]
+    assert sub.queued() == 3
+    assert [s.seq for s in sub.take(10)] == [2, 3, 4]  # a limit past the queue takes it all
+    assert sub.take(1) == []
+
+
 def test_reliable_fifo_order(pair):
     w, r = pair
     pub = w.create_publisher(topic())
