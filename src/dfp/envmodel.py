@@ -24,14 +24,22 @@ lookup costs the token's length, not the vocabulary. Then the query
 bisects the time window in each of those tags' postings, walks the
 in-window run of the token with the fewest postings there newest first,
 and keeps the records whose class passes and whose tags meet every other
-token's tags. So a query costs its tokens' lengths, two bisects per
-matched tag and its rarest token's in-window postings, not the store size.
+token's tags. Each token's tags depend only on the query's words and the
+live vocabulary, so the store keeps them as the query's plan in
+``_plans``, under its ``tokens``, until a tag gains its first posting or
+loses its last (``_index_tag`` and ``_unindex_tag`` clear the plans, and
+``open`` runs the first for every tag) or the memo holds ``_MEMO_LIMIT``
+plans. So a query asked again costs one dict lookup, two bisects per
+matched tag and its rarest token's in-window postings, not the store size;
+only its first asking after a change of vocabulary also pays the lookup in
+``_near``, which costs its tokens' lengths.
 
 A saved ODD is a standing result: ``save_odd`` seeds its matches with one
 ``query``, and every write after that tests only the record it adds,
 replaces or removes. Whether a record matches depends on nothing else: its
 class, its timestamp and its tags. The tag test is memoised by the record's
-``tags`` frozenset (``INGEST_TABLE`` shares one per device kind), so a write
+``tags`` frozenset (``INGEST_TABLE`` shares one per device kind) while an
+ODD is saved, in a memo cleared when it holds ``_MEMO_LIMIT`` sets, so a write
 pays one dict lookup for the saved ODDs whose tokens its tags match, then
 for each of those a class and time check and, when the record passes, an
 append (in-order ingests) or a ``bisect``. Saved ODDs its tags do not match
@@ -165,6 +173,10 @@ _KEYS = ("record_id", "class", "tags", "timestamp_ns", "attributes", "position",
 _TAG_TYPES = (list, tuple, set, frozenset)  # what may hold a record's tag words
 _RADAR = DeviceKind.RADAR
 _NUMBER = (int, float)  # the exact types a position coordinate may have
+_STR_TYPE = frozenset({str})  # the one type a query token may have
+# how many entries the store's two memos (query plans, saved ODDs by tag
+# set) hold before a miss clears them
+_MEMO_LIMIT = 1024
 
 
 def _check_record_id(rid) -> None:
@@ -334,30 +346,32 @@ def _deletions(word: str) -> set[str]:
 
 class _OddQueryFields(NamedTuple):
     tokens: tuple
-    class_filter: RecordClass | None = None
-    time_range: tuple | None = None  # (t0_ns, t1_ns) inclusive
+    class_filter: RecordClass | None
+    time_range: tuple | None  # (t0_ns, t1_ns) inclusive
 
 
 class OddQuery(_OddQueryFields):
     """A named tuple; constructing one raises ``InvalidQuery`` for tokens
     that are not a tuple of str, a filter that is not a ``RecordClass``
-    member, or a window that is not a tuple of two ints."""
+    member, or a window that is not a tuple of two ints. The checks run in
+    the constructor's one frame, with no generator, and the tuple is built
+    directly. A store keys its query plans by ``tokens``, so a query with
+    equal ``tokens``, whatever its filters, reuses the plan."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        tokens = self.tokens
-        if type(tokens) is not tuple or not all(type(w) is str for w in tokens):
+    def __new__(cls, tokens: tuple, class_filter: RecordClass | None = None,
+                time_range: tuple | None = None):
+        if type(tokens) is not tuple or not set(map(type, tokens)) <= _STR_TYPE:
             raise InvalidQuery(f"tokens must be a tuple of str, not {tokens!r}")
-        if self.class_filter is not None and type(self.class_filter) is not RecordClass:
+        if class_filter is not None and type(class_filter) is not RecordClass:
             raise InvalidQuery(
-                f"class_filter must be None or a RecordClass, not {self.class_filter!r}")
-        window = self.time_range
-        if window is not None and (type(window) is not tuple or len(window) != 2
-                                   or type(window[0]) is not int or type(window[1]) is not int):
-            raise InvalidQuery(f"time_range must be a tuple of two ints, not {window!r}")
-        return self
+                f"class_filter must be None or a RecordClass, not {class_filter!r}")
+        if time_range is not None and (type(time_range) is not tuple or len(time_range) != 2
+                                       or type(time_range[0]) is not int
+                                       or type(time_range[1]) is not int):
+            raise InvalidQuery(f"time_range must be a tuple of two ints, not {time_range!r}")
+        return tuple.__new__(cls, (tokens, class_filter, time_range))
 
     def effective_tokens(self) -> list[str]:
         out = [normalize_token(w) for w in self.tokens]
@@ -447,6 +461,9 @@ class EnvStore:
         self._postings: dict[str, list[EnvRecord]] = {}
         # each one-deletion string of a live tag -> the live tags that give it
         self._near: dict[str, set[str]] = {}
+        # a query's tokens -> each effective token's live tags; the live
+        # vocabulary decides it, so entering or leaving a tag clears it
+        self._plans: dict[tuple, tuple] = {}
         self._odds: dict[str, _StandingOdd] = {}
         # tags -> the saved ODDs whose every token matches one of them
         self._odds_by_tags: dict[frozenset, tuple] = {}
@@ -602,7 +619,9 @@ class EnvStore:
                 del odd.matches[_position(odd.matches, rec)]
 
     def _index_tag(self, tag: str) -> None:
-        """Enter a tag that has just gained its first posting in ``_near``."""
+        """Enter a tag that has just gained its first posting in ``_near``;
+        the query plans go, since they answer for the old vocabulary."""
+        self._plans.clear()
         near = self._near
         for key in _deletions(tag):
             tags = near.get(key)
@@ -613,7 +632,8 @@ class EnvStore:
 
     def _unindex_tag(self, tag: str) -> None:
         """Take a tag that has just lost its last posting out of ``_near``;
-        a key left with no tags goes too."""
+        a key left with no tags goes too, and so do the query plans."""
+        self._plans.clear()
         near = self._near
         for key in _deletions(tag):
             tags = near[key]
@@ -622,10 +642,16 @@ class EnvStore:
                 del near[key]
 
     def _tag_odds(self, tags: frozenset) -> tuple:
-        """The saved ODDs whose tag test ``tags`` passes, memoised."""
-        odds = self._odds_by_tags.get(tags)
+        """The saved ODDs whose tag test ``tags`` passes, memoised while
+        there is a saved ODD; a miss on a full memo clears it first."""
+        memo = self._odds_by_tags
+        odds = memo.get(tags)
         if odds is None:
-            odds = self._odds_by_tags[tags] = tuple(
+            if not self._odds:
+                return ()
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            odds = memo[tags] = tuple(
                 odd for odd in self._odds.values() if odd.takes_tags(tags))
         return odds
 
@@ -681,9 +707,13 @@ class EnvStore:
     def query(self, q: OddQuery) -> list[EnvRecord]:
         """Records matching every token, newest first, ties by ascending id.
 
-        Each token's tags come from ``_fuzzy_tags``, a lookup in ``_near``
-        and the postings that runs no edit distance and does not walk the
-        vocabulary. Two bisects find the time window (all of it when there
+        The query's plan, each effective token's live tags, is one lookup
+        in ``_plans`` by ``q.tokens``. A miss builds it with
+        ``effective_tokens`` and ``_fuzzy_tags``, a lookup in ``_near`` and
+        the postings that runs no edit distance and does not walk the
+        vocabulary, and stores it until the vocabulary changes; a query
+        with no searchable token raises ``EmptyQuery`` every time. The plan
+        holds tag names, and the postings are read afresh. Two bisects find the time window (all of it when there
         is no ``time_range``) in each of those tags' postings. The token
         with the fewest postings in the window drives: its run, read
         backwards, is already in result order; when it matched several
@@ -692,10 +722,12 @@ class EnvStore:
         record's, then thin that run. Nothing is sorted, and the work
         follows the driver's postings, not the store size.
         """
+        plan = self._plans.get(q.tokens)
+        if plan is None:
+            plan = self._plan(q)
         postings, window = self._postings, q.time_range
         driver, others = None, []  # the driving token's runs; each other token's tags
-        for tok in q.effective_tokens():
-            tags = self._fuzzy_tags(tok)
+        for tags in plan:
             if not tags:
                 return []
             runs, size = [], 0
@@ -731,6 +763,17 @@ class EnvStore:
         for tags in others:
             out = [rec for rec in out if not tags.isdisjoint(rec.tags)]
         return out
+
+    def _plan(self, q: OddQuery) -> tuple:
+        """Each effective token's live tags, stored under ``q.tokens``; a
+        query with no searchable token raises ``EmptyQuery`` and stores
+        nothing, and a miss on a full memo clears it first."""
+        plan = tuple(frozenset(self._fuzzy_tags(tok)) for tok in q.effective_tokens())
+        plans = self._plans
+        if len(plans) >= _MEMO_LIMIT:
+            plans.clear()
+        plans[q.tokens] = plan
+        return plan
 
     def _fuzzy_tags(self, tok: str) -> set[str]:
         """The live tags ``tok`` fuzzy-matches, found without an edit distance.

@@ -617,6 +617,118 @@ def test_near_index_equals_the_fuzzy_scan_under_random_writes_and_reopen(data):
         check_near(reopened, data.draw(tokens))
 
 
+# -- query plans ----------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_query_plans_follow_the_vocabulary_under_random_writes_and_reopen(data):
+    # a few short tags that gain their first posting and lose their last; the
+    # same queries are asked after every write, so a plan kept past a change
+    # of the vocabulary answers for the old one
+    pool = data.draw(st.lists(st.text(alphabet=NEAR_ALPHABET, min_size=2, max_size=5),
+                              min_size=1, max_size=6, unique=True))
+    tag_set = st.frozensets(st.sampled_from(pool), min_size=1, max_size=2)
+    rid = st.integers(min_value=0, max_value=3)
+    write = st.one_of(st.tuples(st.just("create"), rid, tag_set),
+                      st.tuples(st.just("ingest"), tag_set),
+                      st.tuples(st.just("update"), rid, tag_set),
+                      st.tuples(st.just("delete"), rid))
+    queries = data.draw(st.lists(st.lists(near_tokens(pool), min_size=1, max_size=3),
+                                 min_size=1, max_size=4))
+    shadow = {}
+
+    def ask(store):
+        for words in queries:
+            check_query(store, shadow, words)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "env.jsonl")
+        open(path, "w").close()  # the drawn writes may all be skipped
+        with EnvStore(log_path=path) as store:
+            ask(store)
+            for op in data.draw(st.lists(write, min_size=1, max_size=20)):
+                kind = op[0]
+                if kind == "create" and op[1] not in shadow:
+                    shadow[op[1]] = rec(op[1], op[2])
+                    store.create(shadow[op[1]])
+                elif kind == "ingest":
+                    new = store.ingest({"class": "object", "tags": sorted(op[1])})
+                    shadow[new] = rec(new, op[1], source=Source.FUSION)
+                elif kind == "update" and op[1] in shadow:
+                    store.update(op[1], {"tags": op[2]})
+                    shadow[op[1]] = shadow[op[1]]._replace(tags=op[2])
+                elif kind == "delete" and op[1] in shadow:
+                    store.delete(op[1])
+                    del shadow[op[1]]
+                ask(store)
+        reopened = EnvStore.open(path)
+        ask(reopened)
+        ask(reopened)  # from the plans the first round stored
+
+
+def counted_fuzzy_tags(monkeypatch):
+    """The tokens each ``EnvStore._fuzzy_tags`` call looks up, in order."""
+    calls = []
+    lookup = EnvStore._fuzzy_tags
+
+    def counting(self, tok):
+        calls.append(tok)
+        return lookup(self, tok)
+
+    monkeypatch.setattr(EnvStore, "_fuzzy_tags", counting)
+    return calls
+
+
+def test_a_repeated_query_looks_each_token_up_once(monkeypatch):
+    store = seeded_store()
+    calls = counted_fuzzy_tags(monkeypatch)
+    words = ("tunel", "on", "highway", "in", "rain")
+    records = store.all_records()
+    for _ in range(3):  # the filters are not part of the plan
+        assert store.query(OddQuery(words)) == brute_force_query(records, words)
+        assert (store.query(OddQuery(words, RecordClass.ROAD_FEATURE, (0, 250)))
+                == brute_force_query(records, words, RecordClass.ROAD_FEATURE, (0, 250)))
+    assert calls == ["tunel", "highway", "rain"]
+    for _ in range(2):  # refused every time, and never stored
+        with pytest.raises(EmptyQuery):
+            store.query(OddQuery(("on", "the")))
+    assert list(store._plans) == [words]
+
+
+def test_only_a_write_that_changes_the_vocabulary_looks_the_tokens_up_again(monkeypatch):
+    store = seeded_store()
+    calls = counted_fuzzy_tags(monkeypatch)
+    words = ("tunels", "fog")  # "tunels" is one edit from "tunnel" and from "tunnels"
+    writes = [  # the write, and whether it enters or leaves a tag
+        (lambda: store.create(rec(6, {"tunnel", "fog"}, ts=600)), False),
+        (lambda: store.update(6, {"tags": ["fog"]}), False),  # "tunnel" is on 1-3 too
+        (lambda: store.create(rec(7, {"tunnels", "fog"}, ts=700)), True),
+        (lambda: store.update(6, {"timestamp_ns": 50}), False),  # "fog" is on 5 and 7 too
+        (lambda: store.update(5, {"tags": ["bridge", "fog", "ice"]}), True),
+        (lambda: store.delete(6), False),
+        (lambda: store.delete(7), True),  # "tunnels" loses its last posting
+        (lambda: store.ingest({"class": "weather", "tags": ["fog"], "timestamp_ns": 9}), False),
+    ]
+    assert store.query(OddQuery(words)) == brute_force_query(store.all_records(), words)
+    for i, (write, changes) in enumerate(writes):
+        calls.clear()
+        write()
+        for _ in range(2):
+            assert store.query(OddQuery(words)) == brute_force_query(store.all_records(), words)
+        assert calls == (list(words) if changes else []), i
+
+
+def test_the_query_plans_stay_within_their_bound():
+    store = seeded_store()
+    limit = dfp.envmodel._MEMO_LIMIT
+    for i in range(limit + 10):
+        words = ("tunnel", f"w{i}") if i % 2 else (f"rain{i}", "fog")
+        assert store.query(OddQuery(words)) == []
+        assert 0 < len(store._plans) <= limit
+    records = store.all_records()
+    assert store.query(OddQuery(("tunel",))) == brute_force_query(records, ["tunel"])
+
+
 class _LoggedRun(list):
     """A postings list that logs each change made to it as ``(tag, how)``."""
 
@@ -884,6 +996,22 @@ def test_run_odd_returns_a_new_list_each_call():
     first = store.run_odd("wet")
     first.clear()
     assert [r.record_id for r in store.run_odd("wet")] == [4, 2, 1]
+
+
+def test_the_saved_odds_by_tag_set_memo_holds_nothing_without_an_odd_and_stays_bounded():
+    store = EnvStore()
+    for i in range(780):  # each write a tag set of its own
+        store.create(rec(i, {f"a{i}", f"b{i}"}))
+        store.delete(i)
+    assert store._odds_by_tags == {}
+    store.save_odd("wet", OddQuery(("rain",)))
+    limit = dfp.envmodel._MEMO_LIMIT
+    for i in range(limit + 10):
+        store.create(rec(1000 + i, {"rain", f"c{i}"}, ts=i))
+        assert 0 < len(store._odds_by_tags) <= limit
+    want = brute_force_query(store.all_records(), ["rain"])
+    assert store.run_odd("wet") == store.query(OddQuery(("rain",))) == want
+    assert len(want) == limit + 10
 
 
 @pytest.mark.parametrize("kwargs", [
