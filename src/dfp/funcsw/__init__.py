@@ -2,10 +2,12 @@
 scheduling rounds and lifecycle management.
 
 A ``TaskGraph`` is built once from node declarations whose input ports
-bind to topics; its wiring does not change after that. A node fires in a round only when every input port holds fresh
-data; fired nodes execute in topological order (ties broken by node id)
-and their outputs propagate within the same round. Firing consumes input
-freshness. ``TaskGraph.step`` returns the values the round produced; the
+bind to topics; its wiring does not change after that, and neither does a
+group's binding, which each node's algorithm must accept whenever the node
+gets one (at construction or on ``swap_algorithm``). A node fires in a
+round only when every input port holds fresh data; fired nodes execute in
+topological order (ties broken by node id) and their outputs propagate
+within the same round. Firing consumes input freshness. ``TaskGraph.step`` returns the values the round produced; the
 graph keeps the rest of the round's record: per-node fired counts and
 largest simulated cost, per-topic produced counts, and the lifecycle
 ``trace``. Failures (body faults, watchdog overruns or undeclared outputs)

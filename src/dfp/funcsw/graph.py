@@ -8,6 +8,12 @@ port's bit while RUNNING, -1 otherwise): one comparison per node. A firing
 body gets a copy of the node's held values as its ``inputs``. The wiring is
 fixed once the graph is built; a round only walks the plan.
 
+A group's ``GroupPolicy`` is fixed too. One check binds a node's algorithm
+to its group wherever the node gets one, at construction and in
+``swap_algorithm``: an algorithm's ``binding_requirement`` is None or the
+group's ``binding_label``, and a null or empty label binds nothing. A swap
+that any check or the algorithm's builder refuses changes nothing.
+
 The graph keeps the one record of what a round did. As a round fires a
 node it adds to the node's fired count and keeps the largest simulated
 ``elapsed_ms`` the node has reported, and it counts each topic a fired node
@@ -108,7 +114,6 @@ class TaskGraph:
         self.groups: dict[str, GroupPolicy] = dict(groups)
         self.registry = registry
         self.external_topics = None if external_topics is None else set(external_topics)
-        self._descriptors = {}
         for node in self.nodes.values():
             if node.group_id not in self.groups:
                 raise UnknownGroup(
@@ -132,7 +137,7 @@ class TaskGraph:
                     f"node {node.node_id!r} names an algorithm but no registry given")
             descriptor, factory = self.registry.resolve(*node.algorithm)
             self._check_ports(node, descriptor)
-            self._descriptors[node.node_id] = descriptor
+            self._check_binding(node, descriptor)
             node.body = factory(node)
         elif node.body is None:
             raise GraphError(f"node {node.node_id!r} has neither body nor algorithm")
@@ -147,6 +152,14 @@ class TaskGraph:
             raise PortSchemaMismatch(
                 f"node {node.node_id!r} wires {len(node.outputs)} outputs, "
                 f"algorithm {descriptor.name!r} requires {len(descriptor.required_outputs)}")
+
+    def _check_binding(self, node: TaskNode, descriptor) -> None:
+        """The binding rule: a node's algorithm requires no label or its group's."""
+        label = self.groups[node.group_id].binding_label
+        need = descriptor.binding_requirement
+        if label and need is not None and need != label:
+            raise BindingConflict(
+                f"node {node.node_id!r} requires label {need!r}, group bound to {label!r}")
 
     def _validate_wiring(self) -> None:
         producers: dict[str, str] = {}
@@ -278,24 +291,7 @@ class TaskGraph:
                              f"restart {state.restart_count}/{policy.limit}")
         return state.lifecycle
 
-    # -- binding and algorithm swap -----------------------------------------------
-
-    def bind(self, group_id: str, compute_label: str) -> None:
-        """Pin a group to a compute unit label; static once started."""
-        if group_id not in self.groups:
-            raise UnknownGroup(f"no group {group_id!r}")
-        if self.started:
-            raise BindingConflict("binding is static: the graph has started")
-        for nid, node in self.nodes.items():
-            if node.group_id != group_id:
-                continue
-            descriptor = self._descriptors.get(nid)
-            need = descriptor.binding_requirement if descriptor else None
-            if need is not None and need != compute_label:
-                raise BindingConflict(
-                    f"node {nid!r} requires label {need!r}, group bound to "
-                    f"{compute_label!r}")
-        self.groups[group_id].binding_label = compute_label
+    # -- algorithm swap -----------------------------------------------------------
 
     def swap_algorithm(self, node_id: str, version: str) -> None:
         """Swap a node to another registered version with compatible ports."""
@@ -307,9 +303,9 @@ class TaskGraph:
         name = node.algorithm[0]
         descriptor, factory = self.registry.resolve(name, version)
         self._check_ports(node, descriptor)
-        node.algorithm = (name, version)
-        self._descriptors[node_id] = descriptor
-        node.body = factory(node)
+        self._check_binding(node, descriptor)
+        body = factory(node)  # a swap that raises changes nothing
+        node.algorithm, node.body = (name, version), body
 
     # -- the firing engine --------------------------------------------------------
 

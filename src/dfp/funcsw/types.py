@@ -95,10 +95,11 @@ class RestartPolicy(NamedTuple):
         return cls(n)
 
 
-@dataclass  # not a named tuple: the graph sets binding_label
-class GroupPolicy:
+# fixed when the graph is built: every algorithm in the group requires no
+# label or binding_label, and a null or empty binding_label binds nothing
+class GroupPolicy(NamedTuple):
     binding_label: str | None = None
-    restart_policy: RestartPolicy = field(default_factory=RestartPolicy.never)
+    restart_policy: RestartPolicy = RestartPolicy(0)
 
 
 _SEMVER_RE = re.compile(r"^\d+\.\d+\.\d+$")

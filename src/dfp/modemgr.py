@@ -140,13 +140,18 @@ class Coordinator:
         self._groups = set(groups or ())
         self._defs: dict[str, FsmDefinition] = {}
         self._state: dict[str, str] = {}
+        self.driven_groups: frozenset[str] = frozenset()  # groups an action starts or stops
         self.trace: list[dict] = []
         self._lock = threading.RLock()
 
     # -- loading -------------------------------------------------------------
 
     def load(self, definitions) -> dict:
-        """Validate cross-references and enter every machine's initial state."""
+        """Validate cross-references and enter every machine's initial state.
+
+        A refused load changes nothing; a load adds the groups its actions
+        start or stop to ``driven_groups``.
+        """
         with self._lock:
             incoming = {}
             for d in definitions:
@@ -154,11 +159,13 @@ class Coordinator:
                     raise DuplicateFsmId(f"fsm {d.fsm_id!r} already loaded")
                 incoming[d.fsm_id] = d
             known = set(self._defs) | set(incoming)
+            driven = set()
             for d in incoming.values():
                 for t in d.transitions:
                     self._check_guard(d, t, known, incoming)
-                    self._check_actions(d, t, known, incoming)
+                    self._check_actions(d, t, known, incoming, driven)
             self._defs.update(incoming)
+            self.driven_groups |= driven
             for fid, d in incoming.items():
                 self._state[fid] = d.initial
             return dict(self._state)
@@ -176,13 +183,14 @@ class Coordinator:
                     f"fsm {d.fsm_id!r}: guard expects {fsm_id!r} in unknown "
                     f"state {state!r}")
 
-    def _check_actions(self, d, t, known, incoming) -> None:
+    def _check_actions(self, d, t, known, incoming, driven: set) -> None:
         for action in t.actions:
             if isinstance(action, (StartGroup, StopGroup)):
                 if action.group_id not in self._groups:
                     raise UnknownGroupRef(
                         f"fsm {d.fsm_id!r}: action names unknown group "
                         f"{action.group_id!r}")
+                driven.add(action.group_id)
             elif isinstance(action, EmitEvent):
                 target = action.target_fsm
                 if target not in known:

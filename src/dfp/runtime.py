@@ -47,7 +47,7 @@ from dfp.envmodel import EnvStore
 from dfp.funcsw import AlgorithmRegistry, TaskGraph
 from dfp.hal import DeviceKind, DeviceRegistry, normalize
 from dfp.middleware import Domain
-from dfp.modemgr import Coordinator, StartGroup, StopGroup
+from dfp.modemgr import Coordinator
 from dfp.util import canonical_json
 
 log = logging.getLogger("dfp.runtime")
@@ -178,9 +178,6 @@ def assemble(cfg, stub_imports: bool = False):
             graph = TaskGraph([replace(n, config=dict(n.config)) for n in cfg.nodes],
                               cfg.groups, registry=registry,
                               external_topics=cfg.topic_names())
-            for gid, policy in cfg.groups.items():
-                if policy.binding_label:
-                    graph.bind(gid, policy.binding_label)
         elif cfg.acc is not None:
             raise ConfigurationError("the acc section needs pipeline nodes to drive its plant")
         if cfg.acc is not None and not any(t.name.startswith("control/") for t in cfg.topics):
@@ -219,20 +216,10 @@ class Stack:
         if command is not None:
             self._command_pub = self.platform.create_publisher(command)
             self._command_sub = self.platform.create_subscriber(command)
-        if self.graph is not None:
-            managed = self._fsm_managed_groups()
-            self.graph.start(groups=[g for g in config.groups if g not in managed])
+        if self.graph is not None:  # a group a mode action names starts with its mode
+            driven = coordinator.driven_groups
+            self.graph.start(groups=[g for g in config.groups if g not in driven])
         self._fsm_dispatches = 0
-
-    def _fsm_managed_groups(self) -> set:
-        """Groups any FSM action references; their start/stop is mode-driven."""
-        managed = set()
-        for fsm in self.config.fsms:
-            for t in fsm.transitions:
-                for action in t.actions:
-                    if isinstance(action, (StartGroup, StopGroup)):
-                        managed.add(action.group_id)
-        return managed
 
     # -- driving -----------------------------------------------------------------
 

@@ -66,6 +66,9 @@ DELETED = [
     ("dfp.funcsw.graph", "TaskGraph.configure"),
     ("dfp.funcsw.graph", "TaskGraph.binding_of"),
     ("dfp.funcsw.graph", "TaskGraph._run_round"),
+    # a group's binding is fixed when the graph is built
+    ("dfp.funcsw.graph", "TaskGraph.bind"),
+    ("dfp.runtime", "Stack._fsm_managed_groups"),
     ("dfp.funcsw.types", "TaskNode.mode_of"),
     ("dfp.funcsw.types", "StaticKeyWhileRunning"),
     ("dfp.funcsw.types", "StaticKeyWhileRunning.__init__"),

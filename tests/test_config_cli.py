@@ -518,6 +518,17 @@ def test_two_stacks_from_one_config_drive_independently():
     assert all(node.body is None for node in cfg.nodes)
 
 
+def test_no_stack_can_relabel_a_group_another_stack_shares():
+    cfg = load_config(DEMO_CONFIG)
+    labels = {gid: policy.binding_label for gid, policy in cfg.groups.items()}
+    first, second = Stack(cfg), Stack(cfg)
+    for policy in second.graph.groups.values():
+        with pytest.raises(AttributeError):
+            policy.binding_label = "compute-unit"
+    assert {gid: p.binding_label for gid, p in first.graph.groups.items()} == labels
+    assert {gid: p.binding_label for gid, p in cfg.groups.items()} == labels
+
+
 def test_sdk_purity_of_the_acc_module():
     # the demo feature builds on SDK surfaces only: no hardware-layer import
     import ast

@@ -1,4 +1,4 @@
-"""Graph construction, validation, binding and algorithm swap."""
+"""Graph construction, validation, group binding and algorithm swap."""
 
 import pytest
 
@@ -146,35 +146,87 @@ def test_port_schema_mismatch_caught_at_build():
         TaskGraph(nodes, groups(), registry=reg)
 
 
+def algorithm_nodes(*versions):
+    """One input-less, output-less node per version of algorithm ``alg``."""
+    return [TaskNode(f"n{k}", Stage.SERVICE, algorithm=("alg", v))
+            for k, v in enumerate(versions)]
+
+
+def registry_of(requirements):
+    """Algorithm ``alg`` at each version of ``{version: binding_requirement}``."""
+    reg = AlgorithmRegistry()
+    for version, need in requirements.items():
+        reg.register(AlgorithmDescriptor("alg", version, "tests:unused",
+                                         binding_requirement=need),
+                     factory=lambda node: passthrough)
+    return reg
+
+
 def test_bind_labels_whole_group():
-    g = TaskGraph([node("a"), node("b")], groups())
-    g.bind("default", "ai-unit")
+    reg = registry_of({"1.0.0": None, "2.0.0": "ai-unit"})
+    g = TaskGraph(algorithm_nodes("1.0.0", "2.0.0"), groups(default=GroupPolicy("ai-unit")),
+                  registry=reg)
     assert g.groups["default"].binding_label == "ai-unit"
+    # one node whose algorithm requires another label refuses the whole group
+    with pytest.raises(BindingConflict):
+        TaskGraph(algorithm_nodes("1.0.0", "2.0.0"),
+                  groups(default=GroupPolicy("control-unit")), registry=reg)
 
 
 def test_bind_conflicts_with_algorithm_requirement():
     reg = registry_with(n_in=0, n_out=0, binding="control-unit")
     nodes = [TaskNode("n", Stage.SERVICE, algorithm=("alg", "1.0.0"))]
-    g = TaskGraph(nodes, groups(), registry=reg)
-    with pytest.raises(BindingConflict):
-        g.bind("default", "ai-unit")
-    g.bind("default", "control-unit")
+    with pytest.raises(BindingConflict, match="^node 'n' requires label 'control-unit', "
+                                              "group bound to 'ai-unit'$"):
+        TaskGraph(nodes, groups(default=GroupPolicy("ai-unit")), registry=reg)
+    TaskGraph(nodes, groups(default=GroupPolicy("control-unit")), registry=reg)
 
 
-def test_rebind_last_wins_before_start_but_conflicts_after():
-    g = TaskGraph([node("a")], groups())
-    g.bind("default", "ai-unit")
-    g.bind("default", "compute-unit")
-    assert g.groups["default"].binding_label == "compute-unit"
+@pytest.mark.parametrize("need", [None, "a", "b"])
+@pytest.mark.parametrize("label", [None, "", "a", "b"])
+def test_construction_and_swap_apply_one_binding_rule(label, need):
+    reg = registry_of({"1.0.0": None, "2.0.0": need})
+    policy = groups(default=GroupPolicy(label))
+    conflict = bool(label) and need is not None and need != label
+    try:
+        TaskGraph(algorithm_nodes("2.0.0"), policy, registry=reg)
+        built = True
+    except BindingConflict:
+        built = False
+    g = TaskGraph(algorithm_nodes("1.0.0"), policy, registry=reg)
+    try:
+        g.swap_algorithm("n0", "2.0.0")
+        swapped = True
+    except BindingConflict:
+        swapped = False
+    assert built == swapped == (not conflict)
+    assert g.nodes["n0"].algorithm == ("alg", "1.0.0" if conflict else "2.0.0")
+
+
+def test_a_refused_swap_keeps_the_old_version_and_body():
+    reg = AlgorithmRegistry()
+
+    def builder(value):
+        return lambda node: lambda inputs, config: {"u": value}
+
+    def refuses(node):
+        raise RuntimeError("no body")
+
+    reg.register(AlgorithmDescriptor("alg", "1.0.0", "x:y", ("i0",), ("o0",)), builder(1))
+    reg.register(AlgorithmDescriptor("alg", "2.0.0", "x:y", ("i0",), ("o0",)), refuses)
+    reg.register(AlgorithmDescriptor("alg", "3.0.0", "x:y", ("i0", "i1"), ("o0",)), builder(3))
+    reg.register(AlgorithmDescriptor("alg", "4.0.0", "x:y", ("i0",), ("o0",),
+                                     binding_requirement="ai-unit"), builder(4))
+    nodes = [TaskNode("n", Stage.SERVICE, inputs=("t",), outputs=("u",),
+                      algorithm=("alg", "1.0.0"))]
+    g = TaskGraph(nodes, groups(default=GroupPolicy("control-unit")), registry=reg)
     g.start()
-    with pytest.raises(BindingConflict):
-        g.bind("default", "ai-unit")
-
-
-def test_bind_unknown_group():
-    g = TaskGraph([node("a")], groups())
-    with pytest.raises(UnknownGroup):
-        g.bind("ghost", "ai-unit")
+    for version, error in (("2.0.0", RuntimeError), ("3.0.0", PortSchemaMismatch),
+                           ("4.0.0", BindingConflict)):
+        with pytest.raises(error):
+            g.swap_algorithm("n", version)
+        assert g.nodes["n"].algorithm == ("alg", "1.0.0")
+        assert g.step({"t": 0}) == {"u": 1}
 
 
 def test_algorithm_swap_keeps_edges_identical():

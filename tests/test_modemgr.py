@@ -130,6 +130,19 @@ def test_emit_of_an_event_no_transition_takes_rejected():
     assert c.snapshot() == {"y": "s", "z": "a"}
 
 
+def test_a_load_records_the_groups_its_actions_drive_and_a_refused_load_none():
+    c = Coordinator(groups={"perception", "control", "spare"})
+    assert c.driven_groups == frozenset()
+    refused = FsmDefinition("x", frozenset({"a"}), "a",
+                            (Transition("a", "e", "a", actions=(StartGroup("spare"),
+                                                                 EmitEvent("ghost", "e"))),))
+    with pytest.raises(UnknownFsmRef):
+        c.load([refused])
+    assert c.driven_groups == frozenset()
+    c.load([health_fsm(), ads_fsm()])
+    assert c.driven_groups == {"perception", "control"}
+
+
 # -- dispatch ---------------------------------------------------------------
 
 def test_guarded_engage_fires_and_starts_group():

@@ -16,7 +16,7 @@ from dfp.bench import BenchRow
 from dfp.config import AccSetup
 from dfp.envmodel import OddQuery
 from dfp.funcsw import GraphError
-from dfp.funcsw.types import AlgorithmDescriptor, NodeResult, RestartPolicy
+from dfp.funcsw.types import AlgorithmDescriptor, GroupPolicy, NodeResult, RestartPolicy
 from dfp.hal import DeviceDescriptor, DeviceKind
 from dfp.middleware import (
     DiscoveryRecord,
@@ -47,7 +47,6 @@ KEPT_DATACLASSES = {
     ("dfp.modemgr", "EmitEvent"): "two actions of one shape must not compare equal",
     ("dfp.config", "SystemConfig"): "variants come from dataclasses.replace",
     ("dfp.funcsw.types", "TaskNode"): "the graph binds a node's body after construction",
-    ("dfp.funcsw.types", "GroupPolicy"): "the graph sets a group's binding label",
 }
 
 
@@ -88,6 +87,7 @@ VALUES = {
     "Transition": (Transition("a", "e", "b"), "target"),
     "FsmDefinition": (FsmDefinition("f", frozenset({"a"}), "a", ()), "initial"),
     "RestartPolicy": (RestartPolicy(1), "limit"),
+    "GroupPolicy": (GroupPolicy("ai-unit"), "binding_label"),
     "AlgorithmDescriptor": (AlgorithmDescriptor("a", "1.0.0", "m:f"), "version"),
     "NodeResult": (NodeResult({}), "elapsed_ms"),
     "RunResult": (RunResult({}, []), "fault"),
@@ -104,6 +104,7 @@ VALUES = {
 def test_a_value_is_a_named_tuple_whose_fields_cannot_be_assigned(name):
     value, field = VALUES[name]
     assert type(value).__name__ == name and isinstance(value, tuple)
+    assert value == tuple(value)
     with pytest.raises(AttributeError):
         setattr(value, field, 0)
 
