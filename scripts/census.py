@@ -59,13 +59,7 @@ ALLOWED = {
     ("dfp.hal", "DeviceHandle.tick"): D5,
     ("dfp.hal", "_val"): D5,
     ("dfp.util", "unit_float"): D5,
-    ("dfp.hal", "_gen_camera"): D5,
-    ("dfp.hal", "_gen_gps"): D5,
-    ("dfp.hal", "_gen_hdmap"): D5,
-    ("dfp.hal", "_gen_imu"): D5,
-    ("dfp.hal", "_gen_lidar"): D5,
     ("dfp.hal", "_gen_radar"): D5,
-    ("dfp.hal", "_gen_v2x"): D5,
     ("dfp.middleware.core", "_LoopbackBus.call"): D6,
     ("dfp.middleware.core", "_LoopbackBus.send_response"): D6,
     ("dfp.middleware.core", "_LoopbackBus._apply_gap"): D6,
@@ -99,13 +93,6 @@ ALLOWED = {
     ("dfp.funcsw.graph", "TaskGraph.lifecycle_of"): OBSERVED,
     ("dfp.modemgr", "EmitEvent.to_json_obj"): PAPER,
     ("dfp.middleware.arena", "SlotArena.retain"): PAPER,
-    ("dfp.hal", "_pick"): PAPER,
-    ("dfp.hal", "_norm_camera"): PAPER,
-    ("dfp.hal", "_norm_gps"): PAPER,
-    ("dfp.hal", "_norm_hdmap"): PAPER,
-    ("dfp.hal", "_norm_imu"): PAPER,
-    ("dfp.hal", "_norm_lidar"): PAPER,
-    ("dfp.hal", "_norm_v2x"): PAPER,
 }
 
 

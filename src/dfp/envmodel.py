@@ -38,7 +38,7 @@ A saved ODD is a standing result: ``save_odd`` seeds its matches with one
 ``query``, and every write after that tests only the record it adds,
 replaces or removes. Whether a record matches depends on nothing else: its
 class, its timestamp and its tags. The tag test is memoised by the record's
-``tags`` frozenset (``INGEST_TABLE`` shares one per device kind) while an
+``tags`` frozenset (every ingested radar frame's record shares one) while an
 ODD is saved, in a memo cleared when it holds ``_MEMO_LIMIT`` sets, so a write
 pays one dict lookup for the saved ODDs whose tokens its tags match, then
 for each of those a class and time check and, when the record passes, an
@@ -381,17 +381,9 @@ class OddQuery(_OddQueryFields):
         return out
 
 
-# frame kind -> (class, base tags, source) for ingestion; the tags are one
-# shared frozenset per kind, so an ingest builds no tag set of its own
-INGEST_TABLE = {
-    DeviceKind.RADAR: (RecordClass.OBJECT, frozenset({"vehicle", "lead"}), Source.PERCEPTION),
-    DeviceKind.CAMERA: (RecordClass.OBJECT, frozenset({"camera", "detection"}), Source.PERCEPTION),
-    DeviceKind.LIDAR: (RecordClass.OBJECT, frozenset({"lidar", "obstacle"}), Source.PERCEPTION),
-    DeviceKind.GPS: (RecordClass.LOCALIZATION, frozenset({"gps", "fix"}), Source.LOCALIZATION),
-    DeviceKind.IMU: (RecordClass.LOCALIZATION, frozenset({"imu", "motion"}), Source.LOCALIZATION),
-    DeviceKind.HDMAP: (RecordClass.ROAD_FEATURE, frozenset({"map", "lane"}), Source.FUSION),
-    DeviceKind.V2X: (RecordClass.V2X_EVENT, frozenset({"v2x"}), Source.V2X),
-}
+# (class, tags, source) of the record a radar frame becomes; every such
+# record shares the one tags frozenset, so an ingest builds no tag set
+_RADAR_RECORD = (RecordClass.OBJECT, frozenset({"vehicle", "lead"}), Source.PERCEPTION)
 
 
 # the bisect key: a C-level call, so a probe runs no Python code
@@ -844,7 +836,7 @@ class EnvStore:
         the store nor the log.
         """
         if isinstance(frame, AbstractFrame):
-            # valid by construction: INGEST_TABLE tags, a store-issued id, (x, y)
+            # valid by construction: _RADAR_RECORD's tags, a store-issued id, (x, y)
             rec = self._record_from_frame(frame)
         elif isinstance(frame, dict):
             tags, attributes = frame.get("tags", ()), frame.get("attributes")
@@ -863,12 +855,10 @@ class EnvStore:
     def _record_from_frame(self, frame: AbstractFrame) -> EnvRecord:
         """The record for ``frame``; it keeps ``frame.normalized`` as its
         ``attributes``, not a copy."""
-        kind = frame.kind
-        entry = INGEST_TABLE.get(kind)
-        if entry is None:
-            raise InvalidRecord(f"no ingestion rule for kind {kind!r}")
-        record_class, tags, source = entry
+        if frame.kind is not _RADAR:
+            raise InvalidRecord(f"no ingestion rule for kind {frame.kind!r}")
+        record_class, tags, source = _RADAR_RECORD
         attributes = frame.normalized
-        position = (attributes["range_m"], 0.0) if kind is _RADAR else None
+        position = (attributes["range_m"], 0.0)
         return EnvRecord(self._next_id, record_class, tags, frame.timestamp_ns,
                          attributes, position, source)

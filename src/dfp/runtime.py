@@ -44,7 +44,7 @@ from typing import NamedTuple
 from dfp import ConfigurationError, DfpError, RuntimeFault
 from dfp.acc import Collision, desired_gap, lead_speed_at, plant_step, simulate
 from dfp.envmodel import EnvStore
-from dfp.funcsw import AlgorithmRegistry, TaskGraph
+from dfp.funcsw import AlgorithmRegistry, Stage, TaskGraph
 from dfp.hal import DeviceKind, DeviceRegistry, normalize
 from dfp.middleware import Domain
 from dfp.modemgr import Coordinator
@@ -54,6 +54,8 @@ log = logging.getLogger("dfp.runtime")
 
 # the command topic's payload: accel_mps2 as a little-endian float64
 COMMAND = struct.Struct("<d")
+# the input the runner feeds the ego's speed on, as {"speed_mps": v}
+ODOMETRY = "vehicle/odometry"
 
 
 # -- builtin node bodies: each builder takes (hal, env, acc, node) ---------------
@@ -146,16 +148,27 @@ BUILTIN_BODIES = {
 }
 
 
+def fed_inputs(nodes) -> tuple:
+    """The two inputs the runner feeds each drive step: the first input of
+    the acquisition stage, which gets the radar's raw measurement, and
+    ``ODOMETRY``."""
+    world = next((n.inputs[0] for n in nodes if n.stage is Stage.ACQUISITION and n.inputs), None)
+    if world is None:
+        raise ConfigurationError("the acc section needs an acquisition node with an input")
+    return world, ODOMETRY
+
+
 def assemble(cfg, stub_imports: bool = False):
     """Every layer the system config ``cfg`` declares, built by its own constructor.
 
     Returns ``(hal, env, graph, coordinator)``; the graph is None when the
     config declares no nodes. An ``acc`` section, a plant for the graph to
-    drive, needs nodes and a ``control/*`` topic for its command. The graph
-    gets copies of the node declarations, since resolving a node sets its
-    body. With ``stub_imports``, an entry that is not builtin gets a body
-    that produces nothing instead of being imported, so validating imports
-    nothing.
+    drive, needs nodes and a ``control/*`` topic for its command, and every
+    node input must be one a node produces or the runner feeds
+    (``fed_inputs``). The graph gets copies of the node declarations, since
+    resolving a node sets its body. With ``stub_imports``, an entry that is
+    not builtin gets a body that produces nothing instead of being imported,
+    so validating imports nothing.
     """
     hal, env, registry = DeviceRegistry(), EnvStore(), AlgorithmRegistry()
     try:
@@ -184,6 +197,13 @@ def assemble(cfg, stub_imports: bool = False):
             raise ConfigurationError("the acc section needs a control/* topic for its command")
         coordinator = Coordinator(groups=set(cfg.groups), group_controller=graph)
         coordinator.load(cfg.fsms)
+        if cfg.acc is not None:  # a drive feeds only these and what nodes produce
+            fed = {*fed_inputs(cfg.nodes), *(t for n in cfg.nodes for t in n.outputs)}
+            for node in cfg.nodes:
+                for topic in node.inputs:
+                    if topic not in fed:
+                        raise ConfigurationError(
+                            f"input {topic!r} of node {node.node_id!r}: nothing feeds it")
     except DfpError as exc:
         raise ConfigurationError(f"{where}: {exc}") from exc
     return hal, env, graph, coordinator
@@ -242,9 +262,7 @@ class Stack:
         schedule = {k: list(v) for k, v in (event_schedule or {}).items()}
         schedule[0] = list(setup.engage_events) + schedule.get(0, [])
 
-        # the world feeds the first external input of the acquisition stage
-        world_topic = next((n.inputs[0] for n in self.config.nodes
-                            if n.stage.name == "ACQUISITION" and n.inputs), "world/radar")
+        world_topic, odometry_topic = fed_inputs(self.config.nodes)
 
         command_topic = self._command_topic
         dt = scenario.dt
@@ -276,7 +294,7 @@ class Stack:
                        "azimuth_rad": 0.0}
                 produced = graph_step({
                     world_topic: raw,
-                    "vehicle/odometry": {"speed_mps": ego_v},
+                    odometry_topic: {"speed_mps": ego_v},
                 })
                 if command_topic in produced:
                     publish(pack(produced[command_topic]["accel_mps2"]))

@@ -270,6 +270,31 @@ def test_cli_malformed_value_exits_2_with_one_diagnostic(tmp_path, demo_doc, cap
     assert not out.exists()
 
 
+def _rename_odometry(doc):
+    """A breakage that renames the demo's odometry topic everywhere."""
+    renamed = json.loads(json.dumps(doc).replace('"vehicle/odometry"', '"vehicle/odo"'))
+    doc.clear()
+    doc.update(renamed)
+
+
+# both passed validation, and the drive then fed an input no node reads:
+# acc_planner never fired and the ego hit the lead at t = 13.95 s
+@pytest.mark.parametrize("breakage,diagnostic", [
+    (_rename_odometry, "pipeline: input 'vehicle/odo' of node 'acc_planner': nothing feeds it"),
+    (_set(["pipeline", "nodes", 0, "stage"], "abstraction"),
+     "pipeline: the acc section needs an acquisition node with an input"),
+], ids=["odometry_renamed", "no_acquisition_input"])
+def test_an_acc_input_the_runner_does_not_feed_is_a_config_error(tmp_path, demo_doc, capsys,
+                                                                 breakage, diagnostic):
+    breakage(demo_doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(demo_doc))
+    out = tmp_path / "m.json"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"dfpctl: config error: {diagnostic}"]
+    assert not out.exists()
+
+
 def _json_paths(value, path=()):
     """``(path, value)`` of every value inside the JSON document ``value``."""
     items = (value.items() if type(value) is dict

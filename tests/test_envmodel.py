@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dfp.envmodel
 from dfp.envmodel import (
-    INGEST_TABLE,
+    _RADAR_RECORD,
     STOPWORDS,
     _TAG_RE,
     DuplicateId,
@@ -872,7 +872,6 @@ STANDING_ODDS = {
     "window": OddQuery(("rail",), time_range=(1, 2)),
     "both": OddQuery(("snow", "fog"), RecordClass.OBJECT, (0, 2)),
 }
-frame_kinds = st.sampled_from([DeviceKind.RADAR, DeviceKind.GPS, DeviceKind.V2X])
 # "rain" on every other tag set, so updates often move records that a saved
 # ODD holds; ids 0-4 are few, so updates and deletes often find a record
 rainy_tag_sets = st.tuples(tag_sets, st.booleans()).map(
@@ -881,7 +880,7 @@ standing_updates = st.tuples(st.just("update"), record_ids, st.none() | rainy_ta
                              st.none() | timestamps, st.integers(0, 9))
 standing_ops = st.one_of(
     st.tuples(st.just("create"), record_ids, rainy_tag_sets, timestamps, classes),
-    st.tuples(st.just("frame"), frame_kinds, timestamps),
+    st.tuples(st.just("frame"), timestamps),
     st.tuples(st.just("mapping"), rainy_tag_sets, timestamps, classes),
     standing_updates,
     standing_updates,
@@ -891,13 +890,12 @@ standing_ops = st.one_of(
 )
 
 
-def frame_record(rid, kind, ts):
-    """The record ``ingest`` makes of a frame, built from ``INGEST_TABLE``."""
-    cls, tags, source = INGEST_TABLE[kind]
+def frame_record(rid, ts):
+    """The record ``ingest`` makes of a radar frame."""
     attributes = {"range_m": 40.0 + rid}
-    position = (attributes["range_m"], 0.0) if kind == DeviceKind.RADAR else None
-    return (AbstractFrame(f"{kind.value}0", kind, rid, ts, attributes),
-            EnvRecord(rid, cls, tags, ts, attributes, position, source))
+    return (AbstractFrame("radar0", DeviceKind.RADAR, rid, ts, attributes),
+            EnvRecord(rid, RecordClass.OBJECT, frozenset({"vehicle", "lead"}), ts, attributes,
+                      (attributes["range_m"], 0.0), Source.PERCEPTION))
 
 
 @settings(max_examples=200, deadline=None)
@@ -907,9 +905,9 @@ def frame_record(rid, kind, ts):
     ("create", 0, frozenset({"rain", "rail"}), 1, RecordClass.OBJECT),
     ("update", 0, None, None, 3),  # stays in both, same place, new record
     ("update", 0, None, 3, 4),  # moves in "rain", leaves "window"
-    ("frame", DeviceKind.RADAR, 2),
+    ("frame", 2),
     ("save", "lead"),
-    ("frame", DeviceKind.RADAR, 0),  # lands before the last match
+    ("frame", 0),  # lands before the last match
     ("update", 1, None, 1, 5),
     ("delete", 0),
     ("reopen",),
@@ -1081,10 +1079,10 @@ def test_weather_mapping_ingest_tags_true_booleans():
     assert got.tags == frozenset({"rain"})
 
 
-def test_every_ingest_table_tag_is_valid():
-    # frame ingest skips validate(): its tags can only come from this table
-    for _, tags, _ in INGEST_TABLE.values():
-        assert tags and all(_TAG_RE.match(tag) for tag in tags)
+def test_every_radar_record_tag_is_valid():
+    # frame ingest skips the reader: its tags can only come from this constant
+    _, tags, _ = _RADAR_RECORD
+    assert tags and all(_TAG_RE.match(tag) for tag in tags)
 
 
 def test_invalid_mapping_ingest_is_rejected_and_changes_nothing():
@@ -1177,7 +1175,7 @@ def test_update_ingest_and_open_read_a_field_alike(tmp_path, field, value, refus
 
 def test_reingesting_same_frame_gives_distinct_ids_equal_content():
     handle = DeviceRegistry().register_device(
-        DeviceDescriptor("gps0", DeviceKind.GPS, 10.0, 3))
+        DeviceDescriptor("radar0", DeviceKind.RADAR, 10.0, 3))
     frame = normalize(handle.tick(1)[0])
     store = EnvStore()
     a = store.ingest(frame)
