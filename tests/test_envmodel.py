@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import dfp.envmodel
 from dfp.envmodel import (
-    _RADAR_RECORD,
     STOPWORDS,
+    _RADAR_RECORD,
     _TAG_RE,
     DuplicateId,
     DuplicateOddName,
