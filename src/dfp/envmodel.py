@@ -37,11 +37,16 @@ only its first asking after a change of vocabulary also pays the lookup in
 A saved ODD is a standing result: ``save_odd`` seeds its matches with one
 ``query``, and every write after that tests only the record it adds,
 replaces or removes. Whether a record matches depends on nothing else: its
-class, its timestamp and its tags. The tag test is memoised by the record's
-``tags`` frozenset (every ingested radar frame's record shares one) while an
-ODD is saved, in a memo cleared when it holds ``_MEMO_LIMIT`` sets, so a write
-pays one dict lookup for the saved ODDs whose tokens its tags match, then
-for each of those a class and time check and, when the record passes, an
+class, its timestamp and its tags. The tag test is the query's own rule:
+every entry of the ODD's plan, a token's live tags, must meet the record's
+tags. It runs only while all of those tags are live (``_unpost`` takes a
+record out of the saved ODDs before it takes it out of its postings), and
+then its answer does not depend on the rest of the vocabulary. So it is
+memoised by the record's ``tags`` frozenset (every ingested radar frame's
+record shares one) while an ODD is saved, in a memo cleared when it holds
+``_MEMO_LIMIT`` sets and kept when the plans are cleared, and a write pays
+one dict lookup for the saved ODDs whose tokens its tags match, then for
+each of those a class and time check and, when the record passes, an
 append (in-order ingests) or a ``bisect``. Saved ODDs its tags do not match
 cost it nothing. Reading a saved ODD with ``run_odd`` copies its list and
 runs no query.
@@ -154,7 +159,7 @@ class Source(enum.Enum):
 STOPWORDS = frozenset({"on", "in", "at", "the", "a", "an", "of", "and", "with"})
 FUZZY_MIN_LEN = 4
 
-_TAG_RE = re.compile(r"^[a-z0-9_]+$")
+_TAG_RE = re.compile(r"[a-z0-9_]+")  # a whole word: ``fullmatch``, no trailing newline
 
 # one encoder for every log line; ``json.dumps(obj, sort_keys=True)`` would
 # build a new one per call and produce the same text
@@ -192,7 +197,7 @@ def _check_tags(tags) -> None:
     if not tags:
         raise InvalidRecord("tags must be non-empty")
     for tag in tags:
-        if not isinstance(tag, str) or not _TAG_RE.match(tag):
+        if not isinstance(tag, str) or not _TAG_RE.fullmatch(tag):
             raise InvalidRecord(f"bad tag {tag!r} (want [a-z0-9_]+)")
 
 
@@ -320,25 +325,6 @@ def normalize_token(word: str) -> str:
     return word.strip().lower()
 
 
-def fuzzy_match(token: str, tag: str) -> bool:
-    """Exact, or ``len(token) >= FUZZY_MIN_LEN`` and edit distance <= 1.
-
-    Two necessary conditions throw out most pairs before ``levenshtein``
-    runs. The edit distance is at least the length difference. And one
-    edit changes the character set by at most two characters: a
-    substitution can drop one character and bring in another, an insertion
-    or a deletion adds or removes one. So character sets that differ in
-    more than two characters cannot be one edit apart. What passes both,
-    true matches, transpositions and close misses, goes to ``levenshtein``.
-    """
-    if token == tag:
-        return True
-    if (len(token) < FUZZY_MIN_LEN or abs(len(token) - len(tag)) > 1
-            or len(set(token).symmetric_difference(tag)) > 2):
-        return False
-    return levenshtein(token, tag) <= 1
-
-
 def _deletions(word: str) -> set[str]:
     """Every string made by deleting one character of ``word``."""
     return {word[:i] + word[i + 1:] for i in range(len(word))}
@@ -410,31 +396,24 @@ def _insert(run: list, rec: EnvRecord) -> None:
         run.insert(_position(run, rec), rec)
 
 
-class _StandingOdd:
-    """A saved ODD's matches, ascending by ``(timestamp_ns, -record_id)``.
+class _StandingOdd(NamedTuple):
+    """A saved ODD: its query and its matches.
 
-    The store memoises the tag test (``takes_tags``) by tag set and offers
-    a written record only to the saved ODDs whose tag test it passes;
-    ``admits`` adds the class and time tests.
+    The store offers a written record only to the saved ODDs whose tag test
+    it passes (``EnvStore._tag_odds``); ``admits`` adds the class and time
+    tests.
     """
 
-    __slots__ = ("tokens", "class_filter", "time_range", "matches")
-
-    def __init__(self, q: OddQuery):
-        self.tokens = q.effective_tokens()
-        self.class_filter = q.class_filter
-        self.time_range = q.time_range
-        self.matches: list[EnvRecord] = []
-
-    def takes_tags(self, tags: frozenset) -> bool:
-        return all(any(fuzzy_match(tok, tag) for tag in tags) for tok in self.tokens)
+    query: OddQuery
+    matches: list  # ascending by (timestamp_ns, -record_id)
 
     def admits(self, rec: EnvRecord) -> bool:
-        if self.class_filter is not None and rec.record_class is not self.class_filter:
+        _, class_filter, time_range = self.query
+        if class_filter is not None and rec.record_class is not class_filter:
             return False
-        if self.time_range is None:
+        if time_range is None:
             return True
-        t0, t1 = self.time_range
+        t0, t1 = time_range
         return t0 <= rec.timestamp_ns <= t1
 
 
@@ -591,10 +570,14 @@ class EnvStore:
                 _insert(odd.matches, rec)
 
     def _unpost(self, rec: EnvRecord, successor: EnvRecord | None = None) -> None:
-        """Take a record out of its tags' postings, where a tag left with
-        no postings goes too, and out of the saved ODDs it matches. Under
-        each tag that ``successor``, a replacement with the same timestamp,
-        also carries, the successor takes the record's place instead."""
+        """Take a record out of the saved ODDs it matches, while its tags
+        are all live as ``_tag_odds`` needs, then out of its tags'
+        postings, where a tag left with no postings goes too. Under each
+        tag that ``successor``, a replacement with the same timestamp, also
+        carries, the successor takes the record's place instead."""
+        for odd in self._tag_odds(rec.tags):
+            if odd.admits(rec):
+                del odd.matches[_position(odd.matches, rec)]
         postings = self._postings
         for tag in rec.tags:
             run = postings[tag]
@@ -606,9 +589,6 @@ class EnvStore:
             if not run:
                 del postings[tag]
                 self._unindex_tag(tag)
-        for odd in self._tag_odds(rec.tags):
-            if odd.admits(rec):
-                del odd.matches[_position(odd.matches, rec)]
 
     def _index_tag(self, tag: str) -> None:
         """Enter a tag that has just gained its first posting in ``_near``;
@@ -635,7 +615,16 @@ class EnvStore:
 
     def _tag_odds(self, tags: frozenset) -> tuple:
         """The saved ODDs whose tag test ``tags`` passes, memoised while
-        there is a saved ODD; a miss on a full memo clears it first."""
+        there is a saved ODD; a miss on a full memo clears it first.
+
+        The test is the query's: every entry of the ODD's plan, a token's
+        live tags, must meet ``tags``. The plan comes from ``_plans`` or
+        ``_plan``. Callers run this only while every tag in ``tags`` is
+        live, and then a token's live tags meet ``tags`` exactly when one
+        of ``tags`` is the token or one edit from it, whatever else the
+        vocabulary holds. So a memo entry stays true when the vocabulary
+        changes, though the plans it was read from are cleared.
+        """
         memo = self._odds_by_tags
         odds = memo.get(tags)
         if odds is None:
@@ -643,8 +632,14 @@ class EnvStore:
                 return ()
             if len(memo) >= _MEMO_LIMIT:
                 memo.clear()
-            odds = memo[tags] = tuple(
-                odd for odd in self._odds.values() if odd.takes_tags(tags))
+            found = []
+            for odd in self._odds.values():
+                plan = self._plans.get(odd.query.tokens)
+                if plan is None:
+                    plan = self._plan(odd.query)
+                if not any(tags.isdisjoint(token_tags) for token_tags in plan):
+                    found.append(odd)
+            odds = memo[tags] = tuple(found)
         return odds
 
     def create(self, rec: EnvRecord) -> int:
@@ -704,9 +699,11 @@ class EnvStore:
         ``effective_tokens`` and ``_fuzzy_tags``, a lookup in ``_near`` and
         the postings that runs no edit distance and does not walk the
         vocabulary, and stores it until the vocabulary changes; a query
-        with no searchable token raises ``EmptyQuery`` every time. The plan
-        holds tag names, and the postings are read afresh. Two bisects find the time window (all of it when there
-        is no ``time_range``) in each of those tags' postings. The token
+        with no searchable token raises ``EmptyQuery`` every time. A saved
+        ODD's tag test (``_tag_odds``) reads the same plans. The plan holds
+        tag names, and the postings are read afresh. Two bisects find the
+        time window (all of it when there is no ``time_range``) in each of
+        those tags' postings. The token
         with the fewest postings in the window drives: its run, read
         backwards, is already in result order; when it matched several
         tags their runs are merged and a record they share is kept once.
@@ -796,18 +793,19 @@ class EnvStore:
     # -- saved ODDs ----------------------------------------------------------------
 
     def save_odd(self, name: str, q: OddQuery) -> None:
-        """Save ``q`` as a standing result, seeded by one ``query``.
+        """Save ``q`` as a standing result, seeded by one ``query``, which
+        raises ``EmptyQuery`` for a definition of stopwords only.
 
         From then on each write tests only the record it writes: one dict
         lookup finds the saved ODDs whose tag test its tag set passes (the
-        test runs once per new tag set), and each of those checks the class
-        and the time window and appends or ``bisect``s the record.
+        test, the query's plan against the tag set, runs once per new tag
+        set), and each of those checks the class and the time window and
+        appends or ``bisect``s the record.
         """
-        odd = _StandingOdd(q)  # rejects stopword-only definitions up front
+        matches = self.query(q)[::-1]
         if name in self._odds:
             raise DuplicateOddName(f"odd {name!r} exists")
-        odd.matches = self.query(q)[::-1]
-        self._odds[name] = odd
+        self._odds[name] = _StandingOdd(q, matches)
         self._odds_by_tags.clear()
 
     def run_odd(self, name: str) -> list[EnvRecord]:
@@ -841,8 +839,8 @@ class EnvStore:
         elif isinstance(frame, dict):
             tags, attributes = frame.get("tags", ()), frame.get("attributes")
             if type(tags) in _TAG_TYPES and isinstance(attributes, dict):
-                tags = [*tags, *(key for key, value in attributes.items()
-                                 if value is True and isinstance(key, str) and _TAG_RE.match(key))]
+                tags = [*tags, *(key for key, value in attributes.items() if value is True
+                                 and isinstance(key, str) and _TAG_RE.fullmatch(key))]
             rec = EnvRecord.from_json_obj({"timestamp_ns": 0, "source": "fusion", **frame,
                                            "record_id": self._next_id, "tags": tags})
         else:

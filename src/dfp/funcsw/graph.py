@@ -179,8 +179,7 @@ class TaskGraph:
                 if src is None:
                     if self.external_topics is not None and topic not in self.external_topics:
                         raise UnresolvedInput(
-                            f"input {topic!r} of node {node.node_id!r} has no producer "
-                            f"and is not a declared external topic")
+                            f"input {topic!r} of node {node.node_id!r}: nothing feeds it")
                     continue
                 src_node = self.nodes[src]
                 if src_node.stage > node.stage:

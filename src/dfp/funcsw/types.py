@@ -102,7 +102,7 @@ class GroupPolicy(NamedTuple):
     restart_policy: RestartPolicy = RestartPolicy(0)
 
 
-_SEMVER_RE = re.compile(r"^\d+\.\d+\.\d+$")
+_SEMVER_RE = re.compile(r"\d+\.\d+\.\d+")  # a whole version: ``fullmatch``, no trailing newline
 
 
 class _AlgorithmFields(NamedTuple):
@@ -122,7 +122,7 @@ class AlgorithmDescriptor(_AlgorithmFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not _SEMVER_RE.match(self.version):
+        if not _SEMVER_RE.fullmatch(self.version):
             raise GraphError(f"version must be semver (x.y.z), got {self.version!r}")
         module_name, sep, attr = self.entry.partition(":")
         if not sep or not module_name or not attr:

@@ -150,11 +150,9 @@ BUILTIN_BODIES = {
 
 def fed_inputs(nodes) -> tuple:
     """The two inputs the runner feeds each drive step: the first input of
-    the acquisition stage, which gets the radar's raw measurement, and
-    ``ODOMETRY``."""
+    the acquisition stage, which gets the radar's raw measurement (None
+    when no acquisition node has an input), and ``ODOMETRY``."""
     world = next((n.inputs[0] for n in nodes if n.stage is Stage.ACQUISITION and n.inputs), None)
-    if world is None:
-        raise ConfigurationError("the acc section needs an acquisition node with an input")
     return world, ODOMETRY
 
 
@@ -162,10 +160,14 @@ def assemble(cfg, stub_imports: bool = False):
     """Every layer the system config ``cfg`` declares, built by its own constructor.
 
     Returns ``(hal, env, graph, coordinator)``; the graph is None when the
-    config declares no nodes. An ``acc`` section, a plant for the graph to
-    drive, needs nodes and a ``control/*`` topic for its command, and every
-    node input must be one a node produces or the runner feeds
-    (``fed_inputs``). The graph gets copies of the node declarations, since
+    config declares no nodes. The graph checks that each node input is one
+    a node produces or one of the topics it is handed: the declared topics
+    or, with an ``acc`` section, those of them the runner feeds
+    (``fed_inputs``). An ``acc`` section, a plant for the graph to drive,
+    also needs nodes, a ``control/*`` topic for its command and an
+    acquisition node with an input; without that input the graph is handed
+    every declared topic, so that its own checks, the stage order among
+    them, speak first. The graph gets copies of the node declarations, since
     resolving a node sets its body. With ``stub_imports``, an entry that is
     not builtin gets a body that produces nothing instead of being imported,
     so validating imports nothing.
@@ -187,23 +189,21 @@ def assemble(cfg, stub_imports: bool = False):
                 factory = (lambda node: lambda inputs, config: {}) if stub_imports else None
             registry.register(descriptor, factory)
         graph = None
+        world, odometry = fed_inputs(cfg.nodes)
         if cfg.nodes:
+            feeds = cfg.topic_names()
+            if cfg.acc is not None and world is not None:  # a drive feeds only these
+                feeds &= {world, odometry}
             graph = TaskGraph([replace(n, config=dict(n.config)) for n in cfg.nodes],
-                              cfg.groups, registry=registry,
-                              external_topics=cfg.topic_names())
+                              cfg.groups, registry=registry, external_topics=feeds)
         elif cfg.acc is not None:
             raise ConfigurationError("the acc section needs pipeline nodes to drive its plant")
         if cfg.acc is not None and not any(t.name.startswith("control/") for t in cfg.topics):
             raise ConfigurationError("the acc section needs a control/* topic for its command")
         coordinator = Coordinator(groups=set(cfg.groups), group_controller=graph)
         coordinator.load(cfg.fsms)
-        if cfg.acc is not None:  # a drive feeds only these and what nodes produce
-            fed = {*fed_inputs(cfg.nodes), *(t for n in cfg.nodes for t in n.outputs)}
-            for node in cfg.nodes:
-                for topic in node.inputs:
-                    if topic not in fed:
-                        raise ConfigurationError(
-                            f"input {topic!r} of node {node.node_id!r}: nothing feeds it")
+        if cfg.acc is not None and world is None:
+            raise ConfigurationError("the acc section needs an acquisition node with an input")
     except DfpError as exc:
         raise ConfigurationError(f"{where}: {exc}") from exc
     return hal, env, graph, coordinator

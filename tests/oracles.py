@@ -74,6 +74,13 @@ def levenshtein_recursive(a: str, b: str) -> int:
     return go(0, 0)
 
 
+def one_edit_match(tok: str, tag: str) -> bool:
+    """The store's fuzzy rule by edit distance: the token is the tag, or it
+    has at least four characters and one insertion, deletion or
+    substitution turns it into the tag (a transposition is two)."""
+    return tok == tag or (len(tok) >= 4 and levenshtein_recursive(tok, tag) <= 1)
+
+
 class FsmReference:
     """Plain-dict reference interpreter for coordinated state machines.
 

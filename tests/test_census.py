@@ -5,6 +5,7 @@ The census itself (``python scripts/census.py``) is not run here: its
 profile hook would share this process with the timing criteria.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -107,6 +108,9 @@ DELETED = [
     ("dfp.hal", "_NORMALIZERS"),
     ("dfp.hal", "NORMALIZED_SCHEMAS"),
     ("dfp.envmodel", "INGEST_TABLE"),
+    # saved ODDs test a record's tags through the query plan
+    ("dfp.envmodel", "fuzzy_match"),
+    ("dfp.envmodel", "_StandingOdd.takes_tags"),
 ]
 
 
@@ -139,6 +143,24 @@ def test_no_deleted_name_is_exported_from_the_packages():
     for package in (dfp.funcsw, dfp.middleware):
         assert not names & set(package.__all__)
         assert not any(hasattr(package, name) for name in names)
+
+
+def test_no_pattern_in_src_ends_in_a_dollar():
+    """``$`` also matches just before a trailing newline, so a check of a
+    whole string compiles its pattern without anchors and calls
+    ``fullmatch``."""
+    patterns = []
+    for folder, _, files in os.walk(census.SRC):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                patterns += [(name, node.args[0].value) for node in ast.walk(tree)
+                             if isinstance(node, ast.Call)
+                             and ast.unparse(node.func) == "re.compile"
+                             and node.args and isinstance(node.args[0], ast.Constant)]
+    assert patterns  # the walk sees the patterns there are
+    assert [(name, pattern) for name, pattern in patterns if pattern.endswith("$")] == []
 
 
 CODELINES_FIXTURE = '''"""A module docstring

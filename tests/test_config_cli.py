@@ -74,6 +74,11 @@ def test_stage_order_violation_rejected(demo_doc):
     expect_config_error(demo_doc, "stage order")
 
 
+def test_algorithm_version_with_a_trailing_newline_rejected(demo_doc):
+    demo_doc["algorithms"][0]["version"] = "1.0.0\n"
+    expect_config_error(demo_doc, "algorithm 'radar_acquire': version must be semver")
+
+
 def test_duplicate_node_rejected(demo_doc):
     demo_doc["pipeline"]["nodes"][1]["node_id"] = "radar_acq"
     expect_config_error(demo_doc, "radar_acq")

@@ -7,7 +7,7 @@ import tempfile
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dfp.envmodel
 from dfp.envmodel import (
@@ -26,12 +26,11 @@ from dfp.envmodel import (
     OddQuery,
     RecordClass,
     Source,
-    fuzzy_match,
     levenshtein,
 )
 from dfp.hal import AbstractFrame, DeviceDescriptor, DeviceKind, DeviceRegistry, normalize
 
-from oracles import levenshtein_recursive, replay_reference
+from oracles import levenshtein_recursive, one_edit_match, replay_reference
 
 
 def rec(rid, tags, ts=0, cls=RecordClass.OBJECT, **kw):
@@ -140,6 +139,9 @@ def test_invalid_tags_rejected():
         store.create(rec(1, set()))
     with pytest.raises(InvalidRecord):
         store.create(rec(2, {"Bad Tag"}))
+    with pytest.raises(InvalidRecord):  # a tag is a whole word: no trailing newline
+        store.create(rec(3, {"rain\n"}))
+    assert store.all_records() == []
 
 
 # -- fuzzy matching --------------------------------------------------------------
@@ -153,11 +155,22 @@ def test_levenshtein_against_recursive_oracle():
         assert levenshtein(a, b) == levenshtein_recursive(a, b)
 
 
+def fuzzy_tags_of_one(tok, tag):
+    """The tags ``_fuzzy_tags`` finds for ``tok`` in a store that holds the
+    one tag ``tag``."""
+    store = EnvStore()
+    store.create(rec(0, {tag}))
+    return store._fuzzy_tags(tok)
+
+
 def test_single_edit_matches_only_from_length_four():
-    assert fuzzy_match("tunel", "tunnel")  # distance 1, length 5
-    assert not fuzzy_match("cat", "cap")  # distance 1 but too short
-    assert fuzzy_match("cat", "cat")
-    assert not fuzzy_match("tunnel", "bridge")
+    assert fuzzy_tags_of_one("tunel", "tunnel") == {"tunnel"}  # deletion, length 5
+    assert fuzzy_tags_of_one("tunnvl", "tunnel") == {"tunnel"}  # substitution
+    assert fuzzy_tags_of_one("tunnnel", "tunnel") == {"tunnel"}  # insertion
+    assert fuzzy_tags_of_one("tnunel", "tunnel") == set()  # a transposition is two edits
+    assert fuzzy_tags_of_one("cat", "cap") == set()  # distance 1 but too short
+    assert fuzzy_tags_of_one("cat", "cat") == {"cat"}
+    assert fuzzy_tags_of_one("tunnel", "bridge") == set()
 
 
 # a shorter and a longer string from a three-letter alphabet, their lengths
@@ -175,8 +188,8 @@ near_length_pairs = st.text(alphabet="abc", max_size=6).flatmap(
 def test_fuzzy_match_length_bound_equals_one_edit_oracle(pair):
     short, long_, token_is_long = pair
     tok, tag = (long_, short) if token_is_long else (short, long_)
-    want = tok == tag or (len(tok) >= 4 and levenshtein_recursive(tok, tag) <= 1)
-    assert fuzzy_match(tok, tag) == want
+    assume(tag)  # a store holds no empty tag
+    assert fuzzy_tags_of_one(tok, tag) == ({tag} if one_edit_match(tok, tag) else set())
 
 
 WIDE = "abcdefgh"
@@ -185,8 +198,8 @@ WIDE = "abcdefgh"
 @st.composite
 def wide_pairs(draw):
     """A token over eight letters and a tag drawn on its own or made from
-    the token by one or two edits, so that both the pairs the character-set
-    filter throws out and the one-edit pairs it must keep turn up."""
+    the token by one or two edits, so that both pairs far apart and pairs
+    one or two edits apart turn up."""
     tok = draw(st.text(alphabet=WIDE, max_size=8))
     if draw(st.booleans()):
         return tok, draw(st.text(alphabet=WIDE, max_size=8))
@@ -209,34 +222,11 @@ def wide_pairs(draw):
 @example(("abcd", "abce"))  # a substitution that drops a character and brings one in
 @example(("abcd", "abcde"))
 @example(("abcde", "abce"))
-@example(("abcd", "abdc"))  # a transposition passes the filter, then fails
+@example(("abcd", "abdc"))  # a transposition is two edits
 def test_fuzzy_match_equals_one_edit_oracle_over_a_wide_alphabet(pair):
     tok, tag = pair
-    want = tok == tag or (len(tok) >= 4 and levenshtein_recursive(tok, tag) <= 1)
-    assert fuzzy_match(tok, tag) == want
-
-
-def test_levenshtein_runs_only_on_tags_one_edit_could_reach(monkeypatch):
-    calls = []
-
-    def counting(a, b):
-        calls.append((a, b))
-        return levenshtein(a, b)
-
-    monkeypatch.setattr(dfp.envmodel, "levenshtein", counting)
-    assert not fuzzy_match("tunnvl", "bridge")  # same length, no character in common
-    assert calls == []
-    assert fuzzy_match("tunnvl", "tunnel")  # substitution
-    assert fuzzy_match("tunnnel", "tunnel")  # insertion
-    assert fuzzy_match("tunel", "tunnel")  # deletion
-    assert not fuzzy_match("tnunel", "tunnel")  # a transposition is two edits
-    assert calls == [("tunnvl", "tunnel"), ("tunnnel", "tunnel"), ("tunel", "tunnel"),
-                     ("tnunel", "tunnel")]
-    calls.clear()
-    # the query finds "tunnel" through the one-deletion index: no edit distance
-    got = seeded_store().query(OddQuery(("tunnvl",)))
-    assert [r.record_id for r in got] == [3, 2, 1]
-    assert calls == []
+    assume(tag)  # a store holds no empty tag
+    assert fuzzy_tags_of_one(tok, tag) == ({tag} if one_edit_match(tok, tag) else set())
 
 
 def one_edit_variants(word, alphabet):
@@ -255,7 +245,33 @@ def one_edit_variants(word, alphabet):
     return out
 
 
-def test_a_query_over_a_thousand_tags_calls_no_fuzzy_match(monkeypatch):
+def test_no_store_path_runs_an_edit_distance(monkeypatch, tmp_path):
+    """Saved ODDs and queries find a token's tags through ``_near`` alone:
+    with ``levenshtein`` raising, every write, query and reopen still
+    answers as a scan does, over a dense vocabulary too."""
+
+    def raising(a, b):
+        raise AssertionError(f"levenshtein({a!r}, {b!r}) ran")
+
+    monkeypatch.setattr(dfp.envmodel, "levenshtein", raising)
+    path = str(tmp_path / "env.jsonl")
+    with EnvStore(log_path=path) as store:
+        q = OddQuery(("tunel",))
+        store.save_odd("tunnel", q)
+        store.create(rec(1, {"tunnel", "rain"}, ts=10))
+        rid = store.ingest({"class": "road_feature", "tags": ["tunnel"], "timestamp_ns": 20})
+        store.update(1, {"tags": ["tunnel", "night"], "timestamp_ns": 30})
+        store.create(rec(3, {"tunnels"}, ts=5))
+        store.delete(3)
+        records = store.all_records()
+        want = brute_force_query(records, q.tokens)
+        assert [r.record_id for r in want] == [1, rid]
+        assert store.query(q) == store.run_odd("tunnel") == want
+    reopened = EnvStore.open(path)
+    assert reopened.all_records() == records
+    reopened.save_odd("tunnel", q)
+    assert reopened.run_odd("tunnel") == reopened.query(q) == want
+
     rng = random.Random(25)
     vocabulary = set()
     while len(vocabulary) < 1000:  # a dense vocabulary: many tags one edit apart
@@ -265,18 +281,10 @@ def test_a_query_over_a_thousand_tags_calls_no_fuzzy_match(monkeypatch):
     for rid, tag in enumerate(vocabulary):
         store.create(rec(rid, {tag, rng.choice(vocabulary)}, ts=rng.randint(0, 99)))
     records = store.all_records()
-    calls = []
-
-    def counting(tok, tag):
-        calls.append((tok, tag))
-        return fuzzy_match(tok, tag)
-
-    monkeypatch.setattr(dfp.envmodel, "fuzzy_match", counting)
     words = rng.sample(vocabulary, 8)
     words += rng.sample(sorted(one_edit_variants(words[0], "abcdefg")), 12)
     for word in words:
         assert store.query(OddQuery((word,))) == brute_force_query(records, [word]), word
-    assert calls == []
 
 
 def test_paper_style_query_with_connector_words():
@@ -342,8 +350,7 @@ def brute_force_query(records, words, class_filter=None, time_range=None):
             continue
         ok = True
         for tok in tokens:
-            hits = [t for t in r.tags
-                    if tok == t or (len(tok) >= 4 and levenshtein_recursive(tok, t) <= 1)]
+            hits = [t for t in r.tags if one_edit_match(tok, t)]
             if not hits:
                 ok = False
                 break
@@ -576,10 +583,10 @@ def near_tokens(draw, pool):
 
 def check_near(store, tokens):
     """``_near`` is the index of the live vocabulary, no stale key and no
-    empty set, and each token's tags are those ``fuzzy_match`` picks."""
+    empty set, and each token's tags are those the one-edit oracle picks."""
     assert store._near == near_index(store._postings)
     for tok in tokens:
-        want = {tag for tag in store._postings if fuzzy_match(tok, tag)}
+        want = {tag for tag in store._postings if one_edit_match(tok, tag)}
         assert store._fuzzy_tags(tok) == want, tok
 
 
@@ -813,7 +820,7 @@ def driver_postings(records, words, window):
     tokens = [w.strip().lower() for w in words]
     for tok in [w for w in tokens if w and w not in STOPWORDS]:
         hits = [r.record_id for r in records for t in r.tags
-                if (tok == t or (len(tok) >= 4 and levenshtein_recursive(tok, t) <= 1))
+                if one_edit_match(tok, t)
                 and (window is None or window[0] <= r.timestamp_ns <= window[1])]
         if best is None or len(hits) < len(best):
             best = hits
@@ -1077,6 +1084,8 @@ def test_weather_mapping_ingest_tags_true_booleans():
     got = store.read(rid)
     assert got.record_class == RecordClass.WEATHER
     assert got.tags == frozenset({"rain"})
+    with pytest.raises(InvalidRecord, match="tags must be non-empty"):  # "fog\n" is no tag word
+        store.ingest({"class": "weather", "attributes": {"fog\n": True}})
 
 
 def test_every_radar_record_tag_is_valid():
@@ -1265,6 +1274,7 @@ def test_open_names_the_line_that_is_json_but_not_a_record(tmp_path):
     good = json.dumps(rec(1, {"rain"}).to_json_obj())
     bad_lines = {
         "bad tag": {**rec(2, {"rain"}).to_json_obj(), "tags": ["Bad Tag"]},
+        r"bad tag 'rain\\n'": {**rec(2, {"rain"}).to_json_obj(), "tags": ["rain\n"]},
         "missing key 'class'": {k: v for k, v in rec(2, {"rain"}).to_json_obj().items()
                                 if k != "class"},
         "record_id must be an int, not 'two'":
