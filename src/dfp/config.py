@@ -9,7 +9,7 @@ Top-level keys (all others are rejected)::
     algorithms  algorithm descriptors the node loader resolves against
     fsms        mode-management state machine definitions
     odds        saved environment queries ({"name", "tokens", ...})
-    acc         optional scenario + controller gains + engage event script
+    acc         required: scenario + controller gains + engage event script
 
 Each object section declares its keys once, below: for every allowed key,
 its exact types and either a default, REQUIRED, or NAME (required, and its
@@ -66,6 +66,7 @@ class AccSetup(NamedTuple):
 # variants come from dataclasses.replace
 @dataclass
 class SystemConfig:
+    acc: AccSetup  # a config is a drive: the runner has nothing to do without it
     seed: int = 0
     devices: list = field(default_factory=list)
     topics: list = field(default_factory=list)
@@ -74,7 +75,6 @@ class SystemConfig:
     algorithms: list = field(default_factory=list)
     fsms: list = field(default_factory=list)
     odds: list = field(default_factory=list)  # (name, OddQuery)
-    acc: AccSetup | None = None
     sha256: str = ""
 
     def topic_names(self) -> set:
@@ -115,7 +115,7 @@ REQUIRED, NAME = object(), object()
 
 CONFIG = {"seed": (INT, 0), "devices": (LIST, []), "topics": (LIST, []),
           "pipeline": (DICT, {}), "algorithms": (LIST, []), "fsms": (LIST, []),
-          "odds": (LIST, []), "acc": (DICT, None)}
+          "odds": (LIST, []), "acc": (DICT, REQUIRED)}
 PIPELINE = {"nodes": (LIST, []), "groups": (DICT, {})}
 DEVICE = {"device_id": (STR, NAME), "kind": (STR, REQUIRED), "rate_hz": (NUMBER, REQUIRED),
           "seed": (INT, 0), "binding_label": (STR, "compute-unit")}
@@ -299,7 +299,7 @@ def parse_config(doc: dict, sha256: str = "") -> SystemConfig:
         algorithms=[_parse(obj, "algorithm", ALGORITHM, _algorithm) for obj in f["algorithms"]],
         fsms=[_parse(obj, "fsm", FSM, _fsm) for obj in f["fsms"]],
         odds=[_parse(obj, "odd", ODD, _odd) for obj in f["odds"]],
-        acc=None if f["acc"] is None else _parse(f["acc"], "acc", ACC, _acc),
+        acc=_parse(f["acc"], "acc", ACC, _acc),
         sha256=sha256,
     )
     validate_config(cfg)
@@ -310,14 +310,13 @@ def validate_config(cfg: SystemConfig) -> None:
     """Assemble every layer, imported entries stubbed; raise naming what one refuses."""
     _unique([t.name for t in cfg.topics], "topic")
     assemble(cfg, stub_imports=True)
-    if cfg.acc is not None:
-        events = {f.fsm_id: {t.event for t in f.transitions} for f in cfg.fsms}
-        for fsm_id, event in cfg.acc.engage_events:
-            if fsm_id not in events:
-                _fail(f"acc engage event references unknown fsm {fsm_id!r}")
-            if event not in events[fsm_id]:
-                _fail(f"acc engage event {[fsm_id, event]!r}: "
-                      f"no transition of fsm {fsm_id!r} takes it")
+    events = {f.fsm_id: {t.event for t in f.transitions} for f in cfg.fsms}
+    for fsm_id, event in cfg.acc.engage_events:
+        if fsm_id not in events:
+            _fail(f"acc engage event references unknown fsm {fsm_id!r}")
+        if event not in events[fsm_id]:
+            _fail(f"acc engage event {[fsm_id, event]!r}: "
+                  f"no transition of fsm {fsm_id!r} takes it")
 
 
 def load_config(path) -> SystemConfig:

@@ -102,7 +102,8 @@ class GroupPolicy(NamedTuple):
     restart_policy: RestartPolicy = RestartPolicy(0)
 
 
-_SEMVER_RE = re.compile(r"\d+\.\d+\.\d+")  # a whole version: ``fullmatch``, no trailing newline
+# a whole version: ``fullmatch``, no trailing newline; ASCII digits, which ``\d`` is not
+_SEMVER_RE = re.compile(r"[0-9]+\.[0-9]+\.[0-9]+")
 
 
 class _AlgorithmFields(NamedTuple):

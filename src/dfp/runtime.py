@@ -20,16 +20,18 @@ such a topic delivers what it publishes and drops nothing.
 
 ``assemble`` is the one assembly of every layer a config declares: the
 HAL's devices, the store's saved ODDs, the task graph and the mode
-coordinator. ``dfp.config`` validates a config by assembling it, and a
-Stack takes its layers from the same function, so a Stack starts only what
-validation built. Node bodies resolve through the algorithm registry.
-Entries of the form ``builtin:<name>`` bind to the builders below, over the
-assembly's HAL, store and acc section; anything else is imported as
-``module:attribute`` and called with the node to produce a body. Any
-``DfpError`` a layer raises, an entry that does not import included,
-becomes one ``ConfigurationError`` naming the device, the ODD or the
-pipeline. Each assembly builds from copies of the config's node
-declarations, so two Stacks from one config drive independently.
+coordinator. Every config declares a drive, its ``acc`` section, so a Stack
+always has a graph, a coordinator and a command topic. ``dfp.config``
+validates a config by assembling it, and a Stack takes its layers from the
+same function, so a Stack starts only what validation built. Node bodies
+resolve through the algorithm registry. Entries of the form
+``builtin:<name>`` bind to the builders below, over the assembly's HAL,
+store and acc section; anything else is imported as ``module:attribute``
+and called with the node to produce a body. Any ``DfpError`` a layer
+raises, an entry that does not import included, becomes one
+``ConfigurationError`` naming the device, the ODD or the pipeline. Each
+assembly builds from copies of the config's node declarations, so two
+Stacks from one config drive independently.
 """
 
 from __future__ import annotations
@@ -99,15 +101,8 @@ def _builtin_env_ingest(hal, env, acc, node):
     return body
 
 
-def _gains(acc, node):
-    """The acc section's controller gains, which an ACC node cannot do without."""
-    if acc is None:
-        raise ConfigurationError(f"node {node.node_id!r} needs the acc config section")
-    return acc.config
-
-
 def _builtin_acc_planner(hal, env, acc, node):
-    cfg = _gains(acc, node)
+    cfg = acc.config
     lead_topic, odom_topic = node.inputs
     out_topic = node.outputs[0]
     # read once: a named tuple's field costs more than a local
@@ -127,7 +122,7 @@ def _builtin_acc_planner(hal, env, acc, node):
 
 
 def _builtin_acc_controller(hal, env, acc, node):
-    cfg = _gains(acc, node)
+    cfg = acc.config
     in_topic = node.inputs[0]
     out_topic = node.outputs[0]
     accel_min, accel_max = cfg.accel_min, cfg.accel_max
@@ -159,18 +154,16 @@ def fed_inputs(nodes) -> tuple:
 def assemble(cfg, stub_imports: bool = False):
     """Every layer the system config ``cfg`` declares, built by its own constructor.
 
-    Returns ``(hal, env, graph, coordinator)``; the graph is None when the
-    config declares no nodes. The graph checks that each node input is one
-    a node produces or one of the topics it is handed: the declared topics
-    or, with an ``acc`` section, those of them the runner feeds
-    (``fed_inputs``). An ``acc`` section, a plant for the graph to drive,
-    also needs nodes, a ``control/*`` topic for its command and an
-    acquisition node with an input; without that input the graph is handed
-    every declared topic, so that its own checks, the stage order among
-    them, speak first. The graph gets copies of the node declarations, since
-    resolving a node sets its body. With ``stub_imports``, an entry that is
-    not builtin gets a body that produces nothing instead of being imported,
-    so validating imports nothing.
+    Returns ``(hal, env, graph, coordinator)``. The ``acc`` section's plant
+    needs nodes to drive it, a ``control/*`` topic for its command and an
+    acquisition node with an input. The graph checks that each node input
+    is one a node produces or one of the topics it is handed: the declared
+    topics the runner feeds (``fed_inputs``), or every declared topic when
+    no acquisition node has an input, so that the graph's own checks, the
+    stage order among them, speak first. The graph gets copies of the node
+    declarations, since resolving a node sets its body. With
+    ``stub_imports``, an entry that is not builtin gets a body that produces
+    nothing instead of being imported, so validating imports nothing.
     """
     hal, env, registry = DeviceRegistry(), EnvStore(), AlgorithmRegistry()
     try:
@@ -188,21 +181,19 @@ def assemble(cfg, stub_imports: bool = False):
             else:  # None: the registry imports the entry when a node resolves it
                 factory = (lambda node: lambda inputs, config: {}) if stub_imports else None
             registry.register(descriptor, factory)
-        graph = None
-        world, odometry = fed_inputs(cfg.nodes)
-        if cfg.nodes:
-            feeds = cfg.topic_names()
-            if cfg.acc is not None and world is not None:  # a drive feeds only these
-                feeds &= {world, odometry}
-            graph = TaskGraph([replace(n, config=dict(n.config)) for n in cfg.nodes],
-                              cfg.groups, registry=registry, external_topics=feeds)
-        elif cfg.acc is not None:
+        if not cfg.nodes:
             raise ConfigurationError("the acc section needs pipeline nodes to drive its plant")
-        if cfg.acc is not None and not any(t.name.startswith("control/") for t in cfg.topics):
+        world, odometry = fed_inputs(cfg.nodes)
+        feeds = cfg.topic_names()
+        if world is not None:  # the runner feeds only these
+            feeds &= {world, odometry}
+        graph = TaskGraph([replace(n, config=dict(n.config)) for n in cfg.nodes],
+                          cfg.groups, registry=registry, external_topics=feeds)
+        if not any(t.name.startswith("control/") for t in cfg.topics):
             raise ConfigurationError("the acc section needs a control/* topic for its command")
         coordinator = Coordinator(groups=set(cfg.groups), group_controller=graph)
         coordinator.load(cfg.fsms)
-        if cfg.acc is not None and world is None:
+        if world is None:
             raise ConfigurationError("the acc section needs an acquisition node with an input")
     except DfpError as exc:
         raise ConfigurationError(f"{where}: {exc}") from exc
@@ -226,19 +217,15 @@ class Stack:
         self.seed = config.seed if seed is None else seed
         self.domain = Domain()
         self.platform = self.domain.create_participant("platform")
-        self.hal, self.env, self.graph, coordinator = assemble(config)
-        # without a graph there is nothing for modes to drive: none are reported
-        self.coordinator = coordinator if self.graph is not None else None
+        self.hal, self.env, self.graph, self.coordinator = assemble(config)
         # the command topic is the declared control/* topic (README, "System configuration")
-        command = next((t for t in config.topics if t.name.startswith("control/")), None)
-        self._command_topic = command.name if command else None
-        self._command_pub = self._command_sub = None
-        if command is not None:
-            self._command_pub = self.platform.create_publisher(command)
-            self._command_sub = self.platform.create_subscriber(command)
-        if self.graph is not None:  # a group a mode action names starts with its mode
-            driven = coordinator.driven_groups
-            self.graph.start(groups=[g for g in config.groups if g not in driven])
+        command = next(t for t in config.topics if t.name.startswith("control/"))
+        self._command_topic = command.name
+        self._command_pub = self.platform.create_publisher(command)
+        self._command_sub = self.platform.create_subscriber(command)
+        # a group a mode action names starts with its mode
+        driven = self.coordinator.driven_groups
+        self.graph.start(groups=[g for g in config.groups if g not in driven])
         self._fsm_dispatches = 0
 
     # -- driving -----------------------------------------------------------------
@@ -256,8 +243,6 @@ class Stack:
         step 0.
         """
         setup = self.config.acc
-        if setup is None:
-            return RunResult(self._metrics(trajectory=None), [])
         scenario = setup.scenario
         schedule = {k: list(v) for k, v in (event_schedule or {}).items()}
         schedule[0] = list(setup.engage_events) + schedule.get(0, [])
@@ -300,7 +285,7 @@ class Stack:
                     publish(pack(produced[command_topic]["accel_mps2"]))
                 advance(dt_ns)
                 accel = 0.0  # control group silent: coast
-                for sample in take():  # a drive has a command topic: assemble checks it
+                for sample in take():
                     (accel,) = unpack(sample.payload.data)
                     sample.release()
                 append({
@@ -324,22 +309,19 @@ class Stack:
 
     # -- metrics ------------------------------------------------------------------
 
-    def _metrics(self, trajectory=None, fault: str | None = None,
-                 min_gap: float = math.inf) -> dict:
-        graph = self.graph
+    def _metrics(self, trajectory: list, fault: str | None, min_gap: float) -> dict:
+        graph, sub = self.graph, self._command_sub
         topics = {}
         for t in self.config.topics:
-            n = graph.produced_count_of(t.name) if graph else 0
+            n = graph.produced_count_of(t.name)
             topics[t.name] = {"published": n, "delivered": n, "dropped": 0}
-        if self._command_sub is not None:
-            sub = self._command_sub
-            topics[self._command_topic] = {
-                "published": self._command_pub.published_count,
-                "delivered": sub.delivered_count,
-                "dropped": sub.drops_overflow + sub.drops_gap,
-            }
+        topics[self._command_topic] = {
+            "published": self._command_pub.published_count,
+            "delivered": sub.delivered_count,
+            "dropped": sub.drops_overflow + sub.drops_gap,
+        }
         nodes = {}
-        for nid in sorted(graph.nodes if graph else ()):
+        for nid in sorted(graph.nodes):
             nodes[nid] = {
                 "fired": graph.fired_count_of(nid),
                 "restarts": graph.restart_count_of(nid),
@@ -364,8 +346,8 @@ class Stack:
             "nodes": nodes,
             "fsm": {
                 "dispatches": self._fsm_dispatches,
-                "trace_len": len(self.coordinator.trace) if self.coordinator else 0,
-                "mode": self.coordinator.snapshot() if self.coordinator else {},
+                "trace_len": len(self.coordinator.trace),
+                "mode": self.coordinator.snapshot(),
             },
             "odds": odds,
             "acc": acc_summary,
@@ -380,7 +362,4 @@ def reference_trajectory(config, dt: float | None = None):
     just the control law against the same plant. Serves as the oracle the
     end-to-end run is compared with.
     """
-    setup = config.acc
-    if setup is None:
-        raise ConfigurationError("config has no acc section")
-    return simulate(setup.scenario, setup.config, dt=dt)
+    return simulate(config.acc.scenario, config.acc.config, dt=dt)

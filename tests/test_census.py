@@ -111,6 +111,8 @@ DELETED = [
     # saved ODDs test a record's tags through the query plan
     ("dfp.envmodel", "fuzzy_match"),
     ("dfp.envmodel", "_StandingOdd.takes_tags"),
+    # a config is a drive: an ACC builder reads the acc section's gains directly
+    ("dfp.runtime", "_gains"),
 ]
 
 

@@ -32,11 +32,19 @@ def expect_config_error(doc, fragment):
         parse_config(doc)
 
 
+# the benchmark's acc_drive parses its own copy of the demo for every drive:
+# a reader change that refuses a key in that copy fails every one of them
+BENCH_CONFIG = os.path.join(REPO, "perfbench", "inputs", "demo.json")
+
+
 def test_demo_config_loads_and_validates():
-    cfg = load_config(DEMO_CONFIG)
-    assert cfg.seed == 42
-    assert len(cfg.nodes) == 5
-    assert len(cfg.sha256) == 64
+    for path in (DEMO_CONFIG, BENCH_CONFIG):
+        cfg = load_config(path)
+        assert cfg.seed == 42
+        assert len(cfg.nodes) == 5
+        assert len(cfg.sha256) == 64
+        result = Stack(cfg).run_scenario(duration=2.0)
+        assert result.fault is None and len(result.trajectory) == 41, path
 
 
 def test_unknown_top_level_key_rejected(demo_doc):
@@ -75,8 +83,10 @@ def test_stage_order_violation_rejected(demo_doc):
 
 
 def test_algorithm_version_with_a_trailing_newline_rejected(demo_doc):
-    demo_doc["algorithms"][0]["version"] = "1.0.0\n"
-    expect_config_error(demo_doc, "algorithm 'radar_acquire': version must be semver")
+    # and one with a digit that is not ASCII: "\d" took an Arabic-Indic one
+    for version in ("1.0.0\n", "\u0661.0.0"):
+        demo_doc["algorithms"][0]["version"] = version
+        expect_config_error(demo_doc, "algorithm 'radar_acquire': version must be semver")
 
 
 def test_duplicate_node_rejected(demo_doc):
@@ -191,6 +201,16 @@ def _set(path, value):
     return breakage
 
 
+def _without_acc(doc):
+    """The demo with no drive: no acc section, ACC nodes, acc_control group or its actions."""
+    del doc["acc"], doc["pipeline"]["groups"]["acc_control"]
+    doc["pipeline"]["nodes"] = [n for n in doc["pipeline"]["nodes"]
+                                if n["group"] != "acc_control"]
+    for fsm in doc["fsms"]:
+        for t in fsm["transitions"]:
+            t["actions"] = [a for a in t.get("actions", ()) if "acc_control" not in a.values()]
+
+
 MALFORMED_VALUES = [  # (breakage, the section the diagnostic names)
     (_set(["seed"], "abc"), "config: seed must be int, not 'abc'"),
     (_set(["devices", 0, "seed"], "abc"), "device 'radar0': seed must be int"),
@@ -251,6 +271,8 @@ MALFORMED_VALUES = [  # (breakage, the section the diagnostic names)
     # the descriptor refuses the form; only the Stack refused it before
     (_set(["algorithms", 0, "entry"], "x"),
      "algorithm 'radar_acquire': entry must look like 'module:attribute', got 'x'"),
+    # a config with no drive ran no round: exit 0, an "acc": null report, every count 0
+    (_without_acc, "config: missing required key 'acc'$"),
 ]
 
 
@@ -261,7 +283,7 @@ MALFORMED_VALUES = [  # (breakage, the section the diagnostic names)
                               "entry", "device_id", "acc_kp", "seed_range", "kp_nan",
                               "duration_inf", "point_inf", "ego_speed", "empty_device_id",
                               "node_config_empty", "device_not_radar", "no_control_topic",
-                              "config_modes", "engage_typo", "emit_typo", "entry_form"])
+                              "config_modes", "engage_typo", "emit_typo", "entry_form", "no_acc"])
 def test_cli_malformed_value_exits_2_with_one_diagnostic(tmp_path, demo_doc, capsys,
                                                          breakage, named):
     breakage(demo_doc)
@@ -355,8 +377,7 @@ def test_acc_without_pipeline_nodes_is_a_config_error(tmp_path, demo_doc, capsys
                             if not {"start_group", "stop_group"} & a.keys()]
     expect_config_error(demo_doc, "acc section needs pipeline nodes")
     # a config assembled without validation meets the same check in the Stack
-    unchecked = replace(parse_config({k: v for k, v in demo_doc.items() if k != "acc"}),
-                        acc=load_config(DEMO_CONFIG).acc)
+    unchecked = replace(load_config(DEMO_CONFIG), nodes=[])
     with pytest.raises(ConfigurationError, match="acc section needs pipeline nodes"):
         Stack(unchecked)
     path = tmp_path / "bad.json"
